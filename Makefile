@@ -26,14 +26,16 @@ race:
 # event log's ingest overhead (must stay allocation-flat),
 # BenchmarkScoreBatchTraced/traced vs /untraced the telemetry plane's
 # span-aggregation overhead (its built-in guard fails the run past 5%
-# or one extra alloc/op), and BenchmarkReplay the crash-recovery
-# ns/record budget. BENCHTIME trades precision for wall clock (use e.g.
-# BENCHTIME=2s locally).
+# or one extra alloc/op), BenchmarkWireDecideBatch/handler vs
+# BenchmarkDecideBatch/policy what the JSON wire costs one shard (and
+# /routed the whole router + 2 shards loopback path, allocs/op included),
+# and BenchmarkReplay the crash-recovery ns/record budget. BENCHTIME
+# trades precision for wall clock (use e.g. BENCHTIME=2s locally).
 bench-serving:
 	@set -o pipefail; { \
 	  go test -run '^$$' -bench 'BenchmarkGet$$|BenchmarkMultiGet' -benchmem -benchtime=$(BENCHTIME) ./internal/hbase/ && \
 	  go test -run '^$$' -bench 'BenchmarkFetchUser' -benchmem -benchtime=$(BENCHTIME) ./internal/ms/ && \
-	  go test -run '^$$' -bench 'BenchmarkScoreSequential|BenchmarkScoreBatch$$|BenchmarkScoreBatchCached|BenchmarkScoreBatchTraced|BenchmarkScoreBatchSharded|BenchmarkDecideBatch|BenchmarkIngestLogged|BenchmarkReplay$$' -benchmem -benchtime=$(BENCHTIME) . ; \
+	  go test -run '^$$' -bench 'BenchmarkScoreSequential|BenchmarkScoreBatch$$|BenchmarkScoreBatchCached|BenchmarkScoreBatchTraced|BenchmarkScoreBatchSharded|BenchmarkDecideBatch|BenchmarkWireDecideBatch|BenchmarkIngestLogged|BenchmarkReplay$$' -benchmem -benchtime=$(BENCHTIME) . ; \
 	} | tee /dev/stderr | go run ./cmd/benchjson > BENCH_serving.json
 	@echo "wrote BENCH_serving.json"
 

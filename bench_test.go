@@ -9,9 +9,14 @@
 package titant_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"sort"
 	"sync"
 	"testing"
@@ -26,6 +31,7 @@ import (
 	"titant/internal/model/lr"
 	"titant/internal/ms"
 	"titant/internal/rng"
+	"titant/internal/router"
 	"titant/internal/telemetry"
 	"titant/internal/txn"
 )
@@ -434,6 +440,75 @@ func BenchmarkDecideBatch(b *testing.B) {
 		run(b, srv, txns)
 		st := srv.ShadowStats()
 		b.ReportMetric(float64(st.Dropped), "shadow-dropped")
+	})
+}
+
+// BenchmarkWireDecideBatch is the wire tier's row in BENCH_serving.json:
+// a 64-transaction POST /v1/decide/batch, "handler" straight into one
+// shard's mux (codec + engine, no socket), "routed" from an HTTP client
+// through the router to two shard servers on loopback (the codec three
+// times over, the router's split and splice, net/http). Compare handler
+// with BenchmarkDecideBatch/policy for what the wire costs a shard.
+func BenchmarkWireDecideBatch(b *testing.B) {
+	const batch = 64
+	opts := []ms.Option{ms.WithPolicy(decision.Default("bench-pol", 0.5)), ms.WithUserCache(1 << 14)}
+	body := func(txns []txn.Transaction) []byte {
+		req := ms.DecideBatchRequest{Transactions: make([]ms.DecideRequest, batch)}
+		for i := range req.Transactions {
+			t := &txns[i]
+			req.Transactions[i].TxnRequest = ms.TxnRequest{ID: int64(t.ID), From: int32(t.From), To: int32(t.To), Amount: t.Amount}
+		}
+		raw, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return raw
+	}
+	b.Run("handler", func(b *testing.B) {
+		srv, txns := servingFixture(b, opts...)
+		raw, h := body(txns), srv.Handler()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/decide/batch", bytes.NewReader(raw)))
+			if w.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", w.Code, w.Body)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/txn")
+	})
+	b.Run("routed", func(b *testing.B) {
+		var urls []string
+		var txns []txn.Transaction
+		for range 2 { // every shard holds the full table, as wire shards do
+			var srv *ms.Server
+			srv, txns = servingFixture(b, opts...)
+			hs := httptest.NewServer(srv.Handler())
+			b.Cleanup(hs.Close)
+			urls = append(urls, hs.URL)
+		}
+		rt, err := router.New(urls)
+		if err != nil {
+			b.Fatal(err)
+		}
+		front := httptest.NewServer(rt.Handler())
+		b.Cleanup(front.Close)
+		raw := body(txns)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			resp, err := http.Post(front.URL+"/v1/decide/batch", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				b.Fatalf("status %d, %v", resp.StatusCode, err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/txn")
 	})
 }
 

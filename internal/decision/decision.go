@@ -62,17 +62,28 @@ func (a Action) String() string {
 	return fmt.Sprintf("Action(%d)", int(a))
 }
 
-// ParseAction maps the wire names back to Action values.
-func ParseAction(s string) (Action, error) {
+// actionOf maps a wire name to its Action. It builds no error, so a
+// caller holding bytes can pass string(b) without the conversion
+// escaping to the heap.
+func actionOf(s string) (Action, bool) {
 	switch s {
 	case "approve":
-		return ActionApprove, nil
+		return ActionApprove, true
 	case "challenge":
-		return ActionChallenge, nil
+		return ActionChallenge, true
 	case "deny":
-		return ActionDeny, nil
+		return ActionDeny, true
 	}
-	return 0, fmt.Errorf("%w: unknown action %q (want approve, challenge or deny)", ErrPolicyInvalid, s)
+	return 0, false
+}
+
+// ParseAction maps the wire names back to Action values.
+func ParseAction(s string) (Action, error) {
+	a, ok := actionOf(s)
+	if !ok {
+		return 0, fmt.Errorf("%w: unknown action %q (want approve, challenge or deny)", ErrPolicyInvalid, s)
+	}
+	return a, nil
 }
 
 // MarshalText renders the action as its wire name.
@@ -83,10 +94,12 @@ func (a Action) MarshalText() ([]byte, error) {
 	return []byte(a.String()), nil
 }
 
-// UnmarshalText parses the wire name.
+// UnmarshalText parses the wire name; the success path does not
+// allocate.
 func (a *Action) UnmarshalText(b []byte) error {
-	v, err := ParseAction(string(b))
-	if err != nil {
+	v, ok := actionOf(string(b))
+	if !ok {
+		_, err := ParseAction(string(b))
 		return err
 	}
 	*a = v
@@ -129,17 +142,26 @@ func (sc Scenario) String() string {
 // ParseScenario maps a wire name to a Scenario; the empty string reads as
 // the default scenario so callers that don't care don't have to say so.
 func ParseScenario(s string) (Scenario, error) {
+	sc, ok := scenarioOf(s)
+	if !ok {
+		return 0, fmt.Errorf("%w: unknown scenario %q (want default, payment, transfer or withdrawal)", ErrPolicyInvalid, s)
+	}
+	return sc, nil
+}
+
+// scenarioOf is actionOf's counterpart for scenarios.
+func scenarioOf(s string) (Scenario, bool) {
 	switch s {
 	case "", "default":
-		return ScenarioDefault, nil
+		return ScenarioDefault, true
 	case "payment":
-		return ScenarioPayment, nil
+		return ScenarioPayment, true
 	case "transfer":
-		return ScenarioTransfer, nil
+		return ScenarioTransfer, true
 	case "withdrawal":
-		return ScenarioWithdrawal, nil
+		return ScenarioWithdrawal, true
 	}
-	return 0, fmt.Errorf("%w: unknown scenario %q (want default, payment, transfer or withdrawal)", ErrPolicyInvalid, s)
+	return 0, false
 }
 
 // MarshalText renders the scenario as its wire name.
@@ -150,10 +172,12 @@ func (sc Scenario) MarshalText() ([]byte, error) {
 	return []byte(sc.String()), nil
 }
 
-// UnmarshalText parses the wire name.
+// UnmarshalText parses the wire name; the success path does not
+// allocate.
 func (sc *Scenario) UnmarshalText(b []byte) error {
-	v, err := ParseScenario(string(b))
-	if err != nil {
+	v, ok := scenarioOf(string(b))
+	if !ok {
+		_, err := ParseScenario(string(b))
 		return err
 	}
 	*sc = v

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -405,5 +406,46 @@ func BenchmarkGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _, _ = tab.Get(fmt.Sprintf("r%d", i%10000), "f", "q")
+	}
+}
+
+// TestSortCellsMatchesKeyOrder pins the field-wise comparison in
+// sortCells to the order it replaced: concatenated Key() ascending, then
+// timestamp descending, stable. Names are drawn from a tiny alphabet so
+// shared prefixes, equal rows and version ties are the common case.
+func TestSortCellsMatchesKeyOrder(t *testing.T) {
+	r := rng.New(7)
+	name := func() string {
+		b := make([]byte, 1+r.Intn(3))
+		for i := range b {
+			b[i] = "ab\x01\xff"[r.Intn(4)]
+		}
+		return string(b)
+	}
+	for round := 0; round < 200; round++ {
+		cells := make([]Cell, 1+r.Intn(60))
+		for i := range cells {
+			cells[i] = Cell{
+				Row: name(), Family: name(), Qualifier: name(),
+				Timestamp: int64(r.Intn(3)),
+				Value:     []byte{byte(i)}, // tells tied cells apart: stability
+			}
+		}
+		want := append([]Cell(nil), cells...)
+		sort.SliceStable(want, func(i, j int) bool {
+			ki, kj := want[i].Key(), want[j].Key()
+			if ki != kj {
+				return ki < kj
+			}
+			return want[i].Timestamp > want[j].Timestamp
+		})
+		sortCells(cells)
+		for i := range cells {
+			if cells[i].Key() != want[i].Key() || cells[i].Timestamp != want[i].Timestamp || cells[i].Value[0] != want[i].Value[0] {
+				t.Fatalf("round %d: cell %d is %q@%d#%d, key order wants %q@%d#%d", round, i,
+					cells[i].Key(), cells[i].Timestamp, cells[i].Value[0],
+					want[i].Key(), want[i].Timestamp, want[i].Value[0])
+			}
+		}
 	}
 }

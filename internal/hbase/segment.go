@@ -36,14 +36,22 @@ type rowSpan struct {
 
 const segMagic = 0x48464C45 // "HFLE"
 
-// sortCells orders cells by (key asc, ts desc).
+// sortCells orders cells by (key asc, ts desc). It compares row, family
+// and qualifier field by field instead of building Key() twice per
+// comparison; the order is the concatenated key's, because validateName
+// keeps the \x00 separator — the smallest byte — out of every name.
 func sortCells(cells []Cell) {
 	sort.SliceStable(cells, func(i, j int) bool {
-		ki, kj := cells[i].Key(), cells[j].Key()
-		if ki != kj {
-			return ki < kj
+		a, b := &cells[i], &cells[j]
+		switch {
+		case a.Row != b.Row:
+			return a.Row < b.Row
+		case a.Family != b.Family:
+			return a.Family < b.Family
+		case a.Qualifier != b.Qualifier:
+			return a.Qualifier < b.Qualifier
 		}
-		return cells[i].Timestamp > cells[j].Timestamp
+		return a.Timestamp > b.Timestamp
 	})
 }
 

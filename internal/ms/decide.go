@@ -117,7 +117,7 @@ func (s *Server) Decide(ctx context.Context, t *txn.Transaction, sc decision.Sce
 	var epoch int64
 	if err := s.runOne(ctx, t, &spans, func(sb *scoredBatch) error {
 		decideStart := time.Now()
-		s.fillDecision(&d, pol, t, sc, sb, 0)
+		s.fillDecision(&d, pol, t, sc, sb)
 		spans[telemetry.StageDecide] = time.Since(decideStart)
 		d.Latency = sb.perItem
 		epoch = sb.shadowEpoch
@@ -162,6 +162,7 @@ func (s *Server) DecideBatch(ctx context.Context, txns []txn.Transaction, scenar
 	if err := s.runBatch(ctx, txns, &spans, func(sb *scoredBatch) error {
 		decideStart := time.Now()
 		decisions = make([]Decision, len(txns))
+		members := sb.memberBacking(len(txns))
 		epoch = sb.shadowEpoch
 		in := s.inputTemplate(sb)
 		for i := range txns {
@@ -172,7 +173,7 @@ func (s *Server) DecideBatch(ctx context.Context, txns []txn.Transaction, scenar
 			in.Score = sb.combined[i]
 			in.Row = i
 			d := &decisions[i]
-			d.Verdict = verdictOf(&txns[i], sb.combined[i], sb.memberScores, i, sb.bundle, sb.ens)
+			d.Verdict = sb.verdict(&txns[i], i, members)
 			d.Latency = sb.perItem
 			applyOutcome(d, pol, in.Scenario, pol.Decide(&in))
 		}
@@ -206,11 +207,12 @@ func (s *Server) inputTemplate(sb *scoredBatch) decision.Input {
 	}
 }
 
-// fillDecision evaluates the policy for row i of a scored batch into d.
-func (s *Server) fillDecision(d *Decision, pol *decision.Policy, t *txn.Transaction, sc decision.Scenario, sb *scoredBatch, i int) {
+// fillDecision evaluates the policy for the one row of a single-
+// transaction scoring pass into d.
+func (s *Server) fillDecision(d *Decision, pol *decision.Policy, t *txn.Transaction, sc decision.Scenario, sb *scoredBatch) {
 	in := s.inputTemplate(sb)
-	in.Txn, in.Scenario, in.Score, in.Row = t, sc, sb.combined[i], i
-	d.Verdict = verdictOf(t, sb.combined[i], sb.memberScores, i, sb.bundle, sb.ens)
+	in.Txn, in.Scenario, in.Score, in.Row = t, sc, sb.combined[0], 0
+	d.Verdict = sb.verdict(t, 0, sb.memberBacking(1))
 	applyOutcome(d, pol, sc, pol.Decide(&in))
 }
 

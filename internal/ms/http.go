@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -114,13 +115,19 @@ type errorEnvelope struct {
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	data, err := json.Marshal(v)
 	if err != nil {
-		status = http.StatusInternalServerError
-		data, _ = json.Marshal(errorEnvelope{APIError{
-			Code: "internal", Message: "encode response: " + err.Error(),
-		}})
+		writeEncodeError(w, &encodeError{err})
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	_, _ = w.Write(append(data, '\n'))
+}
+
+// writeEncodeError answers 500 for a response value JSON cannot carry.
+func writeEncodeError(w http.ResponseWriter, err *encodeError) {
+	data, _ := json.Marshal(errorEnvelope{APIError{Code: "internal", Message: err.Error()}})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusInternalServerError)
 	_, _ = w.Write(append(data, '\n'))
 }
 
@@ -178,23 +185,6 @@ func callerContext(r *http.Request) context.Context {
 		return WithCallerContext(r.Context(), c)
 	}
 	return r.Context()
-}
-
-// decodeBody decodes a JSON request body capped at limit bytes, writing
-// the appropriate envelope (413 for oversize, 400 for malformed) on
-// failure.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v interface{}) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
-	if err == nil {
-		return true
-	}
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large", err.Error())
-	} else {
-		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
-	}
-	return false
 }
 
 // engineAPI is the serving surface the HTTP layer drives. Both the
@@ -278,12 +268,10 @@ func (se *ShardedEngine) Handler() http.Handler {
 
 func (a *api) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/score", a.handleScore)
-	mux.HandleFunc("/v1/score/batch", a.handleScoreBatch)
-	mux.HandleFunc("/v1/decide", a.handleDecide)
-	mux.HandleFunc("/v1/decide/batch", a.handleDecideBatch)
-	mux.HandleFunc("/v1/ingest", a.handleIngest)
-	mux.HandleFunc("/v1/ingest/batch", a.handleIngestBatch)
+	for path, op := range map[string]verb{"/v1/score": verbScore, "/v1/decide": verbDecide, "/v1/ingest": verbIngest} {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) { a.serve(w, r, op, false) })
+		mux.HandleFunc(path+"/batch", func(w http.ResponseWriter, r *http.Request) { a.serve(w, r, op, true) })
+	}
 	mux.HandleFunc("/v1/models", a.handleModels)
 	mux.HandleFunc("/v1/policy", a.handlePolicy)
 	mux.HandleFunc("/v1/stats", a.handleStats)
@@ -291,7 +279,7 @@ func (a *api) handler() http.Handler {
 	mux.HandleFunc("/metrics", a.handleMetrics)
 	mux.HandleFunc("/healthz", a.handleHealthz)
 	// Deprecated pre-v1 aliases.
-	mux.HandleFunc("/score", a.handleScore)
+	mux.HandleFunc("/score", func(w http.ResponseWriter, r *http.Request) { a.serve(w, r, verbScore, false) })
 	mux.HandleFunc("/stats", a.handleStats)
 	return a.traceMiddleware(mux)
 }
@@ -333,23 +321,19 @@ func (a *api) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, a.e.TraceBody())
 }
 
-func (a *api) handleScore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	var req TxnRequest
-	if !decodeBody(w, r, maxScoreBytes, &req) {
-		return
-	}
-	t := req.Txn()
-	v, err := a.e.Score(callerContext(r), &t)
-	if err != nil {
-		writeScoreError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
+// verb is one data-plane operation; every verb has a single-transaction
+// route and a batch route.
+type verb uint8
+
+const (
+	verbScore verb = iota
+	verbDecide
+	verbIngest
+)
+
+// verbFields are the members each verb's request rows carry beyond the
+// transaction's own.
+var verbFields = [...]wireField{verbScore: txnFields, verbDecide: txnFields | fieldScenario, verbIngest: txnFields | fieldFraud}
 
 // batchBodyLimit derives a batch route's body cap from the engine's batch
 // limit (clamped to the hard ceiling), keeping parse cost proportional to
@@ -364,34 +348,112 @@ func (a *api) batchBodyLimit() int64 {
 	return limit
 }
 
-func (a *api) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
+// serve is the one shape of the six data-plane routes: decode the body
+// into pooled rows, run the engine verb over them, encode its answer.
+// Nothing on the success path touches encoding/json (see wire.go).
+func (a *api) serve(w http.ResponseWriter, r *http.Request, op verb, batch bool) {
+	switch op {
+	case verbDecide:
+		defer a.recordEndpoint(a.decideHist, time.Now())
+	case verbIngest:
+		defer a.recordEndpoint(a.ingestHist, time.Now())
+	}
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
 		return
 	}
-	var req BatchRequest
-	if !decodeBody(w, r, a.batchBodyLimit(), &req) {
+	if op == verbIngest && !a.checkIngestAuth(w, r) {
 		return
 	}
-	// Reject oversize batches before converting, so a body of minimal
-	// JSON objects can't cost a second large allocation.
-	if a.maxBatch > 0 && len(req.Transactions) > a.maxBatch {
-		writeScoreError(w, batchTooLarge(len(req.Transactions), a.maxBatch))
+	wb := wirePool.Get().(*wireBuf)
+	defer wirePool.Put(wb)
+	if !a.decode(w, r, wb, op, batch) {
 		return
 	}
-	txns := make([]txn.Transaction, len(req.Transactions))
-	for i := range req.Transactions {
-		txns[i] = req.Transactions[i].Txn()
+	ctx := callerContext(r)
+	var err error
+	switch {
+	case op == verbScore && batch:
+		var vs []Verdict
+		if vs, err = a.e.ScoreBatch(ctx, wb.txns); err == nil {
+			err = wb.putVerdicts(vs)
+		}
+	case op == verbScore:
+		var v Verdict
+		if v, err = a.e.Score(ctx, &wb.txns[0]); err == nil {
+			err = wb.putVerdict(&v)
+		}
+	case op == verbDecide && batch:
+		var ds []Decision
+		if ds, err = a.e.DecideBatch(ctx, wb.txns, wb.scenarios); err == nil {
+			err = wb.putDecisions(ds)
+		}
+	case op == verbDecide:
+		var d Decision
+		if d, err = a.e.Decide(ctx, &wb.txns[0], wb.scenarios[0]); err == nil {
+			err = wb.putDecision(&d)
+		}
+	default:
+		// Ingest takes no context, so admission runs here: the one request
+		// path that bypasses Score/Decide still honors quotas and the
+		// inflight bound.
+		var release func()
+		if release, err = a.e.Admit(ctx, len(wb.txns)); err != nil {
+			break
+		}
+		defer release()
+		if batch {
+			err = a.e.IngestBatch(wb.txns)
+		} else {
+			err = a.e.Ingest(&wb.txns[0])
+		}
+		if err == nil {
+			err = wb.putIngested(len(wb.txns))
+		}
 	}
-	verdicts, err := a.e.ScoreBatch(callerContext(r), txns)
-	if err != nil {
+	var unencodable *encodeError
+	switch {
+	case err == nil:
+		WriteBody(w, wb.out)
+	case errors.As(err, &unencodable):
+		writeEncodeError(w, unencodable)
+	default:
 		writeScoreError(w, err)
-		return
 	}
-	if verdicts == nil {
-		verdicts = []Verdict{}
+}
+
+// decode reads and decodes the request body into wb, writing the
+// envelope on failure: 413 for an oversize body or batch, 400 for a
+// malformed one.
+func (a *api) decode(w http.ResponseWriter, r *http.Request, wb *wireBuf, op verb, batch bool) bool {
+	limit, max := int64(maxScoreBytes), 1
+	if batch {
+		limit, max = a.batchBodyLimit(), a.maxBatch
+		if max <= 0 {
+			max = math.MaxInt
+		}
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Verdicts: verdicts})
+	err := wb.decode(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, verbFields[op], batch, max)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large", err.Error())
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
+	case wb.n > max:
+		writeScoreError(w, batchTooLarge(wb.n, max))
+	default:
+		row, err := wb.scenarioError()
+		if err == nil {
+			return true
+		}
+		msg := err.Error()
+		if batch {
+			msg = fmt.Sprintf("transaction %d: %v", row, err)
+		}
+		writeError(w, http.StatusBadRequest, "bad_request", msg)
+	}
+	return false
 }
 
 // DecideRequest is the wire format of POST /v1/decide: a transaction
@@ -409,66 +471,6 @@ type DecideBatchRequest struct {
 // DecideBatchResponse carries the batch decisions in request order.
 type DecideBatchResponse struct {
 	Decisions []Decision `json:"decisions"`
-}
-
-func (a *api) handleDecide(w http.ResponseWriter, r *http.Request) {
-	defer a.recordEndpoint(a.decideHist, time.Now())
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	var req DecideRequest
-	if !decodeBody(w, r, maxScoreBytes, &req) {
-		return
-	}
-	sc, err := decision.ParseScenario(req.Scenario)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	t := req.TxnRequest.Txn()
-	d, err := a.e.Decide(callerContext(r), &t, sc)
-	if err != nil {
-		writeScoreError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, d)
-}
-
-func (a *api) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
-	defer a.recordEndpoint(a.decideHist, time.Now())
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	var req DecideBatchRequest
-	if !decodeBody(w, r, a.batchBodyLimit(), &req) {
-		return
-	}
-	if a.maxBatch > 0 && len(req.Transactions) > a.maxBatch {
-		writeScoreError(w, batchTooLarge(len(req.Transactions), a.maxBatch))
-		return
-	}
-	txns := make([]txn.Transaction, len(req.Transactions))
-	scenarios := make([]decision.Scenario, len(req.Transactions))
-	for i := range req.Transactions {
-		sc, err := decision.ParseScenario(req.Transactions[i].Scenario)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("transaction %d: %v", i, err))
-			return
-		}
-		txns[i] = req.Transactions[i].TxnRequest.Txn()
-		scenarios[i] = sc
-	}
-	decisions, err := a.e.DecideBatch(callerContext(r), txns, scenarios)
-	if err != nil {
-		writeScoreError(w, err)
-		return
-	}
-	if decisions == nil {
-		decisions = []Decision{}
-	}
-	writeJSON(w, http.StatusOK, DecideBatchResponse{Decisions: decisions})
 }
 
 func (a *api) handlePolicy(w http.ResponseWriter, r *http.Request) {
@@ -539,70 +541,6 @@ func (a *api) checkIngestAuth(w http.ResponseWriter, r *http.Request) bool {
 		return false
 	}
 	return true
-}
-
-func (a *api) handleIngest(w http.ResponseWriter, r *http.Request) {
-	defer a.recordEndpoint(a.ingestHist, time.Now())
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	if !a.checkIngestAuth(w, r) {
-		return
-	}
-	var req IngestRequest
-	if !decodeBody(w, r, maxScoreBytes, &req) {
-		return
-	}
-	// Ingest takes no context, so admission runs here: the one request
-	// path that bypasses Score/Decide still honors quotas and the
-	// inflight bound.
-	release, err := a.e.Admit(callerContext(r), 1)
-	if err != nil {
-		writeScoreError(w, err)
-		return
-	}
-	defer release()
-	t := req.Txn()
-	if err := a.e.Ingest(&t); err != nil {
-		writeScoreError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, IngestResponse{Ingested: 1})
-}
-
-func (a *api) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
-	defer a.recordEndpoint(a.ingestHist, time.Now())
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	if !a.checkIngestAuth(w, r) {
-		return
-	}
-	var req IngestBatchRequest
-	if !decodeBody(w, r, a.batchBodyLimit(), &req) {
-		return
-	}
-	if a.maxBatch > 0 && len(req.Transactions) > a.maxBatch {
-		writeScoreError(w, batchTooLarge(len(req.Transactions), a.maxBatch))
-		return
-	}
-	release, err := a.e.Admit(callerContext(r), len(req.Transactions))
-	if err != nil {
-		writeScoreError(w, err)
-		return
-	}
-	defer release()
-	txns := make([]txn.Transaction, len(req.Transactions))
-	for i := range req.Transactions {
-		txns[i] = req.Transactions[i].Txn()
-	}
-	if err := a.e.IngestBatch(txns); err != nil {
-		writeScoreError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, IngestResponse{Ingested: len(txns)})
 }
 
 func (a *api) handleModels(w http.ResponseWriter, r *http.Request) {

@@ -32,7 +32,9 @@ import (
 
 // Alert is the callback invoked for transactions predicted fraudulent; in
 // production it tells the Alipay server to interrupt the transfer and
-// notify the transferor.
+// notify the transferor. t is valid only during the call: over HTTP it
+// points into the request's pooled decode scratch, so a callback that
+// keeps the transaction must copy it.
 type Alert func(t *txn.Transaction, score float64)
 
 // userCache is the engine's read-through cache instantiation: decoded
@@ -504,7 +506,7 @@ func (s *Server) Score(ctx context.Context, t *txn.Transaction) (Verdict, error)
 	var v Verdict
 	var epoch int64
 	if err := s.runOne(ctx, t, &spans, func(sb *scoredBatch) error {
-		v = verdictOf(t, sb.combined[0], sb.memberScores, 0, sb.bundle, sb.ens)
+		v = sb.verdict(t, 0, sb.memberBacking(1))
 		v.Latency = sb.perItem
 		epoch = sb.shadowEpoch
 		return nil
@@ -544,8 +546,9 @@ func (s *Server) ScoreBatch(ctx context.Context, txns []txn.Transaction) ([]Verd
 	var epoch int64
 	if err := s.runBatch(ctx, txns, &spans, func(sb *scoredBatch) error {
 		verdicts = make([]Verdict, len(txns))
+		members := sb.memberBacking(len(txns))
 		for i := range txns {
-			verdicts[i] = verdictOf(&txns[i], sb.combined[i], sb.memberScores, i, sb.bundle, sb.ens)
+			verdicts[i] = sb.verdict(&txns[i], i, members)
 			verdicts[i].Latency = sb.perItem
 		}
 		epoch = sb.shadowEpoch
@@ -701,22 +704,31 @@ func assembleRow(t *txn.Transaction, from, to *userParts, bundle *Bundle, city f
 	return nil
 }
 
-// verdictOf builds the verdict for row i: combined score against the
-// bundle threshold, plus the per-member breakdown for ensemble bundles
-// (memberScores is nil for v1 single-model bundles).
-func verdictOf(t *txn.Transaction, score float64, memberScores [][]float64, i int, bundle *Bundle, ens *ensemble) Verdict {
+// memberBacking allocates the per-member breakdowns of rows verdicts in
+// one array (nil for v1 single-model bundles, which have none), so a
+// batch pays one allocation for them instead of one per verdict.
+func (sb *scoredBatch) memberBacking(rows int) []MemberScore {
+	if sb.memberScores == nil {
+		return nil
+	}
+	return make([]MemberScore, rows*len(sb.ens.names))
+}
+
+// verdict builds the verdict for row i: combined score against the
+// bundle threshold, plus the per-member breakdown carved out of members
+// (see memberBacking).
+func (sb *scoredBatch) verdict(t *txn.Transaction, i int, members []MemberScore) Verdict {
 	v := Verdict{
 		TxnID:   t.ID,
-		Score:   score,
-		Fraud:   score >= bundle.Threshold,
-		Version: bundle.Version,
+		Score:   sb.combined[i],
+		Fraud:   sb.combined[i] >= sb.bundle.Threshold,
+		Version: sb.bundle.Version,
 	}
-	if memberScores != nil {
-		members := make([]MemberScore, len(ens.names))
-		for k := range ens.names {
-			members[k] = MemberScore{Name: ens.names[k], Score: memberScores[k][i]}
+	if k := len(sb.ens.names); members != nil {
+		v.Members = members[i*k : (i+1)*k : (i+1)*k]
+		for m := range v.Members {
+			v.Members[m] = MemberScore{Name: sb.ens.names[m], Score: sb.memberScores[m][i]}
 		}
-		v.Members = members
 	}
 	return v
 }

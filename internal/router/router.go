@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -412,7 +413,7 @@ func (rt *Router) attempt(ctx context.Context, src *http.Request, deadline time.
 		return upstream{err: err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxControlBytes))
+	data, err := ms.ReadBody(nil, io.LimitReader(resp.Body, maxControlBytes), resp.ContentLength)
 	if err != nil {
 		return upstream{err: err}
 	}
@@ -518,12 +519,6 @@ func maxRetryAfter(ups []upstream) string {
 	return best
 }
 
-// txnPeek reads just the routing key and id out of a transaction body.
-type txnPeek struct {
-	ID   int64 `json:"id"`
-	From int32 `json:"from"`
-}
-
 // single forwards a one-transaction request (score/decide/ingest) whole
 // to the sender's owner shard. Score and decide are idempotent reads:
 // they retry, and hedge when enabled. Ingest is at-most-once — one
@@ -535,13 +530,15 @@ func (rt *Router) single(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSingleBytes))
+	// The body is not pooled: a cancelled hedge leg's transport may still
+	// be reading it after this handler has returned.
+	body, err := ms.ReadBody(nil, http.MaxBytesReader(w, r.Body, maxSingleBytes), r.ContentLength)
 	if err != nil {
 		rt.readError(w, err)
 		return
 	}
-	var peek txnPeek
-	if err := json.Unmarshal(body, &peek); err != nil {
+	id, from, err := ms.PeekTxn(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
 		return
 	}
@@ -551,7 +548,7 @@ func (rt *Router) single(w http.ResponseWriter, r *http.Request) {
 	defer func() { rt.observe(r, endpointName(r.URL.Path), rt.now().Sub(start), &spans) }()
 	ctx, cancel, deadline := rt.requestBudget(r)
 	defer cancel()
-	spec := callSpec{method: http.MethodPost, path: r.URL.Path, body: body, shard: rt.ownerShard(txn.UserID(peek.From)), spans: &spans}
+	spec := callSpec{method: http.MethodPost, path: r.URL.Path, body: body, shard: rt.ownerShard(txn.UserID(from)), spans: &spans}
 	switch r.URL.Path {
 	case "/v1/ingest":
 		spec.retryable = r.Header.Get(HeaderIdempotencyKey) != ""
@@ -570,7 +567,7 @@ func (rt *Router) single(w http.ResponseWriter, r *http.Request) {
 		rt.degraded.Add(1)
 		writeJSON(w, http.StatusOK, ms.DegradedDecision{
 			DegradedVerdict: ms.DegradedVerdict{
-				TxnID:    txn.TxnID(peek.ID),
+				TxnID:    txn.TxnID(id),
 				Degraded: true,
 				Error:    rt.itemError(u, spec.shard),
 				TraceID:  w.Header().Get(telemetry.TraceHeader),
@@ -609,16 +606,35 @@ func (rt *Router) readError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 }
 
-// batchBody is a batch request with each transaction kept raw, so the
-// router routes on the "from" field alone and never re-encodes fields it
-// does not understand (labels, scenarios, future additions all survive).
-type batchBody struct {
-	Transactions []json.RawMessage `json:"transactions"`
+// batchScratch is one batch request's working set, pooled: the inbound
+// body, where its transactions lie and who owns them, where each shard's
+// answers lie, and the spliced response. It goes back to the pool when
+// the handler returns, after the last scatter call has: the sub-batch
+// bodies handed to those calls are never part of it, because a retried
+// or abandoned attempt's transport may read its body late.
+type batchScratch struct {
+	body  []byte
+	items []ms.WireItem   // the request's transactions, in input order
+	owner []int           // owner shard of each
+	parts [][]ms.WireItem // per shard: the items of its answer
+	next  []int           // per shard: how many of them are spliced
+	out   []byte
 }
+
+var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+const subBatchOpen = `{"transactions":[`
 
 // batch scatters a batch route across owner shards and gathers the
 // responses in input order. itemsKey names the response array to merge
 // ("verdicts", "decisions"); "" merges ingest {"ingested": n} counts.
+//
+// Nothing is unmarshalled on the way: ms.SplitTransactions finds each
+// transaction's byte range and routing key, sub-batch bodies are those
+// ranges appended — so members the router does not know (labels,
+// scenarios, future additions) survive untouched — and the gather cuts
+// the shards' answers into ranges with the same scanner and appends
+// them in input order.
 //
 // Gather degrades instead of failing: a shard that cannot answer
 // (circuit open, retries exhausted, 5xx) turns only its own items into
@@ -632,13 +648,14 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string)
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBytes))
-	if err != nil {
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
+	var err error
+	if sc.body, err = ms.ReadBody(sc.body[:0], http.MaxBytesReader(w, r.Body, maxBatchBytes), r.ContentLength); err != nil {
 		rt.readError(w, err)
 		return
 	}
-	var req batchBody
-	if err := json.Unmarshal(raw, &req); err != nil {
+	if sc.items, err = ms.SplitTransactions(sc.body, sc.items); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
 		return
 	}
@@ -646,19 +663,28 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string)
 	start := rt.now()
 	var spans telemetry.Spans
 	defer func() { rt.observe(r, endpointName(r.URL.Path), rt.now().Sub(start), &spans) }()
+
 	n := len(rt.shards)
-	groups := make([][]int, n)
-	ids := make([]int64, len(req.Transactions))
-	for i, tx := range req.Transactions {
-		var peek txnPeek
-		if err := json.Unmarshal(tx, &peek); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request",
-				fmt.Sprintf("transaction %d: malformed JSON: %v", i, err))
-			return
+	counts, sizes := make([]int, n), make([]int, n)
+	sc.owner = sc.owner[:0]
+	for _, it := range sc.items {
+		si := ms.ShardOf(txn.UserID(it.From), n)
+		sc.owner = append(sc.owner, si)
+		counts[si]++
+		sizes[si] += it.End - it.Start + 1 // the item and its separator
+	}
+	bodies := make([][]byte, n)
+	for si, size := range sizes {
+		if counts[si] > 0 {
+			bodies[si] = append(make([]byte, 0, len(subBatchOpen)+size+1), subBatchOpen...)
 		}
-		ids[i] = peek.ID
-		si := ms.ShardOf(txn.UserID(peek.From), n)
-		groups[si] = append(groups[si], i)
+	}
+	for i, it := range sc.items {
+		b := bodies[sc.owner[i]]
+		if len(b) > len(subBatchOpen) {
+			b = append(b, ',')
+		}
+		bodies[sc.owner[i]] = append(b, sc.body[it.Start:it.End]...)
 	}
 
 	ctx, cancel, deadline := rt.requestBudget(r)
@@ -668,28 +694,19 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string)
 	callSpans := make([]telemetry.Spans, n) // one buffer per scatter goroutine
 	var wg sync.WaitGroup
 	scatterStart := rt.now()
-	for si, idxs := range groups {
-		if len(idxs) == 0 {
+	for si := range bodies {
+		if counts[si] == 0 {
 			continue
 		}
 		wg.Add(1)
 		rt.fanouts.Add(1)
-		go func(si int, idxs []int) {
+		go func() {
 			defer wg.Done()
-			sub := batchBody{Transactions: make([]json.RawMessage, len(idxs))}
-			for k, i := range idxs {
-				sub.Transactions[k] = req.Transactions[i]
-			}
-			body, err := json.Marshal(sub)
-			if err != nil {
-				ups[si] = upstream{err: err}
-				return
-			}
 			ups[si] = rt.resilientCall(ctx, r, deadline, callSpec{
-				method: http.MethodPost, path: r.URL.Path, body: body,
+				method: http.MethodPost, path: r.URL.Path, body: append(bodies[si], "]}"...),
 				shard: si, retryable: retryable, spans: &callSpans[si],
 			})
-		}(si, idxs)
+		}()
 	}
 	wg.Wait()
 	spans[telemetry.StageRoute] = rt.now().Sub(scatterStart)
@@ -700,11 +717,8 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string)
 	// A 4xx is the shard refusing a request the router faithfully
 	// forwarded (malformed row, over quota): relay it whole, lowest
 	// failing shard index first, with the cross-shard max Retry-After.
-	for si, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
-		}
-		if u := ups[si]; u.err == nil && u.status >= 400 && u.status < 500 {
+	for si, u := range ups {
+		if counts[si] > 0 && u.err == nil && u.status >= 400 && u.status < 500 {
 			if ra := maxRetryAfter(ups); ra != "" {
 				w.Header().Set("Retry-After", ra)
 			}
@@ -715,9 +729,9 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string)
 
 	gstart := rt.now()
 	if itemsKey == "" {
-		rt.gatherIngest(w, groups, ups)
+		rt.gatherIngest(w, counts, ups)
 	} else {
-		rt.gatherItems(w, itemsKey, req, groups, ids, ups)
+		rt.gatherItems(w, itemsKey, sc, counts, ups)
 	}
 	spans[telemetry.StageGather] = rt.now().Sub(gstart)
 }
@@ -725,99 +739,108 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string)
 // gatherIngest merges per-shard ingest counts. Failed shards surface as
 // a "failed" count plus typed per-shard errors; ingest has no per-item
 // bodies to degrade.
-func (rt *Router) gatherIngest(w http.ResponseWriter, groups [][]int, ups []upstream) {
+func (rt *Router) gatherIngest(w http.ResponseWriter, counts []int, ups []upstream) {
 	total, failedCount := 0, 0
 	var failedShards []map[string]interface{}
-	for si, idxs := range groups {
-		if len(idxs) == 0 {
+	for si, u := range ups {
+		if counts[si] == 0 {
 			continue
 		}
-		u := ups[si]
 		if u.failed() {
 			rt.errors.Add(1)
-			failedCount += len(idxs)
+			failedCount += counts[si]
 			failedShards = append(failedShards, map[string]interface{}{
-				"shard": si, "count": len(idxs), "error": rt.itemError(u, si),
+				"shard": si, "count": counts[si], "error": rt.itemError(u, si),
 			})
 			continue
 		}
-		var ir struct {
-			Ingested int `json:"ingested"`
-		}
-		if err := json.Unmarshal(u.body, &ir); err != nil {
+		ingested, err := ms.DecodeIngestResponse(u.body)
+		if err != nil {
 			rt.errors.Add(1)
 			writeError(w, http.StatusBadGateway, "shard_bad_response", err.Error())
 			return
 		}
-		total += ir.Ingested
+		total += ingested
 	}
-	out := map[string]interface{}{"ingested": total}
 	if failedCount > 0 {
-		out["failed"] = failedCount
-		out["failed_shards"] = failedShards
+		writeJSON(w, http.StatusOK, map[string]interface{}{
+			"ingested": total, "failed": failedCount, "failed_shards": failedShards,
+		})
+		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	ms.WriteBody(w, append(strconv.AppendInt([]byte(`{"ingested":`), int64(total), 10), "}\n"...))
 }
 
-// gatherItems merges per-shard score/decide sub-arrays back into caller
+// gatherItems splices per-shard score/decide answers back into caller
 // order, substituting typed degraded envelopes for items owned by
 // failed shards.
-func (rt *Router) gatherItems(w http.ResponseWriter, itemsKey string, req batchBody, groups [][]int, ids []int64, ups []upstream) {
-	merged := make([]json.RawMessage, len(req.Transactions))
+func (rt *Router) gatherItems(w http.ResponseWriter, itemsKey string, sc *batchScratch, counts []int, ups []upstream) {
+	n := len(ups)
+	sc.parts = slices.Grow(sc.parts[:0], n)[:n]
+	sc.next = slices.Grow(sc.next[:0], n)[:n]
+	clear(sc.next)
+	failed := make([]*ms.ItemError, n)
 	degradedCount := 0
-	for si, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
-		}
-		u := ups[si]
-		if u.failed() {
+	for si, u := range ups {
+		switch {
+		case counts[si] == 0:
+		case u.failed():
 			rt.errors.Add(1)
-			ie := rt.itemError(u, si)
-			traceID := w.Header().Get(telemetry.TraceHeader)
-			for _, i := range idxs {
-				degradedCount++
-				rt.degraded.Add(1)
-				dv := ms.DegradedVerdict{TxnID: txn.TxnID(ids[i]), Degraded: true, Error: ie, TraceID: traceID}
-				var item interface{} = dv
-				if itemsKey == "decisions" {
-					item = ms.DegradedDecision{
-						DegradedVerdict: dv,
-						Action:          rt.fallback,
-						Reason:          "fallback: owner shard unavailable",
-					}
-				}
-				enc, _ := json.Marshal(item)
-				merged[i] = enc
+			rt.degraded.Add(int64(counts[si]))
+			degradedCount += counts[si]
+			failed[si] = rt.itemError(u, si)
+		default:
+			var err error
+			sc.parts[si], err = ms.SplitItems(u.body, itemsKey, sc.parts[si])
+			if err == nil && len(sc.parts[si]) != counts[si] {
+				err = fmt.Errorf("shard %d returned %d %s for %d transactions", si, len(sc.parts[si]), itemsKey, counts[si])
 			}
+			if err != nil {
+				rt.errors.Add(1)
+				writeError(w, http.StatusBadGateway, "shard_bad_response", err.Error())
+				return
+			}
+		}
+	}
+	// Members in the order the map-built response had them: sorted, so
+	// "decisions" < "degraded" < "verdicts".
+	out := append(sc.out[:0], '{')
+	if degradedCount > 0 && itemsKey > "degraded" {
+		out = append(strconv.AppendInt(append(out, `"degraded":`...), int64(degradedCount), 10), ',')
+	}
+	out = append(append(append(out, '"'), itemsKey...), `":[`...)
+	for i, it := range sc.items {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		si := sc.owner[i]
+		if failed[si] == nil {
+			part := sc.parts[si][sc.next[si]]
+			sc.next[si]++
+			out = append(out, ups[si].body[part.Start:part.End]...)
 			continue
 		}
-		var resp map[string]json.RawMessage
-		if err := json.Unmarshal(u.body, &resp); err != nil {
-			rt.errors.Add(1)
-			writeError(w, http.StatusBadGateway, "shard_bad_response", err.Error())
-			return
+		dv := ms.DegradedVerdict{
+			TxnID: txn.TxnID(it.ID), Degraded: true, Error: failed[si],
+			TraceID: w.Header().Get(telemetry.TraceHeader),
 		}
-		var items []json.RawMessage
-		if err := json.Unmarshal(resp[itemsKey], &items); err != nil || len(items) != len(idxs) {
-			rt.errors.Add(1)
-			writeError(w, http.StatusBadGateway, "shard_bad_response",
-				fmt.Sprintf("shard %d returned %d %s for %d transactions", si, len(items), itemsKey, len(idxs)))
-			return
+		var item interface{} = dv
+		if itemsKey == "decisions" {
+			item = ms.DegradedDecision{
+				DegradedVerdict: dv,
+				Action:          rt.fallback,
+				Reason:          "fallback: owner shard unavailable",
+			}
 		}
-		for k, i := range idxs {
-			merged[i] = items[k]
-		}
+		enc, _ := json.Marshal(item)
+		out = append(out, enc...)
 	}
-	for i := range merged {
-		if merged[i] == nil {
-			merged[i] = json.RawMessage("null")
-		}
+	out = append(out, ']')
+	if degradedCount > 0 && itemsKey < "degraded" {
+		out = strconv.AppendInt(append(out, `,"degraded":`...), int64(degradedCount), 10)
 	}
-	out := map[string]interface{}{itemsKey: merged}
-	if degradedCount > 0 {
-		out["degraded"] = degradedCount
-	}
-	writeJSON(w, http.StatusOK, out)
+	sc.out = append(out, "}\n"...)
+	ms.WriteBody(w, sc.out)
 }
 
 // control handles /v1/models and /v1/policy. GET reads shard 0 (the

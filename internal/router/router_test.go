@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"titant/internal/decision"
@@ -458,13 +459,45 @@ func TestNewRouterValidation(t *testing.T) {
 	}
 }
 
-func TestRouterRejectsMalformedBatch(t *testing.T) {
-	f := newFleet(t, 2, streamOpts)
-	h := f.rt.Handler()
-	req := httptest.NewRequest(http.MethodPost, "/v1/score/batch", bytes.NewReader([]byte(`{"transactions": [{"from": }]}`)))
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", w.Code)
+// TestMalformedBodiesBothTiers: a shard and the router refuse the same
+// malformed bodies with the same status and error code — they decode
+// with one scanner. Before it, a shard's json.Decoder let bytes trail
+// the body that the router's json.Unmarshal refused.
+func TestMalformedBodiesBothTiers(t *testing.T) {
+	pol, err := decision.Parse([]byte(`{"version": "pol-1", "scenarios": {"default": {"bands": [
+	  {"min": 0, "max": 0.5, "action": "approve"}, {"min": 0.5, "max": 1, "action": "deny"}]}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFleet(t, 2, func() []ms.Option { return append(streamOpts(), ms.WithPolicy(pol)) })
+	tiers := map[string]http.Handler{"shard": f.servers[0].Handler(), "router": f.rt.Handler()}
+	for _, tc := range []struct{ name, path, body string }{
+		{"trailing bytes", "/v1/score/batch", `{"transactions":[{"id":1,"from":1,"to":2}]}garbage`},
+		{"trailing bytes, single", "/v1/score", `{"id":1,"from":1,"to":2} {}`},
+		{"truncated array", "/v1/score/batch", `{"transactions":[{"id":1,"from":1,"to":2}`},
+		{"empty value", "/v1/score/batch", `{"transactions": [{"from": }]}`},
+		{"from of the wrong type", "/v1/decide/batch", `{"transactions":[{"id":1,"from":"1","to":2}]}`},
+		{"from of the wrong type, single", "/v1/decide", `{"id":1,"from":[1],"to":2}`},
+		{"id overflow", "/v1/ingest/batch", `{"transactions":[{"id":9223372036854775808,"from":1,"to":2}]}`},
+		{"from overflow", "/v1/score/batch", `{"transactions":[{"id":1,"from":2147483648,"to":2}]}`},
+		{"transaction of the wrong type", "/v1/score/batch", `{"transactions":[7]}`},
+		{"transactions of the wrong type", "/v1/score/batch", `{"transactions":{"id":1}}`},
+		{"bad scenario", "/v1/decide/batch", `{"transactions":[{"id":1,"from":1,"to":2},{"id":2,"from":2,"to":3,"scenario":"lottery"}]}`},
+		{"scenario of the wrong type", "/v1/decide/batch", `{"transactions":[{"id":1,"from":1,"to":2,"scenario":7}]}`},
+		{"amount of the wrong type", "/v1/score/batch", `{"transactions":[{"id":1,"from":1,"to":2,"amount":"5"}]}`},
+	} {
+		for tier, h := range tiers {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+			var env struct {
+				Error ms.APIError `json:"error"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+				t.Fatalf("%s at the %s: %v (%s)", tc.name, tier, err, w.Body)
+			}
+			if w.Code != http.StatusBadRequest || env.Error.Code != "bad_request" {
+				t.Errorf("%s at the %s: %d %q, want 400 bad_request (%s)", tc.name, tier, w.Code, env.Error.Code, env.Error.Message)
+			}
+		}
 	}
 }
