@@ -46,11 +46,12 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := titant.NewModelServer(tab, bundle, nil)
+	eng, err := titant.NewEngine(tab, bundle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := srv.Score(&ds.Test[0])
+	defer eng.Close()
+	v, err := eng.Score(context.Background(), &ds.Test[0])
 	if err != nil {
 		t.Fatal(err)
 	}

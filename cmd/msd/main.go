@@ -3,8 +3,7 @@
 // `titant train` — and serves the v1 scoring API against an existing
 // feature store. Ensemble bundles score through the batch-native runtime
 // with per-member scores on /v1/score. Models hot-swap over the wire
-// (POST /v1/models with an encoded bundle) or from the bundle file
-// (POST /reload, kept as a deprecated alias); the daemon drains in-flight
+// (POST /v1/models with an encoded bundle); the daemon drains in-flight
 // requests and exits cleanly on SIGINT/SIGTERM.
 //
 // Usage:
@@ -38,9 +37,7 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -178,43 +175,10 @@ func main() {
 			*elogDir, srv.EventLogReplayed(), srv.EventLogStats().NextOffset)
 	}
 
-	mux := http.NewServeMux()
-	mux.Handle("/", srv.Handler())
-	// Deprecated: POST /v1/models swaps a bundle over the wire; /reload
-	// re-reads the bundle file for callers of the pre-v1 daemon.
-	mux.HandleFunc("/reload", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		// Same guard as POST /v1/models — an unguarded alias would let
-		// anyone revert the live model to the on-disk bundle.
-		if *token != "" && !ms.CheckBearer(r, *token) {
-			http.Error(w, "model reload requires a valid bearer token", http.StatusUnauthorized)
-			return
-		}
-		raw, err := os.ReadFile(*bundlePath)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		nb, err := ms.DecodeBundle(raw)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := srv.SetBundle(nb); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		logBundle(nb)
-		fmt.Fprintf(w, "reloaded version=%s\n", nb.Version)
-	})
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	log.Printf("msd: serving %s on %s (model version %s)", *dataDir, *addr, bundle.Version)
-	if err := ms.ListenAndServe(ctx, *addr, mux); err != nil {
+	if err := srv.ListenAndServe(ctx, *addr); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("msd: shut down cleanly")

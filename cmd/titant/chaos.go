@@ -296,17 +296,7 @@ func (c *chaosFleet) check(runDur time.Duration) []string {
 		return append(violations, fmt.Sprintf("router stats unreachable: %v", err))
 	}
 	defer resp.Body.Close()
-	var stats struct {
-		Router struct {
-			Breakers []struct {
-				Shard     int    `json:"shard"`
-				State     string `json:"state"`
-				Opens     int64  `json:"opens"`
-				HalfOpens int64  `json:"half_opens"`
-				Probes    int64  `json:"probes"`
-			} `json:"breakers"`
-		} `json:"router"`
-	}
+	var stats router.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		return append(violations, fmt.Sprintf("router stats undecodable: %v", err))
 	}

@@ -16,6 +16,7 @@ import (
 
 	"titant"
 	"titant/internal/loadgen"
+	"titant/internal/ms"
 	"titant/internal/txn"
 )
 
@@ -179,9 +180,7 @@ func probeShards(base string) int {
 		return 1
 	}
 	defer resp.Body.Close()
-	var body struct {
-		Shards int `json:"shards"`
-	}
+	var body ms.Stats
 	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&body) != nil || body.Shards < 1 {
 		return 1
 	}

@@ -90,9 +90,8 @@ func main() {
 			flagged++
 		}
 	}
-	st := eng.Latency()
-	fmt.Printf("\nonline serving: batch-scored %d transactions, flagged %d (p99=%v)\n",
-		len(verdicts), flagged, st.P99)
+	fmt.Printf("\nonline serving: batch-scored %d transactions, flagged %d (p99=%dµs)\n",
+		len(verdicts), flagged, eng.Stats().P99)
 
 	// The paper deploys several detectors, not one: train a GBDT+LR+C5.0
 	// ensemble bundle (mean-combined) and serve it through the same

@@ -146,7 +146,7 @@ func TestEndToEndServing(t *testing.T) {
 		t.Errorf("served fraud mean score %.4f <= honest %.4f",
 			fraudScores/float64(nf), honestScores/float64(nh))
 	}
-	if st := srv.Latency(); st.Count != int64(len(ds.Test)) {
-		t.Errorf("latency count %d != %d", st.Count, len(ds.Test))
+	if st := srv.Stats(); st.Scored != int64(len(ds.Test)) {
+		t.Errorf("scored %d != %d", st.Scored, len(ds.Test))
 	}
 }

@@ -124,12 +124,12 @@ func (m *Monitor) ObserveSeries(k int, score float64) {
 // DriftStats is one series' snapshot: sample counts, the two divergence
 // statistics, and whether they cross the alert thresholds.
 type DriftStats struct {
-	Name          string  `json:"name"`
-	BaselineCount int64   `json:"baseline"`
-	LiveCount     int64   `json:"live"`
-	PSI           float64 `json:"psi"`
-	KS            float64 `json:"ks"`
-	Alert         bool    `json:"alert"`
+	Name          string
+	BaselineCount int64
+	LiveCount     int64
+	PSI           float64
+	KS            float64
+	Alert         bool
 }
 
 // Snapshot computes every series' drift statistics. O(series × bins).

@@ -84,18 +84,18 @@ func (m *ShadowMeter) Reset() {
 // ShadowStats is a meter snapshot.
 type ShadowStats struct {
 	// Scored is the number of completed champion/challenger comparisons.
-	Scored int64 `json:"scored"`
+	Scored int64
 	// Dropped counts transactions shed on queue overflow.
-	Dropped int64 `json:"dropped"`
+	Dropped int64
 	// Errors counts challenger-side scoring failures.
-	Errors int64 `json:"errors"`
+	Errors int64
 	// Agreed / Flipped split Scored by verdict agreement.
-	Agreed  int64 `json:"agreed"`
-	Flipped int64 `json:"flipped"`
+	Agreed  int64
+	Flipped int64
 	// Agreement is Agreed/Scored (1.0 when nothing scored yet).
-	Agreement float64 `json:"agreement"`
+	Agreement float64
 	// MeanAbsDiff is the mean |champion − challenger| score divergence.
-	MeanAbsDiff float64 `json:"mean_divergence"`
+	MeanAbsDiff float64
 }
 
 // Snapshot reads the counters. Individual counters are each exact;

@@ -442,19 +442,20 @@ func (l *Log) NextOffset() uint64 {
 	return l.next
 }
 
-// Stats is the log's operational snapshot, exported through /v1/stats.
+// Stats is the log's operational snapshot (its wire form is the
+// /v1/stats "eventlog" section, ms.EventLogStats).
 type Stats struct {
-	Appended      int64             `json:"appended"`
-	Fsyncs        int64             `json:"fsyncs"`
-	Bytes         int64             `json:"bytes"`
-	Segments      int               `json:"segments"`
-	FirstOffset   uint64            `json:"first_offset"`
-	NextOffset    uint64            `json:"next_offset"`
-	UnsyncedBytes int64             `json:"unsynced_bytes"`
-	LastFsyncAge  float64           `json:"last_fsync_age_seconds"`
-	SnapshotEnd   uint64            `json:"snapshot_end"`
-	Consumers     map[string]uint64 `json:"consumers,omitempty"`
-	MaxLag        int64             `json:"max_consumer_lag"`
+	Appended      int64
+	Fsyncs        int64
+	Bytes         int64
+	Segments      int
+	FirstOffset   uint64
+	NextOffset    uint64
+	UnsyncedBytes int64
+	LastFsyncAge  float64
+	SnapshotEnd   uint64
+	Consumers     map[string]uint64
+	MaxLag        int64
 }
 
 // Stats reads the counters.

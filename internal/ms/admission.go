@@ -141,40 +141,46 @@ func (a *admission) callerStat(caller string) *callerStat {
 	return cs
 }
 
-// callerAdmission is one caller's row in the metrics exposition.
-type callerAdmission struct {
-	name                              string
-	admitted, shedQuota, shedInflight int64
-}
-
-// callerSnapshot lists every caller's counters (sorted by name, with the
-// shared overflow row last as "_overflow").
-func (a *admission) callerSnapshot() []callerAdmission {
+// stats snapshots the gate's counters, every caller's included (sorted by
+// name, with the shared overflow row last as "_overflow"); nil without a
+// gate.
+func (a *admission) stats() *AdmissionStats {
 	if a == nil {
 		return nil
 	}
 	a.mu.Lock()
-	out := make([]callerAdmission, 0, len(a.callers)+1)
+	buckets := len(a.buckets)
+	out := make([]CallerStats, 0, len(a.callers)+1)
 	for name, cs := range a.callers {
-		out = append(out, callerAdmission{
-			name:         name,
-			admitted:     cs.admitted.Load(),
-			shedQuota:    cs.shedQuota.Load(),
-			shedInflight: cs.shedInflight.Load(),
+		out = append(out, CallerStats{
+			Caller:       name,
+			Admitted:     cs.admitted.Load(),
+			ShedQuota:    cs.shedQuota.Load(),
+			ShedInflight: cs.shedInflight.Load(),
 		})
 	}
 	overflow := a.callerOverflow
 	a.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	sort.Slice(out, func(i, j int) bool { return out[i].Caller < out[j].Caller })
 	if overflow != nil {
-		out = append(out, callerAdmission{
-			name:         "_overflow",
-			admitted:     overflow.admitted.Load(),
-			shedQuota:    overflow.shedQuota.Load(),
-			shedInflight: overflow.shedInflight.Load(),
+		out = append(out, CallerStats{
+			Caller:       "_overflow",
+			Admitted:     overflow.admitted.Load(),
+			ShedQuota:    overflow.shedQuota.Load(),
+			ShedInflight: overflow.shedInflight.Load(),
 		})
 	}
-	return out
+	return &AdmissionStats{
+		PerCaller:    out,
+		Admitted:     a.admitted.Load(),
+		ShedQuota:    a.shedQuota.Load(),
+		ShedInflight: a.shedInflight.Load(),
+		Inflight:     a.inflight.Load(),
+		MaxInflight:  a.maxInflight,
+		Rate:         a.rate,
+		Burst:        a.burst,
+		Callers:      buckets,
+	}
 }
 
 // bucket returns caller's quota bucket, creating it on first use. Once
@@ -265,41 +271,3 @@ func (s *Server) Admit(ctx context.Context, n int) (func(), error) {
 // AdmissionEnabled reports whether the engine was built with any
 // admission gate (WithCallerQuota or WithMaxInflight).
 func (s *Server) AdmissionEnabled() bool { return s.adm != nil }
-
-// AdmissionStats is the admission section of GET /v1/stats.
-type AdmissionStats struct {
-	Admitted     int64   `json:"admitted"`      // transactions admitted
-	ShedQuota    int64   `json:"shed_quota"`    // refused by caller quotas
-	ShedInflight int64   `json:"shed_inflight"` // refused by the inflight bound
-	Inflight     int64   `json:"inflight"`      // current in-engine transactions
-	MaxInflight  int64   `json:"max_inflight"`  // 0: unbounded
-	Rate         float64 `json:"rate"`          // per-caller tx/s (0: no quota)
-	Burst        float64 `json:"burst"`
-	Callers      int     `json:"callers"` // distinct callers with exact buckets
-}
-
-// AdmissionStats snapshots the admission counters (zero value when
-// admission control is disabled).
-func (s *Server) AdmissionStats() AdmissionStats {
-	return s.adm.stats()
-}
-
-// stats snapshots the gate's counters; a nil gate reads as all zeros.
-func (a *admission) stats() AdmissionStats {
-	if a == nil {
-		return AdmissionStats{}
-	}
-	a.mu.Lock()
-	callers := len(a.buckets)
-	a.mu.Unlock()
-	return AdmissionStats{
-		Admitted:     a.admitted.Load(),
-		ShedQuota:    a.shedQuota.Load(),
-		ShedInflight: a.shedInflight.Load(),
-		Inflight:     a.inflight.Load(),
-		MaxInflight:  a.maxInflight,
-		Rate:         a.rate,
-		Burst:        a.burst,
-		Callers:      callers,
-	}
-}

@@ -205,7 +205,7 @@ func TestAdmitPerCallerIsolation(t *testing.T) {
 	if _, err := srv.Score(context.Background(), &tr); err != nil {
 		t.Fatalf("default caller refused: %v", err)
 	}
-	st := srv.AdmissionStats()
+	st := srv.Stats().Admission
 	if st.ShedQuota != 1 || st.Admitted != 4 {
 		t.Fatalf("stats = %+v, want 4 admitted / 1 shed_quota", st)
 	}
@@ -350,7 +350,7 @@ func TestAdmitDisabledIsFree(t *testing.T) {
 		t.Fatalf("unlimited engine refused: %v", err)
 	}
 	rel()
-	if st := srv.AdmissionStats(); st != (AdmissionStats{}) {
-		t.Fatalf("stats = %+v, want zero value", st)
+	if st := srv.Stats().Admission; st != nil {
+		t.Fatalf("admission section = %+v, want none", st)
 	}
 }

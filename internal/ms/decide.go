@@ -237,30 +237,6 @@ func (s *Server) observeDecision(t *txn.Transaction, d *Decision, epoch int64) {
 	}
 }
 
-// DecisionStats snapshots the decision counters.
-type DecisionStats struct {
-	Decided       int64 `json:"decided"`
-	Approved      int64 `json:"approved"`
-	Challenged    int64 `json:"challenged"`
-	Denied        int64 `json:"denied"`
-	RuleOverrides int64 `json:"rule_overrides"`
-}
-
-// DecisionStats returns the cumulative action counters.
-func (s *Server) DecisionStats() DecisionStats {
-	st := DecisionStats{
-		Approved:      s.actions[decision.ActionApprove].Load(),
-		Challenged:    s.actions[decision.ActionChallenge].Load(),
-		Denied:        s.actions[decision.ActionDeny].Load(),
-		RuleOverrides: s.ruleHits.Load(),
-	}
-	st.Decided = st.Approved + st.Challenged + st.Denied
-	return st
-}
-
-// DriftEnabled reports whether the engine monitors score drift.
-func (s *Server) DriftEnabled() bool { return s.drift.Load() != nil }
-
 // DriftStats snapshots every monitored score series (nil when drift
 // monitoring is disabled).
 func (s *Server) DriftStats() []decision.DriftStats {
@@ -279,17 +255,6 @@ func (s *Server) DriftAlerted() bool {
 	return false
 }
 
-// ShadowEnabled reports whether a challenger bundle shadows the engine.
-func (s *Server) ShadowEnabled() bool { return s.shadow != nil }
-
-// ShadowVersion returns the challenger bundle's version ("" without one).
-func (s *Server) ShadowVersion() string {
-	if s.shadow == nil {
-		return ""
-	}
-	return s.shadow.bundle.Version
-}
-
 // ShadowStats snapshots the champion/challenger comparison counters
 // (zero without a challenger).
 func (s *Server) ShadowStats() decision.ShadowStats {
@@ -297,13 +262,4 @@ func (s *Server) ShadowStats() decision.ShadowStats {
 		return decision.ShadowStats{}
 	}
 	return s.shadow.meter.Snapshot()
-}
-
-// ShadowQueueDepth reports how many transactions currently wait for the
-// shadow worker.
-func (s *Server) ShadowQueueDepth() int {
-	if s.shadow == nil {
-		return 0
-	}
-	return len(s.shadow.jobs)
 }

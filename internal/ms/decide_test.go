@@ -129,7 +129,7 @@ func TestDecideActions(t *testing.T) {
 	if dd.Action == decision.ActionChallenge && dw.Action != decision.ActionDeny {
 		t.Fatalf("withdrawal should escalate: default=%v withdrawal=%v", dd.Action, dw.Action)
 	}
-	st := srv.DecisionStats()
+	st := srv.Stats().Policy
 	if st.Decided != 5 || st.RuleOverrides != 1 {
 		t.Fatalf("decision stats = %+v", st)
 	}
@@ -502,7 +502,7 @@ func TestShadowNeverBlocks(t *testing.T) {
 	if st.Dropped != 99 {
 		t.Fatalf("dropped = %d, want 99", st.Dropped)
 	}
-	if depth := srv.ShadowQueueDepth(); depth != 1 {
+	if depth := srv.Stats().Shadow.QueueDepth; depth != 1 {
 		t.Fatalf("queue depth = %d", depth)
 	}
 }

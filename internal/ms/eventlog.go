@@ -74,9 +74,6 @@ func WithSnapshotEvery(n int64) Option {
 	}
 }
 
-// EventLogEnabled reports whether the engine was built WithEventLog.
-func (s *Server) EventLogEnabled() bool { return s.elog != nil }
-
 // EventLogStats snapshots the log counters (zero value without a log).
 func (s *Server) EventLogStats() eventlog.Stats {
 	if s.elog == nil {

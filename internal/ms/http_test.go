@@ -276,22 +276,16 @@ func TestV1StatsAndHealth(t *testing.T) {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
 
-	// Deprecated pre-v1 aliases still answer.
-	resp, err = http.Post(ts.URL+"/score", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /score = %d", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /stats = %d", resp.StatusCode)
+	// The pre-v1 routes are gone: only their v1 forms answer.
+	for _, path := range []string{"/score", "/stats", "/reload"} {
+		resp, err = http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("removed route %s = %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 

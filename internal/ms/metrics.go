@@ -6,183 +6,42 @@ import (
 	"titant/internal/telemetry"
 )
 
-// Prometheus exposition for the serving tiers. Every counter on
-// GET /v1/stats has a series here, named titant_<subsystem>_<name> with
+// Prometheus exposition for the serving tiers. The series are declared
+// on the Stats fields (stats.go): named titant_<subsystem>_<name>, with
 // labels drawn from {shard, endpoint, stage, member, caller}; latency
 // surfaces as native histogram families so dashboards can recompute any
 // quantile. Server.MetricsBody renders one engine; the sharded engine
-// renders each shard with a shard label plus its fleet-level gates; the
-// wire router (internal/router) self-scrapes these pages and re-labels.
-
-// bool01 renders an enablement/alert flag as a 0/1 gauge value.
-func bool01(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
+// renders each shard with a shard label plus its front door; the wire
+// router (internal/router) self-scrapes these pages and re-labels.
 
 // MetricsBody renders the engine's Prometheus text exposition.
 func (s *Server) MetricsBody() []byte {
 	e := telemetry.NewExpo()
-	s.fillMetrics(e, true)
-	e.Gauge("titant_engine_shards", "engine shard count", 1)
+	st := s.Stats()
+	e.Emit(&st)
+	shardsGauge(e, 1)
 	return e.Bytes()
 }
 
 // MetricsBody renders the fleet exposition: every shard's series with a
-// shard label, plus the series owned by the sharded front door itself
-// (admission, the HTTP endpoint histograms, and the shared stream
-// window's ingest counter, which would multiply-count if summed per
-// shard).
+// shard label, then the series owned by the ring's front door (see
+// FrontDoor).
 func (se *ShardedEngine) MetricsBody() []byte {
 	e := telemetry.NewExpo()
 	for i, s := range se.shards {
-		s.fillMetrics(e, false, "shard", strconv.Itoa(i))
+		st := s.engineStats()
+		e.Emit(&st, "shard", strconv.Itoa(i))
 	}
-	if se.StreamEnabled() {
-		e.Counter("titant_ingest_ingested_total", "transactions accepted into the live window", float64(se.Ingested()))
-		endpointMetrics(e, "ingest", se.ingestHist)
-	}
-	if se.PolicyEnabled() {
-		endpointMetrics(e, "decide", se.decideHist)
-	}
-	admissionMetrics(e, se.adm)
-	e.Gauge("titant_engine_shards", "engine shard count", float64(len(se.shards)))
+	fd := se.frontDoor()
+	e.Emit(&fd)
+	shardsGauge(e, len(se.shards))
 	return e.Bytes()
 }
 
-// fillMetrics emits one engine's series into e under the given extra
-// labels. topLevel marks an engine fronting its own HTTP surface: only
-// then does it own the endpoint request histograms, the admission gate
-// and the shared stream window's ingest counter — inside a sharded
-// fleet those live at the front door, not on the shards.
-func (s *Server) fillMetrics(e *telemetry.Expo, topLevel bool, labels ...string) {
-	lbl := func(extra ...string) []string {
-		return append(append(make([]string, 0, len(labels)+len(extra)), labels...), extra...)
-	}
-
-	e.Counter("titant_scoring_scored_total", "transactions scored", float64(s.scored.Load()), labels...)
-	e.Counter("titant_scoring_alerted_total", "transactions scored at or above the alert threshold", float64(s.alerted.Load()), labels...)
-	counts, _ := s.hist.Snapshot()
-	e.Histogram("titant_scoring_latency_seconds", "per-transaction scoring latency", s.hist.Bounds(), counts, int64(s.hist.Sum()), labels...)
-	e.Gauge("titant_bundle_info", "active bundle metadata (value is always 1)", 1, lbl("version", s.BundleVersion())...)
-
-	// Per-stage hot-path histograms from the span tracker.
-	for _, name := range s.tel.Endpoints() {
-		et := s.tel.Endpoint(name)
-		for st := telemetry.Stage(0); st < telemetry.NumStages; st++ {
-			h := et.StageHistogram(st)
-			if h.Total() == 0 {
-				continue
-			}
-			sc, _ := h.Snapshot()
-			e.Histogram("titant_stage_latency_seconds", "hot-path stage latency by endpoint",
-				h.Bounds(), sc, int64(h.Sum()), lbl("endpoint", name, "stage", st.String())...)
-		}
-	}
-
-	if topLevel {
-		if s.StreamEnabled() {
-			e.Counter("titant_ingest_ingested_total", "transactions accepted into the live window", float64(s.Ingested()), labels...)
-			endpointMetrics(e, "ingest", s.ingestHist, labels...)
-		}
-		if s.PolicyEnabled() {
-			endpointMetrics(e, "decide", s.decideHist, labels...)
-		}
-		admissionMetrics(e, s.adm, labels...)
-	}
-
-	if s.UserCacheEnabled() {
-		cs := s.UserCacheStats()
-		e.Counter("titant_user_cache_hits_total", "user cache hits", float64(cs.Hits), labels...)
-		e.Counter("titant_user_cache_misses_total", "user cache misses", float64(cs.Misses), labels...)
-		e.Counter("titant_user_cache_collapsed_total", "concurrent misses collapsed to one load", float64(cs.Collapsed), labels...)
-		e.Counter("titant_user_cache_evictions_total", "user cache evictions", float64(cs.Evictions), labels...)
-		e.Counter("titant_user_cache_invalidations_total", "user cache invalidations", float64(cs.Invalidations), labels...)
-		e.Gauge("titant_user_cache_negatives", "negative (user-not-found) entries held", float64(cs.Negatives), labels...)
-		e.Gauge("titant_user_cache_size", "user cache entries held", float64(cs.Size), labels...)
-		e.Gauge("titant_user_cache_capacity", "user cache entry capacity", float64(cs.Capacity), labels...)
-	}
-
-	if s.PolicyEnabled() {
-		ds := s.DecisionStats()
-		e.Gauge("titant_policy_info", "active policy metadata (value is always 1)", 1, lbl("version", s.PolicyVersion())...)
-		e.Counter("titant_decisions_total", "policy decisions by action", float64(ds.Approved), lbl("action", "approve")...)
-		e.Counter("titant_decisions_total", "policy decisions by action", float64(ds.Challenged), lbl("action", "challenge")...)
-		e.Counter("titant_decisions_total", "policy decisions by action", float64(ds.Denied), lbl("action", "deny")...)
-		e.Counter("titant_decision_rule_overrides_total", "decisions where a rule overrode the model bands", float64(ds.RuleOverrides), labels...)
-	}
-
-	if s.ShadowEnabled() {
-		sh := s.ShadowStats()
-		e.Gauge("titant_shadow_info", "challenger bundle metadata (value is always 1)", 1, lbl("version", s.ShadowVersion())...)
-		e.Counter("titant_shadow_scored_total", "champion/challenger comparisons completed", float64(sh.Scored), labels...)
-		e.Counter("titant_shadow_dropped_total", "shadow jobs shed on queue overflow", float64(sh.Dropped), labels...)
-		e.Counter("titant_shadow_errors_total", "challenger-side scoring failures", float64(sh.Errors), labels...)
-		e.Counter("titant_shadow_agreed_total", "comparisons where champion and challenger agreed", float64(sh.Agreed), labels...)
-		e.Counter("titant_shadow_flipped_total", "comparisons where the challenger would flip the verdict", float64(sh.Flipped), labels...)
-		e.Gauge("titant_shadow_agreement", "champion/challenger verdict agreement ratio", sh.Agreement, labels...)
-		e.Gauge("titant_shadow_mean_divergence", "mean absolute champion-challenger score divergence", sh.MeanAbsDiff, labels...)
-		e.Gauge("titant_shadow_queue_depth", "transactions waiting for the shadow worker", float64(s.ShadowQueueDepth()), labels...)
-	}
-
-	if s.EventLogEnabled() {
-		es := s.EventLogStats()
-		e.Counter("titant_eventlog_appended_total", "events appended to the durable log", float64(es.Appended), labels...)
-		e.Counter("titant_eventlog_fsyncs_total", "event log fsync calls", float64(es.Fsyncs), labels...)
-		e.Counter("titant_eventlog_bytes_total", "bytes appended to the event log", float64(es.Bytes), labels...)
-		e.Counter("titant_eventlog_replayed_total", "events replayed at startup recovery", float64(s.EventLogReplayed()), labels...)
-		e.Counter("titant_eventlog_append_errors_total", "event log append failures", float64(s.elogErrs.Load()), labels...)
-		e.Gauge("titant_eventlog_segments", "event log segment files on disk", float64(es.Segments), labels...)
-		e.Gauge("titant_eventlog_first_offset", "oldest retained event offset", float64(es.FirstOffset), labels...)
-		e.Gauge("titant_eventlog_next_offset", "next event offset to be assigned", float64(es.NextOffset), labels...)
-		e.Gauge("titant_eventlog_unsynced_bytes", "appended bytes not yet fsynced", float64(es.UnsyncedBytes), labels...)
-		e.Gauge("titant_eventlog_last_fsync_age_seconds", "seconds since the last fsync", es.LastFsyncAge, labels...)
-		e.Gauge("titant_eventlog_snapshot_end", "offset the newest snapshot covers through", float64(es.SnapshotEnd), labels...)
-		e.Gauge("titant_eventlog_max_consumer_lag", "largest consumer offset lag", float64(es.MaxLag), labels...)
-	}
-
-	if series := s.DriftStats(); series != nil {
-		e.Gauge("titant_drift_alert", "1 when any score series crosses its drift thresholds", bool01(s.DriftAlerted()), labels...)
-		for i := range series {
-			dl := lbl("member", series[i].Name)
-			e.Counter("titant_drift_baseline_total", "scores frozen into the drift baseline", float64(series[i].BaselineCount), dl...)
-			e.Counter("titant_drift_live_total", "scores observed into the live drift window", float64(series[i].LiveCount), dl...)
-			e.Gauge("titant_drift_psi", "population stability index vs the baseline", series[i].PSI, dl...)
-			e.Gauge("titant_drift_ks", "Kolmogorov-Smirnov distance vs the baseline", series[i].KS, dl...)
-		}
-	}
-}
-
-// endpointMetrics emits one HTTP endpoint's request-latency histogram.
-func endpointMetrics(e *telemetry.Expo, endpoint string, h *telemetry.Histogram, labels ...string) {
-	counts, _ := h.Snapshot()
-	el := append(append(make([]string, 0, len(labels)+2), labels...), "endpoint", endpoint)
-	e.Histogram("titant_endpoint_latency_seconds", "HTTP request latency by endpoint", h.Bounds(), counts, int64(h.Sum()), el...)
-}
-
-// admissionMetrics emits the admission gate's series, per-caller
-// counters included (nil gate: admission is off, nothing to report).
-func admissionMetrics(e *telemetry.Expo, a *admission, labels ...string) {
-	if a == nil {
-		return
-	}
-	lbl := func(extra ...string) []string {
-		return append(append(make([]string, 0, len(labels)+len(extra)), labels...), extra...)
-	}
-	st := a.stats()
-	for _, ca := range a.callerSnapshot() {
-		cl := lbl("caller", ca.name)
-		e.Counter("titant_admission_admitted_total", "transactions admitted by caller", float64(ca.admitted), cl...)
-		e.Counter("titant_admission_shed_quota_total", "transactions refused by caller quotas", float64(ca.shedQuota), cl...)
-		e.Counter("titant_admission_shed_inflight_total", "transactions refused by the inflight bound", float64(ca.shedInflight), cl...)
-	}
-	e.Gauge("titant_admission_inflight", "transactions currently inside the engine", float64(st.Inflight), labels...)
-	e.Gauge("titant_admission_max_inflight", "inflight bound (0: unbounded)", float64(st.MaxInflight), labels...)
-	e.Gauge("titant_admission_rate", "per-caller sustained quota in tx/s (0: no quota)", st.Rate, labels...)
-	e.Gauge("titant_admission_burst", "per-caller burst allowance", st.Burst, labels...)
-	e.Gauge("titant_admission_callers", "distinct callers holding exact quota buckets", float64(st.Callers), labels...)
+// shardsGauge reports the process's engine width, once per page (see
+// Stats.Shards).
+func shardsGauge(e *telemetry.Expo, n int) {
+	e.Gauge("titant_engine_shards", "engine shard count", float64(n))
 }
 
 // TraceBody renders the engine's GET /v1/debug/trace dump.

@@ -212,9 +212,9 @@ func TestScoreAndAlert(t *testing.T) {
 	if len(alerts) != 1 || alerts[0] != 2 {
 		t.Fatalf("alerts = %v", alerts)
 	}
-	st := srv.Latency()
-	if st.Count != 2 || st.Alerted != 1 || st.Max <= 0 {
-		t.Fatalf("latency stats = %+v", st)
+	st := srv.Stats()
+	if st.Scored != 2 || st.Alerted != 1 || st.LatencyHist.Max <= 0 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -289,7 +289,7 @@ func TestScoreCancelledContext(t *testing.T) {
 	if alerted {
 		t.Fatal("alert fired under a cancelled context")
 	}
-	if st := srv.Latency(); st.Count != 0 {
+	if st := srv.Stats(); st.Scored != 0 {
 		t.Fatalf("cancelled scores recorded: %+v", st)
 	}
 }
@@ -355,8 +355,8 @@ func TestScoreBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("verdict %d: batch %+v != sequential %+v", i, got, want)
 		}
 	}
-	if st := srv.Latency(); st.Count != int64(2*len(txns)) {
-		t.Fatalf("stats count = %d, want %d", st.Count, 2*len(txns))
+	if st := srv.Stats(); st.Scored != int64(2*len(txns)) {
+		t.Fatalf("scored = %d, want %d", st.Scored, 2*len(txns))
 	}
 }
 
@@ -463,9 +463,8 @@ func TestMillisecondLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := srv.Latency()
-	if st.P99 > 10*time.Millisecond {
-		t.Errorf("p99 latency %v exceeds 10ms", st.P99)
+	if p99 := srv.Stats().LatencyHist.Quantile(0.99); p99 > 10*time.Millisecond {
+		t.Errorf("p99 latency %v exceeds 10ms", p99)
 	}
 }
 
@@ -477,9 +476,9 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := New(tab, nil); !errors.Is(err, ErrBundleInvalid) {
 		t.Error("nil bundle accepted")
 	}
-	// The deprecated constructor still works.
-	if _, err := NewServer(tab, trainToy(t, 0), nil); err != nil {
-		t.Errorf("NewServer: %v", err)
+	// A nil alert callback is the same as none.
+	if _, err := New(tab, trainToy(t, 0), WithAlert(nil)); err != nil {
+		t.Errorf("New with a nil alert: %v", err)
 	}
 }
 

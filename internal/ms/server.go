@@ -269,13 +269,6 @@ func (lc *liveCity) Lookup(c uint16) (fraud, share float64) {
 	return f, sh
 }
 
-// NewServer builds a Model Server over a feature table. alert may be nil.
-//
-// Deprecated: use New with WithAlert.
-func NewServer(table *hbase.Table, bundle *Bundle, alert Alert) (*Server, error) {
-	return New(table, bundle, WithAlert(alert))
-}
-
 // SetBundle hot-swaps the model (the paper's periodic model-file update).
 // The user cache, when present, is purged: a bundle swap typically lands
 // right after an upload wave has re-published every user at the new
@@ -327,9 +320,6 @@ func (s *Server) InvalidateUser(u txn.UserID) {
 		s.cache.Invalidate(u)
 	}
 }
-
-// UserCacheEnabled reports whether the engine was built WithUserCache.
-func (s *Server) UserCacheEnabled() bool { return s.cache != nil }
 
 // UserCacheStats snapshots the cache counters (zero without a cache).
 func (s *Server) UserCacheStats() usercache.Stats {
@@ -1066,28 +1056,4 @@ func (s *Server) Ingested() int64 {
 		return 0
 	}
 	return s.stream.Ingested()
-}
-
-// LatencyStats summarises serving latency.
-type LatencyStats struct {
-	Count   int64
-	Alerted int64
-	P50     time.Duration
-	P99     time.Duration
-	Max     time.Duration
-}
-
-// Latency returns percentile statistics over all scored requests. The
-// read is O(buckets): percentiles come from the bounded histogram, not a
-// sample log.
-func (s *Server) Latency() LatencyStats {
-	counts, total := s.hist.Snapshot()
-	max := s.hist.Max()
-	return LatencyStats{
-		Count:   s.scored.Load(),
-		Alerted: s.alerted.Load(),
-		P50:     telemetry.Quantile(s.hist.Bounds(), counts, total, max, 0.50),
-		P99:     telemetry.Quantile(s.hist.Bounds(), counts, total, max, 0.99),
-		Max:     max,
-	}
 }

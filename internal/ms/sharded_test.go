@@ -235,8 +235,8 @@ func TestShardedBatchMatchesSingles(t *testing.T) {
 			t.Fatalf("verdict %d: batch %v != single %v", i, verdicts[i].Score, want.Score)
 		}
 	}
-	if st := se.Latency(); st.Count != int64(2*len(txns)) {
-		t.Fatalf("merged latency count = %d, want %d", st.Count, 2*len(txns))
+	if st := se.Stats(); st.Scored != int64(2*len(txns)) || st.LatencyHist.Total() != st.Scored {
+		t.Fatalf("merged scored = %d over %d latency samples, want %d", st.Scored, st.LatencyHist.Total(), 2*len(txns))
 	}
 }
 
@@ -317,8 +317,8 @@ func TestShardedSwapAllShards(t *testing.T) {
 	if _, err := se.DecideBatch(ctx, txns, nil); err != nil {
 		t.Fatal(err)
 	}
-	if ds := se.DecisionStats(); ds.Decided != int64(len(txns)) {
-		t.Fatalf("merged decided = %d, want %d", ds.Decided, len(txns))
+	if pol := se.Stats().Policy; pol.Decided != int64(len(txns)) || pol.Version != "pol-1" {
+		t.Fatalf("merged policy section = %+v, want %d decided under pol-1", pol, len(txns))
 	}
 }
 
@@ -342,8 +342,7 @@ func TestShardedAdmissionTopLevel(t *testing.T) {
 	if _, err := se.Admit(ctx, 1); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("err = %v, want ErrRateLimited", err)
 	}
-	as := se.AdmissionStats()
-	if as.Admitted != 2 || as.ShedQuota != 1 {
+	if as := se.Stats().Admission; as.Admitted != 2 || as.ShedQuota != 1 {
 		t.Fatalf("admission stats = %+v", as)
 	}
 }
@@ -370,7 +369,7 @@ func TestShardedStatsMerge(t *testing.T) {
 	// shards), so a shard-0-only stats view cannot equal the merge.
 	var perShard int64
 	for i := 0; i < se.Shards(); i++ {
-		c := se.Shard(i).Latency().Count
+		c := se.Shard(i).Stats().Scored
 		if c == 0 {
 			t.Fatalf("shard %d scored nothing", i)
 		}
@@ -383,31 +382,25 @@ func TestShardedStatsMerge(t *testing.T) {
 		t.Fatalf("per-shard counts sum to %d, want %d", perShard, len(txns))
 	}
 
-	body := se.StatsBody()
-	if got := body["scored"].(int64); got != int64(len(txns)) {
-		t.Fatalf("merged scored = %d, want %d", got, len(txns))
+	st := se.Stats()
+	if st.Scored != int64(len(txns)) {
+		t.Fatalf("merged scored = %d, want %d", st.Scored, len(txns))
 	}
-	if got := body["shards"].(int); got != 3 {
-		t.Fatalf("shards = %d, want 3", got)
+	if st.Shards != 3 {
+		t.Fatalf("shards = %d, want 3", st.Shards)
 	}
-	hist := body["latency_hist"].(map[string]interface{})
-	var histTotal int64
-	for _, c := range hist["counts"].([]int64) {
-		histTotal += c
+	if got := st.LatencyHist.Total(); got != int64(len(txns)) {
+		t.Fatalf("merged histogram holds %d samples, want %d", got, len(txns))
 	}
-	if histTotal != int64(len(txns)) {
-		t.Fatalf("merged histogram holds %d samples, want %d", histTotal, len(txns))
-	}
-	cache := body["user_cache"].(map[string]interface{})
 	cs := se.UserCacheStats()
-	if cache["capacity"].(int) != cs.Capacity || cs.Capacity < 256 {
-		t.Fatalf("merged cache capacity = %v (stats %d), want >= 256", cache["capacity"], cs.Capacity)
+	if st.UserCache.Capacity != cs.Capacity || cs.Capacity < 256 {
+		t.Fatalf("merged cache capacity = %d (stats %d), want >= 256", st.UserCache.Capacity, cs.Capacity)
 	}
 	if cs.Hits+cs.Misses == 0 {
 		t.Fatal("merged cache saw no traffic")
 	}
-	if adm := body["admission"].(map[string]interface{}); adm["admitted"].(int64) != int64(len(txns)) {
-		t.Fatalf("merged admitted = %v, want %d", adm["admitted"], len(txns))
+	if st.Admission.Admitted != int64(len(txns)) {
+		t.Fatalf("merged admitted = %d, want %d", st.Admission.Admitted, len(txns))
 	}
 	if h := se.Health(); h.Shards != 3 || h.Status != "ok" {
 		t.Fatalf("health = %+v", h)
@@ -431,7 +424,7 @@ func TestShardedIngestRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := se.Ingested(), ref.Ingested(); got != want {
+	if got, want := *se.Stats().Ingested, ref.Ingested(); got != want {
 		t.Fatalf("sharded ingested %d, unsharded %d", got, want)
 	}
 

@@ -2,37 +2,48 @@ package router
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
+
+	"titant/internal/ms"
 )
 
-// body decodes a JSON literal into the map shape MergeStats consumes,
-// so the fixtures exercise the same float64-typed values real shard
-// responses produce.
-func body(t *testing.T, raw string) map[string]interface{} {
+// mergeBodies takes shard /v1/stats bodies the way the router does —
+// decoded into ms.Stats, merged, marshalled — and returns the merged
+// body decoded generically, so the assertions read the wire form.
+func mergeBodies(t *testing.T, raws ...string) map[string]interface{} {
 	t.Helper()
+	snaps := make([]ms.Stats, len(raws))
+	for i, raw := range raws {
+		if err := json.Unmarshal([]byte(raw), &snaps[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := json.Marshal(ms.Merge(snaps))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var m map[string]interface{}
-	if err := json.Unmarshal([]byte(raw), &m); err != nil {
+	if err := json.Unmarshal(out, &m); err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
 func TestMergeStatsCountersAndHistogram(t *testing.T) {
-	a := body(t, `{
+	m := mergeBodies(t, `{
 	  "scored": 10, "alerted": 1, "version": "v1", "shards": 1,
 	  "p50_us": 1, "p99_us": 2, "max_us": 3,
 	  "latency_hist": {"bounds_ns": [1000, 2000], "counts": [10, 0, 0], "max_ns": 900},
 	  "user_cache": {"hits": 5, "misses": 5, "size": 4, "capacity": 64},
 	  "admission": {"admitted": 10, "shed_quota": 1, "rate": 100, "burst": 50, "max_inflight": 8, "callers": 2, "inflight": 0, "shed_inflight": 0}
-	}`)
-	b := body(t, `{
+	}`, `{
 	  "scored": 30, "alerted": 2, "version": "v1", "shards": 1,
 	  "p50_us": 2, "p99_us": 2, "max_us": 2,
 	  "latency_hist": {"bounds_ns": [1000, 2000], "counts": [0, 0, 30], "max_ns": 5000},
 	  "user_cache": {"hits": 20, "misses": 10, "size": 9, "capacity": 64},
 	  "admission": {"admitted": 30, "shed_quota": 0, "rate": 100, "burst": 50, "max_inflight": 8, "callers": 3, "inflight": 1, "shed_inflight": 2}
 	}`)
-	m := MergeStats([]map[string]interface{}{a, b})
 
 	if m["scored"].(float64) != 40 || m["alerted"].(float64) != 3 {
 		t.Fatalf("counters: scored=%v alerted=%v", m["scored"], m["alerted"])
@@ -51,8 +62,8 @@ func TestMergeStatsCountersAndHistogram(t *testing.T) {
 	// rank (20) falls in the overflow bucket, clamped to the observed
 	// max — NOT any average of the per-shard p50s (1µs, 2µs).
 	hist := m["latency_hist"].(map[string]interface{})
-	counts, _ := floatSlice(hist["counts"])
-	if counts[0] != 10 || counts[2] != 30 {
+	counts := hist["counts"].([]interface{})
+	if counts[0].(float64) != 10 || counts[2].(float64) != 30 {
 		t.Fatalf("merged counts = %v", counts)
 	}
 	if hist["max_ns"].(float64) != 5000 {
@@ -76,25 +87,21 @@ func TestMergeStatsCountersAndHistogram(t *testing.T) {
 }
 
 func TestMergeStatsVersionMixed(t *testing.T) {
-	m := MergeStats([]map[string]interface{}{
-		body(t, `{"version": "v1", "scored": 1}`),
-		body(t, `{"version": "v2", "scored": 1}`),
-	})
+	m := mergeBodies(t, `{"version": "v1", "scored": 1}`, `{"version": "v2", "scored": 1}`)
 	if m["version"] != "v1" || m["version_mixed"] != true {
 		t.Fatalf("mixed fleet: version=%v mixed=%v", m["version"], m["version_mixed"])
 	}
 }
 
 func TestMergeStatsShadowAndDrift(t *testing.T) {
-	a := body(t, `{
+	m := mergeBodies(t, `{
 	  "scored": 1,
 	  "shadow": {"challenger_version": "c1", "scored": 10, "agreed": 10, "flipped": 0,
 	             "dropped": 0, "errors": 0, "agreement": 1.0, "mean_divergence": 0.1, "queue_depth": 1},
 	  "drift": {"alert": false, "series": [
 	    {"name": "score", "baseline": 100, "live": 10, "psi": 0.01, "ks": 0.02, "alert": false}
 	  ]}
-	}`)
-	b := body(t, `{
+	}`, `{
 	  "scored": 1,
 	  "shadow": {"challenger_version": "c1", "scored": 30, "agreed": 15, "flipped": 15,
 	             "dropped": 1, "errors": 0, "agreement": 0.5, "mean_divergence": 0.3, "queue_depth": 2},
@@ -102,7 +109,6 @@ func TestMergeStatsShadowAndDrift(t *testing.T) {
 	    {"name": "score", "baseline": 100, "live": 30, "psi": 0.4, "ks": 0.1, "alert": true}
 	  ]}
 	}`)
-	m := MergeStats([]map[string]interface{}{a, b})
 
 	sh := m["shadow"].(map[string]interface{})
 	if sh["scored"].(float64) != 40 || sh["agreed"].(float64) != 25 {
@@ -128,15 +134,14 @@ func TestMergeStatsShadowAndDrift(t *testing.T) {
 }
 
 func TestMergeStatsEndpointsAndEventlog(t *testing.T) {
-	a := body(t, `{
+	m := mergeBodies(t, `{
 	  "scored": 1,
 	  "endpoints": {"ingest": {"count": 5, "p50_us": 10, "p99_us": 20, "max_us": 30,
 	    "hist": {"bounds_ns": [1000], "counts": [5, 0], "max_ns": 800}}},
 	  "eventlog": {"appended": 100, "fsyncs": 10, "bytes": 4096, "segments": 1,
 	    "max_consumer_lag": 5, "last_fsync_age_seconds": 0.5, "replayed": 0, "append_errors": 0,
 	    "first_offset": 0, "next_offset": 100, "unsynced_bytes": 10, "snapshot_end": 0}
-	}`)
-	b := body(t, `{
+	}`, `{
 	  "scored": 1,
 	  "endpoints": {"ingest": {"count": 15, "p50_us": 40, "p99_us": 50, "max_us": 60,
 	    "hist": {"bounds_ns": [1000], "counts": [0, 15], "max_ns": 9000}}},
@@ -144,7 +149,6 @@ func TestMergeStatsEndpointsAndEventlog(t *testing.T) {
 	    "max_consumer_lag": 50, "last_fsync_age_seconds": 0.1, "replayed": 7, "append_errors": 1,
 	    "first_offset": 40, "next_offset": 340, "unsynced_bytes": 0, "snapshot_end": 40}
 	}`)
-	m := MergeStats([]map[string]interface{}{a, b})
 
 	ing := m["endpoints"].(map[string]interface{})["ingest"].(map[string]interface{})
 	if ing["count"].(float64) != 20 {
@@ -168,12 +172,11 @@ func TestMergeStatsEndpointsAndEventlog(t *testing.T) {
 }
 
 func TestMergeStatsIncompatibleHistogramsFallBack(t *testing.T) {
-	m := MergeStats([]map[string]interface{}{
-		body(t, `{"scored": 1, "p50_us": 3, "p99_us": 7, "max_us": 9,
-		          "latency_hist": {"bounds_ns": [1000], "counts": [1, 0], "max_ns": 100}}`),
-		body(t, `{"scored": 1, "p50_us": 5, "p99_us": 6, "max_us": 8,
-		          "latency_hist": {"bounds_ns": [2000], "counts": [1, 0], "max_ns": 100}}`),
-	})
+	m := mergeBodies(t,
+		`{"scored": 1, "p50_us": 3, "p99_us": 7, "max_us": 9,
+		  "latency_hist": {"bounds_ns": [1000], "counts": [1, 0], "max_ns": 100}}`,
+		`{"scored": 1, "p50_us": 5, "p99_us": 6, "max_us": 8,
+		  "latency_hist": {"bounds_ns": [2000], "counts": [1, 0], "max_ns": 100}}`)
 	if _, ok := m["latency_hist"]; ok {
 		t.Fatal("incompatible histograms merged anyway")
 	}
@@ -184,7 +187,7 @@ func TestMergeStatsIncompatibleHistogramsFallBack(t *testing.T) {
 }
 
 func TestMergeStatsEmpty(t *testing.T) {
-	if m := MergeStats(nil); len(m) != 0 {
-		t.Fatalf("merge of nothing = %v", m)
+	if m := ms.Merge(nil); !reflect.DeepEqual(m, ms.Stats{}) {
+		t.Fatalf("merge of nothing = %+v", m)
 	}
 }

@@ -18,51 +18,12 @@ import (
 // series are absent and counted in titant_router_scrape_unreachable),
 // never fail it: metrics must answer while the fleet is broken.
 
-// ownMetrics renders the router-owned series.
+// ownMetrics renders the router-owned series: the "router" stats section
+// declares them (see RouterStats).
 func (rt *Router) ownMetrics() *telemetry.Expo {
 	e := telemetry.NewExpo()
-	e.Counter("titant_router_singles_total", "single-row requests forwarded to an owner shard", float64(rt.singles.Load()))
-	e.Counter("titant_router_batches_total", "batch requests scattered across the ring", float64(rt.batches.Load()))
-	e.Counter("titant_router_fanouts_total", "sub-batches dispatched by scatters", float64(rt.fanouts.Load()))
-	e.Counter("titant_router_controls_total", "model/policy swaps replicated", float64(rt.controls.Load()))
-	e.Counter("titant_router_errors_total", "upstream failures relayed or detected", float64(rt.errors.Load()))
-	e.Counter("titant_router_retries_total", "retry attempts issued", float64(rt.retried.Load()))
-	e.Counter("titant_router_hedges_total", "hedge legs launched", float64(rt.hedges.Load()))
-	e.Counter("titant_router_hedge_wins_total", "hedge legs that answered first", float64(rt.hedgeWins.Load()))
-	e.Counter("titant_router_degraded_items_total", "items answered with a degraded envelope", float64(rt.degraded.Load()))
-	e.Counter("titant_router_deadline_exhausted_total", "calls abandoned on an exhausted caller budget", float64(rt.deadlines.Load()))
-	e.Gauge("titant_router_shards", "shard ring width", float64(len(rt.shards)))
-	e.Gauge("titant_router_quorum", "healthy shards /healthz requires for 200", float64(rt.quorum))
-
-	for si := range rt.shards {
-		shard := strconv.Itoa(si)
-		state, opens, halfOpens, probes, failures, successes := rt.brk[si].counters()
-		e.Gauge("titant_router_breaker_state", "per-shard breaker state (value is always 1)", 1, "shard", shard, "state", state)
-		e.Counter("titant_router_breaker_opens_total", "breaker trips to open", float64(opens), "shard", shard)
-		e.Counter("titant_router_breaker_half_opens_total", "breaker transitions to half-open", float64(halfOpens), "shard", shard)
-		e.Counter("titant_router_breaker_probes_total", "half-open probes launched", float64(probes), "shard", shard)
-		e.Counter("titant_router_breaker_failures_total", "shard call failures recorded by the breaker", float64(failures), "shard", shard)
-		e.Counter("titant_router_breaker_successes_total", "shard call successes recorded by the breaker", float64(successes), "shard", shard)
-		h := rt.lat[si]
-		counts, _ := h.Snapshot()
-		e.Histogram("titant_router_shard_latency_seconds", "successful shard call latency", h.Bounds(), counts, int64(h.Sum()), "shard", shard)
-	}
-
-	// Wire-tier stage histograms, same family name the engines use so a
-	// stage dashboard spans tiers; the router's series carry no shard
-	// label, which keeps them distinct from the re-labeled shard series.
-	for _, name := range rt.tel.Endpoints() {
-		et := rt.tel.Endpoint(name)
-		for st := telemetry.Stage(0); st < telemetry.NumStages; st++ {
-			h := et.StageHistogram(st)
-			if h.Total() == 0 {
-				continue
-			}
-			sc, _ := h.Snapshot()
-			e.Histogram("titant_stage_latency_seconds", "hot-path stage latency by endpoint",
-				h.Bounds(), sc, int64(h.Sum()), "endpoint", name, "stage", st.String())
-		}
-	}
+	rs := rt.routerStats()
+	e.Emit(&rs)
 	return e
 }
 

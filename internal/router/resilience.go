@@ -214,27 +214,17 @@ func (b *breaker) currentState() int {
 	return b.state
 }
 
-// counters snapshots the breaker's state name and lifetime counters
-// (shared by the stats section and the /metrics exposition).
-func (b *breaker) counters() (state string, opens, halfOpens, probes, failures, successes int64) {
-	state = breakerStateName(b.currentState())
+// stats snapshots the breaker's state and lifetime counters next to one
+// reading of the shard's call-latency histogram.
+func (b *breaker) stats(shard int, lat *telemetry.HistSnapshot) BreakerStats {
+	state := breakerStateName(b.currentState())
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return state, b.opens, b.halfOpens, b.probes, b.failures, b.successes
-}
-
-// snapshot builds the breaker's stats body.
-func (b *breaker) snapshot(shard int, p99 time.Duration) map[string]interface{} {
-	state, opens, halfOpens, probes, failures, successes := b.counters()
-	return map[string]interface{}{
-		"shard":      shard,
-		"state":      state,
-		"opens":      opens,
-		"half_opens": halfOpens,
-		"probes":     probes,
-		"failures":   failures,
-		"successes":  successes,
-		"p99_us":     p99.Microseconds(),
+	return BreakerStats{
+		Shard: shard, State: state,
+		Opens: b.opens, HalfOpens: b.halfOpens, Probes: b.probes,
+		Failures: b.failures, Successes: b.successes,
+		P99: lat.Quantile(0.99).Microseconds(), Latency: lat,
 	}
 }
 

@@ -570,7 +570,7 @@ func TestRouterCallerQuotaThroughWireTier(t *testing.T) {
 	if w := doReq(t, h, http.MethodPost, "/v1/score", body, map[string]string{"X-Caller": "beta"}); w.Code != http.StatusOK {
 		t.Fatalf("beta blocked by alpha's quota: %d (%s)", w.Code, w.Body.String())
 	}
-	if st := f.servers[0].AdmissionStats(); st.Callers < 2 {
+	if st := f.servers[0].Stats().Admission; st.Callers < 2 {
 		t.Fatalf("shard tracked %d callers, want >= 2 — X-Caller not propagating", st.Callers)
 	}
 }

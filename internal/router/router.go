@@ -901,70 +901,6 @@ func (rt *Router) control(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// routerStats builds the /v1/stats "router" section.
-func (rt *Router) routerStats() map[string]interface{} {
-	breakers := make([]map[string]interface{}, len(rt.brk))
-	for si, b := range rt.brk {
-		breakers[si] = b.snapshot(si, rt.lat[si].Quantile(0.99))
-	}
-	return map[string]interface{}{
-		"shards":             rt.shards,
-		"singles":            rt.singles.Load(),
-		"batches":            rt.batches.Load(),
-		"fanouts":            rt.fanouts.Load(),
-		"controls":           rt.controls.Load(),
-		"errors":             rt.errors.Load(),
-		"retries":            rt.retried.Load(),
-		"hedges":             rt.hedges.Load(),
-		"hedge_wins":         rt.hedgeWins.Load(),
-		"degraded_items":     rt.degraded.Load(),
-		"deadline_exhausted": rt.deadlines.Load(),
-		"fallback_action":    rt.fallback,
-		"breakers":           breakers,
-	}
-}
-
-// stats fans GET /v1/stats to every shard and deep-merges the reachable
-// bodies (see MergeStats), adding a "router" section with the ring, the
-// router's own counters and per-shard breaker state. Unreachable shards
-// are listed, not fatal — stats is how operators see a degraded fleet,
-// so it must answer while the fleet is degraded. Only a fully
-// unreachable fleet is a 502.
-func (rt *Router) stats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
-	ups := rt.fanGet(r, "/v1/stats", callSpec{retryable: true})
-	var bodies []map[string]interface{}
-	var unreachable []int
-	for si, u := range ups {
-		if u.failed() {
-			rt.errors.Add(1)
-			unreachable = append(unreachable, si)
-			continue
-		}
-		var body map[string]interface{}
-		if err := json.Unmarshal(u.body, &body); err != nil {
-			rt.errors.Add(1)
-			writeError(w, http.StatusBadGateway, "shard_bad_response", err.Error())
-			return
-		}
-		bodies = append(bodies, body)
-	}
-	if len(bodies) == 0 {
-		writeError(w, http.StatusBadGateway, "shard_unreachable", "no shard answered /v1/stats")
-		return
-	}
-	merged := MergeStats(bodies)
-	rs := rt.routerStats()
-	if len(unreachable) > 0 {
-		rs["unreachable"] = unreachable
-	}
-	merged["router"] = rs
-	writeJSON(w, http.StatusOK, merged)
-}
-
 // fanGet issues one GET per shard concurrently through the resilience
 // plane.
 func (rt *Router) fanGet(r *http.Request, path string, spec callSpec) []upstream {

@@ -190,7 +190,7 @@ func TestRouterScoreBatchParity(t *testing.T) {
 	// The batch really scattered: every shard scored some of it.
 	var sum int64
 	for si, srv := range f.servers {
-		c := srv.Latency().Count
+		c := srv.Stats().Scored
 		if c == 0 {
 			t.Fatalf("shard %d scored nothing", si)
 		}
@@ -225,7 +225,7 @@ func TestRouterSingleRouting(t *testing.T) {
 		}
 		owner := ms.ShardOf(txn.UserID(req.From), 3)
 		for si, srv := range f.servers {
-			if c := srv.Latency().Count; (si == owner) != (c > 0) {
+			if c := srv.Stats().Scored; (si == owner) != (c > 0) {
 				t.Fatalf("txn %d (owner %d): shard %d scored %d", req.ID, owner, si, c)
 			}
 		}
@@ -349,32 +349,24 @@ func TestRouterStatsMerge(t *testing.T) {
 		t.Fatalf("batch: %d %s", w.Code, body)
 	}
 
-	var stats map[string]interface{}
+	var stats Stats
 	if code := getJSON(t, h, "/v1/stats", &stats); code != http.StatusOK {
 		t.Fatalf("GET /v1/stats: %d", code)
 	}
-	if got := stats["scored"].(float64); got != float64(len(reqs)) {
-		t.Fatalf("merged scored = %v, want %d", got, len(reqs))
+	if stats.Scored != int64(len(reqs)) {
+		t.Fatalf("merged scored = %d, want %d", stats.Scored, len(reqs))
 	}
-	if got := stats["shards"].(float64); got != 3 {
-		t.Fatalf("merged shards = %v, want 3", got)
+	if stats.Shards != 3 {
+		t.Fatalf("merged shards = %d, want 3", stats.Shards)
 	}
-	hist := stats["latency_hist"].(map[string]interface{})
-	counts, _ := floatSlice(hist["counts"])
-	var sum float64
-	for _, c := range counts {
-		sum += c
+	if got := stats.LatencyHist.Total(); got != int64(len(reqs)) {
+		t.Fatalf("merged histogram holds %d samples, want %d", got, len(reqs))
 	}
-	if sum != float64(len(reqs)) {
-		t.Fatalf("merged histogram holds %v samples, want %d", sum, len(reqs))
+	if stats.UserCache.Capacity != 3*128 {
+		t.Fatalf("merged cache capacity = %d, want %d", stats.UserCache.Capacity, 3*128)
 	}
-	cache := stats["user_cache"].(map[string]interface{})
-	if cache["capacity"].(float64) != 3*128 {
-		t.Fatalf("merged cache capacity = %v, want %d", cache["capacity"], 3*128)
-	}
-	router := stats["router"].(map[string]interface{})
-	if router["batches"].(float64) < 1 || len(router["shards"].([]interface{})) != 3 {
-		t.Fatalf("router section = %v", router)
+	if rs := stats.Router; rs.Batches < 1 || len(rs.Shards) != 3 || len(rs.Breakers) != 3 {
+		t.Fatalf("router section = %+v", rs)
 	}
 }
 

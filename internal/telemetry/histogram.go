@@ -9,6 +9,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -87,41 +88,52 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 }
 
-// Bounds returns the bucket upper bounds (shared, not copied — callers
-// must not mutate).
-func (h *Histogram) Bounds() []time.Duration { return h.bounds }
-
 // Max returns the largest sample observed so far.
 func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() int64 {
-	var total int64
+// HistSnapshot is one reading of a Histogram, and its wire form on
+// GET /v1/stats: nanosecond bucket bounds, per-bucket counts (the last
+// entry is the overflow bucket) and the observed maximum. Raw buckets are
+// what make a fleet view lossless — counts sum across shards and the
+// quantiles recompute, where averaging per-shard percentiles would be
+// meaningless. Sum rides along for /metrics only.
+type HistSnapshot struct {
+	Bounds []time.Duration `json:"bounds_ns"` // shared with the histogram; read-only
+	Counts []int64         `json:"counts"`
+	Max    time.Duration   `json:"max_ns"`
+	Sum    time.Duration   `json:"-"`
+}
+
+// Snapshot reads the histogram once: every figure a caller derives from
+// the result — total, quantiles, the raw buckets — describes the same
+// instant.
+func (h *Histogram) Snapshot() *HistSnapshot {
+	s := &HistSnapshot{Bounds: h.bounds, Counts: make([]int64, len(h.counts)), Max: h.Max(), Sum: h.Sum()}
 	for i := range h.counts {
-		total += h.counts[i].Load()
+		s.Counts[i] = h.counts[i].Load()
+	}
+	return s
+}
+
+// Total returns the number of samples in the snapshot.
+func (s *HistSnapshot) Total() int64 {
+	var total int64
+	for _, c := range s.Counts {
+		total += c
 	}
 	return total
 }
 
-// Snapshot copies the bucket counts and returns them with their sum.
-func (h *Histogram) Snapshot() ([]int64, int64) {
-	counts := make([]int64, len(h.counts))
-	var total int64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	return counts, total
+// Quantile reads the p-quantile (0 < p <= 1) out of the snapshot.
+func (s *HistSnapshot) Quantile(p float64) time.Duration {
+	return Quantile(s.Bounds, s.Counts, s.Total(), s.Max, p)
 }
 
 // Quantile reads the p-quantile (0 < p <= 1) from the live histogram.
-func (h *Histogram) Quantile(p float64) time.Duration {
-	counts, total := h.Snapshot()
-	return Quantile(h.bounds, counts, total, h.Max(), p)
-}
+func (h *Histogram) Quantile(p float64) time.Duration { return h.Snapshot().Quantile(p) }
 
 // Quantile reads the p-quantile (0 < p <= 1) out of a snapshot: the
 // upper bound of the bucket containing rank ceil(p·total), clamped to
@@ -151,44 +163,29 @@ func Quantile(bounds []time.Duration, counts []int64, total int64, max time.Dura
 	return max
 }
 
-// Merge sums same-shaped histograms bucket-wise and returns the merged
-// snapshot (bounds, counts, total, max). All inputs must share bounds —
-// true for the engine's histograms, which are all built from one option
-// set; the wire router only merges stats bodies whose bounds_ns arrays
-// match.
-func Merge(hs []*Histogram) (bounds []time.Duration, counts []int64, total int64, max time.Duration) {
-	if len(hs) == 0 {
-		return nil, nil, 0, 0
-	}
-	bounds = hs[0].bounds
-	counts = make([]int64, len(hs[0].counts))
-	for _, h := range hs {
-		cs, t := h.Snapshot()
-		for i := range counts {
-			counts[i] += cs[i]
+// MergeSnapshots sums same-shaped snapshots bucket-wise; nil entries are
+// skipped. It returns nil when there is nothing to merge or the bucket
+// shapes disagree (mixed server builds) — callers fall back to
+// worst-shard percentiles rather than merging incompatible buckets.
+func MergeSnapshots(snaps []*HistSnapshot) *HistSnapshot {
+	var out *HistSnapshot
+	for _, s := range snaps {
+		switch {
+		case s == nil:
+		case out == nil:
+			out = &HistSnapshot{Bounds: s.Bounds, Counts: append([]int64(nil), s.Counts...), Max: s.Max, Sum: s.Sum}
+		case !slices.Equal(s.Bounds, out.Bounds) || len(s.Counts) != len(out.Counts):
+			return nil
+		default:
+			for i, c := range s.Counts {
+				out.Counts[i] += c
+			}
+			out.Max = max(out.Max, s.Max)
+			out.Sum += s.Sum
 		}
-		total += t
-		if m := h.Max(); m > max {
-			max = m
-		}
 	}
-	return bounds, counts, total, max
-}
-
-// HistBody renders a histogram snapshot as its raw wire form:
-// nanosecond bucket bounds, counts (last entry is the overflow bucket),
-// the observed maximum and the sample sum. Raw buckets are what make
-// the fleet view lossless — the router sums counts across shards and
-// recomputes quantiles, instead of averaging per-shard percentiles
-// (meaningless).
-func HistBody(bounds []time.Duration, counts []int64, total int64, max time.Duration) map[string]interface{} {
-	boundsNS := make([]int64, len(bounds))
-	for i, b := range bounds {
-		boundsNS[i] = int64(b)
+	if out != nil && len(out.Counts) != len(out.Bounds)+1 {
+		return nil
 	}
-	return map[string]interface{}{
-		"bounds_ns": boundsNS,
-		"counts":    counts,
-		"max_ns":    int64(max),
-	}
+	return out
 }

@@ -3,10 +3,10 @@ package telemetry
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Expo builds a Prometheus text exposition (format 0.0.4) by hand —
@@ -57,29 +57,122 @@ func (e *Expo) Gauge(name, help string, value float64, labels ...string) {
 	f.lines = append(f.lines, expoLine{labels: renderLabels(labels, "", ""), value: value})
 }
 
-// Histogram adds one histogram series from a snapshot in this package's
-// native shape: duration bucket upper bounds, per-bucket (non-
-// cumulative) counts with a final overflow entry, and the observed
-// nanosecond sum. Bounds are exposed in seconds, buckets cumulatively,
-// per the exposition format.
-func (e *Expo) Histogram(name, help string, bounds []time.Duration, counts []int64, sumNS int64, labels ...string) {
+// Histogram adds one histogram series from a snapshot. Bounds are
+// exposed in seconds, buckets cumulatively, per the exposition format.
+func (e *Expo) Histogram(name, help string, h *HistSnapshot, labels ...string) {
 	f := e.family(name, help, "histogram")
 	var cum int64
-	for i, b := range bounds {
-		if i < len(counts) {
-			cum += counts[i]
+	for i, b := range h.Bounds {
+		if i < len(h.Counts) {
+			cum += h.Counts[i]
 		}
 		le := strconv.FormatFloat(b.Seconds(), 'g', -1, 64)
 		f.lines = append(f.lines, expoLine{suffix: "_bucket", labels: renderLabels(labels, "le", le), value: float64(cum)})
 	}
-	if len(counts) > len(bounds) {
-		cum += counts[len(bounds)]
+	if len(h.Counts) > len(h.Bounds) {
+		cum += h.Counts[len(h.Bounds)]
 	}
 	f.lines = append(f.lines,
 		expoLine{suffix: "_bucket", labels: renderLabels(labels, "le", "+Inf"), value: float64(cum)},
-		expoLine{suffix: "_sum", labels: renderLabels(labels, "", ""), value: float64(sumNS) / 1e9},
+		expoLine{suffix: "_sum", labels: renderLabels(labels, "", ""), value: float64(h.Sum) / 1e9},
 		expoLine{suffix: "_count", labels: renderLabels(labels, "", ""), value: float64(cum)},
 	)
+}
+
+// Emit adds the series a tagged struct declares, so a snapshot type is
+// the single definition of its /metrics rendering. v points to a struct;
+// its fields are walked in declaration order (that is the family order
+// of the page), through nested structs, non-nil pointers and slices of
+// structs. A field's `prom` tag is "family[,option]" and its `help` tag
+// the family's HELP text:
+//
+//   - a numeric or bool field with a family emits one sample — a counter
+//     when the family ends in _total, else a gauge (bools as 0/1); an
+//     option "k=v" adds that label;
+//   - a *HistSnapshot field with a family emits a histogram;
+//   - a string field with a family and a bare option "k" emits the info
+//     gauge family{k=<value>} 1;
+//   - a string or integer field tagged ",k" (no family) emits nothing
+//     itself: its value labels every series of its struct;
+//   - a struct, pointer or slice field tagged ",k=v" labels every series
+//     beneath it.
+//
+// Untagged scalars and nil pointers emit nothing: an absent section is
+// absent from the page.
+func (e *Expo) Emit(v interface{}, labels ...string) {
+	e.emit(reflect.ValueOf(v).Elem(), labels)
+}
+
+var (
+	histSnapshotType = reflect.TypeOf((*HistSnapshot)(nil))
+	float64Type      = reflect.TypeOf(float64(0))
+)
+
+func (e *Expo) emit(v reflect.Value, labels []string) {
+	t := v.Type()
+	with := func(labels []string, k, val string) []string {
+		return append(labels[:len(labels):len(labels)], k, val)
+	}
+	for i := 0; i < t.NumField(); i++ {
+		family, opt, _ := strings.Cut(t.Field(i).Tag.Get("prom"), ",")
+		if family == "" && opt != "" && !strings.Contains(opt, "=") {
+			labels = with(labels, opt, fmt.Sprint(v.Field(i).Interface()))
+		}
+	}
+	for i := 0; i < t.NumField(); i++ {
+		f, fv := t.Field(i), v.Field(i)
+		family, opt, _ := strings.Cut(f.Tag.Get("prom"), ",")
+		help, lbl := f.Tag.Get("help"), labels
+		if k, val, fixed := strings.Cut(opt, "="); fixed {
+			lbl = with(labels, k, val)
+		}
+		if fv.Kind() == reflect.Pointer {
+			if fv.IsNil() {
+				continue
+			}
+			if fv.Type() == histSnapshotType {
+				if family != "" {
+					e.Histogram(family, help, fv.Interface().(*HistSnapshot), lbl...)
+				}
+				continue
+			}
+			fv = fv.Elem()
+		}
+		switch fv.Kind() {
+		case reflect.Struct:
+			e.emit(fv, lbl)
+		case reflect.Slice:
+			if fv.Type().Elem().Kind() == reflect.Struct {
+				for j := 0; j < fv.Len(); j++ {
+					e.emit(fv.Index(j), lbl)
+				}
+			}
+		case reflect.String:
+			if family != "" {
+				e.Gauge(family, help, 1, with(lbl, opt, fv.String())...)
+			}
+		default:
+			if family == "" {
+				continue
+			}
+			var val float64
+			switch {
+			case fv.Kind() == reflect.Bool:
+				if fv.Bool() {
+					val = 1
+				}
+			case fv.CanConvert(float64Type):
+				val = fv.Convert(float64Type).Float()
+			default:
+				continue
+			}
+			if strings.HasSuffix(family, "_total") {
+				e.Counter(family, help, val, lbl...)
+			} else {
+				e.Gauge(family, help, val, lbl...)
+			}
+		}
+	}
 }
 
 // renderLabels renders flat key/value pairs (plus one optional extra

@@ -129,9 +129,6 @@ func (e *EndpointTrack) Observe(id TraceID, total time.Duration, spans *Spans) {
 	e.slow.offer(id, total, spans)
 }
 
-// StageHistogram exposes one stage's histogram (for /metrics).
-func (e *EndpointTrack) StageHistogram(s Stage) *Histogram { return e.stages[s] }
-
 // Tracker is one process tier's span aggregation: a fixed set of
 // endpoint tracks created up front, so the hot path takes a pointer,
 // not a map lookup under a lock.
@@ -168,8 +165,29 @@ func NewTracker(endpoints []string, k int) *Tracker {
 // with it — callers must treat nil as "tracing off" and skip).
 func (t *Tracker) Endpoint(name string) *EndpointTrack { return t.byName[name] }
 
-// Endpoints returns the tracked endpoint names in construction order.
-func (t *Tracker) Endpoints() []string { return t.order }
+// StageSnapshot is one traversed (endpoint, stage) histogram, tagged for
+// Expo.Emit: the engines and the router share the family name, so a stage
+// dashboard spans tiers.
+type StageSnapshot struct {
+	Endpoint string        `prom:",endpoint"`
+	Stage    string        `prom:",stage"`
+	Hist     *HistSnapshot `prom:"titant_stage_latency_seconds" help:"hot-path stage latency by endpoint"`
+}
+
+// StageSnapshots reads every stage histogram that has samples, in
+// endpoint construction order.
+func (t *Tracker) StageSnapshots() []StageSnapshot {
+	var out []StageSnapshot
+	for _, name := range t.order {
+		e := t.byName[name]
+		for s := Stage(0); s < NumStages; s++ {
+			if h := e.stages[s].Snapshot(); h.Total() > 0 {
+				out = append(out, StageSnapshot{Endpoint: name, Stage: s.String(), Hist: h})
+			}
+		}
+	}
+	return out
+}
 
 // TraceBody renders one or more trackers as the GET /v1/debug/trace
 // JSON body: per endpoint, each traversed stage's count/quantiles and
@@ -207,19 +225,19 @@ func TraceBody(trackers ...*Tracker) map[string]interface{} {
 func endpointTraceBody(tracks []*EndpointTrack) map[string]interface{} {
 	stages := map[string]interface{}{}
 	for s := Stage(0); s < NumStages; s++ {
-		hs := make([]*Histogram, 0, len(tracks))
+		snaps := make([]*HistSnapshot, 0, len(tracks))
 		for _, e := range tracks {
-			hs = append(hs, e.stages[s])
+			snaps = append(snaps, e.stages[s].Snapshot())
 		}
-		bounds, counts, total, max := Merge(hs)
-		if total == 0 {
+		h := MergeSnapshots(snaps)
+		if h == nil || h.Total() == 0 {
 			continue
 		}
 		stages[s.String()] = map[string]interface{}{
-			"count":  total,
-			"p50_us": Quantile(bounds, counts, total, max, 0.50).Microseconds(),
-			"p99_us": Quantile(bounds, counts, total, max, 0.99).Microseconds(),
-			"max_us": max.Microseconds(),
+			"count":  h.Total(),
+			"p50_us": h.Quantile(0.50).Microseconds(),
+			"p99_us": h.Quantile(0.99).Microseconds(),
+			"max_us": h.Max.Microseconds(),
 		}
 	}
 	var all []Exemplar

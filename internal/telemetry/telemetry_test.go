@@ -17,11 +17,11 @@ func TestHistogramRecordAndQuantiles(t *testing.T) {
 	}
 	h.Record(5 * time.Millisecond)
 	h.Record(250 * time.Millisecond) // overflow bucket
-	counts, total := h.Snapshot()
-	if total != 100 || h.Total() != 100 {
-		t.Fatalf("total = %d / %d", total, h.Total())
+	snap := h.Snapshot()
+	if snap.Total() != 100 {
+		t.Fatalf("total = %d", snap.Total())
 	}
-	if counts[0] != 98 || counts[1] != 1 || counts[3] != 1 {
+	if counts := snap.Counts; counts[0] != 98 || counts[1] != 1 || counts[3] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
 	if h.Max() != 250*time.Millisecond {
@@ -57,7 +57,7 @@ func TestHistogramSanitisesBounds(t *testing.T) {
 
 // TestMergedQuantileEqualsPopulation is the histogram-merge drift
 // property test: a random population scattered across a random number
-// of shard histograms, summed bucket-wise by Merge, must yield exactly
+// of shard histograms, summed bucket-wise by MergeSnapshots, must yield exactly
 // the quantiles of the same population recorded into one histogram.
 // This is what licenses the router and the sharded engine to recompute
 // fleet percentiles from summed raw buckets.
@@ -81,14 +81,16 @@ func TestMergedQuantileEqualsPopulation(t *testing.T) {
 			shards[r.Intn(nShards)].Record(d)
 			whole.Record(d)
 		}
-		bounds, counts, total, max := Merge(shards)
-		if total != int64(n) {
-			t.Fatalf("trial %d: merged total %d, want %d", trial, total, n)
+		snaps := make([]*HistSnapshot, nShards)
+		for i, h := range shards {
+			snaps[i] = h.Snapshot()
+		}
+		fleet := MergeSnapshots(snaps)
+		if fleet.Total() != int64(n) || fleet.Sum != whole.Sum() {
+			t.Fatalf("trial %d: merged total %d sum %v, want %d and %v", trial, fleet.Total(), fleet.Sum, n, whole.Sum())
 		}
 		for _, p := range []float64{0.5, 0.9, 0.99, 0.999, 1} {
-			merged := Quantile(bounds, counts, total, max, p)
-			wc, wt := whole.Snapshot()
-			pop := Quantile(whole.Bounds(), wc, wt, whole.Max(), p)
+			merged, pop := fleet.Quantile(p), whole.Quantile(p)
 			if merged != pop {
 				t.Fatalf("trial %d (shards=%d n=%d): p%v merged %v != population %v",
 					trial, nShards, n, p, merged, pop)
@@ -152,11 +154,15 @@ func TestTrackerObserveAndTraceBody(t *testing.T) {
 		}
 		et.Observe(id, total, &spans)
 	}
-	if n := et.StageHistogram(StageFetch).Total(); n != 5 {
-		t.Fatalf("fetch stage count = %d", n)
+	// Only the traversed stages have a snapshot, each with every sample.
+	snaps := tr.StageSnapshots()
+	if len(snaps) != 2 || snaps[0].Stage != "fetch" || snaps[1].Stage != "score" {
+		t.Fatalf("stage snapshots = %+v", snaps)
 	}
-	if n := et.StageHistogram(StageDecide).Total(); n != 0 {
-		t.Fatalf("untraversed stage count = %d", n)
+	for _, s := range snaps {
+		if s.Endpoint != "score" || s.Hist.Total() != 5 {
+			t.Fatalf("%s/%s holds %d samples, want 5", s.Endpoint, s.Stage, s.Hist.Total())
+		}
 	}
 	body := TraceBody(tr)
 	eps := body["endpoints"].(map[string]interface{})
@@ -185,8 +191,7 @@ func TestExpoRoundTripAndLint(t *testing.T) {
 	h := NewHistogram([]time.Duration{time.Millisecond, time.Second})
 	h.Record(500 * time.Microsecond)
 	h.Record(2 * time.Second)
-	counts, _ := h.Snapshot()
-	e.Histogram("titant_scoring_latency_seconds", "scoring latency", h.Bounds(), counts, int64(h.Sum()), "endpoint", "score")
+	e.Histogram("titant_scoring_latency_seconds", "scoring latency", h.Snapshot(), "endpoint", "score")
 	page := e.Bytes()
 	if err := Lint(page); err != nil {
 		t.Fatalf("lint: %v\n%s", err, page)

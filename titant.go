@@ -504,30 +504,5 @@ func CompactEventLog(dir string, retain int) ([]string, error) {
 	return eventlog.CompactDir(dir, retain)
 }
 
-// ModelServer is the pre-v1 serving facade: a thin wrapper over Engine
-// whose Score takes no context.
-//
-// Deprecated: use Engine via NewEngine; its Score takes a
-// context.Context and ScoreBatch serves whole batches.
-type ModelServer struct{ *Engine }
-
-// Score scores one transaction without cancellation support.
-//
-// Deprecated: use Engine.Score with a context.
-func (s *ModelServer) Score(t *Transaction) (Verdict, error) {
-	return s.Engine.Score(context.Background(), t)
-}
-
-// NewModelServer builds the online scoring server over the feature table.
-//
-// Deprecated: use NewEngine with WithAlert.
-func NewModelServer(tab *FeatureTable, bundle *Bundle, alert Alert) (*ModelServer, error) {
-	eng, err := ms.New(tab, bundle, ms.WithAlert(alert))
-	if err != nil {
-		return nil, err
-	}
-	return &ModelServer{eng}, nil
-}
-
 // DefaultExperiments returns the default-scale experiment configuration.
 func DefaultExperiments() ExperimentConfig { return exp.Default() }
