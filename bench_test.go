@@ -295,13 +295,11 @@ func BenchmarkScoreBatchTraced(b *testing.B) {
 	b.Run("traced", run(tracedSrv, tracedCtx, tracedTxns))
 }
 
-// shardedFixture is servingFixture over the consistent-hash sharded
-// engine: the same 1000 users partitioned across n shard tables by
-// ms.ShardOf, the same hot-prefix 1k-transaction batch. Every shard is
-// pinned to one internal worker (ms.WithWorkers(1)) so the measured
-// speedup is the horizontal scatter across shards, not each shard's own
-// batch fan-out double-counting the cores.
-func shardedFixture(b *testing.B, n int, opts ...ms.Option) (*ms.ShardedEngine, []*hbase.Table, []txn.Transaction) {
+// shardedFixture is servingFixture over a partitioned feature store: the
+// same 1000 users spread across n tables by ms.ShardOf, the same
+// hot-prefix 1k-transaction batch, one engine pinned to one worker
+// (ms.WithWorkers(1)) so the widths differ in nothing but the store.
+func shardedFixture(b *testing.B, n int, opts ...ms.Option) (*ms.Server, []*hbase.Table, []txn.Transaction) {
 	b.Helper()
 	const (
 		users  = 1000
@@ -351,15 +349,15 @@ func shardedFixture(b *testing.B, n int, opts ...ms.Option) (*ms.ShardedEngine, 
 	return se, tabs, txns
 }
 
-// BenchmarkScoreBatchSharded scores the 1k-transaction batch through the
-// in-process sharded engine at ring widths 1, 2, 4 and 8. Shards score
-// concurrently (one worker each), so on a multi-core runner throughput
-// scales with the ring until cores run out; on a single core the widths
-// collapse to the same wall time and the metric records the scatter
-// overhead instead. The shards-1 case first proves bitwise verdict
-// identity against the unsharded engine over the same table — the
-// rebalance-safety invariant the sharded tests pin, re-checked where the
-// numbers are produced.
+// BenchmarkScoreBatchSharded measures store-partition width: the
+// 1k-transaction batch through one engine whose feature store is 1, 2, 4
+// and 8 tables. The user cache is off, so every batch reads its ~200
+// distinct users from their owner tables, and the gap between widths is
+// what grouping the reads by table and issuing one multi-get per table
+// costs; everything after the fetch is the same pass at every width. The
+// shards-1 case first proves bitwise verdict identity against ms.New over
+// the same table — the rebalance-safety invariant the sharded tests pin,
+// re-checked where the numbers are produced.
 func BenchmarkScoreBatchSharded(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{1, 2, 4, 8} {

@@ -46,7 +46,7 @@ func cmdLoadgen(args []string) {
 	slo := fs.String("slo", "", "SLO gate JSON (max_p99_ms, max_error_rate, min_recall); violations fail the run")
 	// In-process engine mode.
 	users, seed := worldFlags(fs)
-	shards := fs.Int("shards", 1, "in-process engine shards (users partitioned by consistent hash; ignored with -addr)")
+	shards := fs.Int("shards", 1, "feature store partitions under the in-process engine (user rows spread by consistent hash; ignored with -addr)")
 	detectors := fs.String("detectors", "lr", "detectors for the in-process engine (several = ensemble)")
 	combineName := fs.String("combine", "mean", "ensemble combiner when several detectors are named")
 	fast := fs.Bool("fast", true, "reduced training budget for the in-process engine")
@@ -258,10 +258,10 @@ func loadHTTPReplay(cfg *loadgen.Config, replayPath, manifestPath string) error 
 // bundle to a temp feature store, and assembles the in-process engine
 // the harness drives: policy enabled (so decide traffic works), stream
 // aggregates warmed from the reference window, admission control from
-// the CLI flags. shards > 1 builds the consistent-hash sharded engine
-// over a ring of shard tables — same API, horizontal scoring.
+// the CLI flags. shards > 1 partitions the feature store over that many
+// tables under the same engine.
 func buildLoadgenEngine(cfg *loadgen.Config, users int, seed uint64, shards int, detectors, combineName string,
-	fast bool, quota float64, burst int, maxInflight int) (loadgen.Engine, func(), error) {
+	fast bool, quota float64, burst int, maxInflight int) (*titant.Engine, func(), error) {
 	if shards < 1 {
 		shards = 1
 	}
@@ -269,28 +269,15 @@ func buildLoadgenEngine(cfg *loadgen.Config, users int, seed uint64, shards int,
 	if err != nil {
 		return nil, nil, err
 	}
-	engOpts := f.engineOpts(quota, burst, maxInflight)
-	var eng loadgen.Engine
-	var closeEng func()
-	if shards > 1 {
-		se, err := titant.NewShardedEngine(f.tabs, f.bundle, engOpts...)
-		if err != nil {
-			f.cleanup()
-			return nil, nil, err
-		}
-		eng, closeEng = se, se.Close
-	} else {
-		e, err := titant.NewEngine(f.tabs[0], f.bundle, engOpts...)
-		if err != nil {
-			f.cleanup()
-			return nil, nil, err
-		}
-		eng, closeEng = e, e.Close
+	eng, err := titant.NewShardedEngine(f.tabs, f.bundle, f.engineOpts(quota, burst, maxInflight)...)
+	if err != nil {
+		f.cleanup()
+		return nil, nil, err
 	}
 	cfg.Replay = testWindow(f.world.Log)
 	cfg.Manifest = f.man
 	cfg.Shards = shards
-	return eng, func() { closeEng(); f.cleanup() }, nil
+	return eng, func() { eng.Close(); f.cleanup() }, nil
 }
 
 // printReport summarises the run on stdout; the full report is in the

@@ -9,13 +9,17 @@
 //	      [-data dir] [-users N] [-seed N] [-dataset N]
 //	                                          train an ensemble bundle file
 //	serve [-addr :8070] [-users N] [-seed N] [-workers N] [-model-token T]
+//	      [-bundle bundle.bin -data DIR] [-strict]
 //	      [-detectors gbdt,...] [-combine mean] [-usercache N] [-shards N]
 //	      [-stream] [-stream-shards N] [-stream-buckets N] [-stream-bucket-secs N]
-//	      [-policy default|file.json] [-shadow lr,...] [-shadow-queue N] [-drift]
+//	      [-policy default|file.json] [-shadow lr,...] [-shadow-bundle file.bin]
+//	      [-shadow-queue N] [-drift]
 //	      [-eventlog DIR] [-eventlog-fsync D] [-eventlog-segment-mb N]
 //	      [-eventlog-snapshot-every N] [-scenarios]
 //	      [-quota N] [-quota-burst N] [-max-inflight N] [-pprof ADDR]
-//	                                          train, deploy and serve over HTTP
+//	                                          train, deploy and serve over HTTP — or,
+//	                                          with -bundle, serve an existing bundle
+//	                                          file and feature store as they are
 //	route -shards URL,URL,... [-addr :9090] [-timeout D] [-budget D]
 //	      [-retries N] [-retry-backoff D] [-hedge D] [-fallback ACTION]
 //	      [-quorum N] [-breaker-fails N] [-breaker-cooldown D] [-pprof ADDR]
@@ -51,10 +55,10 @@
 // train runs the offline pipeline for several detectors at once (the
 // paper deploys Isolation Forest, ID3/C5.0, LR and GBDT side by side) and
 // writes a v2 ensemble bundle: every member carries its own validation
-// threshold, the combiner folds their scores, and cmd/msd or POST
+// threshold, the combiner folds their scores, and `serve -bundle` or POST
 // /v1/models serves it as-is. With -data it also uploads every user's
-// features and embeddings to that store directory, so msd can serve the
-// pair immediately.
+// features and embeddings to that store directory, so `serve -bundle
+// bundle.bin -data dir` can serve the pair immediately.
 //
 // serve starts the Model Server of the paper's Figure 5: it trains the
 // production configuration (Basic+DW+GBDT — or an ensemble when
@@ -66,6 +70,28 @@
 // the training world's 90-day reference window, so scoring reads live
 // per-city statistics and POST /v1/ingest keeps them current;
 // -stream=false serves the paper's pure T+1 mode.
+//
+// serve -bundle FILE -data DIR is the standalone Model Server daemon:
+// nothing is generated, trained or uploaded — the bundle file (a v1
+// single classifier or a v2 ensemble built by `titant train`) is served
+// against the store already in DIR, and models hot-swap over the wire
+// (POST /v1/models). Its window starts cold: scoring serves the bundle's
+// frozen city table until the window has absorbed a warm-up quota of
+// ingested traffic (and, past that, for any city with no in-window
+// activity), so a fresh daemon behaves exactly like the T+1 path until it
+// has seen enough real traffic to trust. -strict answers 404 for users
+// absent from the store; -shadow-bundle names a challenger bundle file.
+//
+// With -eventlog DIR every accepted ingest is appended to a durable
+// segmented log before it mutates the window, and derived state (window,
+// drift baselines, shadow meter, negative-cache keys) is snapshotted
+// periodically. On startup the server loads the newest snapshot and
+// replays the log tail, rebuilding the exact pre-crash state; inspect or
+// compact a log directory offline with `titant logctl`.
+//
+// -shards N partitions the feature store, not the engine: user rows
+// spread over N tables by consistent hash and one engine reads each from
+// its owner. Horizontal scale-out is `titant route` over shard servers.
 //
 // The decision subsystem is on by default: -policy default derives
 // approve/challenge/deny bands from the trained threshold (or names a
@@ -89,6 +115,7 @@ import (
 	"time"
 
 	"titant"
+	"titant/internal/ms"
 	"titant/internal/txn"
 )
 
@@ -296,15 +323,18 @@ func cmdServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	users, seed := worldFlags(fs)
 	addr := fs.String("addr", ":8070", "listen address")
-	dir := fs.String("data", "", "feature store directory (default: temp)")
+	bundlePath := fs.String("bundle", "", "serve this encoded bundle file against the existing store under -data instead of training one")
+	dir := fs.String("data", "", "feature store directory (default: temp; required with -bundle)")
 	workers := fs.Int("workers", 0, "batch fan-out width (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 1, "in-process engine shards: users partition by consistent hash across N engines (shard tables under -data/shard-NNN)")
+	shards := fs.Int("shards", 1, "feature store partitions: user rows spread by consistent hash over N tables (under -data/shard-NNN) behind the one engine")
+	strict := fs.Bool("strict", false, "reject transactions naming users absent from the store (404)")
 	detectors := fs.String("detectors", "gbdt", "comma-separated detectors to serve (several = ensemble bundle)")
 	combineName := fs.String("combine", "mean", "ensemble combiner when several detectors are named")
 	token := fs.String("model-token", "", "bearer token guarding POST /v1/models and /v1/policy (empty = open)")
 	userCache := fs.Int("usercache", titant.DefaultUserCacheSize, "read-through user cache entries (0 = disabled)")
-	policySpec := fs.String("policy", "default", `decision policy: "default" (derived from the trained threshold), a policy JSON file path, or "" to disable /v1/decide`)
+	policySpec := fs.String("policy", "default", `decision policy: "default" (derived from the bundle threshold), a policy JSON file path, or "" to disable /v1/decide`)
 	shadowSpec := fs.String("shadow", "", "comma-separated detectors to train as a shadow challenger bundle (empty = no shadow)")
+	shadowPath := fs.String("shadow-bundle", "", "challenger bundle file scored in shadow (empty = no shadow)")
 	shadowQueue := fs.Int("shadow-queue", 0, "shadow queue capacity (0 = default)")
 	drift := fs.Bool("drift", true, "monitor per-member score drift (PSI/KS) against a deploy-time baseline")
 	streaming := fs.Bool("stream", true, "maintain a live aggregate window (POST /v1/ingest)")
@@ -323,45 +353,17 @@ func cmdServe(args []string) {
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this separate address (empty = off)")
 	_ = fs.Parse(args)
 	startPprof(*pprofAddr)
-	var w *titant.World
-	if *scenarios {
-		cfg := titant.DefaultWorldConfig()
-		if *users > 0 {
-			cfg.Users = *users
-		}
-		if *seed > 0 {
-			cfg.Seed = *seed
-		}
-		var man *titant.WorldManifest
-		w, man = titant.ComposeWorld(cfg, titant.DefaultScenarioMix())
-		log.Printf("composed scenario world: %d labeled scenarios", len(man.Scenarios))
-	} else {
-		w = buildWorld(*users, *seed)
+	if *bundlePath != "" && (*dir == "" || *shadowSpec != "") {
+		log.Fatal("serve: -bundle serves an existing store: it needs -data, and a challenger comes from -shadow-bundle (nothing is trained)")
 	}
-	ds, err := w.Dataset(1)
-	if err != nil {
-		log.Fatal(err)
+	if *shadowSpec != "" && *shadowPath != "" {
+		log.Fatal("serve: -shadow and -shadow-bundle both name the challenger; give one")
 	}
-	opts := titant.DefaultOptions()
-	dets, err := parseDetectors(*detectors)
-	if err != nil {
-		log.Fatalf("serve: %v", err)
-	}
-	combine, err := titant.ParseCombiner(*combineName)
-	if err != nil {
-		log.Fatalf("serve: %v", err)
-	}
-	nShards := *shards
-	if nShards < 1 {
-		nShards = 1
-	}
-	if nShards > 1 && *elogDir != "" {
-		log.Fatal("serve: -eventlog does not compose with -shards > 1 in one process; run one `titant serve -eventlog` per shard behind `titant route`")
-	}
+	nShards := max(*shards, 1)
 	d := *dir
 	if d == "" {
-		d, err = os.MkdirTemp("", "titant-hbase-*")
-		if err != nil {
+		var err error
+		if d, err = os.MkdirTemp("", "titant-hbase-*"); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -371,46 +373,25 @@ func cmdServe(args []string) {
 		if nShards > 1 {
 			sd = filepath.Join(d, fmt.Sprintf("shard-%03d", i))
 		}
+		var err error
 		if tabs[i], err = titant.OpenFeatureTable(sd); err != nil {
 			log.Fatal(err)
 		}
+		defer tabs[i].Close()
 	}
-	defer func() {
-		for _, tb := range tabs {
-			tb.Close()
-		}
-	}()
-	// The sharded uploader routes each user to its owner table by the
-	// same hash the engine scores with; over one table it degenerates to
-	// the plain upload path.
-	sink := titant.NewShardedUploader(tabs, 0)
-	version := time.Now().Format("2006-01-02T15:04:05")
+
+	// The bundle comes off disk, or from training the world and uploading
+	// its users. train is what only the second path has: the dataset the
+	// window warms from and a -shadow challenger trains on.
 	var bundle *titant.Bundle
-	var threshold float64
-	if len(dets) == 1 && dets[0] == titant.DetGBDT {
-		log.Printf("training production configuration (Basic+DW+GBDT)...")
-		var clf titant.Classifier
-		var emb *titant.Embeddings
-		clf, emb, threshold, err = titant.TrainForServing(w.Users, ds, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("uploading %d users to the feature store (%d shard(s))...", len(w.Users), nShards)
-		bundle, err = titant.DeployTo(w.Users, ds, emb, clf, threshold, opts, sink, version)
+	var train *trained
+	if *bundlePath != "" {
+		bundle = readBundle(*bundlePath)
 	} else {
-		log.Printf("training %d-member ensemble (%s, combiner %s)...", len(dets), *detectors, combine)
-		var members []titant.EnsembleMember
-		var emb *titant.Embeddings
-		members, emb, threshold, err = titant.TrainEnsembleForServing(w.Users, ds, dets, combine, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("uploading %d users to the feature store (%d shard(s))...", len(w.Users), nShards)
-		bundle, err = titant.DeployEnsembleTo(w.Users, ds, emb, members, combine, threshold, opts, sink, version)
+		train = trainAndDeploy(*users, *seed, *scenarios, *detectors, *combineName, tabs)
+		bundle = train.bundle
 	}
-	if err != nil {
-		log.Fatal(err)
-	}
+
 	engOpts := []titant.EngineOption{
 		titant.WithAlert(func(t *titant.Transaction, score float64) {
 			log.Printf("ALERT txn=%d score=%.3f: interrupting transfer %d -> %d",
@@ -420,6 +401,9 @@ func cmdServe(args []string) {
 		titant.WithModelToken(*token),
 		titant.WithIngestToken(*ingestToken),
 		titant.WithUserCache(*userCache),
+	}
+	if *strict {
+		engOpts = append(engOpts, titant.WithStrictUsers())
 	}
 	if *quota > 0 {
 		b := *quotaBurst
@@ -434,28 +418,22 @@ func cmdServe(args []string) {
 		log.Printf("admission: max inflight %d", *maxInflight)
 	}
 	if *policySpec != "" {
-		pol, err := loadPolicy(*policySpec, version, threshold)
+		pol, err := loadPolicy(*policySpec, bundle.Version, bundle.Threshold)
 		if err != nil {
 			log.Fatalf("serve: %v", err)
 		}
 		log.Printf("decision policy %s loaded (POST /v1/decide enabled)", pol.Version)
 		engOpts = append(engOpts, titant.WithPolicy(pol))
 	}
-	if *shadowSpec != "" {
-		shadowDets, err := parseDetectors(*shadowSpec)
-		if err != nil {
-			log.Fatalf("serve: shadow: %v", err)
-		}
-		log.Printf("training shadow challenger (%s)...", *shadowSpec)
-		chMembers, chEmb, chThr, err := titant.TrainEnsembleForServing(w.Users, ds, shadowDets, combine, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		challenger, err := titant.BuildEnsembleBundle(ds, chEmb, chMembers, combine, chThr, opts, version+"-shadow")
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("shadow challenger %s: %d member(s), threshold %.4f", challenger.Version, challenger.NumMembers(), chThr)
+	var challenger *titant.Bundle
+	switch {
+	case *shadowPath != "":
+		challenger = readBundle(*shadowPath)
+	case *shadowSpec != "":
+		challenger = train.challenger(*shadowSpec)
+	}
+	if challenger != nil {
+		log.Printf("shadow challenger %s: %d member(s), threshold %.4f", challenger.Version, challenger.NumMembers(), challenger.Threshold)
 		engOpts = append(engOpts, titant.WithShadow(challenger), titant.WithShadowQueue(*shadowQueue))
 	}
 	if *drift {
@@ -465,23 +443,25 @@ func cmdServe(args []string) {
 		st := titant.NewStreamStore(
 			titant.WithStreamShards(*streamShards),
 			titant.WithStreamWindow(*streamBuckets, *streamBucketSecs),
-			titant.WithStreamCities(opts.Cities))
-		// With an event log that already holds a snapshot, recovery
-		// restores the window (warm-up included, captured when the
-		// snapshot was taken); re-warming here would double-count once
-		// the snapshot loads on top.
-		warm := true
-		if *elogDir != "" {
+			titant.WithStreamCities(len(bundle.City.Fraud)))
+		// A trained world warms the window from its reference days, unless
+		// an event log already holds a snapshot: recovery restores the
+		// window (warm-up included, captured when the snapshot was taken),
+		// and re-warming would double-count once the snapshot loads on top.
+		// A bundle off disk has no world: the window starts cold and
+		// scoring serves the bundle's frozen city table until the window
+		// has absorbed its warm-up quota of ingested traffic.
+		warm := train != nil
+		if warm && *elogDir != "" {
 			if insp, err := titant.InspectEventLog(*elogDir); err == nil && insp.SnapshotEnd > 0 {
 				warm = false
+				log.Printf("live aggregate window will restore from the event log snapshot in %s", *elogDir)
 			}
 		}
 		if warm {
 			log.Printf("warming the live aggregate window from the %d-day reference window (%d txns)...",
-				txn.NetworkDays, len(ds.Network))
-			st.IngestBatch(ds.Network)
-		} else {
-			log.Printf("live aggregate window will restore from the event log snapshot in %s", *elogDir)
+				txn.NetworkDays, len(train.ds.Network))
+			st.IngestBatch(train.ds.Network)
 		}
 		engOpts = append(engOpts, titant.WithStreamAggregates(st))
 	}
@@ -498,35 +478,19 @@ func cmdServe(args []string) {
 			engOpts = append(engOpts, titant.WithSnapshotEvery(*elogSnapEvery))
 		}
 	}
-	// Both engine shapes serve the same v1 API; the local interface is
-	// just what this function needs from either.
-	type serveEngine interface {
-		Close()
-		ListenAndServe(ctx context.Context, addr string) error
-	}
-	var eng serveEngine
-	if nShards > 1 {
-		se, err := titant.NewShardedEngine(tabs, bundle, engOpts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		eng = se
-	} else {
-		e, err := titant.NewEngine(tabs[0], bundle, engOpts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *elogDir != "" {
-			log.Printf("event log %s: replayed %d records, next offset %d",
-				*elogDir, e.EventLogReplayed(), e.EventLogStats().NextOffset)
-		}
-		eng = e
+	eng, err := titant.NewShardedEngine(tabs, bundle, engOpts...)
+	if err != nil {
+		log.Fatal(err)
 	}
 	defer eng.Close()
+	if *elogDir != "" {
+		log.Printf("event log %s: replayed %d records, next offset %d",
+			*elogDir, eng.EventLogReplayed(), eng.EventLogStats().NextOffset)
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	log.Printf("model server %s listening on %s (%d member(s), threshold %.3f, shards=%d, streaming=%v, usercache=%d, policy=%v, shadow=%v, drift=%v)",
-		version, *addr, bundle.NumMembers(), threshold, nShards, *streaming, *userCache, *policySpec != "", *shadowSpec != "", *drift)
+		bundle.Version, *addr, bundle.NumMembers(), bundle.Threshold, nShards, *streaming, *userCache, *policySpec != "", challenger != nil, *drift)
 	log.Printf("v1 API: POST /v1/score[/batch], POST /v1/decide[/batch], POST /v1/ingest[/batch], GET|POST /v1/models, GET|POST /v1/policy, GET /v1/stats, GET /healthz")
 	if err := eng.ListenAndServe(ctx, *addr); err != nil {
 		log.Fatal(err)
@@ -534,8 +498,109 @@ func cmdServe(args []string) {
 	log.Printf("shut down cleanly")
 }
 
+// readBundle loads an encoded bundle file (written by `titant train`).
+func readBundle(path string) *titant.Bundle {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		log.Fatalf("serve: read bundle: %v", err)
+	}
+	b, err := ms.DecodeBundle(raw)
+	if err != nil {
+		log.Fatalf("serve: decode bundle %s: %v", path, err)
+	}
+	log.Printf("bundle %s: %d member(s), threshold %.4f, embedding dim %d", b.Version, b.NumMembers(), b.Threshold, b.EmbeddingDim)
+	return b
+}
+
+// trained is what `serve` keeps of the world it trained on.
+type trained struct {
+	w       *titant.World
+	ds      *titant.Dataset
+	opts    titant.Options
+	combine titant.Combiner
+	bundle  *titant.Bundle
+}
+
+// trainAndDeploy generates the world, trains the production configuration
+// (or an ensemble when several detectors are named) and uploads every
+// user to the tables, each to its owner by the hash the engine reads with.
+func trainAndDeploy(users int, seed uint64, scenarios bool, detectors, combineName string, tabs []*titant.FeatureTable) *trained {
+	var w *titant.World
+	if scenarios {
+		cfg := titant.DefaultWorldConfig()
+		if users > 0 {
+			cfg.Users = users
+		}
+		if seed > 0 {
+			cfg.Seed = seed
+		}
+		var man *titant.WorldManifest
+		w, man = titant.ComposeWorld(cfg, titant.DefaultScenarioMix())
+		log.Printf("composed scenario world: %d labeled scenarios", len(man.Scenarios))
+	} else {
+		w = buildWorld(users, seed)
+	}
+	ds, err := w.Dataset(1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dets, err := parseDetectors(detectors)
+	if err != nil {
+		log.Fatalf("serve: %v", err)
+	}
+	combine, err := titant.ParseCombiner(combineName)
+	if err != nil {
+		log.Fatalf("serve: %v", err)
+	}
+	tr := &trained{w: w, ds: ds, opts: titant.DefaultOptions(), combine: combine}
+	sink := titant.NewShardedUploader(tabs, 0)
+	version := time.Now().Format("2006-01-02T15:04:05")
+	if len(dets) == 1 && dets[0] == titant.DetGBDT {
+		log.Printf("training production configuration (Basic+DW+GBDT)...")
+		clf, emb, threshold, err := titant.TrainForServing(w.Users, ds, tr.opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("uploading %d users to the feature store (%d table(s))...", len(w.Users), len(tabs))
+		tr.bundle, err = titant.DeployTo(w.Users, ds, emb, clf, threshold, tr.opts, sink, version)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return tr
+	}
+	log.Printf("training %d-member ensemble (%s, combiner %s)...", len(dets), detectors, combine)
+	members, emb, threshold, err := titant.TrainEnsembleForServing(w.Users, ds, dets, combine, tr.opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("uploading %d users to the feature store (%d table(s))...", len(w.Users), len(tabs))
+	tr.bundle, err = titant.DeployEnsembleTo(w.Users, ds, emb, members, combine, threshold, tr.opts, sink, version)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return tr
+}
+
+// challenger trains the -shadow detectors on the served world.
+func (tr *trained) challenger(spec string) *titant.Bundle {
+	dets, err := parseDetectors(spec)
+	if err != nil {
+		log.Fatalf("serve: shadow: %v", err)
+	}
+	log.Printf("training shadow challenger (%s)...", spec)
+	members, emb, thr, err := titant.TrainEnsembleForServing(tr.w.Users, tr.ds, dets, tr.combine, tr.opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	b, err := titant.BuildEnsembleBundle(tr.ds, emb, members, tr.combine, thr, tr.opts, tr.bundle.Version+"-shadow")
+	if err != nil {
+		log.Fatal(err)
+	}
+	return b
+}
+
 // cmdLogctl inspects or compacts an event log directory offline: the
-// operational counterpart of -eventlog on serve/msd. inspect never
+// operational counterpart of -eventlog on serve. inspect never
 // writes; compact removes only sealed segments that the newest snapshot
 // and every committed consumer offset are past.
 func cmdLogctl(args []string) {

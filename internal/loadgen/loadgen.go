@@ -27,8 +27,8 @@ type Config struct {
 	Users int     // background user population (Zipf-distributed)
 	ZipfS float64 // Zipf exponent; <= 1 uses the 1.07 default
 
-	// Shards records the width of the engine under test (an in-process
-	// sharded engine's shard count, or the ring size behind a router);
+	// Shards records the width of the engine under test (the tables its
+	// feature store partitions over, or the ring size behind a router);
 	// 0 reports as 1. Informational: it flows into the report so a run
 	// archive says what topology produced the numbers.
 	Shards int

@@ -37,21 +37,11 @@ type Target interface {
 	Do(ctx context.Context, op Op, t *txn.Transaction, scenario decision.Scenario) (flagged bool, err error)
 }
 
-// Engine is the in-process serving surface the driver exercises. Both
-// ms.Server and ms.ShardedEngine satisfy it, so one harness measures a
-// single core and a horizontally sharded one alike.
-type Engine interface {
-	Score(ctx context.Context, t *txn.Transaction) (ms.Verdict, error)
-	Decide(ctx context.Context, t *txn.Transaction, sc decision.Scenario) (ms.Decision, error)
-	Ingest(t *txn.Transaction) error
-	Admit(ctx context.Context, n int) (func(), error)
-}
-
 // EngineTarget drives an in-process engine directly: the driver and the
 // engine share one address space, so the harness measures the serving
 // core without network or JSON overhead.
 type EngineTarget struct {
-	Server Engine
+	Server *ms.Server
 }
 
 // Do satisfies Target.

@@ -10,8 +10,8 @@ import (
 
 	// Every concrete detector registers its gob type in init; linking
 	// them here makes DecodeBundle self-sufficient, so standalone
-	// consumers (cmd/msd, POST /v1/models) can decode bundles produced
-	// by any training pipeline.
+	// consumers (titant serve -bundle, POST /v1/models) can decode bundles
+	// produced by any training pipeline.
 	_ "titant/internal/model/gbdt"
 	_ "titant/internal/model/iforest"
 	_ "titant/internal/model/lr"

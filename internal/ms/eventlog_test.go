@@ -2,6 +2,7 @@ package ms
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -22,16 +23,27 @@ const recoveryUsers = 6
 
 func recoveryTable(t *testing.T) *hbase.Table {
 	t.Helper()
-	tab := table(t)
-	up := &Uploader{Table: tab}
+	return recoveryTables(t, 1)[0]
+}
+
+// recoveryTables uploads the recovery users across a width-table store.
+func recoveryTables(t *testing.T, width int) []*hbase.Table {
+	t.Helper()
+	tabs := shardTables(t, width)
+	up := NewShardedUploader(tabs, 0)
 	for i := txn.UserID(1); i <= recoveryUsers; i++ {
 		u := txn.User{ID: i, Age: uint8(20 + i), HomeCity: uint16(i % 4)}
 		if err := up.PutUser(&u, feature.UserStats{OutCount: float64(i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return tab
+	return tabs
 }
+
+// recoveryWidths are the feature-store widths the crash-recovery tests
+// run at: the event log, its snapshots and replay belong to the engine,
+// not to a table, so recovery over a partitioned store is recovery.
+var recoveryWidths = []int{1, 4}
 
 func recoveryStream() *stream.Store {
 	return stream.New(stream.WithShards(4), stream.WithWindow(8, 86400), stream.WithCities(8))
@@ -150,14 +162,20 @@ func assertEngineEqual(t *testing.T, got, want *Server, gotSt, wantSt *stream.St
 // reference engine that processed exactly the durable prefix and never
 // crashed — and must score fresh traffic identically to it.
 func TestKillRestartBitwiseRecovery(t *testing.T) {
+	for _, width := range recoveryWidths {
+		t.Run(fmt.Sprintf("tables-%d", width), func(t *testing.T) { killRestartRecovery(t, width) })
+	}
+}
+
+func killRestartRecovery(t *testing.T, width int) {
 	dir := t.TempDir()
-	tab := recoveryTable(t)
+	tabs := recoveryTables(t, width)
 	drift := decision.DriftConfig{Bins: 16, BaselineSamples: 40, MinLiveSamples: 1}
 	ops := recoverySchedule(400)
 	cut := 263 // arbitrary mid-schedule point; everything after is lost
 
 	stA := recoveryStream()
-	a, err := New(tab, trainToy(t, 0), WithStreamAggregates(stA),
+	a, err := NewSharded(tabs, trainToy(t, 0), WithStreamAggregates(stA),
 		WithDriftMonitor(drift), WithUserCache(256),
 		// An hour-long group-commit timer and a huge byte threshold pin
 		// durability to the explicit Sync below: the kill drops exactly
@@ -177,7 +195,7 @@ func TestKillRestartBitwiseRecovery(t *testing.T) {
 	// The restarted engine: same configuration, fresh in-memory state,
 	// recovered from the log directory alone.
 	stB := recoveryStream()
-	b, err := New(tab, trainToy(t, 0), WithStreamAggregates(stB),
+	b, err := NewSharded(tabs, trainToy(t, 0), WithStreamAggregates(stB),
 		WithDriftMonitor(drift), WithUserCache(256), WithEventLog(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +208,7 @@ func TestKillRestartBitwiseRecovery(t *testing.T) {
 	// The reference engine: no event log, no crash, fed exactly the
 	// durable prefix of the schedule through the same public API.
 	stC := recoveryStream()
-	c, err := New(tab, trainToy(t, 0), WithStreamAggregates(stC),
+	c, err := NewSharded(tabs, trainToy(t, 0), WithStreamAggregates(stC),
 		WithDriftMonitor(drift), WithUserCache(256))
 	if err != nil {
 		t.Fatal(err)
@@ -207,13 +225,19 @@ func TestKillRestartBitwiseRecovery(t *testing.T) {
 // snapshot and replay only the tail — and still match the uninterrupted
 // reference bitwise.
 func TestSnapshotFastForwardRecovery(t *testing.T) {
+	for _, width := range recoveryWidths {
+		t.Run(fmt.Sprintf("tables-%d", width), func(t *testing.T) { snapshotRecovery(t, width) })
+	}
+}
+
+func snapshotRecovery(t *testing.T, width int) {
 	dir := t.TempDir()
-	tab := recoveryTable(t)
+	tabs := recoveryTables(t, width)
 	drift := decision.DriftConfig{Bins: 16, BaselineSamples: 40, MinLiveSamples: 1}
 	ops := recoverySchedule(400)
 
 	stA := recoveryStream()
-	a, err := New(tab, trainToy(t, 0), WithStreamAggregates(stA),
+	a, err := NewSharded(tabs, trainToy(t, 0), WithStreamAggregates(stA),
 		WithDriftMonitor(drift), WithUserCache(256),
 		WithEventLog(dir, eventlog.WithSegmentBytes(4096), eventlog.WithFsyncInterval(time.Hour)),
 		WithSnapshotEvery(64))
@@ -235,7 +259,7 @@ func TestSnapshotFastForwardRecovery(t *testing.T) {
 	a.elog.Kill()
 
 	stB := recoveryStream()
-	b, err := New(tab, trainToy(t, 0), WithStreamAggregates(stB),
+	b, err := NewSharded(tabs, trainToy(t, 0), WithStreamAggregates(stB),
 		WithDriftMonitor(drift), WithUserCache(256), WithEventLog(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +270,7 @@ func TestSnapshotFastForwardRecovery(t *testing.T) {
 	}
 
 	stC := recoveryStream()
-	c, err := New(tab, trainToy(t, 0), WithStreamAggregates(stC),
+	c, err := NewSharded(tabs, trainToy(t, 0), WithStreamAggregates(stC),
 		WithDriftMonitor(drift), WithUserCache(256))
 	if err != nil {
 		t.Fatal(err)

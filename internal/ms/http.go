@@ -185,42 +185,6 @@ func callerContext(r *http.Request) context.Context {
 	return r.Context()
 }
 
-// engineAPI is the serving surface the HTTP layer drives. Both the
-// single-shard *Server and the horizontally sharded *ShardedEngine
-// satisfy it, so the v1 wire protocol is engine-shape-agnostic: the same
-// mux, auth, limits and error mapping serve one shard or N.
-type engineAPI interface {
-	Score(ctx context.Context, t *txn.Transaction) (Verdict, error)
-	ScoreBatch(ctx context.Context, txns []txn.Transaction) ([]Verdict, error)
-	Decide(ctx context.Context, t *txn.Transaction, sc decision.Scenario) (Decision, error)
-	DecideBatch(ctx context.Context, txns []txn.Transaction, scenarios []decision.Scenario) ([]Decision, error)
-	Ingest(t *txn.Transaction) error
-	IngestBatch(txns []txn.Transaction) error
-	Admit(ctx context.Context, n int) (func(), error)
-	ModelInfo() ModelInfo
-	SetBundle(b *Bundle) error
-	currentPolicy() *decision.Policy
-	SetPolicy(p *decision.Policy) error
-	PolicyInfo() PolicyInfo
-	Stats() Stats
-	MetricsBody() []byte
-	TraceBody() map[string]interface{}
-	Health() HealthInfo
-}
-
-// api binds one engine to the v1 mux along with the request-shaping
-// configuration (batch limit, tokens, per-endpoint histograms) the
-// handlers need outside the engine interface.
-type api struct {
-	e           engineAPI
-	maxBatch    int
-	modelToken  string
-	ingestToken string
-	ingestHist  *telemetry.Histogram
-	decideHist  *telemetry.Histogram
-	minter      *telemetry.Minter
-}
-
 // Handler returns the v1 HTTP mux:
 //
 //	POST /v1/score         score one transaction
@@ -242,39 +206,18 @@ type api struct {
 // POST /v1/policy shares WithModelToken's guard with POST /v1/models (a
 // policy swap changes live risk decisions exactly as a model swap does).
 func (s *Server) Handler() http.Handler {
-	return (&api{
-		e: s, maxBatch: s.maxBatch,
-		modelToken: s.modelToken, ingestToken: s.ingestToken,
-		ingestHist: s.ingestHist, decideHist: s.decideHist,
-		minter: s.minter,
-	}).handler()
-}
-
-// Handler returns the v1 HTTP mux over the sharded engine — the same
-// routes, auth and error contract as Server.Handler, with batch bodies
-// scattered across shards and stats/health merged fleet-wide.
-func (se *ShardedEngine) Handler() http.Handler {
-	return (&api{
-		e: se, maxBatch: se.maxBatch,
-		modelToken: se.modelToken, ingestToken: se.ingestToken,
-		ingestHist: se.ingestHist, decideHist: se.decideHist,
-		minter: se.minter,
-	}).handler()
-}
-
-func (a *api) handler() http.Handler {
 	mux := http.NewServeMux()
 	for path, op := range map[string]verb{"/v1/score": verbScore, "/v1/decide": verbDecide, "/v1/ingest": verbIngest} {
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) { a.serve(w, r, op, false) })
-		mux.HandleFunc(path+"/batch", func(w http.ResponseWriter, r *http.Request) { a.serve(w, r, op, true) })
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, op, false) })
+		mux.HandleFunc(path+"/batch", func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, op, true) })
 	}
-	mux.HandleFunc("/v1/models", a.handleModels)
-	mux.HandleFunc("/v1/policy", a.handlePolicy)
-	mux.HandleFunc("/v1/stats", a.handleStats)
-	mux.HandleFunc("/v1/debug/trace", a.handleDebugTrace)
-	mux.HandleFunc("/metrics", a.handleMetrics)
-	mux.HandleFunc("/healthz", a.handleHealthz)
-	return a.traceMiddleware(mux)
+	mux.HandleFunc("/v1/models", s.handleModels)
+	mux.HandleFunc("/v1/policy", s.handlePolicy)
+	mux.HandleFunc("/v1/stats", s.handleStats)
+	mux.HandleFunc("/v1/debug/trace", s.handleDebugTrace)
+	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.HandleFunc("/healthz", s.handleHealthz)
+	return s.traceMiddleware(mux)
 }
 
 // traceMiddleware assigns every request its trace identity: a
@@ -284,11 +227,11 @@ func (a *api) handler() http.Handler {
 // error and degraded responses all carry it — and injected into the
 // request context so the engine's span tracker can attribute stage
 // timings to it.
-func (a *api) traceMiddleware(next http.Handler) http.Handler {
+func (s *Server) traceMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id, ok := telemetry.ParseTraceID(r.Header.Get(telemetry.TraceHeader))
 		if !ok {
-			id = a.minter.Mint()
+			id = s.minter.Mint()
 		}
 		w.Header().Set(telemetry.TraceHeader, id.String())
 		next.ServeHTTP(w, r.WithContext(telemetry.WithTrace(r.Context(), id)))
@@ -296,22 +239,22 @@ func (a *api) traceMiddleware(next http.Handler) http.Handler {
 }
 
 // handleMetrics serves the Prometheus text exposition (format 0.0.4).
-func (a *api) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(a.e.MetricsBody())
+	_, _ = w.Write(s.MetricsBody())
 }
 
 // handleDebugTrace serves the stage-timing and slow-exemplar dump.
-func (a *api) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
 		return
 	}
-	writeJSON(w, http.StatusOK, a.e.TraceBody())
+	writeJSON(w, http.StatusOK, s.TraceBody())
 }
 
 // verb is one data-plane operation; every verb has a single-transaction
@@ -331,10 +274,10 @@ var verbFields = [...]wireField{verbScore: txnFields, verbDecide: txnFields | fi
 // batchBodyLimit derives a batch route's body cap from the engine's batch
 // limit (clamped to the hard ceiling), keeping parse cost proportional to
 // the configured batch size.
-func (a *api) batchBodyLimit() int64 {
+func (s *Server) batchBodyLimit() int64 {
 	limit := int64(maxBatchBytes)
-	if a.maxBatch > 0 {
-		if l := int64(a.maxBatch)*maxTxnJSONBytes + 1024; l < limit {
+	if s.maxBatch > 0 {
+		if l := int64(s.maxBatch)*maxTxnJSONBytes + 1024; l < limit {
 			limit = l
 		}
 	}
@@ -344,23 +287,23 @@ func (a *api) batchBodyLimit() int64 {
 // serve is the one shape of the six data-plane routes: decode the body
 // into pooled rows, run the engine verb over them, encode its answer.
 // Nothing on the success path touches encoding/json (see wire.go).
-func (a *api) serve(w http.ResponseWriter, r *http.Request, op verb, batch bool) {
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, op verb, batch bool) {
 	switch op {
 	case verbDecide:
-		defer a.recordEndpoint(a.decideHist, time.Now())
+		defer recordEndpoint(s.decideHist, time.Now())
 	case verbIngest:
-		defer a.recordEndpoint(a.ingestHist, time.Now())
+		defer recordEndpoint(s.ingestHist, time.Now())
 	}
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
 		return
 	}
-	if op == verbIngest && !a.checkIngestAuth(w, r) {
+	if op == verbIngest && !s.checkIngestAuth(w, r) {
 		return
 	}
 	wb := wirePool.Get().(*wireBuf)
 	defer wirePool.Put(wb)
-	if !a.decode(w, r, wb, op, batch) {
+	if !s.decode(w, r, wb, op, batch) {
 		return
 	}
 	ctx := callerContext(r)
@@ -368,22 +311,22 @@ func (a *api) serve(w http.ResponseWriter, r *http.Request, op verb, batch bool)
 	switch {
 	case op == verbScore && batch:
 		var vs []Verdict
-		if vs, err = a.e.ScoreBatch(ctx, wb.txns); err == nil {
+		if vs, err = s.ScoreBatch(ctx, wb.txns); err == nil {
 			err = wb.putVerdicts(vs)
 		}
 	case op == verbScore:
 		var v Verdict
-		if v, err = a.e.Score(ctx, &wb.txns[0]); err == nil {
+		if v, err = s.Score(ctx, &wb.txns[0]); err == nil {
 			err = wb.putVerdict(&v)
 		}
 	case op == verbDecide && batch:
 		var ds []Decision
-		if ds, err = a.e.DecideBatch(ctx, wb.txns, wb.scenarios); err == nil {
+		if ds, err = s.DecideBatch(ctx, wb.txns, wb.scenarios); err == nil {
 			err = wb.putDecisions(ds)
 		}
 	case op == verbDecide:
 		var d Decision
-		if d, err = a.e.Decide(ctx, &wb.txns[0], wb.scenarios[0]); err == nil {
+		if d, err = s.Decide(ctx, &wb.txns[0], wb.scenarios[0]); err == nil {
 			err = wb.putDecision(&d)
 		}
 	default:
@@ -391,14 +334,14 @@ func (a *api) serve(w http.ResponseWriter, r *http.Request, op verb, batch bool)
 		// path that bypasses Score/Decide still honors quotas and the
 		// inflight bound.
 		var release func()
-		if release, err = a.e.Admit(ctx, len(wb.txns)); err != nil {
+		if release, err = s.Admit(ctx, len(wb.txns)); err != nil {
 			break
 		}
 		defer release()
 		if batch {
-			err = a.e.IngestBatch(wb.txns)
+			err = s.IngestBatch(wb.txns)
 		} else {
-			err = a.e.Ingest(&wb.txns[0])
+			err = s.Ingest(&wb.txns[0])
 		}
 		if err == nil {
 			err = wb.putIngested(len(wb.txns))
@@ -418,10 +361,10 @@ func (a *api) serve(w http.ResponseWriter, r *http.Request, op verb, batch bool)
 // decode reads and decodes the request body into wb, writing the
 // envelope on failure: 413 for an oversize body or batch, 400 for a
 // malformed one.
-func (a *api) decode(w http.ResponseWriter, r *http.Request, wb *wireBuf, op verb, batch bool) bool {
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, wb *wireBuf, op verb, batch bool) bool {
 	limit, max := int64(maxScoreBytes), 1
 	if batch {
-		limit, max = a.batchBodyLimit(), a.maxBatch
+		limit, max = s.batchBodyLimit(), s.maxBatch
 		if max <= 0 {
 			max = math.MaxInt
 		}
@@ -466,10 +409,10 @@ type DecideBatchResponse struct {
 	Decisions []Decision `json:"decisions"`
 }
 
-func (a *api) handlePolicy(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		pol := a.e.currentPolicy()
+		pol := s.currentPolicy()
 		if pol == nil {
 			writeError(w, http.StatusNotFound, "policy_disabled", ErrPolicyDisabled.Error())
 			return
@@ -485,7 +428,7 @@ func (a *api) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		// Same guard as POST /v1/models: a policy swap changes live risk
 		// decisions exactly as a model swap does.
-		if a.modelToken != "" && !CheckBearer(r, a.modelToken) {
+		if s.modelToken != "" && !CheckBearer(r, s.modelToken) {
 			writeError(w, http.StatusUnauthorized, "unauthorized", "policy swap requires a valid bearer token")
 			return
 		}
@@ -504,7 +447,7 @@ func (a *api) handlePolicy(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "policy_invalid", err.Error())
 			return
 		}
-		if err := a.e.SetPolicy(pol); err != nil {
+		if err := s.SetPolicy(pol); err != nil {
 			// Replace-only: decisioning cannot be switched on over the
 			// wire when the operator left it off.
 			if errors.Is(err, ErrPolicyDisabled) {
@@ -514,7 +457,7 @@ func (a *api) handlePolicy(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "policy_invalid", err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, a.e.PolicyInfo())
+		writeJSON(w, http.StatusOK, s.PolicyInfo())
 	default:
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET or POST only")
 	}
@@ -522,26 +465,26 @@ func (a *api) handlePolicy(w http.ResponseWriter, r *http.Request) {
 
 // recordEndpoint lands one request's wall time in a per-endpoint
 // histogram (deferred at handler entry, so errors are measured too).
-func (a *api) recordEndpoint(h *telemetry.Histogram, start time.Time) {
+func recordEndpoint(h *telemetry.Histogram, start time.Time) {
 	h.Record(time.Since(start))
 }
 
 // checkIngestAuth enforces the optional ingest bearer token, writing the
 // 401 envelope on failure.
-func (a *api) checkIngestAuth(w http.ResponseWriter, r *http.Request) bool {
-	if a.ingestToken != "" && !CheckBearer(r, a.ingestToken) {
+func (s *Server) checkIngestAuth(w http.ResponseWriter, r *http.Request) bool {
+	if s.ingestToken != "" && !CheckBearer(r, s.ingestToken) {
 		writeError(w, http.StatusUnauthorized, "unauthorized", "ingest requires a valid bearer token")
 		return false
 	}
 	return true
 }
 
-func (a *api) handleModels(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, a.e.ModelInfo())
+		writeJSON(w, http.StatusOK, s.ModelInfo())
 	case http.MethodPost:
-		if a.modelToken != "" && !CheckBearer(r, a.modelToken) {
+		if s.modelToken != "" && !CheckBearer(r, s.modelToken) {
 			writeError(w, http.StatusUnauthorized, "unauthorized", "model swap requires a valid bearer token")
 			return
 		}
@@ -560,22 +503,22 @@ func (a *api) handleModels(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bundle_invalid", err.Error())
 			return
 		}
-		if err := a.e.SetBundle(b); err != nil {
+		if err := s.SetBundle(b); err != nil {
 			writeError(w, http.StatusBadRequest, "bundle_invalid", err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, a.e.ModelInfo())
+		writeJSON(w, http.StatusOK, s.ModelInfo())
 	default:
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET or POST only")
 	}
 }
 
-func (a *api) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
 		return
 	}
-	writeJSON(w, http.StatusOK, a.e.Stats())
+	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 // HealthInfo is the GET /healthz readiness body: which bundle and policy
@@ -595,12 +538,12 @@ type HealthInfo struct {
 	DriftAlert    bool   `json:"drift_alert,omitempty"`
 	EventLog      bool   `json:"event_log"`
 	Replayed      int64  `json:"replayed,omitempty"`
-	Shards        int    `json:"shards,omitempty"` // >1 on a sharded engine
+	Shards        int    `json:"shards,omitempty"` // feature-store width, when partitioned
 }
 
 // Health snapshots the readiness view served by GET /healthz.
 func (s *Server) Health() HealthInfo {
-	return HealthInfo{
+	h := HealthInfo{
 		Status:        "ok",
 		BundleVersion: s.BundleVersion(),
 		PolicyVersion: s.PolicyVersion(),
@@ -614,16 +557,20 @@ func (s *Server) Health() HealthInfo {
 		EventLog:      s.elog != nil,
 		Replayed:      s.EventLogReplayed(),
 	}
+	if n := len(s.tables); n > 1 {
+		h.Shards = n
+	}
+	return h
 }
 
-func (a *api) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// HEAD stays allowed: load balancers commonly probe liveness with it
 	// (net/http suppresses the body automatically).
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
 		return
 	}
-	writeJSON(w, http.StatusOK, a.e.Health())
+	writeJSON(w, http.StatusOK, s.Health())
 }
 
 // ListenAndServe serves the v1 API on addr until ctx is cancelled, then
@@ -631,12 +578,6 @@ func (a *api) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // seconds. It returns nil after a clean shutdown.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	return ListenAndServe(ctx, addr, s.Handler())
-}
-
-// ListenAndServe serves the sharded v1 API on addr with the same
-// graceful-shutdown contract as Server.ListenAndServe.
-func (se *ShardedEngine) ListenAndServe(ctx context.Context, addr string) error {
-	return ListenAndServe(ctx, addr, se.Handler())
 }
 
 // ListenAndServe serves handler on addr with the same graceful-shutdown

@@ -50,8 +50,7 @@ func WithHistogram(bounds []time.Duration) Option {
 // arrive without an X-Trace-Id header are assigned IDs from this
 // deterministic stream, so a replayed workload produces the same trace
 // IDs — exemplars in a trace dump can be cross-referenced across runs.
-// The default seed is 0; a sharded engine diversifies the seed per
-// shard so co-resident shards never mint colliding IDs.
+// The default seed is 0.
 func WithTraceSeed(seed uint64) Option {
 	return func(s *Server) { s.traceSeed = seed }
 }

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,18 +51,14 @@ func userHash(u txn.UserID) uint64 {
 // Server scores transactions against the current model bundle. Safe for
 // concurrent use; the bundle can be hot-swapped between requests.
 type Server struct {
-	table *hbase.Table
-	cache *userCache // nil: every fetch reads the store
-
-	// peers is the shard ring this server belongs to when it runs inside
-	// a ShardedEngine (nil: unsharded, every user is local). User-keyed
-	// reads and negative-cache invalidations route to the owner shard
-	// ShardOf picks, so each user's table rows, cache entries and
-	// known-absent markers live on exactly one shard regardless of which
-	// shard processes the transaction — the invariant the rebalance
-	// bitwise-stability guarantee rests on. Set once by NewSharded before
-	// the engine is shared; never mutated afterwards.
-	peers []*Server
+	// tables is the feature store, partitioned by row key as the paper's
+	// Ali-HBase is: user u's row lives in tables[ShardOf(u, len(tables))]
+	// and nowhere else. Only the store read routes by owner — the cache,
+	// the live window, the model, the policy and every counter are the
+	// engine's, one of each at any width, which is why verdicts do not
+	// depend on the partition count. Fixed at construction.
+	tables []*hbase.Table
+	cache  *userCache // nil: every fetch reads the store
 
 	mu      sync.RWMutex
 	bundle  *Bundle
@@ -119,8 +116,7 @@ type Server struct {
 	// aggregation with slow-exemplar rings, one track per scoring
 	// endpoint (held as direct pointers so the hot path pays no map
 	// lookup), and the trace-ID minter the HTTP layer adopts-or-mints
-	// with. traceSeed keeps minted IDs deterministic per engine;
-	// NewSharded diversifies it per shard.
+	// with. traceSeed keeps minted IDs deterministic per engine.
 	traceSeed      uint64
 	noTrace        bool
 	minter         *telemetry.Minter
@@ -133,8 +129,22 @@ type Server struct {
 
 // New builds the v1 scoring engine over a feature table.
 func New(table *hbase.Table, bundle *Bundle, opts ...Option) (*Server, error) {
-	if table == nil {
-		return nil, errors.New("ms: nil feature table")
+	return NewSharded([]*hbase.Table{table}, bundle, opts...)
+}
+
+// NewSharded builds the same engine over a feature store partitioned
+// across len(tables) tables: table i must carry (at least) the users
+// ShardOf assigns to index i — NewShardedUploader writes a deploy wave
+// that way. Everything but the store read is independent of the width, so
+// any width scores bitwise like New over one table holding every user.
+func NewSharded(tables []*hbase.Table, bundle *Bundle, opts ...Option) (*Server, error) {
+	if len(tables) == 0 {
+		return nil, errors.New("ms: no feature table")
+	}
+	for i, tab := range tables {
+		if tab == nil {
+			return nil, fmt.Errorf("ms: nil feature table %d", i)
+		}
 	}
 	if bundle == nil {
 		return nil, fmt.Errorf("%w: nil bundle", ErrBundleInvalid)
@@ -143,7 +153,7 @@ func New(table *hbase.Table, bundle *Bundle, opts ...Option) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		table:        table,
+		tables:       tables,
 		bundle:       bundle,
 		workers:      defaultWorkers(),
 		maxBatch:     DefaultMaxBatch,
@@ -575,7 +585,7 @@ func (s *Server) runBatch(ctx context.Context, txns []txn.Transaction, spans *te
 	}
 
 	// Phase 1: fetch each distinct user in the batch exactly once — cache
-	// hits resolved by a shard probe, misses chunked into multi-get rounds
+	// hits resolved by a cache probe, misses chunked into multi-get rounds
 	// that amortise one store lock acquisition over a whole chunk.
 	fetchStart := time.Now()
 	index := make(map[txn.UserID]int, 2*len(txns))
@@ -740,37 +750,26 @@ func copyEmb(dst []float64, src []float32, u txn.UserID) error {
 	return nil
 }
 
-// ownerOf resolves the shard that owns a user's state: the peer the
-// ring's consistent hash picks when sharded, the server itself otherwise.
-func (s *Server) ownerOf(u txn.UserID) *Server {
-	if s.peers == nil {
-		return s
-	}
-	return s.peers[ShardOf(u, len(s.peers))]
-}
-
 // fetchOne reads one user's fragments, applying the strict-users policy.
 // With a cache the read goes through GetOrLoad: hits return the decoded
 // fragments with no store access, concurrent misses for the same user
 // collapse to a single store read, and unknown users are remembered as
-// negative entries so cold-start traffic stops costing point reads.
-// Sharded, the read goes to the owner shard's table and cache — a
-// transaction's receiver may be another shard's user.
+// negative entries so cold-start traffic stops costing point reads. A
+// store read goes to the user's owner table.
 func (s *Server) fetchOne(u txn.UserID) (userParts, error) {
-	o := s.ownerOf(u)
 	var (
 		parts userParts
 		found bool
 		err   error
 	)
-	if o.cache != nil {
-		parts, found, err = o.cache.GetOrLoad(u, func() (userParts, bool, error) {
+	if s.cache != nil {
+		parts, found, err = s.cache.GetOrLoad(u, func() (userParts, bool, error) {
 			var p userParts
-			ok, lerr := fetchUserInto(o.table, u, &p)
+			ok, lerr := fetchUserInto(s.tables[ShardOf(u, len(s.tables))], u, &p)
 			return p, ok, lerr
 		})
 	} else {
-		found, err = fetchUserInto(o.table, u, &parts)
+		found, err = fetchUserInto(s.tables[ShardOf(u, len(s.tables))], u, &parts)
 	}
 	if err != nil {
 		return parts, fmt.Errorf("ms: fetch user %d: %w", u, err)
@@ -800,107 +799,100 @@ func (s *Server) fetchPair(from, to txn.UserID) (userParts, userParts, error) {
 // holds the read lock long and chunks spread across the worker pool.
 const fetchChunk = 256
 
+// miss is one user of a batch the cache could not answer: its position in
+// the batch's id list, its owner table, and the cache generation captured
+// before the store read (see usercache.Cache.Add).
+type miss struct {
+	gen uint64
+	idx int32
+	tab int32
+}
+
 // fetchUsers resolves a deduped user set into parts/found (both indexed
-// like ids), routing each user to its owner shard. Unsharded (or when
-// every id is local) it is one local pass; sharded, ids group by owner
-// and each group resolves against that shard's cache and table. Groups
-// run sequentially — each group's miss rounds already fan out over the
-// owner's worker pool, and a scoring sub-batch rarely spans more than a
-// handful of owners.
+// like ids). Cached entries are peeked first; the misses group by owner
+// table and batch into chunked multi-get rounds fanned out over the
+// worker pool, and — with a cache — the loaded entries are inserted for
+// subsequent batches, each guarded by its shard generation captured
+// before the store read so a concurrent upload's invalidation wins over
+// the stale read.
 func (s *Server) fetchUsers(ctx context.Context, ids []txn.UserID, parts []userParts, found []bool) error {
-	if s.peers == nil {
-		return s.fetchUsersLocal(ctx, ids, parts, found)
+	n := len(s.tables)
+	if s.cache == nil && n == 1 {
+		// Every id misses to the one table: read straight into the
+		// caller's slices.
+		rows := make([]string, len(ids))
+		for i, u := range ids {
+			rows[i] = RowKey(u)
+		}
+		return s.multiGet(ctx, ids, rows, parts, found)
 	}
-	n := len(s.peers)
-	groups := make([][]int, n)
+	misses := make([]miss, 0, len(ids))
 	for i, u := range ids {
-		si := ShardOf(u, n)
-		groups[si] = append(groups[si], i)
+		var gen uint64
+		if s.cache != nil {
+			// One lock round per key: the hit, or the miss plus the shard
+			// generation guarding the upcoming store read.
+			v, ok, present, g := s.cache.PeekGen(u)
+			if present {
+				parts[i] = v
+				found[i] = ok
+				continue
+			}
+			gen = g
+		}
+		misses = append(misses, miss{gen: gen, idx: int32(i), tab: int32(ShardOf(u, n))})
 	}
-	for si, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
-		}
-		peer := s.peers[si]
-		if len(idxs) == len(ids) {
-			return peer.fetchUsersLocal(ctx, ids, parts, found)
-		}
-		gids := make([]txn.UserID, len(idxs))
-		for k, i := range idxs {
-			gids[k] = ids[i]
-		}
-		gparts := make([]userParts, len(idxs))
-		gfound := make([]bool, len(idxs))
-		if err := peer.fetchUsersLocal(ctx, gids, gparts, gfound); err != nil {
-			return err
-		}
-		for k, i := range idxs {
-			parts[i] = gparts[k]
-			found[i] = gfound[k]
+	if len(misses) == 0 {
+		return nil
+	}
+	if n > 1 {
+		// In place, so a partitioned store costs the batch no allocation;
+		// stable, so each table reads its users in batch order.
+		slices.SortStableFunc(misses, func(a, b miss) int { return int(a.tab - b.tab) })
+	}
+	missIDs := make([]txn.UserID, len(misses))
+	rows := make([]string, len(misses))
+	missParts := make([]userParts, len(misses))
+	missFound := make([]bool, len(misses))
+	for k, m := range misses {
+		missIDs[k] = ids[m.idx]
+		rows[k] = RowKey(ids[m.idx])
+	}
+	if err := s.multiGet(ctx, missIDs, rows, missParts, missFound); err != nil {
+		return err
+	}
+	for k, m := range misses {
+		parts[m.idx] = missParts[k]
+		found[m.idx] = missFound[k]
+		if s.cache != nil {
+			s.cache.Add(missIDs[k], m.gen, missParts[k], missFound[k])
 		}
 	}
 	return nil
 }
 
-// fetchUsersLocal resolves a user set against this server's own cache
-// and table (the pre-sharding fetchUsers). Cached entries are peeked
-// first; the misses batch into chunked multi-get rounds fanned out over
-// the worker pool, and — with a cache — the loaded entries are inserted
-// for subsequent batches, each guarded by its shard generation captured
-// before the store read so a concurrent upload's invalidation wins over
-// the stale read.
-func (s *Server) fetchUsersLocal(ctx context.Context, ids []txn.UserID, parts []userParts, found []bool) error {
-	if s.cache == nil {
-		rows := make([]string, len(ids))
-		for i, u := range ids {
-			rows[i] = RowKey(u)
-		}
-		chunks := (len(ids) + fetchChunk - 1) / fetchChunk
-		return s.runPool(ctx, chunks, func(ci int) error {
-			lo := ci * fetchChunk
-			hi := min(lo+fetchChunk, len(ids))
-			return fetchUsersInto(s.table, ids[lo:hi], rows[lo:hi], parts[lo:hi], found[lo:hi])
-		})
-	}
-	missIdx := make([]int, 0, len(ids))
-	missGens := make([]uint64, 0, len(ids))
-	for i, u := range ids {
-		// One lock round per key: the hit, or the miss plus the shard
-		// generation guarding the upcoming store read.
-		v, ok, present, gen := s.cache.PeekGen(u)
-		if present {
-			parts[i] = v
-			found[i] = ok
-		} else {
-			missIdx = append(missIdx, i)
-			missGens = append(missGens, gen)
-		}
-	}
-	if len(missIdx) == 0 {
-		return nil
-	}
-	missIDs := make([]txn.UserID, len(missIdx))
-	rows := make([]string, len(missIdx))
-	missParts := make([]userParts, len(missIdx))
-	missFound := make([]bool, len(missIdx))
-	for k, i := range missIdx {
-		missIDs[k] = ids[i]
-		rows[k] = RowKey(ids[i])
-	}
-	chunks := (len(missIdx) + fetchChunk - 1) / fetchChunk
-	if err := s.runPool(ctx, chunks, func(ci int) error {
+// multiGet reads ids — grouped by owner table, rows[i] = RowKey(ids[i]) —
+// in fetchChunk-sized rounds over the worker pool. A round that spans a
+// table boundary splits there, so every store call names one table.
+func (s *Server) multiGet(ctx context.Context, ids []txn.UserID, rows []string, parts []userParts, found []bool) error {
+	n := len(s.tables)
+	chunks := (len(ids) + fetchChunk - 1) / fetchChunk
+	return s.runPool(ctx, chunks, func(ci int) error {
 		lo := ci * fetchChunk
-		hi := min(lo+fetchChunk, len(missIdx))
-		return fetchUsersInto(s.table, missIDs[lo:hi], rows[lo:hi], missParts[lo:hi], missFound[lo:hi])
-	}); err != nil {
-		return err
-	}
-	for k, i := range missIdx {
-		parts[i] = missParts[k]
-		found[i] = missFound[k]
-		s.cache.Add(missIDs[k], missGens[k], missParts[k], missFound[k])
-	}
-	return nil
+		hi := min(lo+fetchChunk, len(ids))
+		for lo < hi {
+			tab := ShardOf(ids[lo], n)
+			end := lo + 1
+			for end < hi && ShardOf(ids[end], n) == tab {
+				end++
+			}
+			if err := fetchUsersInto(s.tables[tab], ids[lo:end], rows[lo:end], parts[lo:end], found[lo:end]); err != nil {
+				return err
+			}
+			lo = end
+		}
+		return nil
+	})
 }
 
 // runPool runs fn(0..n-1) across the engine's worker pool, stopping at
@@ -1005,16 +997,11 @@ func (s *Server) Ingest(t *txn.Transaction) error {
 }
 
 // dropNegative clears cold-start cache markers for a transaction's
-// endpoints, each on its owner shard's cache (no-op without caches): the
-// receiver's marker may live on another shard than the one ingesting.
+// endpoints (no-op without a cache).
 func (s *Server) dropNegative(t *txn.Transaction) {
-	s.ownerOf(t.From).dropNegativeLocal(t.From)
-	s.ownerOf(t.To).dropNegativeLocal(t.To)
-}
-
-func (s *Server) dropNegativeLocal(u txn.UserID) {
 	if s.cache != nil {
-		s.cache.InvalidateNegative(u)
+		s.cache.InvalidateNegative(t.From)
+		s.cache.InvalidateNegative(t.To)
 	}
 }
 

@@ -3,8 +3,8 @@ package ms
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 
@@ -23,7 +23,7 @@ type userSink interface {
 }
 
 // seedShardUsers uploads a deterministic population through any sink, so
-// a single table and a shard ring can be populated identically.
+// a single table and a partitioned store can be populated identically.
 func seedShardUsers(t testing.TB, sink userSink) {
 	t.Helper()
 	for i := txn.UserID(0); i < shardTestUsers; i++ {
@@ -61,9 +61,9 @@ func shardTxns(n int, seed uint64) []txn.Transaction {
 	return txns
 }
 
-// buildSharded populates a fresh n-table ring and builds the engine over
+// buildSharded populates a fresh n-table store and builds the engine over
 // it with a private stream store, mirroring newReference below.
-func buildSharded(t *testing.T, n int, b *Bundle, extra ...Option) *ShardedEngine {
+func buildSharded(t *testing.T, n int, b *Bundle, extra ...Option) *Server {
 	t.Helper()
 	tabs := shardTables(t, n)
 	seedShardUsers(t, NewShardedUploader(tabs, 0))
@@ -121,62 +121,56 @@ func TestShardOf(t *testing.T) {
 	}
 }
 
+// sameScores fails unless got is want, verdict for verdict and bit for bit.
+func sameScores(t *testing.T, name string, got, want []Verdict) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d verdicts, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].TxnID != want[i].TxnID {
+			t.Fatalf("%s: verdict %d out of order: txn %d", name, i, got[i].TxnID)
+		}
+		if math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) ||
+			got[i].Fraud != want[i].Fraud || got[i].Version != want[i].Version {
+			t.Fatalf("%s: verdict %d (txn %d): %+v != reference %+v", name, i, want[i].TxnID, got[i], want[i])
+		}
+	}
+}
+
 // TestShardedRebalanceBitwise is the resharding correctness proof: the
-// same world partitioned 1, 3 and 5 ways must produce bit-identical
-// scores for identical traffic. Shard-local state (tables, caches) moves
-// with its owner and the stream window is shared, so the verdict function
-// is independent of the partition count by construction.
+// same world partitioned 1 to 8 ways must produce bit-identical scores
+// for identical traffic. A row reads the same from whichever table holds
+// it and nothing else in the engine depends on the width, so the verdict
+// function is independent of the partition count by construction.
 func TestShardedRebalanceBitwise(t *testing.T) {
 	b := trainToy(t, 0)
 	ref := newReference(t, b)
-	se3 := buildSharded(t, 3, b)
-	se5 := buildSharded(t, 5, b)
-
-	// A deterministic in-window ingest warms every engine identically
-	// (sequential: concurrent sub-batch ingest is order-independent for
-	// the window state, but sequencing keeps the test's intent obvious).
 	warm := shardTxns(300, 11)
-	for i := range warm {
-		if err := ref.Ingest(&warm[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := se3.Ingest(&warm[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := se5.Ingest(&warm[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := ref.IngestBatch(warm); err != nil {
+		t.Fatal(err)
 	}
-
 	ctx := context.Background()
 	txns := shardTxns(400, 7)
 	want, err := ref.ScoreBatch(ctx, txns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, se := range map[string]*ShardedEngine{"3-shard": se3, "5-shard": se5} {
+	for n := 1; n <= 8; n++ {
+		se := buildSharded(t, n, b)
+		if err := se.IngestBatch(warm); err != nil {
+			t.Fatal(err)
+		}
 		got, err := se.ScoreBatch(ctx, txns)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%d tables: %v", n, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d verdicts, want %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].TxnID != want[i].TxnID {
-				t.Fatalf("%s: verdict %d out of order: txn %d", name, i, got[i].TxnID)
-			}
-			if math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) || got[i].Fraud != want[i].Fraud {
-				t.Fatalf("%s: verdict %d (txn %d): score %v (%x) != reference %v (%x)",
-					name, i, txns[i].ID, got[i].Score, math.Float64bits(got[i].Score),
-					want[i].Score, math.Float64bits(want[i].Score))
-			}
-		}
+		sameScores(t, fmt.Sprintf("%d tables", n), got, want)
 	}
 }
 
-// TestShardedSingleShardIdentical: N=1 over the very same table is the
-// unsharded engine, bit for bit.
+// TestShardedSingleShardIdentical: NewSharded over one table is New over
+// that table, bit for bit.
 func TestShardedSingleShardIdentical(t *testing.T) {
 	b := trainToy(t, 0)
 	tab := table(t)
@@ -191,8 +185,8 @@ func TestShardedSingleShardIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(se.Close)
-	if se.Shards() != 1 {
-		t.Fatalf("Shards() = %d", se.Shards())
+	if n := se.Stats().Shards; n != 1 {
+		t.Fatalf("shards = %d", n)
 	}
 
 	ctx := context.Background()
@@ -205,16 +199,12 @@ func TestShardedSingleShardIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) ||
-			got[i].Fraud != want[i].Fraud || got[i].Version != want[i].Version {
-			t.Fatalf("verdict %d: sharded %+v != unsharded %+v", i, got[i], want[i])
-		}
-	}
+	sameScores(t, "one table", got, want)
 }
 
-// TestShardedBatchMatchesSingles: scatter/gather preserves input order
-// and agrees with the single-transaction path on the same engine.
+// TestShardedBatchMatchesSingles: a batch over a partitioned store keeps
+// input order and agrees with the single-transaction path on the same
+// engine.
 func TestShardedBatchMatchesSingles(t *testing.T) {
 	se := buildSharded(t, 4, trainToy(t, 0))
 	ctx := context.Background()
@@ -236,7 +226,7 @@ func TestShardedBatchMatchesSingles(t *testing.T) {
 		}
 	}
 	if st := se.Stats(); st.Scored != int64(2*len(txns)) || st.LatencyHist.Total() != st.Scored {
-		t.Fatalf("merged scored = %d over %d latency samples, want %d", st.Scored, st.LatencyHist.Total(), 2*len(txns))
+		t.Fatalf("scored = %d over %d latency samples, want %d", st.Scored, st.LatencyHist.Total(), 2*len(txns))
 	}
 }
 
@@ -251,10 +241,10 @@ func TestShardedBatchLimit(t *testing.T) {
 	}
 }
 
-// TestShardedSwapAllShards: one SetBundle/SetPolicy lands on every shard,
-// and concurrent batches never observe a torn swap (all verdicts in one
-// batch carry one version).
-func TestShardedSwapAllShards(t *testing.T) {
+// TestShardedNoTornSwap: concurrent batches never observe a torn
+// SetBundle/SetPolicy — all verdicts in one batch carry one bundle
+// version, all decisions one policy version.
+func TestShardedNoTornSwap(t *testing.T) {
 	b1 := trainToy(t, 0)
 	se := buildSharded(t, 3, b1, WithPolicy(decidePolicy(t)))
 	b2 := *b1
@@ -273,25 +263,33 @@ func TestShardedSwapAllShards(t *testing.T) {
 				return
 			default:
 			}
-			vs, err := se.ScoreBatch(ctx, txns)
+			ds, err := se.DecideBatch(ctx, txns, nil)
 			if err != nil {
-				t.Errorf("ScoreBatch during swap: %v", err)
+				t.Errorf("DecideBatch during swap: %v", err)
 				return
 			}
-			for i := range vs {
-				if vs[i].Version != vs[0].Version {
-					t.Errorf("torn swap: verdict 0 version %q, verdict %d version %q", vs[0].Version, i, vs[i].Version)
+			for i := range ds {
+				if ds[i].Version != ds[0].Version || ds[i].PolicyVersion != ds[0].PolicyVersion {
+					t.Errorf("torn swap: decision 0 under %q/%q, decision %d under %q/%q",
+						ds[0].Version, ds[0].PolicyVersion, i, ds[i].Version, ds[i].PolicyVersion)
 					return
 				}
 			}
 		}
 	}()
+	p2 := decidePolicy(t)
+	p2.Version = "pol-2"
 	for i := 0; i < 20; i++ {
-		nb := b1
+		// A fresh copy per swap: publishing validates the bundle, which
+		// must not be the object the scoring goroutine is reading.
+		nb, np := *b1, decidePolicy(t)
 		if i%2 == 0 {
-			nb = &b2
+			nb, np = b2, p2
 		}
-		if err := se.SetBundle(nb); err != nil {
+		if err := se.SetBundle(&nb); err != nil {
+			t.Fatal(err)
+		}
+		if err := se.SetPolicy(np); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,175 +299,197 @@ func TestShardedSwapAllShards(t *testing.T) {
 	if err := se.SetBundle(&b2); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < se.Shards(); i++ {
-		if v := se.Shard(i).BundleVersion(); v != "2017-04-17" {
-			t.Fatalf("shard %d still serves %q after swap", i, v)
-		}
-	}
 	if err := se.SetPolicy(decidePolicy(t)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < se.Shards(); i++ {
-		if v := se.Shard(i).PolicyVersion(); v != "pol-1" {
-			t.Fatalf("shard %d policy %q after swap", i, v)
-		}
-	}
-	if _, err := se.DecideBatch(ctx, txns, nil); err != nil {
+	before := se.Stats().Policy.Decided
+	ds, err := se.DecideBatch(ctx, txns, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if pol := se.Stats().Policy; pol.Decided != int64(len(txns)) || pol.Version != "pol-1" {
-		t.Fatalf("merged policy section = %+v, want %d decided under pol-1", pol, len(txns))
+	if ds[0].Version != "2017-04-17" || ds[0].PolicyVersion != "pol-1" {
+		t.Fatalf("after the swaps a batch decides under %q/%q", ds[0].Version, ds[0].PolicyVersion)
+	}
+	if pol := se.Stats().Policy; pol.Decided-before != int64(len(txns)) || pol.Version != "pol-1" {
+		t.Fatalf("policy section = %+v, want %d more decided under pol-1", pol, len(txns))
 	}
 }
 
-// TestShardedAdmissionTopLevel: quotas gate once at the engine level, not
-// once per shard — N shards must not multiply a caller's budget by N.
-func TestShardedAdmissionTopLevel(t *testing.T) {
-	se := buildSharded(t, 4, trainToy(t, 0), WithCallerQuota(1, 2))
-	for i := 0; i < se.Shards(); i++ {
-		if se.Shard(i).AdmissionEnabled() {
-			t.Fatalf("shard %d kept its own admission gate", i)
-		}
-	}
+// TestShardedQuotaNotMultiplied: a caller quota admits the same count at
+// every width — N tables must not multiply a caller's budget by N.
+func TestShardedQuotaNotMultiplied(t *testing.T) {
 	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		release, err := se.Admit(ctx, 1)
-		if err != nil {
-			t.Fatalf("admit %d: %v", i, err)
+	txns := shardTxns(1, 23)
+	for _, n := range []int{1, 4, 8} {
+		se := buildSharded(t, n, trainToy(t, 0), WithCallerQuota(1e-9, 5))
+		if !se.Health().Admission {
+			t.Fatalf("%d tables: /healthz reports admission off", n)
 		}
-		release()
-	}
-	if _, err := se.Admit(ctx, 1); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("err = %v, want ErrRateLimited", err)
-	}
-	if as := se.Stats().Admission; as.Admitted != 2 || as.ShedQuota != 1 {
-		t.Fatalf("admission stats = %+v", as)
+		admitted := 0
+		for i := 0; i < 20; i++ {
+			_, err := se.ScoreBatch(ctx, txns)
+			switch {
+			case err == nil:
+				admitted++
+			case !errors.Is(err, ErrRateLimited):
+				t.Fatalf("%d tables: %v", n, err)
+			}
+		}
+		if admitted != 5 {
+			t.Fatalf("%d tables: a burst of 5 admitted %d", n, admitted)
+		}
+		if as := se.Stats().Admission; as.Admitted != 5 || as.ShedQuota != 15 {
+			t.Fatalf("%d tables: admission stats = %+v", n, as)
+		}
 	}
 }
 
-func TestNewShardedRejectsEventLog(t *testing.T) {
-	tabs := shardTables(t, 2)
-	_, err := NewSharded(tabs, trainToy(t, 0), WithEventLog(t.TempDir()))
-	if err == nil || !strings.Contains(err.Error(), "WithEventLog") {
-		t.Fatalf("err = %v, want WithEventLog rejection", err)
-	}
-}
-
-// TestShardedStatsMerge: the merged stats body sums counters and
-// histograms across shards instead of reporting shard 0 only.
-func TestShardedStatsMerge(t *testing.T) {
+// TestShardedStats: the stats body of a partitioned engine is one
+// engine's — every counter once, the one cache at its configured
+// capacity — with the store's width as the shard count.
+func TestShardedStats(t *testing.T) {
 	se := buildSharded(t, 3, trainToy(t, 0), WithCallerQuota(1000, 1000))
 	ctx := context.Background()
 	txns := shardTxns(90, 13)
 	if _, err := se.ScoreBatch(ctx, txns); err != nil {
 		t.Fatal(err)
 	}
-
-	// Every shard did real work (the hash spreads 60 users over 3
-	// shards), so a shard-0-only stats view cannot equal the merge.
-	var perShard int64
-	for i := 0; i < se.Shards(); i++ {
-		c := se.Shard(i).Stats().Scored
-		if c == 0 {
-			t.Fatalf("shard %d scored nothing", i)
-		}
-		if c == int64(len(txns)) {
-			t.Fatalf("shard %d scored the whole batch", i)
-		}
-		perShard += c
-	}
-	if perShard != int64(len(txns)) {
-		t.Fatalf("per-shard counts sum to %d, want %d", perShard, len(txns))
-	}
-
 	st := se.Stats()
 	if st.Scored != int64(len(txns)) {
-		t.Fatalf("merged scored = %d, want %d", st.Scored, len(txns))
+		t.Fatalf("scored = %d, want %d", st.Scored, len(txns))
 	}
 	if st.Shards != 3 {
 		t.Fatalf("shards = %d, want 3", st.Shards)
 	}
 	if got := st.LatencyHist.Total(); got != int64(len(txns)) {
-		t.Fatalf("merged histogram holds %d samples, want %d", got, len(txns))
+		t.Fatalf("histogram holds %d samples, want %d", got, len(txns))
 	}
 	cs := se.UserCacheStats()
-	if st.UserCache.Capacity != cs.Capacity || cs.Capacity < 256 {
-		t.Fatalf("merged cache capacity = %d (stats %d), want >= 256", st.UserCache.Capacity, cs.Capacity)
+	if st.UserCache.Capacity != cs.Capacity || cs.Capacity != 256 {
+		t.Fatalf("cache capacity = %d (stats %d), want 256", cs.Capacity, st.UserCache.Capacity)
 	}
 	if cs.Hits+cs.Misses == 0 {
-		t.Fatal("merged cache saw no traffic")
+		t.Fatal("cache saw no traffic")
 	}
 	if st.Admission.Admitted != int64(len(txns)) {
-		t.Fatalf("merged admitted = %d, want %d", st.Admission.Admitted, len(txns))
+		t.Fatalf("admitted = %d, want %d", st.Admission.Admitted, len(txns))
 	}
 	if h := se.Health(); h.Shards != 3 || h.Status != "ok" {
 		t.Fatalf("health = %+v", h)
 	}
 }
 
-// TestShardedIngestRouting: ingest fans out by owner yet lands in the one
-// shared window, and the live signal reaches scoring exactly as it does
-// unsharded.
+// TestShardedIngestRouting: ingest lands in the one window at any width,
+// and the live signal reaches scoring exactly as it does over one table.
 func TestShardedIngestRouting(t *testing.T) {
 	b := trainToy(t, 0)
-	se := buildSharded(t, 3, b)
 	ref := newReference(t, b)
-
 	warm := shardTxns(120, 17)
-	if err := se.IngestBatch(warm); err != nil {
-		t.Fatal(err)
-	}
 	for i := range warm {
 		if err := ref.Ingest(&warm[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := *se.Stats().Ingested, ref.Ingested(); got != want {
-		t.Fatalf("sharded ingested %d, unsharded %d", got, want)
-	}
-
 	ctx := context.Background()
 	txns := shardTxns(100, 19)
 	want, err := ref.ScoreBatch(ctx, txns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := se.ScoreBatch(ctx, txns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-			t.Fatalf("verdict %d: sharded %v != unsharded %v after ingest", i, got[i].Score, want[i].Score)
+	for n := 1; n <= 8; n++ {
+		se := buildSharded(t, n, b)
+		if err := se.IngestBatch(warm); err != nil {
+			t.Fatal(err)
 		}
+		if got, want := *se.Stats().Ingested, ref.Ingested(); got != want {
+			t.Fatalf("%d tables: ingested %d, one table %d", n, got, want)
+		}
+		got, err := se.ScoreBatch(ctx, txns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameScores(t, fmt.Sprintf("%d tables after ingest", n), got, want)
 	}
 }
 
 // TestShardedUploaderInvalidation: a live re-publication through the
-// engine's uploader is visible to the next score on the owner shard.
+// engine's uploader is visible to the next score.
 func TestShardedUploaderInvalidation(t *testing.T) {
 	se := buildSharded(t, 3, trainToy(t, 0))
 	ctx := context.Background()
 	tr := txn.Transaction{ID: 1, From: 7, To: 8, Amount: 500}
-	if _, err := se.Score(ctx, &tr); err != nil { // warm the owner's cache
+	stale, err := se.Score(ctx, &tr) // warms the cache with user 7
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-publish user 7 with a different profile (version 0 = auto: a
 	// fresh wall-clock version that supersedes the seed wave's).
-	up := se.Uploader(0)
 	u := txn.User{ID: 7, Age: 75, HomeCity: 1, AvgAmount: 9000}
-	if err := up.PutUser(&u, feature.UserStats{OutCount: 40, InCount: 1}, nil); err != nil {
+	if err := se.Uploader(0).PutUser(&u, feature.UserStats{OutCount: 40, InCount: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Read through a NON-owner shard: the ring must route to the owner,
-	// whose cache the uploader just invalidated, so the fresh profile —
-	// not the warm pre-publication entry — comes back.
-	other := se.Shard((ShardOf(7, se.Shards()) + 1) % se.Shards())
-	parts, err := other.fetchOne(7)
+	parts, err := se.fetchOne(7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if parts.user.Age != 75 || parts.stats.OutCount != 40 {
 		t.Fatalf("stale fragments after re-publication: %+v", parts.user)
 	}
+	// The fresh profile scores as it does on an engine that never cached
+	// the old one.
+	cold, err := NewSharded(se.tables, trainToy(t, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cold.Close)
+	got, err := se.Score(ctx, &tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cold.Score(ctx, &tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+		t.Fatalf("score after re-publication %v, uncached engine %v (before: %v)", got.Score, want.Score, stale.Score)
+	}
+}
+
+// TestShardedAllocsFlatInWidth: partitioning the store costs a batch no
+// allocation. A warm 256-transaction ScoreBatch allocates the same at
+// every width — the cache answers before any table is picked — and with
+// the cache off, where every user is read from its owner table, the
+// surplus over one table is the miss list and its compacted slices (one
+// table reads straight into the batch's own), and nothing per table.
+func TestShardedAllocsFlatInWidth(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled scratch is not reused reliably under the race detector")
+	}
+	ctx := context.Background()
+	txns := shardTxns(256, 29)
+	b := trainToy(t, 0)
+	allocs := func(n int, opts ...Option) float64 {
+		tabs := shardTables(t, n)
+		seedShardUsers(t, NewShardedUploader(tabs, 0))
+		se, err := NewSharded(tabs, b, append(opts, WithWorkers(1))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(se.Close)
+		return testing.AllocsPerRun(50, func() {
+			if _, err := se.ScoreBatch(ctx, txns); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	warm, cold := allocs(1, WithUserCache(256)), allocs(1)
+	for _, n := range []int{2, 4, 8} {
+		if got := allocs(n, WithUserCache(256)); got != warm {
+			t.Errorf("warm batch over %d tables: %.0f allocs, over one table %.0f", n, got, warm)
+		}
+		if got := allocs(n); got > cold+5 {
+			t.Errorf("uncached batch over %d tables: %.0f allocs, over one table %.0f", n, got, cold)
+		}
+	}
+	t.Logf("256 transactions over one table: %.0f allocs warm, %.0f uncached", warm, cold)
 }

@@ -30,7 +30,7 @@ import (
 //   - prom, help: the /metrics series (see telemetry.Expo.Emit).
 //
 // Adding a counter is two edits: the field with its tags here, and its
-// reading in Server.engineStats (or frontDoor).
+// reading in Server.Stats.
 type Stats struct {
 	Scored  int64 `json:"scored" merge:"sum" prom:"titant_scoring_scored_total" help:"transactions scored"`
 	Alerted int64 `json:"alerted" merge:"sum" prom:"titant_scoring_alerted_total" help:"transactions scored at or above the alert threshold"`
@@ -39,15 +39,18 @@ type Stats struct {
 	Version      string                    `json:"version" merge:"first" prom:"titant_bundle_info,version" help:"active bundle metadata (value is always 1)"`
 	VersionMixed bool                      `json:"version_mixed,omitempty" merge:"or"` // shards disagree on Version: a rollout is in flight or stuck
 	Stages       []telemetry.StageSnapshot `json:"-" merge:"-"`
-	FrontDoor
-	UserCache *CacheStats    `json:"user_cache,omitempty"`
-	Policy    *PolicyStats   `json:"policy,omitempty"`
-	Shadow    *ShadowStats   `json:"shadow,omitempty"`
-	EventLog  *EventLogStats `json:"eventlog,omitempty"`
-	Drift     *DriftStats    `json:"drift,omitempty"`
-	// Shards is the engine's width: 1 for a Server, N for a ring, the sum
-	// behind a router. /metrics reports it once per process
-	// (titant_engine_shards, see shardsGauge), never per shard.
+	Ingested     *int64                    `json:"ingested,omitempty" merge:"sum" prom:"titant_ingest_ingested_total" help:"transactions accepted into the live window"`
+	Endpoints    *Endpoints                `json:"endpoints,omitempty"`
+	Admission    *AdmissionStats           `json:"admission,omitempty"`
+	UserCache    *CacheStats               `json:"user_cache,omitempty"`
+	Policy       *PolicyStats              `json:"policy,omitempty"`
+	Shadow       *ShadowStats              `json:"shadow,omitempty"`
+	EventLog     *EventLogStats            `json:"eventlog,omitempty"`
+	Drift        *DriftStats               `json:"drift,omitempty"`
+	// Shards is the width of the engine's feature store — the number of
+	// tables user rows partition across — and, behind a router, the sum
+	// over the shard servers. /metrics reports it once per process
+	// (titant_engine_shards), never per shard.
 	Shards int `json:"shards" merge:"width"`
 }
 
@@ -63,17 +66,6 @@ type Percentiles struct {
 
 func percentilesOf(h *telemetry.HistSnapshot) Percentiles {
 	return Percentiles{P50: h.Quantile(0.50).Microseconds(), P99: h.Quantile(0.99).Microseconds(), Max: h.Max.Microseconds()}
-}
-
-// FrontDoor holds the sections owned by whichever engine fronts the HTTP
-// surface — a Server on its own, the ShardedEngine over a ring — rather
-// than by every shard: the shared stream window's ingest counter (summing
-// it per in-process shard would count each ingest N times), the request
-// histograms of the HTTP endpoints, the admission gate.
-type FrontDoor struct {
-	Ingested  *int64          `json:"ingested,omitempty" merge:"sum" prom:"titant_ingest_ingested_total" help:"transactions accepted into the live window"`
-	Endpoints *Endpoints      `json:"endpoints,omitempty"`
-	Admission *AdmissionStats `json:"admission,omitempty"`
 }
 
 // Endpoints are the per-route request histograms (errors included).
@@ -207,24 +199,25 @@ type DriftSeries struct {
 // a section's percentiles and its raw buckets, the drift alert and its
 // series — describe the same instant.
 func (s *Server) Stats() Stats {
-	st := s.engineStats()
-	st.FrontDoor = s.frontDoor(s.ingestHist, s.decideHist, s.adm)
-	st.Shards = 1
-	return st
-}
-
-// engineStats reads the sections an engine owns wherever it sits, alone
-// or as one shard of a ring.
-func (s *Server) engineStats() Stats {
 	st := Stats{
 		Scored: s.scored.Load(), Alerted: s.alerted.Load(), LatencyHist: s.hist.Snapshot(),
 		Version: s.BundleVersion(), Stages: s.tel.StageSnapshots(),
+		Admission: s.adm.stats(), Shards: len(s.tables),
+	}
+	if s.stream != nil {
+		n := s.stream.Ingested()
+		st.Ingested = &n
+		st.Endpoints = &Endpoints{Ingest: endpointStats(s.ingestHist)}
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
 		st.UserCache = (*CacheStats)(&cs)
 	}
 	if pol := s.currentPolicy(); pol != nil {
+		if st.Endpoints == nil {
+			st.Endpoints = &Endpoints{}
+		}
+		st.Endpoints.Decide = endpointStats(s.decideHist)
 		ds := DecisionStats{
 			Approved:      s.actions[decision.ActionApprove].Load(),
 			Challenged:    s.actions[decision.ActionChallenge].Load(),
@@ -265,31 +258,10 @@ func (s *Server) engineStats() Stats {
 	return st
 }
 
-// frontDoor reads the sections of the engine fronting the HTTP surface.
-// On a ring the caller is shard 0 — its configuration and the shared
-// stream window speak for every shard — with the ring's own endpoint
-// histograms and admission gate.
-func (s *Server) frontDoor(ingestHist, decideHist *telemetry.Histogram, adm *admission) FrontDoor {
-	var fd FrontDoor
-	if s.stream != nil {
-		n := s.stream.Ingested()
-		fd.Ingested = &n
-		fd.Endpoints = &Endpoints{Ingest: endpointStats(ingestHist)}
-	}
-	if s.PolicyEnabled() {
-		if fd.Endpoints == nil {
-			fd.Endpoints = &Endpoints{}
-		}
-		fd.Endpoints.Decide = endpointStats(decideHist)
-	}
-	fd.Admission = adm.stats()
-	return fd
-}
-
 // Merge folds per-shard snapshots into one fleet view, field by field as
 // the merge tags say; a section present on any shard merges over the
-// shards that carry it. The in-process ring and the wire router both
-// merge here, so the two tiers cannot drift apart.
+// shards that carry it. The wire router folds its shard servers' bodies
+// with it.
 func Merge(snaps []Stats) Stats {
 	var out Stats
 	if len(snaps) == 0 {

@@ -77,11 +77,9 @@ func mustMarshal(t *testing.T, v interface{}) []byte {
 	return raw
 }
 
-// TestMergeDifferential holds the two former merge implementations to
-// each other, now that both are Merge: for random per-shard snapshots,
-// the fleet view does not depend on shard order, and merging the
-// snapshots in process (the ring) equals merging their bodies after a
-// trip over the wire (the router).
+// TestMergeDifferential: for random per-shard snapshots, the fleet view
+// does not depend on shard order, and merging the typed snapshots equals
+// merging their bodies after a trip over the wire (what the router does).
 func TestMergeDifferential(t *testing.T) {
 	r := rng.New(5)
 	for trial := 0; trial < 200; trial++ {

@@ -9,10 +9,10 @@ import (
 )
 
 // Stats is the router's GET /v1/stats body: the fleet view ms.Merge
-// folds from the shards' bodies — the same merge the in-process ring
-// runs, so counters sum, histograms merge bucket-wise with percentiles
-// recomputed, worst-shard readings take the max, and a mid-rollout fleet
-// is flagged "version_mixed" — plus the router's own section.
+// folds from the shards' bodies — counters sum, histograms merge
+// bucket-wise with percentiles recomputed, worst-shard readings take the
+// max, and a mid-rollout fleet is flagged "version_mixed" — plus the
+// router's own section.
 type Stats struct {
 	ms.Stats
 	Router RouterStats `json:"router"`

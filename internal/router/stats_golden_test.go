@@ -27,15 +27,18 @@ import (
 )
 
 // The operator-surface goldens under testdata/golden (stats_*, metrics_*,
-// healthz_*) hold GET /v1/stats, /metrics and /healthz of every serving
-// tier — one engine, a 3-shard in-process ring, 3 shard servers behind a
-// router — after fixed traffic with every subsystem on. They were written
-// by this test, -update, on a checkout of 6892404, the commit before the
-// five stats / merge / metrics renderings became one typed snapshot.
-// stats_router.json was then re-written once on the change itself: the
-// members of its drift.series[] objects moved from key order to the order
-// the shards send them in (name, baseline, live, psi, ks, alert), and
-// nothing else.
+// healthz_*) hold GET /v1/stats, /metrics and /healthz of the serving
+// tiers — one engine, 3 shard servers behind a router — after fixed
+// traffic with every subsystem on. They were written by this test,
+// -update, on a checkout of 6892404, the commit before the five stats /
+// merge / metrics renderings became one typed snapshot. stats_router.json
+// was then re-written once on the change itself: the members of its
+// drift.series[] objects moved from key order to the order the shards
+// send them in (name, baseline, live, psi, ks, alert), and nothing else.
+//
+// An engine over a partitioned store has no goldens of its own: its pages
+// must be the one-engine goldens, byte for byte, once the shard count —
+// the only thing that tells the two apart — is put back to one.
 
 const goldenUsers = 48
 
@@ -86,8 +89,7 @@ func goldenTable(t testing.TB) *hbase.Table {
 
 // goldenOpts turns every subsystem on: stream window, user cache, policy,
 // admission (quotas far above the traffic, so nothing is shed on a slow
-// machine), shadow challenger, drift monitor. The event log is added per
-// tier — an in-process ring rejects it.
+// machine), shadow challenger, drift monitor, event log.
 func goldenOpts(t testing.TB) []ms.Option {
 	t.Helper()
 	pol, err := decision.Parse([]byte(`{
@@ -124,6 +126,7 @@ func goldenOpts(t testing.TB) []ms.Option {
 		ms.WithShadow(goldenBundle(t, "2017-04-17", 0.8, 2)),
 		ms.WithShadowQueue(4096),
 		ms.WithDriftMonitor(decision.DriftConfig{BaselineSamples: 60, MinLiveSamples: 20}),
+		ms.WithEventLog(t.TempDir()),
 	}
 }
 
@@ -152,9 +155,9 @@ func goldenGet(t testing.TB, h http.Handler, path string) []byte {
 }
 
 // goldenTraffic drives every verb, single and batch, in a fixed order.
-// The singles come first and touch every user, so by the time a batch
-// scatters across shards the user caches only ever hit — concurrent
-// sub-batches then cannot reorder a miss against a load.
+// The singles come first and touch every user, so by the time the router
+// scatters a batch across shards the user caches only ever hit —
+// concurrent sub-batches then cannot reorder a miss against a load.
 func goldenTraffic(t testing.TB, h http.Handler) {
 	t.Helper()
 	r := rng.New(11)
@@ -229,6 +232,8 @@ var (
 	numberArray    = regexp.MustCompile(`\[\s+[-+.eE0-9,\s]+\]`)
 	space          = regexp.MustCompile(`\s+`)
 	bucketLE       = regexp.MustCompile(`le="[^"]*"`)
+	shardCount     = regexp.MustCompile(`(?m)("shards": |^titant_engine_shards )\d+`)
+	healthShards   = regexp.MustCompile(`,\s*"shards": \d+(\s*\}\s*)$`)
 	maskSample     = regexp.MustCompile(`(?m)^(titant_stage_latency_seconds\w*|\w+_seconds(?:_bucket|_sum)?|titant_eventlog_fsyncs_total|titant_eventlog_unsynced_bytes)((?:\{[^}]*\})?) \S+$`)
 )
 
@@ -273,13 +278,26 @@ func maskTiming(page []byte) []byte {
 // goldenPage is one operator route and the golden file stem it pins.
 type goldenPage struct{ name, path, ext string }
 
-// goldenCompare checks (or, with -update, writes) one tier's pages.
+// oneShard rewrites the shard-count members of a partitioned engine's
+// page to what one table reports: 1 on /v1/stats and /metrics, and no
+// member at all on /healthz, which names a width only when partitioned.
+func oneShard(page []byte) []byte {
+	page = healthShards.ReplaceAll(page, []byte("$1"))
+	return shardCount.ReplaceAll(page, []byte("${1}1"))
+}
+
+// goldenCompare checks (or, with -update, writes) one tier's pages. A
+// ring-N tier is checked against the server goldens through oneShard.
 func goldenCompare(t *testing.T, tier string, h http.Handler, pages []goldenPage) {
 	t.Helper()
+	ring := strings.HasPrefix(tier, "ring-")
 	for _, page := range pages {
 		got := maskTiming(goldenGet(t, h, page.path))
 		file := filepath.Join("testdata", "golden", page.name+"_"+tier+page.ext)
-		if *updateGolden {
+		if ring {
+			got, file = oneShard(got), filepath.Join("testdata", "golden", page.name+"_server"+page.ext)
+		}
+		if *updateGolden && !ring {
 			if err := os.WriteFile(file, got, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +321,7 @@ func eachTier(t *testing.T, run func(t *testing.T, tier string, h http.Handler, 
 	t.Run("server", func(t *testing.T) {
 		tab := goldenTable(t)
 		goldenSeed(t, &ms.Uploader{Table: tab})
-		srv, err := ms.New(tab, goldenBundle(t, "2017-04-10", 0.5, 1), append(goldenOpts(t), ms.WithEventLog(t.TempDir()))...)
+		srv, err := ms.New(tab, goldenBundle(t, "2017-04-10", 0.5, 1), goldenOpts(t)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,17 +329,23 @@ func eachTier(t *testing.T, run func(t *testing.T, tier string, h http.Handler, 
 		h := srv.Handler()
 		run(t, "server", h, []http.Handler{h})
 	})
-	t.Run("sharded", func(t *testing.T) {
-		tabs := []*hbase.Table{goldenTable(t), goldenTable(t), goldenTable(t)}
-		goldenSeed(t, ms.NewShardedUploader(tabs, 0))
-		se, err := ms.NewSharded(tabs, goldenBundle(t, "2017-04-10", 0.5, 1), goldenOpts(t)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(se.Close)
-		h := se.Handler()
-		run(t, "sharded", h, []http.Handler{h})
-	})
+	for _, width := range []int{3, 8} {
+		tier := fmt.Sprintf("ring-%d", width)
+		t.Run(tier, func(t *testing.T) {
+			tabs := make([]*hbase.Table, width)
+			for i := range tabs {
+				tabs[i] = goldenTable(t)
+			}
+			goldenSeed(t, ms.NewShardedUploader(tabs, 0))
+			se, err := ms.NewSharded(tabs, goldenBundle(t, "2017-04-10", 0.5, 1), goldenOpts(t)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(se.Close)
+			h := se.Handler()
+			run(t, tier, h, []http.Handler{h})
+		})
+	}
 	t.Run("router", func(t *testing.T) {
 		fleet := goldenTransport{}
 		urls := make([]string, 3)
@@ -330,7 +354,7 @@ func eachTier(t *testing.T, run func(t *testing.T, tier string, h http.Handler, 
 		for i := range urls {
 			tab := goldenTable(t)
 			goldenSeed(t, &ms.Uploader{Table: tab})
-			srv, err := ms.New(tab, bundle, append(goldenOpts(t), ms.WithEventLog(t.TempDir()))...)
+			srv, err := ms.New(tab, bundle, goldenOpts(t)...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,13 +385,13 @@ func goldenTiers(t *testing.T, pages ...goldenPage) {
 	})
 }
 
-// TestStatsGolden pins GET /v1/stats (and /healthz) of all three tiers to
-// the bytes the map-built bodies produced.
+// TestStatsGolden pins GET /v1/stats (and /healthz) of every tier to the
+// bytes the map-built bodies produced.
 func TestStatsGolden(t *testing.T) {
 	goldenTiers(t, goldenPage{"stats", "/v1/stats", ".json"}, goldenPage{"healthz", "/healthz", ".json"})
 }
 
-// TestMetricsGolden pins GET /metrics of all three tiers to the bytes the
+// TestMetricsGolden pins GET /metrics of every tier to the bytes the
 // hand-listed exposition produced.
 func TestMetricsGolden(t *testing.T) {
 	goldenTiers(t, goldenPage{"metrics", "/metrics", ".txt"})

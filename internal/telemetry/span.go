@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"sort"
 	"sync"
 	"time"
 )
@@ -189,48 +190,22 @@ func (t *Tracker) StageSnapshots() []StageSnapshot {
 	return out
 }
 
-// TraceBody renders one or more trackers as the GET /v1/debug/trace
-// JSON body: per endpoint, each traversed stage's count/quantiles and
-// the slowest exemplar traces (merged and re-ranked across trackers, so
-// a sharded engine reports one fleet-wide top-K per endpoint).
-func TraceBody(trackers ...*Tracker) map[string]interface{} {
+// TraceBody renders a tracker as the GET /v1/debug/trace JSON body: per
+// endpoint, each traversed stage's count/quantiles and the slowest
+// exemplar traces, slowest first.
+func TraceBody(tr *Tracker) map[string]interface{} {
 	endpoints := map[string]interface{}{}
-	var order []string
-	for _, tr := range trackers {
-		if tr == nil {
-			continue
-		}
-		for _, name := range tr.order {
-			if _, seen := endpoints[name]; !seen {
-				order = append(order, name)
-				endpoints[name] = nil
-			}
-		}
-	}
-	for _, name := range order {
-		var tracks []*EndpointTrack
-		for _, tr := range trackers {
-			if tr == nil {
-				continue
-			}
-			if e := tr.byName[name]; e != nil {
-				tracks = append(tracks, e)
-			}
-		}
-		endpoints[name] = endpointTraceBody(tracks)
+	for _, name := range tr.order {
+		endpoints[name] = endpointTraceBody(tr.byName[name])
 	}
 	return map[string]interface{}{"endpoints": endpoints}
 }
 
-func endpointTraceBody(tracks []*EndpointTrack) map[string]interface{} {
+func endpointTraceBody(e *EndpointTrack) map[string]interface{} {
 	stages := map[string]interface{}{}
 	for s := Stage(0); s < NumStages; s++ {
-		snaps := make([]*HistSnapshot, 0, len(tracks))
-		for _, e := range tracks {
-			snaps = append(snaps, e.stages[s].Snapshot())
-		}
-		h := MergeSnapshots(snaps)
-		if h == nil || h.Total() == 0 {
+		h := e.stages[s].Snapshot()
+		if h.Total() == 0 {
 			continue
 		}
 		stages[s.String()] = map[string]interface{}{
@@ -240,29 +215,8 @@ func endpointTraceBody(tracks []*EndpointTrack) map[string]interface{} {
 			"max_us": h.Max.Microseconds(),
 		}
 	}
-	var all []Exemplar
-	k := 0
-	for _, e := range tracks {
-		all = append(all, e.slow.snapshot()...)
-		if len(e.slow.entries) > k {
-			k = len(e.slow.entries)
-		}
-	}
-	// Selection sort of the top k: k is small and this path is cold.
-	if len(all) > 1 {
-		for i := 0; i < len(all)-1 && i < k; i++ {
-			best := i
-			for j := i + 1; j < len(all); j++ {
-				if all[j].Total > all[best].Total {
-					best = j
-				}
-			}
-			all[i], all[best] = all[best], all[i]
-		}
-	}
-	if len(all) > k {
-		all = all[:k]
-	}
+	all := e.slow.snapshot()
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Total > all[j].Total })
 	slowest := make([]map[string]interface{}, 0, len(all))
 	for i := range all {
 		e := &all[i]

@@ -59,8 +59,8 @@ func TestHistogramSanitisesBounds(t *testing.T) {
 // property test: a random population scattered across a random number
 // of shard histograms, summed bucket-wise by MergeSnapshots, must yield exactly
 // the quantiles of the same population recorded into one histogram.
-// This is what licenses the router and the sharded engine to recompute
-// fleet percentiles from summed raw buckets.
+// This is what licenses the router to recompute fleet percentiles from
+// summed raw buckets.
 func TestMergedQuantileEqualsPopulation(t *testing.T) {
 	r := rng.New(42)
 	for trial := 0; trial < 50; trial++ {

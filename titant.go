@@ -117,14 +117,9 @@ type (
 	// Score, batch-first ScoreBatch, functional options, typed errors and
 	// the versioned HTTP API.
 	Engine = ms.Server
-	// ShardedEngine is N engines behind one consistent-hash ring: every
-	// user's rows, cache entries and stream state live on exactly one
-	// shard, batches scatter/gather across shards, and model/policy
-	// swaps apply atomically to all of them (see NewShardedEngine).
-	ShardedEngine = ms.ShardedEngine
 	// UserSink receives deployed user rows (see DeployTo); the sharded
-	// uploader from NewShardedUploader partitions them across a table
-	// ring by the same hash the sharded engine routes with.
+	// uploader from NewShardedUploader partitions them across a set of
+	// tables by the same hash the engine reads with.
 	UserSink = core.UserSink
 	// EngineOption configures the scoring engine (see WithAlert,
 	// WithWorkers, WithHistogram, WithStrictUsers, WithMaxBatch).
@@ -344,26 +339,26 @@ func NewEngine(tab *FeatureTable, bundle *Bundle, opts ...EngineOption) (*Engine
 	return ms.New(tab, bundle, opts...)
 }
 
-// NewShardedEngine builds an engine partitioned across len(tables)
-// in-process shards: users map to shards by consistent hash (ShardOf),
-// each shard owns its table, user cache and per-user hot state, batches
-// scatter to the owning shards and gather in input order, and
-// SetBundle/SetPolicy swap every shard atomically. One shard behaves
-// bitwise-identically to NewEngine over the same table.
-func NewShardedEngine(tables []*FeatureTable, bundle *Bundle, opts ...EngineOption) (*ShardedEngine, error) {
+// NewShardedEngine builds the same engine over a feature store
+// partitioned across len(tables) tables: a user's row lives in the table
+// ShardOf assigns it and only the store read routes there — the cache,
+// the live window, the model and the policy are one at any width, so
+// every width scores bitwise like NewEngine over one table. To scale
+// beyond one process, run one engine per shard server behind
+// `titant route`.
+func NewShardedEngine(tables []*FeatureTable, bundle *Bundle, opts ...EngineOption) (*Engine, error) {
 	return ms.NewSharded(tables, bundle, opts...)
 }
 
 // NewShardedUploader returns a UserSink that routes each deployed user
-// row to its owner table in the ring by the same hash the sharded
-// engine scores with. version follows the Uploader convention
-// (0 = auto wall-clock).
+// row to its owner table by the same hash the engine reads with. version
+// follows the Uploader convention (0 = auto wall-clock).
 func NewShardedUploader(tables []*FeatureTable, version int64) UserSink {
 	return ms.NewShardedUploader(tables, version)
 }
 
 // ShardOf reports which of n shards owns user u — the consistent hash
-// the sharded engine, the sharded uploader and the scatter/gather
+// the engine's partitioned store, the sharded uploader and the wire
 // router all agree on.
 func ShardOf(u txn.UserID, n int) int { return ms.ShardOf(u, n) }
 
