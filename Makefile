@@ -35,10 +35,15 @@ race:
 # or one extra alloc/op), BenchmarkWireDecideBatch/handler vs
 # BenchmarkDecideBatch/policy what the JSON wire costs one shard (and
 # /routed the whole router + 2 shards loopback path, allocs/op included),
-# and BenchmarkReplay the crash-recovery ns/record budget. BENCHTIME
-# trades precision for wall clock (use e.g. BENCHTIME=2s locally).
+# and BenchmarkReplay the crash-recovery ns/record budget. The model
+# packages' BenchmarkScoreBatch is the score stage alone at the serving
+# width (116 columns), ns/row and allocs/op from one row to the batch
+# limit: GBDT at the bench fixture's 40 trees and at DefaultConfig()'s
+# 400, LR at 200 bins, ID3 and C5.0. BENCHTIME trades precision for wall
+# clock (use e.g. BENCHTIME=2s locally).
 bench-serving:
 	@set -o pipefail; { \
+	  go test -run '^$$' -bench 'BenchmarkScoreBatch$$' -benchmem -benchtime=$(BENCHTIME) ./internal/model/gbdt/ ./internal/model/lr/ ./internal/model/ruletree/ && \
 	  go test -run '^$$' -bench 'BenchmarkGet$$|BenchmarkMultiGet' -benchmem -benchtime=$(BENCHTIME) ./internal/hbase/ && \
 	  go test -run '^$$' -bench 'BenchmarkFetchUser' -benchmem -benchtime=$(BENCHTIME) ./internal/ms/ && \
 	  go test -run '^$$' -bench 'BenchmarkScoreSequential|BenchmarkScoreBatch$$|BenchmarkScoreBatchCached|BenchmarkScoreBatchTraced|BenchmarkScoreBatchSharded|BenchmarkDecideBatch|BenchmarkWireDecideBatch|BenchmarkIngestLogged|BenchmarkReplay$$' -benchmem -benchtime=$(BENCHTIME) . ; \

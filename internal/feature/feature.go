@@ -471,8 +471,9 @@ func FitDiscretizer(m *Matrix, bins int) *Discretizer {
 func (d *Discretizer) NumCols() int { return len(d.Cuts) }
 
 // BytePackable reports whether every column fits the byte-packed Binned
-// representation (at most 256 buckets). Transform panics when it does
-// not; batch scorers check this to fall back to unpacked binning.
+// representation (at most 256 buckets); Transform panics when it does
+// not. Like Transform and Binned it concerns the training representation
+// only: scoring bins on the fly (Bin) or not at all (the compiled GBDT).
 func (d *Discretizer) BytePackable() bool {
 	for j := range d.Cuts {
 		if d.NumBins(j) > 256 {
@@ -501,7 +502,10 @@ func (d *Discretizer) Bin(j int, v float64) int {
 }
 
 // Transform bins every element of m, returning a row-major byte matrix
-// (bins must be <= 256 for this representation).
+// (bins must be <= 256 for this representation). It is the training-side
+// representation — the trainers histogram and split on it — and nothing on
+// the serving path calls it: a search on every column of every row costs
+// more than any detector's walk over the raw values.
 func (d *Discretizer) Transform(m *Matrix) *Binned {
 	if m.Cols != len(d.Cuts) {
 		panic(fmt.Sprintf("feature: matrix has %d cols, discretizer %d", m.Cols, len(d.Cuts)))
@@ -524,7 +528,8 @@ func (d *Discretizer) Transform(m *Matrix) *Binned {
 	return b
 }
 
-// Binned is a byte-packed discretised matrix.
+// Binned is a byte-packed discretised matrix: what Train functions
+// consume, never what a served model scores.
 type Binned struct {
 	Rows, Cols int
 	Data       []uint8

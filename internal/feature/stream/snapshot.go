@@ -117,11 +117,11 @@ func writeWindow(bw *binWriter, w *userWindow) {
 			bw.u32(uint32(p))
 		}
 		bw.u32(uint32(len(b.outDays)))
-		for _, d := range sortedDays(b.outDays) {
+		for _, d := range b.outDays {
 			bw.u32(uint32(d))
 		}
 		bw.u32(uint32(len(b.inDays)))
-		for _, d := range sortedDays(b.inDays) {
+		for _, d := range b.inDays {
 			bw.u32(uint32(d))
 		}
 	}
@@ -244,17 +244,11 @@ func readWindow(br *binReader, w *userWindow, buckets int) error {
 				b.inPeers[txn.UserID(br.u32())] = struct{}{}
 			}
 		}
-		if n := int(br.u32()); n > 0 && br.err == nil {
-			b.outDays = make(map[txn.Day]struct{}, n)
-			for i := 0; i < n; i++ {
-				b.outDays[txn.Day(int32(br.u32()))] = struct{}{}
-			}
+		for n := int(br.u32()); n > 0 && br.err == nil; n-- {
+			b.outDays.add(txn.Day(int32(br.u32())))
 		}
-		if n := int(br.u32()); n > 0 && br.err == nil {
-			b.inDays = make(map[txn.Day]struct{}, n)
-			for i := 0; i < n; i++ {
-				b.inDays[txn.Day(int32(br.u32()))] = struct{}{}
-			}
+		for n := int(br.u32()); n > 0 && br.err == nil; n-- {
+			b.inDays.add(txn.Day(int32(br.u32())))
 		}
 		if br.err != nil {
 			return fmt.Errorf("stream: restore window: %w", br.err)
@@ -279,15 +273,6 @@ func sortedUsers(m map[txn.UserID]struct{}) []txn.UserID {
 	}
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	return ids
-}
-
-func sortedDays(m map[txn.Day]struct{}) []txn.Day {
-	ds := make([]txn.Day, 0, len(m))
-	for d := range m {
-		ds = append(ds, d)
-	}
-	sort.Slice(ds, func(a, b int) bool { return ds[a] < ds[b] })
-	return ds
 }
 
 func b2u(b bool) uint8 {

@@ -44,6 +44,7 @@ package stream
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -213,18 +214,31 @@ type bucket struct {
 	outAmount, inAmount float64
 	outPeers            map[txn.UserID]float64  // receiver -> transfer count (distinct-rcv + pair prior)
 	inPeers             map[txn.UserID]struct{} // distinct senders
-	outDays, inDays     map[txn.Day]struct{}    // distinct active days
+	outDays, inDays     daySet                  // distinct active days
 }
 
-// reset recycles a slot for a new sequence, keeping map allocations.
+// daySet is a bucket's distinct active days, kept sorted. A bucket spans
+// BucketSeconds of the timeline, so it holds one day or two at the default
+// day-wide geometry and BucketSeconds/86400+1 at most: a slice, whose one
+// element costs 8 bytes where a map's header and first group cost ~130,
+// per side of every (user, bucket) the window has touched.
+type daySet []txn.Day
+
+func (s *daySet) add(d txn.Day) {
+	if i, found := slices.BinarySearch(*s, d); !found {
+		*s = slices.Insert(*s, i, d)
+	}
+}
+
+// reset recycles a slot for a new sequence, keeping map and slice
+// allocations.
 func (b *bucket) reset(seq int64) {
 	b.seq = seq
 	b.outCount, b.inCount = 0, 0
 	b.outAmount, b.inAmount = 0, 0
 	clear(b.outPeers)
 	clear(b.inPeers)
-	clear(b.outDays)
-	clear(b.inDays)
+	b.outDays, b.inDays = b.outDays[:0], b.inDays[:0]
 }
 
 func (s *Store) shardIndex(u txn.UserID) uint64 {
@@ -346,10 +360,7 @@ func (s *Store) Ingest(t *txn.Transaction) {
 		b.outPeers = make(map[txn.UserID]float64, 4)
 	}
 	b.outPeers[t.To]++
-	if b.outDays == nil {
-		b.outDays = make(map[txn.Day]struct{}, 2)
-	}
-	b.outDays[t.Day] = struct{}{}
+	b.outDays.add(t.Day)
 
 	b = shTo.window(t.To, s.buckets).slot(seq)
 	b.inCount++
@@ -358,10 +369,7 @@ func (s *Store) Ingest(t *txn.Transaction) {
 		b.inPeers = make(map[txn.UserID]struct{}, 4)
 	}
 	b.inPeers[t.From] = struct{}{}
-	if b.inDays == nil {
-		b.inDays = make(map[txn.Day]struct{}, 2)
-	}
-	b.inDays[t.Day] = struct{}{}
+	b.inDays.add(t.Day)
 
 	// Piggyback one eviction probe on the write lock already held: check
 	// a pseudo-random resident of the sender's shard and delete it if its
@@ -455,10 +463,10 @@ func (s *Store) Stats(u txn.UserID) feature.UserStats {
 		for p := range b.inPeers {
 			snd[p] = struct{}{}
 		}
-		for d := range b.outDays {
+		for _, d := range b.outDays {
 			outD[d] = struct{}{}
 		}
-		for d := range b.inDays {
+		for _, d := range b.inDays {
 			inD[d] = struct{}{}
 		}
 	}

@@ -62,7 +62,7 @@ type Model struct {
 	Depth    int
 
 	// The compiled predictor is built lazily from the exported fields on
-	// the first batch call, so gob-decoded models (bundles) compile too.
+	// the first score, so gob-decoded models (bundles) compile too.
 	compileOnce sync.Once
 	compiledSoA *compiled // nil when the trees cannot be compiled
 }
@@ -310,7 +310,8 @@ func (b *treeBuilder) finalizeLeaf(tree *Tree, flat int32, sum, cnt float64) {
 	}
 }
 
-// eval walks one tree over a pre-binned row.
+// eval walks one tree over a pre-binned row: the training-side walk, and
+// the oracle the raw-feature walks are tested against.
 func (t *Tree) eval(bins []uint8) float64 {
 	i := int32(0)
 	for {
@@ -326,64 +327,72 @@ func (t *Tree) eval(bins []uint8) float64 {
 	}
 }
 
+// walk is eval over a raw feature row, each split's cut looked up on the
+// way: the scoring fallback for trees the compiled predictor cannot take.
+func (t *Tree) walk(d *feature.Discretizer, x []float64) float64 {
+	i := int32(0)
+	for {
+		n := &t.Nodes[i]
+		if n.Col < 0 {
+			return n.Value
+		}
+		if x[n.Col] >= cutOf(d, n.Col, n.Thr) {
+			i = 2*i + 2
+		} else {
+			i = 2*i + 1
+		}
+	}
+}
+
 // Score returns the ensemble prediction for a raw feature vector; values
 // approximate the fraud probability (RMSE regression toward 0/1 labels).
+// It runs the compiled predictor over one row and allocates nothing.
 func (mo *Model) Score(x []float64) float64 {
 	if len(x) != mo.Features {
 		panic(fmt.Sprintf("gbdt: input has %d features, model wants %d", len(x), mo.Features))
 	}
-	bins := make([]uint8, mo.Features)
-	for j, v := range x {
-		bins[j] = uint8(mo.Disc.Bin(j, v))
+	c := mo.predictor()
+	if c == nil {
+		return mo.walk(x)
 	}
-	s := mo.Base
-	for i := range mo.TreesArr {
-		s += mo.TreesArr[i].eval(bins)
-	}
-	return s
+	var out [1]float64
+	c.predict(out[:], x, len(x), mo.Base, 0, 1)
+	return out[0]
 }
 
 // ScoreBatch implements model.BatchScorer through the compiled predictor:
-// the batch is discretised once (not once per row), then the contiguous
-// SoA tree blocks stream over row blocks — across a worker pool for large
-// batches — with the depth-3 traversal fully unrolled. Scores are bitwise
-// identical to calling Score per row; the scalar walk remains as the
-// fallback for models whose trees are not complete arrays.
+// every tree's contiguous SoA block streams over blocks of raw feature
+// rows — across a worker pool for large batches — with the depth-3
+// traversal fully unrolled. Nothing is discretised and nothing allocated:
+// the discretiser's cuts were folded into the splits at compile.
 func (mo *Model) ScoreBatch(dst []float64, m *feature.Matrix) {
 	if m.Cols != mo.Features {
 		panic(fmt.Sprintf("gbdt: matrix has %d features, model wants %d", m.Cols, mo.Features))
 	}
-	// Train bounds Bins to 256, but a decoded bundle is not trainer
-	// output: fall back to the scalar walk rather than let Transform
-	// panic on an unpackable discretiser.
-	if !mo.Disc.BytePackable() {
-		for i := 0; i < m.Rows; i++ {
-			dst[i] = mo.Score(m.Row(i))
-		}
-		return
-	}
-	binned := mo.Disc.Transform(m)
-	mo.compileOnce.Do(func() { mo.compiledSoA = compile(mo) })
-	if c := mo.compiledSoA; c != nil {
-		c.predictAll(dst, binned, mo.Base)
+	if c := mo.predictor(); c != nil {
+		c.predictAll(dst[:m.Rows], m.Data, m.Cols, mo.Base)
 		return
 	}
 	for i := 0; i < m.Rows; i++ {
-		bins := binned.Row(i)
-		s := mo.Base
-		for t := range mo.TreesArr {
-			s += mo.TreesArr[t].eval(bins)
-		}
-		dst[i] = s
+		dst[i] = mo.walk(m.Row(i))
 	}
 }
 
-// ScoreBinned scores a matrix through the batch path, allocating the
-// output slice. Kept for callers predating ScoreBatch.
-func (mo *Model) ScoreBinned(m *feature.Matrix) []float64 {
-	out := make([]float64, m.Rows)
-	mo.ScoreBatch(out, m)
-	return out
+// predictor returns the compiled form, built on first use, or nil for a
+// model whose trees are not complete arrays.
+func (mo *Model) predictor() *compiled {
+	mo.compileOnce.Do(func() { mo.compiledSoA = compile(mo) })
+	return mo.compiledSoA
+}
+
+// walk is the fallback for such a model: the compiled walk's comparisons
+// made over Tree.Nodes, in the same tree order.
+func (mo *Model) walk(x []float64) float64 {
+	s := mo.Base
+	for t := range mo.TreesArr {
+		s += mo.TreesArr[t].walk(mo.Disc, x)
+	}
+	return s
 }
 
 // NumFeatures implements model.Classifier.

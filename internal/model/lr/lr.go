@@ -141,6 +141,13 @@ func (mo *Model) Score(x []float64) float64 {
 	if len(x) != mo.Features {
 		panic(fmt.Sprintf("lr: input has %d features, model wants %d", len(x), mo.Features))
 	}
+	return mo.score(x)
+}
+
+// score is the fused bin-and-gather pass: each column's value is binned
+// and its one-hot weight accumulated at once, in column order, with no
+// intermediate binned row.
+func (mo *Model) score(x []float64) float64 {
 	dot := mo.Bias
 	for j, v := range x {
 		dot += mo.W[mo.Offsets[j]+mo.Disc.Bin(j, v)]
@@ -148,32 +155,14 @@ func (mo *Model) Score(x []float64) float64 {
 	return model.Sigmoid(dot)
 }
 
-// ScoreBatch implements model.BatchScorer: the batch is discretised once,
-// then each row is a fused gather-accumulate over the one-hot weight
-// blocks — no per-row binning, no intermediate slices. The per-row sum
-// runs in column order, so scores are bitwise identical to Score.
+// ScoreBatch implements model.BatchScorer: Score's pass over every row,
+// the width checked once per batch. Nothing is allocated.
 func (mo *Model) ScoreBatch(dst []float64, m *feature.Matrix) {
 	if m.Cols != mo.Features {
 		panic(fmt.Sprintf("lr: matrix has %d features, model wants %d", m.Cols, mo.Features))
 	}
-	// A model trained with more than 256 bins per column cannot use the
-	// byte-packed batch binning (Transform would panic); fall back to the
-	// scalar walk rather than let a serving request crash.
-	if !mo.Disc.BytePackable() {
-		for i := 0; i < m.Rows; i++ {
-			dst[i] = mo.Score(m.Row(i))
-		}
-		return
-	}
-	binned := mo.Disc.Transform(m)
-	w, offsets := mo.W, mo.Offsets
 	for i := 0; i < m.Rows; i++ {
-		bins := binned.Row(i)
-		dot := mo.Bias
-		for j, b := range bins {
-			dot += w[offsets[j]+int(b)]
-		}
-		dst[i] = model.Sigmoid(dot)
+		dst[i] = mo.score(m.Row(i))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"titant/internal/feature"
 	"titant/internal/metrics"
 	"titant/internal/model"
+	"titant/internal/model/modeltest"
 	"titant/internal/rng"
 )
 
@@ -175,19 +176,18 @@ func BenchmarkTrain(b *testing.B) {
 	}
 }
 
-func BenchmarkScore(b *testing.B) {
-	m, labels := linearData(1000, 1)
-	mo := Train(m, labels, DefaultConfig())
-	x := m.Row(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mo.Score(x)
-	}
+// BenchmarkScoreBatch measures LR's score stage at the serving width and
+// the paper's 200 bins, from one row to the batch limit.
+func BenchmarkScoreBatch(b *testing.B) {
+	m, labels := modeltest.ServingData(4000, 1)
+	cfg := DefaultConfig()
+	cfg.Iterations = 3
+	modeltest.BenchScoreBatch(b, Train(m, labels, cfg))
 }
 
-// TestScoreBatchBitwiseIdentical pins the fused batch path to the scalar
-// one: the one-shot discretisation and per-row gather must reproduce
-// Score's bits exactly.
+// TestScoreBatchBitwiseIdentical pins serving-side scoring — ScoreBatch
+// and Score, which bin and gather in one pass — to the gather over the
+// training-side binned matrix: identical bits, not just close.
 func TestScoreBatchBitwiseIdentical(t *testing.T) {
 	m, labels := linearData(3000, 3)
 	mo := Train(m, labels, Config{Bins: 64, L1: 0.02, L2: 0.5, Alpha: 0.1, Beta: 1, Iterations: 15, Seed: 1})
@@ -195,9 +195,14 @@ func TestScoreBatchBitwiseIdentical(t *testing.T) {
 		mt, _ := linearData(rows, uint64(rows)+7)
 		got := make([]float64, rows)
 		mo.ScoreBatch(got, mt)
+		binned := mo.Disc.Transform(mt)
 		for i := 0; i < rows; i++ {
-			if want := mo.Score(mt.Row(i)); got[i] != want {
-				t.Fatalf("rows=%d row %d: batch %v != scalar %v", rows, i, got[i], want)
+			dot := mo.Bias
+			for j, b := range binned.Row(i) {
+				dot += mo.W[mo.Offsets[j]+int(b)]
+			}
+			if want := model.Sigmoid(dot); got[i] != want || mo.Score(mt.Row(i)) != want {
+				t.Fatalf("rows=%d row %d: batch %v, Score %v != binned gather %v", rows, i, got[i], mo.Score(mt.Row(i)), want)
 			}
 		}
 	}
@@ -206,10 +211,10 @@ func TestScoreBatchBitwiseIdentical(t *testing.T) {
 // A model whose discretiser holds more than 256 bins per column (not
 // producible by this trainer, but decodable from a bundle built by an
 // external pipeline — the paper's LR sweeps reach bin size 500) cannot
-// byte-pack its batch binning: ScoreBatch must fall back to the scalar
-// walk instead of panicking — a serving request must never be able to
-// crash on a wide-binned bundle.
-func TestScoreBatchWideBinsFallsBack(t *testing.T) {
+// byte-pack into the training-side Binned matrix. Scoring bins on the fly
+// and has no such limit: a serving request must never be able to crash on
+// a wide-binned bundle.
+func TestScoreBatchWideBins(t *testing.T) {
 	r := rng.New(11)
 	cuts := make([]float64, 300) // 301 buckets in column 0
 	for i := range cuts {
@@ -239,7 +244,7 @@ func TestScoreBatchWideBinsFallsBack(t *testing.T) {
 	mo.ScoreBatch(got, m) // must not panic
 	for i := 0; i < m.Rows; i++ {
 		if want := mo.Score(m.Row(i)); got[i] != want {
-			t.Fatalf("row %d: fallback %v != scalar %v", i, got[i], want)
+			t.Fatalf("row %d: batch %v != scalar %v", i, got[i], want)
 		}
 	}
 }

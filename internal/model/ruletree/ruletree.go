@@ -82,10 +82,7 @@ type Tree struct {
 	Features int
 }
 
-var (
-	_ model.Classifier  = (*Tree)(nil)
-	_ model.BatchScorer = (*Tree)(nil)
-)
+var _ model.Classifier = (*Tree)(nil)
 
 // Train fits a tree on raw features and boolean labels.
 func Train(m *feature.Matrix, labels []bool, cfg Config) *Tree {
@@ -360,7 +357,10 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// Score returns the leaf fraud probability for a raw feature vector.
+// Score returns the leaf fraud probability for a raw feature vector,
+// binning only the columns the walk visits. The tree has no batch form:
+// discretising a whole row to read a handful of its columns costs more
+// than the walk, so model.ScoreMatrixInto's row loop calls Score.
 func (t *Tree) Score(x []float64) float64 {
 	if len(x) != t.Features {
 		panic(fmt.Sprintf("ruletree: input has %d features, model wants %d", len(x), t.Features))
@@ -380,44 +380,6 @@ func (t *Tree) Score(x []float64) float64 {
 		}
 	}
 	return n.Prob
-}
-
-// ScoreBatch implements model.BatchScorer: the batch is discretised once
-// up front (Score re-bins the visited columns on every call), then each
-// row walks the tree over its pre-binned values. The walk visits the same
-// nodes as Score, so scores are bitwise identical.
-func (t *Tree) ScoreBatch(dst []float64, m *feature.Matrix) {
-	if m.Cols != t.Features {
-		panic(fmt.Sprintf("ruletree: matrix has %d features, model wants %d", m.Cols, t.Features))
-	}
-	// A tree trained with more than 256 bins per column cannot use the
-	// byte-packed batch binning (Transform would panic); fall back to the
-	// scalar walk rather than let a serving request crash.
-	if !t.Disc.BytePackable() {
-		for i := 0; i < m.Rows; i++ {
-			dst[i] = t.Score(m.Row(i))
-		}
-		return
-	}
-	binned := t.Disc.Transform(m)
-	for i := 0; i < m.Rows; i++ {
-		bins := binned.Row(i)
-		n := t.Root
-		for !n.Leaf {
-			bin := int(bins[n.Col])
-			if n.Children != nil {
-				if bin >= len(n.Children) {
-					bin = len(n.Children) - 1
-				}
-				n = n.Children[bin]
-			} else if bin <= int(n.Thr) {
-				n = n.Left
-			} else {
-				n = n.Right
-			}
-		}
-		dst[i] = n.Prob
-	}
 }
 
 // NumFeatures implements model.Classifier.

@@ -7,6 +7,7 @@ import (
 	"titant/internal/feature"
 	"titant/internal/metrics"
 	"titant/internal/model"
+	"titant/internal/model/modeltest"
 	"titant/internal/rng"
 )
 
@@ -233,22 +234,55 @@ func BenchmarkTrainC50(b *testing.B) {
 	}
 }
 
-// TestScoreBatchBitwiseIdentical pins the batch-binned walk to the scalar
-// one for both tree variants (ID3 multiway splits with bin clamping, C5.0
-// binary threshold splits).
+// walkBinned is the test oracle: the tree walked over a row of the
+// training-side binned matrix, the representation the builder split on.
+func walkBinned(t *Tree, bins []uint8) float64 {
+	n := t.Root
+	for !n.Leaf {
+		bin := int(bins[n.Col])
+		if n.Children != nil {
+			if bin >= len(n.Children) {
+				bin = len(n.Children) - 1
+			}
+			n = n.Children[bin]
+		} else if bin <= int(n.Thr) {
+			n = n.Left
+		} else {
+			n = n.Right
+		}
+	}
+	return n.Prob
+}
+
+// TestScoreBatchBitwiseIdentical pins serving-side scoring — the matrix
+// path through model.ScoreMatrixInto and Score, which bin only the columns
+// they visit — to the walk over the fully binned batch, for both tree
+// variants (ID3 multiway splits with bin clamping, C5.0 binary threshold
+// splits).
 func TestScoreBatchBitwiseIdentical(t *testing.T) {
 	m, labels := xorData(3000, 4)
 	for _, cfg := range []Config{DefaultID3(), DefaultC50()} {
 		tr := Train(m, labels, cfg)
 		for _, rows := range []int{1, 13, 400} {
 			mt, _ := xorData(rows, uint64(rows)+3)
-			got := make([]float64, rows)
-			tr.ScoreBatch(got, mt)
+			got := mustScores(tr, mt)
+			binned := tr.Disc.Transform(mt)
 			for i := 0; i < rows; i++ {
-				if want := tr.Score(mt.Row(i)); got[i] != want {
-					t.Fatalf("%s rows=%d row %d: batch %v != scalar %v", cfg.Algorithm, rows, i, got[i], want)
+				if want := walkBinned(tr, binned.Row(i)); got[i] != want || tr.Score(mt.Row(i)) != want {
+					t.Fatalf("%s rows=%d row %d: matrix %v, Score %v != binned walk %v",
+						cfg.Algorithm, rows, i, got[i], tr.Score(mt.Row(i)), want)
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkScoreBatch measures both rule trees' score stage at the serving
+// width, from one row to the batch limit.
+func BenchmarkScoreBatch(b *testing.B) {
+	m, labels := modeltest.ServingData(4000, 1)
+	for _, cfg := range []Config{DefaultID3(), DefaultC50()} {
+		tr := Train(m, labels, cfg)
+		b.Run(cfg.Algorithm.String(), func(b *testing.B) { modeltest.BenchScoreBatch(b, tr) })
 	}
 }

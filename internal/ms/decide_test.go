@@ -657,3 +657,43 @@ func TestShadowSwapDiscardsQueuedJobs(t *testing.T) {
 		t.Fatalf("stale comparisons recorded: %+v", st)
 	}
 }
+
+// TestDecideAllocBudget: one warm single Decide on a GBDT bundle allocates
+// a small constant, none of it in the score stage — the compiled predictor
+// walks the assembled row as it is. Three more per call would be a binned
+// copy of the row creeping back.
+func TestDecideAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled scratch is not reused reliably under the race detector")
+	}
+	tab := table(t)
+	up := &Uploader{Table: tab}
+	for i := txn.UserID(1); i <= 8; i++ {
+		u := txn.User{ID: i, Age: uint8(20 + i)}
+		if err := up.PutUser(&u, feature.UserStats{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	city := feature.CityTable{Fraud: []float64{0.01}, Share: []float64{1}}
+	b, err := NewBundle("gbdt-1", trainedDetectors(t)["gbdt"], 0.5, city, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(tab, b, WithPolicy(decidePolicy(t)), WithWorkers(1), WithUserCache(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ctx := context.Background()
+	tx := txn.Transaction{ID: 1, From: 1, To: 2, Amount: 1500}
+	decide := func() {
+		if _, err := srv.Decide(ctx, &tx, decision.ScenarioDefault); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decide()         // fill the cache, compile the model
+	const budget = 2 // runOne's combined-score cell and the scoredBatch it hands to visit
+	if got := testing.AllocsPerRun(100, decide); got > budget {
+		t.Errorf("warm Decide: %.0f allocs, budget %d", got, budget)
+	}
+}
