@@ -28,7 +28,9 @@ race:
 # BENCH_serving.json — ns/op and allocs/op per benchmark — so future PRs
 # have machine-readable numbers to compare against; in particular,
 # BenchmarkDecideBatch/policy vs BenchmarkScoreBatch tracks the decision
-# path's overhead budget, BenchmarkIngestLogged/logged vs /unlogged the
+# path's overhead budget, BenchmarkDecideBatchCold beside
+# BenchmarkScoreBatchCached the cold-cache fetch path (uniform users over
+# a cache 1/16 of them: allocs/op must not grow with the misses), BenchmarkIngestLogged/logged vs /unlogged the
 # event log's ingest overhead (must stay allocation-flat),
 # BenchmarkScoreBatchTraced/traced vs /untraced the telemetry plane's
 # span-aggregation overhead (its built-in guard fails the run past 5%
@@ -46,7 +48,7 @@ bench-serving:
 	  go test -run '^$$' -bench 'BenchmarkScoreBatch$$' -benchmem -benchtime=$(BENCHTIME) ./internal/model/gbdt/ ./internal/model/lr/ ./internal/model/ruletree/ && \
 	  go test -run '^$$' -bench 'BenchmarkGet$$|BenchmarkMultiGet' -benchmem -benchtime=$(BENCHTIME) ./internal/hbase/ && \
 	  go test -run '^$$' -bench 'BenchmarkFetchUser' -benchmem -benchtime=$(BENCHTIME) ./internal/ms/ && \
-	  go test -run '^$$' -bench 'BenchmarkScoreSequential|BenchmarkScoreBatch$$|BenchmarkScoreBatchCached|BenchmarkScoreBatchTraced|BenchmarkScoreBatchSharded|BenchmarkDecideBatch|BenchmarkWireDecideBatch|BenchmarkIngestLogged|BenchmarkReplay$$' -benchmem -benchtime=$(BENCHTIME) . ; \
+	  go test -run '^$$' -bench 'BenchmarkScoreSequential|BenchmarkScoreBatch$$|BenchmarkScoreBatchCached|BenchmarkDecideBatchCold|BenchmarkScoreBatchTraced|BenchmarkScoreBatchSharded|BenchmarkDecideBatch|BenchmarkWireDecideBatch|BenchmarkIngestLogged|BenchmarkReplay$$' -benchmem -benchtime=$(BENCHTIME) . ; \
 	} | tee /dev/stderr | go run ./cmd/benchjson > BENCH_serving.json
 	@echo "wrote BENCH_serving.json"
 

@@ -129,6 +129,29 @@ func benchToyLR(embDim int) (*lr.Model, feature.CityTable) {
 	return clf, city
 }
 
+// benchUserTable opens a feature table holding users [0, users) with
+// random embDim-wide embeddings drawn from r.
+func benchUserTable(b *testing.B, r *rng.RNG, users, embDim int) *hbase.Table {
+	b.Helper()
+	tab, err := hbase.Open(hbase.Config{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { tab.Close() })
+	up := &ms.Uploader{Table: tab}
+	for i := 0; i < users; i++ {
+		u := txn.User{ID: txn.UserID(i), Age: uint8(20 + i%50), AvgAmount: float32(50 + i%200)}
+		emb := make([]float32, embDim)
+		for j := range emb {
+			emb[j] = float32(r.Float64() - 0.5)
+		}
+		if err := up.PutUser(&u, feature.UserStats{OutCount: float64(i % 10)}, emb); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return tab
+}
+
 // servingFixture builds a serving engine over an uploaded feature store
 // and a 1k-transaction batch drawn from a hot user set, so the batch path
 // has fetch work to deduplicate. Extra engine options (e.g. a streaming
@@ -141,23 +164,8 @@ func servingFixture(b *testing.B, opts ...ms.Option) (*ms.Server, []txn.Transact
 		embDim = 8
 		nTxns  = 1000
 	)
-	tab, err := hbase.Open(hbase.Config{Dir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { tab.Close() })
 	r := rng.New(3)
-	up := &ms.Uploader{Table: tab}
-	for i := 0; i < users; i++ {
-		u := txn.User{ID: txn.UserID(i), Age: uint8(20 + i%50), AvgAmount: float32(50 + i%200)}
-		emb := make([]float32, embDim)
-		for j := range emb {
-			emb[j] = float32(r.Float64() - 0.5)
-		}
-		if err := up.PutUser(&u, feature.UserStats{OutCount: float64(i % 10)}, emb); err != nil {
-			b.Fatal(err)
-		}
-	}
+	tab := benchUserTable(b, r, users, embDim)
 	clf, city := benchToyLR(embDim)
 	bundle, err := ms.NewBundle("bench", clf, 0.5, city, embDim)
 	if err != nil {
@@ -229,6 +237,59 @@ func BenchmarkScoreBatchCached(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(txns)), "ns/txn")
+}
+
+// BenchmarkDecideBatchCold is the cold-cache row beside
+// BenchmarkScoreBatchCached — the shape of the repository benchmark's
+// batch_cold workload: 256-transaction DecideBatch calls whose users are
+// drawn uniformly from 6000, a cache holding 1/16 of them, the table
+// flushed so reads take the segment path. Almost every user read is a
+// store multi-get plus a cache backfill; allocs/op is per batch and must
+// not grow with the misses.
+func BenchmarkDecideBatchCold(b *testing.B) {
+	const (
+		users   = 6000
+		embDim  = 8
+		batch   = 256
+		batches = 64
+	)
+	r := rng.New(3)
+	tab := benchUserTable(b, r, users, embDim)
+	if err := tab.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	clf, city := benchToyLR(embDim)
+	bundle, err := ms.NewBundle("bench", clf, 0.5, city, embDim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := ms.New(tab, bundle, ms.WithUserCache(users/16), ms.WithPolicy(decision.Default("bench-pol", 0.5)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(srv.Close)
+	txns := make([][]txn.Transaction, batches)
+	for k := range txns {
+		txns[k] = make([]txn.Transaction, batch)
+		for i := range txns[k] {
+			txns[k][i] = txn.Transaction{
+				ID:   txn.TxnID(k*batch + i + 1),
+				From: txn.UserID(r.Intn(users)), To: txn.UserID(r.Intn(users)),
+				Amount: float32(r.Float64() * 2000),
+			}
+		}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.DecideBatch(ctx, txns[i%batches], nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/txn")
+	st := srv.UserCacheStats()
+	b.ReportMetric(float64(st.Hits)/float64(st.Hits+st.Misses), "hit-rate")
 }
 
 // BenchmarkScoreBatchTraced pins the telemetry plane's hot-path cost.

@@ -9,6 +9,14 @@ import (
 // Cell identifies one versioned value in the store: row key, column family,
 // qualifier (the paper's Figure 7 shows e.g. row "Zoe", family "basic
 // features", qualifier "age").
+//
+// Value is immutable once written: the store never modifies or reuses a
+// value's bytes — the MemStore, flush and compaction only move the slice
+// header, and a segment read back from disk gives every value an
+// allocation of its own. A reader may therefore keep a Value for as long
+// as it likes (the Model Server caches embeddings this way); a retained
+// value pins only its own bytes, not the segment it came from, and must
+// not be written to.
 type Cell struct {
 	Row       string
 	Family    string

@@ -144,7 +144,9 @@ func (t *Table) nextTimestamp() int64 {
 }
 
 // Put writes a value. ts <= 0 assigns the next logical timestamp. The
-// assigned version is returned.
+// assigned version is returned. The table takes ownership of value: it
+// keeps the slice itself, not a copy, and hands it to readers as an
+// immutable Cell.Value, so the caller must not modify it afterwards.
 func (t *Table) Put(row, family, qualifier string, value []byte, ts int64) (int64, error) {
 	return t.write(Cell{Row: row, Family: family, Qualifier: qualifier, Value: value, Timestamp: ts})
 }
@@ -290,8 +292,9 @@ type rowCursor struct {
 // column order, to fn; fn returns false to stop early. The returned bool
 // reports whether the row has any live cell. This is the zero-copy hot
 // path under the Model Server's fetch: no nested maps are built and no
-// cells are copied — the *Cell (and its Value) alias the store's internal
-// state and must not be retained or mutated after fn returns.
+// cells are copied. The *Cell aliases the store's internal state and must
+// not be retained or mutated after fn returns; its Value may be retained
+// (see Cell) but never written to.
 func (t *Table) VisitRow(row string, fn func(c *Cell) bool) (bool, error) {
 	if err := validateName("row", row); err != nil {
 		return false, err
@@ -372,8 +375,8 @@ func (t *Table) visitRowLocked(row string, fn func(c *Cell) bool) bool {
 // row under a single lock round, calling fn with the row's index for each
 // newest live cell, in row order then column order. fn returning false
 // aborts the whole batch. Like VisitRow, cells alias internal state and
-// must not be retained. Rows with no live cells simply produce no calls;
-// callers that care track which indices they saw.
+// must not be retained, while their Values may be. Rows with no live cells
+// simply produce no calls; callers that care track which indices they saw.
 func (t *Table) VisitRows(rows []string, fn func(i int, c *Cell) bool) error {
 	for _, row := range rows {
 		if err := validateName("row", row); err != nil {
@@ -400,9 +403,9 @@ func (t *Table) VisitRows(rows []string, fn func(i int, c *Cell) bool) error {
 
 // GetRow returns the newest live value of every cell in a row, as
 // family -> qualifier -> value. A missing (or fully masked) row returns
-// ErrNotFound itself; no error string is built for the miss. Values alias
-// the store's internal buffers, as before. Hot paths that do not need the
-// nested maps should use VisitRow.
+// ErrNotFound itself; no error string is built for the miss. Values are
+// the store's own immutable slices (see Cell). Hot paths that do not need
+// the nested maps should use VisitRow.
 func (t *Table) GetRow(row string) (map[string]map[string][]byte, error) {
 	out := make(map[string]map[string][]byte)
 	found, err := t.VisitRow(row, func(c *Cell) bool {

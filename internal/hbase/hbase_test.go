@@ -449,3 +449,94 @@ func TestSortCellsMatchesKeyOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRetainedValueSurvivesOverwriteFlushCompactReopen pins the contract
+// Cell documents: a Value a reader kept — from the MemStore, from a
+// flushed segment, from a compacted one, from a reopened table — holds its
+// bytes whatever the store does next, including dropping that version.
+func TestRetainedValueSurvivesOverwriteFlushCompactReopen(t *testing.T) {
+	dir := t.TempDir()
+	tab, err := Open(Config{Dir: dir, MaxVersions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { tab.Close() }()
+	const rows = 16
+	row := func(i int) string { return fmt.Sprintf("u:%d", i) }
+	val := func(i, gen int) []byte { return []byte(fmt.Sprintf("row %02d generation %02d payload", i, gen)) }
+	put := func(gen int) {
+		t.Helper()
+		for i := 0; i < rows; i++ {
+			if _, err := tab.Put(row(i), "emb", "vec", val(i, gen), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type kept struct {
+		value []byte // the store's slice, retained
+		want  []byte // what it held when read
+	}
+	var retained []kept
+	retain := func(gen int) {
+		t.Helper()
+		rowKeys := make([]string, rows)
+		for i := range rowKeys {
+			rowKeys[i] = row(i)
+		}
+		err := tab.VisitRows(rowKeys, func(i int, c *Cell) bool {
+			if !bytes.Equal(c.Value, val(i, gen)) {
+				t.Fatalf("row %d reads %q in generation %d", i, c.Value, gen)
+			}
+			retained = append(retained, kept{value: c.Value, want: val(i, gen)})
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(retained)%rows != 0 {
+			t.Fatalf("generation %d: %d values retained", gen, len(retained))
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		for _, k := range retained {
+			if !bytes.Equal(k.value, k.want) {
+				t.Fatalf("%s: a retained value reads %q, was %q", stage, k.value, k.want)
+			}
+		}
+	}
+
+	put(0)
+	retain(0) // MemStore values
+	put(1)    // overwritten in the MemStore
+	if err := tab.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	retain(1) // segment values
+	check("after flush")
+	put(2)
+	if err := tab.Compact(); err != nil { // drops generations 0 and 1
+		t.Fatal(err)
+	}
+	retain(2) // compacted-segment values
+	check("after compaction")
+	if err := tab.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tab, err = Open(Config{Dir: dir, MaxVersions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	retain(2) // values decoded from the segment file
+	put(3)
+	if err := tab.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	put(4)
+	if err := tab.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("after reopen, overwrite and compaction")
+	if len(retained) != 4*rows {
+		t.Fatalf("%d values retained, want %d", len(retained), 4*rows)
+	}
+}

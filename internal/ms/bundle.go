@@ -225,6 +225,16 @@ func (b *Bundle) validate() error {
 	return nil
 }
 
+// breakdown is how many per-member score series a pass exposes: one per
+// member, none for a v1 single-model bundle, whose only score is the
+// combined one.
+func (e *ensemble) breakdown() int {
+	if e.single {
+		return 0
+	}
+	return len(e.clfs)
+}
+
 // runtime returns the decoded ensemble view, building it on first use for
 // bundles that skipped validation (e.g. hand-assembled in tests).
 func (b *Bundle) runtime() (*ensemble, error) {
@@ -292,8 +302,9 @@ func (e *ensemble) score(dst []float64, memberDst [][]float64, m *feature.Matrix
 	}
 	scratch := memberDst
 	if scratch == nil {
-		scratch = getMemberScores(len(e.clfs), m.Rows)
-		defer putMemberScores(scratch)
+		sc := getScoreScratch(len(e.clfs), m.Rows)
+		defer putScoreScratch(sc)
+		scratch = sc.members
 	}
 	for k, clf := range e.clfs {
 		if err := scoreMember(scratch[k], clf, m); err != nil {

@@ -17,8 +17,9 @@ import (
 
 // sameVerdict compares everything observable about two verdicts except
 // latency (which is wall-clock). Scores must be bitwise equal: the cache
-// stores decoded fragments, so a cached read feeds the model the exact
-// float bits an uncached read would.
+// stores the fragments a store read yields (the embedding as the store's
+// own bytes), so a cached read feeds the model the exact float bits an
+// uncached read would.
 func sameVerdict(t *testing.T, ctxLabel string, a, b Verdict) {
 	t.Helper()
 	if a.TxnID != b.TxnID || a.Score != b.Score || a.Fraud != b.Fraud || a.Version != b.Version {

@@ -658,10 +658,10 @@ func TestShadowSwapDiscardsQueuedJobs(t *testing.T) {
 	}
 }
 
-// TestDecideAllocBudget: one warm single Decide on a GBDT bundle allocates
-// a small constant, none of it in the score stage — the compiled predictor
-// walks the assembled row as it is. Three more per call would be a binned
-// copy of the row creeping back.
+// TestDecideAllocBudget: a warm single Decide allocates nothing on a v1
+// GBDT bundle and only the verdict's Members slice on an ensemble bundle —
+// the score scratch, its scoredBatch view and the one-row matrix are
+// pooled, and the compiled predictor walks the assembled row as it is.
 func TestDecideAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pooled scratch is not reused reliably under the race detector")
@@ -675,25 +675,35 @@ func TestDecideAllocBudget(t *testing.T) {
 		}
 	}
 	city := feature.CityTable{Fraud: []float64{0.01}, Share: []float64{1}}
-	b, err := NewBundle("gbdt-1", trainedDetectors(t)["gbdt"], 0.5, city, 0)
+	clf := trainedDetectors(t)["gbdt"]
+	single, err := NewBundle("gbdt-1", clf, 0.5, city, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(tab, b, WithPolicy(decidePolicy(t)), WithWorkers(1), WithUserCache(64))
+	ensemble, err := NewEnsembleBundle("gbdt-ens-1", []EnsembleMember{{Name: "gbdt", Clf: clf, Threshold: 0.5}},
+		CombineMean, 0.5, city, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 	ctx := context.Background()
 	tx := txn.Transaction{ID: 1, From: 1, To: 2, Amount: 1500}
-	decide := func() {
-		if _, err := srv.Decide(ctx, &tx, decision.ScenarioDefault); err != nil {
+	for _, tc := range []struct {
+		bundle *Bundle
+		budget float64
+	}{{single, 0}, {ensemble, 1}} {
+		srv, err := New(tab, tc.bundle, WithPolicy(decidePolicy(t)), WithWorkers(1), WithUserCache(64))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	decide()         // fill the cache, compile the model
-	const budget = 2 // runOne's combined-score cell and the scoredBatch it hands to visit
-	if got := testing.AllocsPerRun(100, decide); got > budget {
-		t.Errorf("warm Decide: %.0f allocs, budget %d", got, budget)
+		t.Cleanup(srv.Close)
+		decide := func() {
+			if _, err := srv.Decide(ctx, &tx, decision.ScenarioDefault); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decide() // fill the cache, compile the model
+		if got := testing.AllocsPerRun(100, decide); got > tc.budget {
+			t.Errorf("%s: warm Decide: %.0f allocs, budget %.0f", tc.bundle.Version, got, tc.budget)
+		}
 	}
 }

@@ -61,11 +61,10 @@ func zipfIDs(n, users int, seed uint64) []txn.UserID {
 // resolves through MemStore index, bloom filters and segment row index.
 func BenchmarkFetchUserCold(b *testing.B) {
 	tab := benchStore(b, 10000)
-	var parts userParts
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		found, err := fetchUserInto(tab, txn.UserID(i%10000), &parts)
+		_, found, err := fetchUser(tab, txn.UserID(i%10000))
 		if err != nil || !found {
 			b.Fatal(err)
 		}
@@ -79,11 +78,7 @@ func BenchmarkFetchUserWarm(b *testing.B) {
 	tab := benchStore(b, 10000)
 	cache := benchCache(1 << 14)
 	load := func(u txn.UserID) func() (userParts, bool, error) {
-		return func() (userParts, bool, error) {
-			var p userParts
-			ok, err := fetchUserInto(tab, u, &p)
-			return p, ok, err
-		}
+		return func() (userParts, bool, error) { return fetchUser(tab, u) }
 	}
 	if _, ok, err := cache.GetOrLoad(42, load(42)); err != nil || !ok {
 		b.Fatal(err)
@@ -106,11 +101,7 @@ func BenchmarkFetchUserZipf(b *testing.B) {
 	cache := benchCache(1 << 12) // ~40% of the keyspace: evictions happen
 	ids := zipfIDs(1<<16, 10000, 11)
 	fetch := func(u txn.UserID) {
-		p, ok, err := cache.GetOrLoad(u, func() (userParts, bool, error) {
-			var p userParts
-			ok, err := fetchUserInto(tab, u, &p)
-			return p, ok, err
-		})
+		p, ok, err := cache.GetOrLoad(u, func() (userParts, bool, error) { return fetchUser(tab, u) })
 		if err != nil || !ok || p.user.ID != u {
 			b.Fatal("bad fetch")
 		}
@@ -136,11 +127,10 @@ func BenchmarkFetchUserZipf(b *testing.B) {
 func BenchmarkFetchUserMiss(b *testing.B) {
 	b.Run("store", func(b *testing.B) {
 		tab := benchStore(b, 1000)
-		var parts userParts
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			found, err := fetchUserInto(tab, 999999, &parts)
+			_, found, err := fetchUser(tab, 999999)
 			if err != nil || found {
 				b.Fatal("unexpected")
 			}
@@ -149,11 +139,7 @@ func BenchmarkFetchUserMiss(b *testing.B) {
 	b.Run("negcached", func(b *testing.B) {
 		tab := benchStore(b, 1000)
 		cache := benchCache(1 << 10)
-		load := func() (userParts, bool, error) {
-			var p userParts
-			ok, err := fetchUserInto(tab, 999999, &p)
-			return p, ok, err
-		}
+		load := func() (userParts, bool, error) { return fetchUser(tab, 999999) }
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

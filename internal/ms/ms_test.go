@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -139,7 +140,7 @@ func TestUploadFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !found || parts.user.Age != 40 || parts.stats.OutCount != 12 || len(parts.emb) != 4 {
+	if !found || parts.user.Age != 40 || !slices.Equal(decodeVec(parts.emb), emb) {
 		t.Fatalf("found=%v parts = %+v", found, parts)
 	}
 	// Unknown user: zero fragments, found=false, no error.
@@ -164,7 +165,7 @@ func TestVersionedUploadNewestWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parts.user.Age != 31 || parts.stats.OutCount != 2 {
+	if parts.user.Age != 31 {
 		t.Fatalf("stale version served: %+v", parts)
 	}
 }

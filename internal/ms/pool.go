@@ -4,67 +4,108 @@ import (
 	"sync"
 
 	"titant/internal/feature"
+	"titant/internal/txn"
 )
 
-// Pooled scratch for the batch-native scoring path: the per-batch feature
-// matrix, the combined-score slice and the per-member score slices are
-// recycled across requests. (Members that discretise still allocate their
-// own per-batch Binned buffer inside ScoreBatch; the engine-level scratch
-// here is what stays allocation-free.)
+// Pooled scratch for the scoring paths: the feature matrix, the fetch
+// stage's per-batch state and the score stage's output buffers are
+// recycled across requests, so a warm pass allocates only what it returns.
+// Every pool holds pointers, so a put boxes nothing.
 
 var matrixPool = sync.Pool{New: func() any { return &feature.Matrix{} }}
 
-// getMatrix returns a zeroed rows×cols matrix from the pool. Zeroing is
-// required, not cosmetic: absent embeddings rely on zero-filled slots.
+// getMatrix returns a rows×cols matrix from the pool with unspecified
+// contents: assembleRow writes every slot of every row (copyEmb zero-fills
+// an absent embedding) before a scorer reads it.
 func getMatrix(rows, cols int) *feature.Matrix {
 	m := matrixPool.Get().(*feature.Matrix)
-	need := rows * cols
-	if cap(m.Data) < need {
-		m.Data = make([]float64, need)
-	} else {
-		m.Data = m.Data[:need]
-		clear(m.Data)
-	}
+	m.Data = grow(m.Data, rows*cols)
 	m.Rows, m.Cols = rows, cols
 	return m
 }
 
 func putMatrix(m *feature.Matrix) { matrixPool.Put(m) }
 
-var scoresPool = sync.Pool{New: func() any { return &[][]float64{} }}
-
-// getMemberScores returns members slices of rows float64 each, reusing
-// pooled backing storage. Contents are unspecified; every slot is written
-// by the member's batch scorer before it is read.
-func getMemberScores(members, rows int) [][]float64 {
-	s := *scoresPool.Get().(*[][]float64)
-	if cap(s) < members {
-		s = make([][]float64, members)
-	} else {
-		s = s[:members]
+// grow returns s resized to n elements, reallocating only when its
+// capacity is short. Kept elements keep their contents.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	for k := range s {
-		if cap(s[k]) < rows {
-			s[k] = make([]float64, rows)
-		} else {
-			s[k] = s[k][:rows]
+	return s[:n]
+}
+
+// fetchScratch is one batch's fetch-stage state: the deduplicated user
+// set, every user's fragments, and the store read's bookkeeping. ids,
+// parts and found are index-aligned; index maps a user to that position.
+type fetchScratch struct {
+	index  map[txn.UserID]int32
+	ids    []txn.UserID
+	parts  []userParts
+	found  []bool
+	misses []miss   // users the cache could not answer
+	keys   []byte   // the misses' row keys, back to back
+	rows   []string // rows[k]: misses[k]'s key, a substring of one string(keys)
+}
+
+var fetchPool = sync.Pool{New: func() any {
+	return &fetchScratch{index: make(map[txn.UserID]int32)}
+}}
+
+// add appends u to the batch's user set unless it is already there.
+func (fs *fetchScratch) add(u txn.UserID) {
+	if _, ok := fs.index[u]; !ok {
+		fs.index[u] = int32(len(fs.ids))
+		fs.ids = append(fs.ids, u)
+	}
+}
+
+// partsOf returns u's fragments; u must have been added.
+func (fs *fetchScratch) partsOf(u txn.UserID) *userParts { return &fs.parts[fs.index[u]] }
+
+// putFetchScratch returns fs to the pool holding nothing of the batch:
+// parts alias store values and rows alias the batch's key string, and a
+// pooled scratch must pin neither.
+func putFetchScratch(fs *fetchScratch) {
+	clear(fs.index)
+	clear(fs.parts)
+	clear(fs.rows)
+	fs.ids = fs.ids[:0]
+	fetchPool.Put(fs)
+}
+
+// scoreScratch is one scoring pass's output: the combined score per row,
+// the per-member scores, and the scoredBatch view of them handed to the
+// pass's visit callback — pooled together, so neither the single-row nor
+// the batch core allocates to hand its scores over.
+type scoreScratch struct {
+	sb       scoredBatch
+	combined []float64
+	members  [][]float64 // [member][row]
+}
+
+var scorePool = sync.Pool{New: func() any { return &scoreScratch{} }}
+
+// getScoreScratch returns scratch for a pass over rows rows with members
+// per-member score slices (0: sb.memberScores stays nil, as a v1
+// single-model bundle's verdicts want it). Score contents are unspecified;
+// every slot is written by a member's scorer or the combiner before it is
+// read.
+func getScoreScratch(members, rows int) *scoreScratch {
+	sc := scorePool.Get().(*scoreScratch)
+	sc.combined = grow(sc.combined, rows)
+	sc.sb = scoredBatch{combined: sc.combined}
+	if members > 0 {
+		sc.members = grow(sc.members, members)
+		for k := range sc.members {
+			sc.members[k] = grow(sc.members[k], rows)
 		}
+		sc.sb.memberScores = sc.members
 	}
-	return s
+	return sc
 }
 
-func putMemberScores(s [][]float64) { scoresPool.Put(&s) }
-
-var vecPool = sync.Pool{New: func() any { return &[]float64{} }}
-
-// getVec returns an n-slot float64 slice with unspecified contents; every
-// slot is written by the combiner before it is read.
-func getVec(n int) []float64 {
-	v := *vecPool.Get().(*[]float64)
-	if cap(v) < n {
-		v = make([]float64, n)
-	}
-	return v[:n]
+func putScoreScratch(sc *scoreScratch) {
+	sc.sb = scoredBatch{} // a pooled scratch must not pin a swapped-out bundle
+	scorePool.Put(sc)
 }
-
-func putVec(v []float64) { vecPool.Put(&v) }

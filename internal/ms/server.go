@@ -14,8 +14,10 @@ package ms
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -38,9 +40,10 @@ import (
 // keeps the transaction must copy it.
 type Alert func(t *txn.Transaction, score float64)
 
-// userCache is the engine's read-through cache instantiation: decoded
-// user fragments keyed by user ID, so a hit skips the store and every
-// codec entirely.
+// userCache is the engine's read-through cache instantiation: user
+// fragments keyed by user ID — the decoded profile and the embedding's
+// store bytes — so a hit skips the store, decodes nothing and copies
+// nothing but the entry itself.
 type userCache = usercache.Cache[txn.UserID, userParts]
 
 // userHash mixes a user ID onto cache shards.
@@ -466,13 +469,9 @@ func (s *Server) runOne(ctx context.Context, t *txn.Transaction, spans *telemetr
 	}
 	scoreStart := time.Now()
 	spans[telemetry.StageAssemble] = scoreStart.Sub(asmStart)
-	var combined [1]float64
-	var memberScores [][]float64
-	if !ens.single {
-		memberScores = getMemberScores(len(ens.clfs), 1)
-		defer putMemberScores(memberScores)
-	}
-	if err := ens.score(combined[:], memberScores, m); err != nil {
+	sc := getScoreScratch(ens.breakdown(), 1)
+	defer putScoreScratch(sc)
+	if err := ens.score(sc.combined, sc.sb.memberScores, m); err != nil {
 		return err
 	}
 	// Re-check after all the work so a deadline that expired mid-fetch or
@@ -480,13 +479,11 @@ func (s *Server) runOne(ctx context.Context, t *txn.Transaction, spans *telemetr
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.recordScores(mon, combined[:], memberScores)
+	s.recordScores(mon, sc.combined, sc.sb.memberScores)
 	spans[telemetry.StageScore] = time.Since(scoreStart)
-	return visit(&scoredBatch{
-		bundle: bundle, ens: ens,
-		combined: combined[:], memberScores: memberScores,
-		perItem: time.Since(start), shadowEpoch: epoch,
-	})
+	sc.sb.bundle, sc.sb.ens, sc.sb.shadowEpoch = bundle, ens, epoch
+	sc.sb.perItem = time.Since(start)
+	return visit(&sc.sb)
 }
 
 // Score runs the full online path for one transaction: fetch both users'
@@ -588,27 +585,19 @@ func (s *Server) runBatch(ctx context.Context, txns []txn.Transaction, spans *te
 	// hits resolved by a cache probe, misses chunked into multi-get rounds
 	// that amortise one store lock acquisition over a whole chunk.
 	fetchStart := time.Now()
-	index := make(map[txn.UserID]int, 2*len(txns))
-	ids := make([]txn.UserID, 0, 2*len(txns))
-	add := func(u txn.UserID) {
-		if _, ok := index[u]; !ok {
-			index[u] = len(ids)
-			ids = append(ids, u)
-		}
-	}
+	fs := fetchPool.Get().(*fetchScratch)
+	defer putFetchScratch(fs)
 	for i := range txns {
-		add(txns[i].From)
-		add(txns[i].To)
+		fs.add(txns[i].From)
+		fs.add(txns[i].To)
 	}
-	parts := make([]userParts, len(ids))
-	found := make([]bool, len(ids))
-	if err := s.fetchUsers(ctx, ids, parts, found); err != nil {
+	if err := s.fetchUsers(ctx, fs); err != nil {
 		return err
 	}
 	if s.strict {
-		for i, ok := range found {
+		for i, ok := range fs.found {
 			if !ok {
-				return fmt.Errorf("%w: user %d", ErrUserNotFound, ids[i])
+				return fmt.Errorf("%w: user %d", ErrUserNotFound, fs.ids[i])
 			}
 		}
 	}
@@ -620,7 +609,7 @@ func (s *Server) runBatch(ctx context.Context, txns []txn.Transaction, spans *te
 	defer putMatrix(m)
 	if err := s.runPool(ctx, len(txns), func(i int) error {
 		t := &txns[i]
-		if err := assembleRow(t, &parts[index[t.From]], &parts[index[t.To]], bundle, city, m.Row(i)); err != nil {
+		if err := assembleRow(t, fs.partsOf(t.From), fs.partsOf(t.To), bundle, city, m.Row(i)); err != nil {
 			return fmt.Errorf("ms: txn %d: %w", t.ID, err)
 		}
 		return nil
@@ -632,26 +621,19 @@ func (s *Server) runBatch(ctx context.Context, txns []txn.Transaction, spans *te
 	spans[telemetry.StageAssemble] = scoreStart.Sub(asmStart)
 
 	// Phase 3: one vectorised ensemble pass over the whole matrix.
-	combined := getVec(len(txns))
-	defer putVec(combined)
-	var memberScores [][]float64
-	if !ens.single {
-		memberScores = getMemberScores(len(ens.clfs), len(txns))
-		defer putMemberScores(memberScores)
-	}
-	if err := ens.score(combined, memberScores, m); err != nil {
+	sc := getScoreScratch(ens.breakdown(), len(txns))
+	defer putScoreScratch(sc)
+	if err := ens.score(sc.combined, sc.sb.memberScores, m); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.recordScores(mon, combined, memberScores)
+	s.recordScores(mon, sc.combined, sc.sb.memberScores)
 	spans[telemetry.StageScore] = time.Since(scoreStart)
-	return visit(&scoredBatch{
-		bundle: bundle, ens: ens,
-		combined: combined, memberScores: memberScores,
-		perItem: time.Since(fetchStart) / time.Duration(len(txns)), shadowEpoch: epoch,
-	})
+	sc.sb.bundle, sc.sb.ens, sc.sb.shadowEpoch = bundle, ens, epoch
+	sc.sb.perItem = time.Since(fetchStart) / time.Duration(len(txns))
+	return visit(&sc.sb)
 }
 
 // traceObserve folds one request's spans into the endpoint's stage
@@ -733,43 +715,45 @@ func (sb *scoredBatch) verdict(t *txn.Transaction, i int, members []MemberScore)
 	return v
 }
 
-// copyEmb widens a stored float32 embedding into the feature vector. An
-// absent embedding (cold-start user) leaves the zero vector; any other
-// length disagreement is data corruption and refuses to score.
-func copyEmb(dst []float64, src []float32, u txn.UserID) error {
-	if len(src) == 0 {
+// copyEmb decodes a stored embedding — little-endian float32s, the
+// store's own bytes — into the feature vector, widening each as it is
+// written. An absent embedding (cold-start user) is the zero vector; any
+// other length disagreement is data corruption and refuses to score.
+func copyEmb(dst []float64, src []byte, u txn.UserID) error {
+	n := len(src) / 4
+	if n == 0 {
+		clear(dst)
 		return nil
 	}
-	if len(src) != len(dst) {
+	if n != len(dst) {
 		return fmt.Errorf("%w: user %d has %d dims, model wants %d",
-			ErrDimensionMismatch, u, len(src), len(dst))
+			ErrDimensionMismatch, u, n, len(dst))
 	}
-	for i, v := range src {
-		dst[i] = float64(v)
+	for i := range dst {
+		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
 	}
 	return nil
 }
 
 // fetchOne reads one user's fragments, applying the strict-users policy.
-// With a cache the read goes through GetOrLoad: hits return the decoded
+// With a cache the read goes through GetOrLoad: hits return the cached
 // fragments with no store access, concurrent misses for the same user
 // collapse to a single store read, and unknown users are remembered as
 // negative entries so cold-start traffic stops costing point reads. A
 // store read goes to the user's owner table.
 func (s *Server) fetchOne(u txn.UserID) (userParts, error) {
+	load := func() (userParts, bool, error) {
+		return fetchUser(s.tables[ShardOf(u, len(s.tables))], u)
+	}
 	var (
 		parts userParts
 		found bool
 		err   error
 	)
 	if s.cache != nil {
-		parts, found, err = s.cache.GetOrLoad(u, func() (userParts, bool, error) {
-			var p userParts
-			ok, lerr := fetchUserInto(s.tables[ShardOf(u, len(s.tables))], u, &p)
-			return p, ok, lerr
-		})
+		parts, found, err = s.cache.GetOrLoad(u, load)
 	} else {
-		found, err = fetchUserInto(s.tables[ShardOf(u, len(s.tables))], u, &parts)
+		parts, found, err = load()
 	}
 	if err != nil {
 		return parts, fmt.Errorf("ms: fetch user %d: %w", u, err)
@@ -800,33 +784,27 @@ func (s *Server) fetchPair(from, to txn.UserID) (userParts, userParts, error) {
 const fetchChunk = 256
 
 // miss is one user of a batch the cache could not answer: its position in
-// the batch's id list, its owner table, and the cache generation captured
-// before the store read (see usercache.Cache.Add).
+// the batch's id list, its owner table, where its row key ends in the
+// batch's key arena, and the cache generation captured before the store
+// read (see usercache.Cache.Add).
 type miss struct {
-	gen uint64
-	idx int32
-	tab int32
+	gen    uint64
+	idx    int32
+	tab    int32
+	keyEnd int32
 }
 
-// fetchUsers resolves a deduped user set into parts/found (both indexed
-// like ids). Cached entries are peeked first; the misses group by owner
-// table and batch into chunked multi-get rounds fanned out over the
-// worker pool, and — with a cache — the loaded entries are inserted for
-// subsequent batches, each guarded by its shard generation captured
-// before the store read so a concurrent upload's invalidation wins over
-// the stale read.
-func (s *Server) fetchUsers(ctx context.Context, ids []txn.UserID, parts []userParts, found []bool) error {
+// fetchUsers resolves fs's deduped user set into fs.parts/fs.found. Cached
+// entries are peeked first; the misses group by owner table and batch into
+// chunked multi-get rounds fanned out over the worker pool, and — with a
+// cache — the loaded entries are inserted for subsequent batches, each
+// guarded by its shard generation captured before the store read so a
+// concurrent upload's invalidation wins over the stale read.
+func (s *Server) fetchUsers(ctx context.Context, fs *fetchScratch) error {
 	n := len(s.tables)
-	if s.cache == nil && n == 1 {
-		// Every id misses to the one table: read straight into the
-		// caller's slices.
-		rows := make([]string, len(ids))
-		for i, u := range ids {
-			rows[i] = RowKey(u)
-		}
-		return s.multiGet(ctx, ids, rows, parts, found)
-	}
-	misses := make([]miss, 0, len(ids))
+	ids := fs.ids
+	fs.parts, fs.found = grow(fs.parts, len(ids)), grow(fs.found, len(ids))
+	misses := fs.misses[:0]
 	for i, u := range ids {
 		var gen uint64
 		if s.cache != nil {
@@ -834,14 +812,15 @@ func (s *Server) fetchUsers(ctx context.Context, ids []txn.UserID, parts []userP
 			// generation guarding the upcoming store read.
 			v, ok, present, g := s.cache.PeekGen(u)
 			if present {
-				parts[i] = v
-				found[i] = ok
+				fs.parts[i], fs.found[i] = v, ok
 				continue
 			}
 			gen = g
 		}
+		fs.parts[i], fs.found[i] = userParts{user: txn.User{ID: u}}, false
 		misses = append(misses, miss{gen: gen, idx: int32(i), tab: int32(ShardOf(u, n))})
 	}
+	fs.misses = misses
 	if len(misses) == 0 {
 		return nil
 	}
@@ -850,43 +829,46 @@ func (s *Server) fetchUsers(ctx context.Context, ids []txn.UserID, parts []userP
 		// stable, so each table reads its users in batch order.
 		slices.SortStableFunc(misses, func(a, b miss) int { return int(a.tab - b.tab) })
 	}
-	missIDs := make([]txn.UserID, len(misses))
-	rows := make([]string, len(misses))
-	missParts := make([]userParts, len(misses))
-	missFound := make([]bool, len(misses))
-	for k, m := range misses {
-		missIDs[k] = ids[m.idx]
-		rows[k] = RowKey(ids[m.idx])
+	// One key string per batch: every miss's row key is a substring of it.
+	keys := fs.keys[:0]
+	for k := range misses {
+		keys = appendRowKey(keys, ids[misses[k].idx])
+		misses[k].keyEnd = int32(len(keys))
 	}
-	if err := s.multiGet(ctx, missIDs, rows, missParts, missFound); err != nil {
+	fs.keys = keys
+	arena, start := string(keys), int32(0)
+	fs.rows = fs.rows[:0]
+	for _, m := range misses {
+		fs.rows = append(fs.rows, arena[start:m.keyEnd])
+		start = m.keyEnd
+	}
+	if err := s.multiGet(ctx, fs); err != nil {
 		return err
 	}
-	for k, m := range misses {
-		parts[m.idx] = missParts[k]
-		found[m.idx] = missFound[k]
-		if s.cache != nil {
-			s.cache.Add(missIDs[k], m.gen, missParts[k], missFound[k])
+	if s.cache != nil {
+		for _, m := range misses {
+			s.cache.Add(ids[m.idx], m.gen, fs.parts[m.idx], fs.found[m.idx])
 		}
 	}
 	return nil
 }
 
-// multiGet reads ids — grouped by owner table, rows[i] = RowKey(ids[i]) —
+// multiGet reads fs.misses — grouped by owner table, fs.rows their keys —
 // in fetchChunk-sized rounds over the worker pool. A round that spans a
 // table boundary splits there, so every store call names one table.
-func (s *Server) multiGet(ctx context.Context, ids []txn.UserID, rows []string, parts []userParts, found []bool) error {
-	n := len(s.tables)
-	chunks := (len(ids) + fetchChunk - 1) / fetchChunk
+func (s *Server) multiGet(ctx context.Context, fs *fetchScratch) error {
+	misses := fs.misses
+	chunks := (len(misses) + fetchChunk - 1) / fetchChunk
 	return s.runPool(ctx, chunks, func(ci int) error {
 		lo := ci * fetchChunk
-		hi := min(lo+fetchChunk, len(ids))
+		hi := min(lo+fetchChunk, len(misses))
 		for lo < hi {
-			tab := ShardOf(ids[lo], n)
+			tab := misses[lo].tab
 			end := lo + 1
-			for end < hi && ShardOf(ids[end], n) == tab {
+			for end < hi && misses[end].tab == tab {
 				end++
 			}
-			if err := fetchUsersInto(s.tables[tab], ids[lo:end], rows[lo:end], parts[lo:end], found[lo:end]); err != nil {
+			if err := fs.readRows(s.tables[tab], lo, end); err != nil {
 				return err
 			}
 			lo = end

@@ -26,7 +26,15 @@ const (
 )
 
 // RowKey returns the HBase row key of a user.
-func RowKey(u txn.UserID) string { return "u:" + strconv.FormatInt(int64(u), 10) }
+func RowKey(u txn.UserID) string {
+	var buf [16]byte
+	return string(appendRowKey(buf[:0], u))
+}
+
+// appendRowKey appends RowKey(u) to dst.
+func appendRowKey(dst []byte, u txn.UserID) []byte {
+	return strconv.AppendInt(append(dst, 'u', ':'), int64(u), 10)
+}
 
 // encodeProfile packs a user profile into a fixed 24-byte value.
 func encodeProfile(u *txn.User) []byte {
@@ -100,24 +108,11 @@ func encodeVec(v []float32) []byte {
 }
 
 func decodeVec(b []byte) []float32 {
-	return decodeVecInto(nil, b)
-}
-
-// decodeVecInto decodes an embedding into dst's backing array, allocating
-// only when its capacity is insufficient — the hot fetch path hands the
-// same buffer back on every call, so steady-state decoding is
-// allocation-free.
-func decodeVecInto(dst []float32, b []byte) []float32 {
-	n := len(b) / 4
-	if cap(dst) < n {
-		dst = make([]float32, n)
-	} else {
-		dst = dst[:n]
+	v := make([]float32, len(b)/4)
+	for i := range v {
+		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
 	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return dst
+	return v
 }
 
 // Uploader writes users' serving fragments into HBase; the offline
@@ -156,110 +151,68 @@ func (up *Uploader) PutUser(u *txn.User, stats feature.UserStats, emb []float32)
 	return nil
 }
 
-// userParts is what the Model Server fetches per endpoint.
+// userParts is what the Model Server fetches per endpoint: the decoded
+// profile, and the embedding as the store wrote it — emb is the cell's own
+// little-endian float32 bytes (hbase.Cell.Value is immutable and
+// retainable), widened to float64 only as copyEmb writes the feature row.
+// A cached entry therefore pins exactly the bytes the store already holds.
 type userParts struct {
-	user  txn.User
-	stats feature.UserStats
-	emb   []float32
+	user txn.User
+	emb  []byte
 }
 
-// fetchUser reads one user's row. Missing rows yield zero fragments with
-// found=false; the engine's strict-users policy decides whether that is
-// an error (the default serves cold-start users with empty history).
+// take records one of a user's store cells: the profile decodes, the
+// embedding is kept as the cell's bytes. Other cells (the aggregate
+// fragment the offline pipeline uploads beside them) are not read online.
+func (p *userParts) take(c *hbase.Cell) error {
+	switch {
+	case c.Family == FamilyBasic && c.Qualifier == QualProfile:
+		u, err := decodeProfile(c.Value)
+		if err != nil {
+			return err
+		}
+		p.user = u
+	case c.Family == FamilyEmb && c.Qualifier == QualVector:
+		p.emb = c.Value
+	}
+	return nil
+}
+
+// fetchUser reads one user's row through the store's point-read visitor.
+// A missing row yields zero fragments with found=false; the engine's
+// strict-users policy decides whether that is an error (the default serves
+// cold-start users with empty history).
 func fetchUser(tab *hbase.Table, u txn.UserID) (userParts, bool, error) {
-	var out userParts
-	found, err := fetchUserInto(tab, u, &out)
+	out := userParts{user: txn.User{ID: u}}
+	var derr error
+	found, err := tab.VisitRow(RowKey(u), func(c *hbase.Cell) bool {
+		derr = out.take(c)
+		return derr == nil
+	})
+	if err == nil {
+		err = derr
+	}
 	return out, found, err
 }
 
-// fetchUserInto reads one user's row through the store's zero-copy
-// point-read visitor, decoding each fragment straight into *out. The
-// embedding decodes into out's existing buffer when capacity allows, so a
-// caller that recycles its userParts pays no steady-state allocation.
-// out is fully overwritten (absent fragments come back zero).
-func fetchUserInto(tab *hbase.Table, u txn.UserID, out *userParts) (bool, error) {
-	emb := out.emb[:0]
-	*out = userParts{}
-	out.user.ID = u
-	// Keep the recycled buffer attached even if this row carries no
-	// embedding cell, so the next fetch that does still reuses it.
-	out.emb = emb
+// readRows is the batched store read under ScoreBatch: one multi-get lock
+// round over the misses [lo, hi), all owned by tab. The visitor writes each
+// cell straight into its user's slot of parts and found, which fetchUsers
+// has reset.
+func (fs *fetchScratch) readRows(tab *hbase.Table, lo, hi int) error {
+	misses := fs.misses[lo:hi]
 	var derr error
-	found, err := tab.VisitRow(RowKey(u), func(c *hbase.Cell) bool {
-		switch {
-		case c.Family == FamilyBasic && c.Qualifier == QualProfile:
-			p, e := decodeProfile(c.Value)
-			if e != nil {
-				derr = e
-				return false
-			}
-			out.user = p
-		case c.Family == FamilyBasic && c.Qualifier == QualStats:
-			s, e := decodeStats(c.Value)
-			if e != nil {
-				derr = e
-				return false
-			}
-			out.stats = s
-		case c.Family == FamilyEmb && c.Qualifier == QualVector:
-			// Copy out of the cell: the value aliases store memory that a
-			// later flush/compaction round may retire.
-			emb = decodeVecInto(emb, c.Value)
-			out.emb = emb
-		}
-		return true
-	})
-	if err != nil {
-		return false, err
-	}
-	if derr != nil {
-		return true, derr
-	}
-	return found, nil
-}
-
-// fetchUsersInto is the batched fetch under ScoreBatch: one multi-get
-// lock round resolves every id in the chunk, with per-row decoding as the
-// visitor streams cells. parts[i] and found[i] correspond to ids[i];
-// rows[i] must be RowKey(ids[i]) (the caller builds the key slice once
-// per batch so retries and cache fills reuse it).
-func fetchUsersInto(tab *hbase.Table, ids []txn.UserID, rows []string, parts []userParts, found []bool) error {
-	for i := range parts {
-		emb := parts[i].emb[:0]
-		parts[i] = userParts{}
-		parts[i].user.ID = ids[i]
-		parts[i].emb = emb
-		found[i] = false
-	}
-	var derr error
-	err := tab.VisitRows(rows, func(i int, c *hbase.Cell) bool {
-		out := &parts[i]
-		found[i] = true
-		switch {
-		case c.Family == FamilyBasic && c.Qualifier == QualProfile:
-			p, e := decodeProfile(c.Value)
-			if e != nil {
-				derr = fmt.Errorf("ms: fetch user %d: %w", ids[i], e)
-				return false
-			}
-			out.user = p
-		case c.Family == FamilyBasic && c.Qualifier == QualStats:
-			s, e := decodeStats(c.Value)
-			if e != nil {
-				derr = fmt.Errorf("ms: fetch user %d: %w", ids[i], e)
-				return false
-			}
-			out.stats = s
-		case c.Family == FamilyEmb && c.Qualifier == QualVector:
-			out.emb = decodeVecInto(out.emb[:0], c.Value)
+	err := tab.VisitRows(fs.rows[lo:hi], func(k int, c *hbase.Cell) bool {
+		i := misses[k].idx
+		fs.found[i] = true
+		if e := fs.parts[i].take(c); e != nil {
+			derr = fmt.Errorf("ms: fetch user %d: %w", fs.ids[i], e)
+			return false
 		}
 		return true
 	})
 	if err != nil {
 		return err
 	}
-	if derr != nil {
-		return derr
-	}
-	return nil
+	return derr
 }

@@ -5,8 +5,10 @@
 // load can never re-insert fragments an upload has already superseded.
 //
 // The cache is generic over key and value so it carries the serving
-// layer's decoded user fragments (not raw bytes): a hit returns a value
-// that is ready to score, with zero decoding and zero allocation.
+// layer's own user fragments — the decoded profile, and the embedding as
+// the store's immutable bytes, which the entry aliases rather than copies:
+// a hit returns a value that is ready to score, with zero decoding, zero
+// copying of store data and zero allocation.
 package usercache
 
 import "sync"
