@@ -20,7 +20,7 @@ bench-build:
 	cd bench && go vet ./...
 
 race:
-	go test -race ./internal/feature/stream/ ./internal/ms/... ./internal/router/ ./internal/faultinject/ ./internal/hbase/ ./internal/decision/ ./internal/eventlog/ ./internal/logio/ ./internal/loadgen/ ./internal/synth/ ./internal/telemetry/
+	go test -race ./internal/feature/stream/ ./internal/ms/... ./internal/router/ ./internal/link/ ./internal/faultinject/ ./internal/hbase/ ./internal/decision/ ./internal/eventlog/ ./internal/logio/ ./internal/loadgen/ ./internal/synth/ ./internal/telemetry/
 
 # bench-serving runs the hot serving read-path benchmarks (user fetch,
 # multi-get, point read, cached and uncached batch scoring, plus the

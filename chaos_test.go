@@ -15,6 +15,7 @@ import (
 
 	"titant"
 	"titant/internal/faultinject"
+	"titant/internal/link"
 	"titant/internal/loadgen"
 	"titant/internal/ms"
 	"titant/internal/router"
@@ -135,7 +136,11 @@ func TestChaosWireTierShardOutage(t *testing.T) {
 		StartMs: outageAt.Milliseconds(),
 		EndMs:   revureAt.Milliseconds(),
 	}}}
-	chaos := faultinject.NewTransport(wire, scenario, faultinject.ShardByHost(urls))
+	// The faults are injected above the shard link: the outage is played
+	// over the production path.
+	lk := link.New(wire)
+	defer lk.Close()
+	chaos := faultinject.NewTransport(lk, scenario, faultinject.ShardByHost(urls))
 	rt, err := router.New(urls,
 		router.WithTransport(chaos),
 		router.WithTimeout(80*time.Millisecond),

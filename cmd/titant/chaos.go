@@ -14,6 +14,7 @@ import (
 
 	"titant"
 	"titant/internal/faultinject"
+	"titant/internal/link"
 	"titant/internal/loadgen"
 	"titant/internal/router"
 	"titant/internal/txn"
@@ -231,7 +232,11 @@ func buildChaosFleet(cfg *loadgen.Config, scenarioPath string, shards, users int
 	// than the requests.
 	wire := &http.Transport{MaxIdleConns: 512, MaxIdleConnsPerHost: 128}
 	c.closers = append(c.closers, wire.CloseIdleConnections)
-	c.tr = faultinject.NewTransport(wire, sc, faultinject.ShardByHost(urls))
+	// The faults sit above the shard link, as they sat above the HTTP
+	// transport: the production path is what they break.
+	lk := link.New(wire)
+	c.closers = append(c.closers, lk.Close)
+	c.tr = faultinject.NewTransport(lk, sc, faultinject.ShardByHost(urls))
 	rt, err := router.New(urls,
 		router.WithTransport(c.tr),
 		router.WithTimeout(250*time.Millisecond),

@@ -84,6 +84,7 @@ func cmdMetricsSmoke(args []string) {
 	if err != nil {
 		log.Fatalf("metrics-smoke: %v", err)
 	}
+	closers = append(closers, rt.Close)
 	routerURL, closeRt, err := serveLoopback(rt.Handler())
 	if err != nil {
 		log.Fatalf("metrics-smoke: %v", err)
@@ -239,6 +240,7 @@ var requiredRouterFamilies = []string{
 	"titant_decisions_total",
 	"titant_decision_rule_overrides_total",
 	"titant_engine_shards",
+	"titant_link_conns",
 	"titant_router_singles_total",
 	"titant_router_batches_total",
 	"titant_router_fanouts_total",
@@ -254,6 +256,9 @@ var requiredRouterFamilies = []string{
 	"titant_router_breaker_state",
 	"titant_router_breaker_opens_total",
 	"titant_router_shard_latency_seconds",
+	"titant_router_link_calls_total",
+	"titant_router_link_redials_total",
+	"titant_router_shard_transport",
 	"titant_router_scrape_unreachable",
 }
 

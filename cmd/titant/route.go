@@ -75,6 +75,7 @@ func cmdRoute(args []string) {
 	if err != nil {
 		log.Fatalf("route: %v", err)
 	}
+	defer rt.Close()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	log.Printf("router listening on %s over %d shard(s): %s", *addr, rt.Shards(), strings.Join(ring, ", "))

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // FrameOverhead is the per-record framing cost in bytes.
@@ -43,6 +44,51 @@ var ErrStop = errors.New("logio: stop scan")
 
 // ErrTooLarge marks a frame whose declared length exceeds MaxPayload.
 var ErrTooLarge = errors.New("logio: frame exceeds MaxPayload")
+
+// ErrCorrupt marks a frame whose payload does not match its CRC.
+var ErrCorrupt = errors.New("logio: frame CRC mismatch")
+
+// Seal fills in the header of a frame built in place: FrameOverhead
+// reserved bytes, then the payload.
+func Seal(frame []byte) error {
+	payload := frame[FrameOverhead:]
+	if len(payload) > MaxPayload {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+	}
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
+	return nil
+}
+
+// ReadFrame reads one frame off a stream and returns its payload in buf's
+// storage. The declared length is a claim: past ErrTooLarge's bound the
+// buffer still grows only as the bytes arrive, a megabyte ahead at most.
+// A stream ending between frames is io.EOF, inside one
+// io.ErrUnexpectedEOF; a payload failing its CRC is ErrCorrupt.
+func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], FrameOverhead)[:FrameOverhead]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf[:0], err
+	}
+	length, want := int(binary.LittleEndian.Uint32(buf[0:])), binary.LittleEndian.Uint32(buf[4:])
+	if length > MaxPayload {
+		return buf[:0], fmt.Errorf("%w: %d bytes", ErrTooLarge, length)
+	}
+	for buf = buf[:0]; len(buf) < length; {
+		buf = slices.Grow(buf, min(length-len(buf), 1<<20))
+		n, err := io.ReadFull(r, buf[len(buf):min(cap(buf), length)])
+		if buf = buf[:len(buf)+n]; err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return buf[:0], err
+		}
+	}
+	if crc32.Checksum(buf, crcTable) != want {
+		return buf[:0], ErrCorrupt
+	}
+	return buf, nil
+}
 
 // Writer frames payloads onto an underlying writer (typically a
 // *bufio.Writer whose flush/fsync schedule the caller owns). Not safe for
@@ -104,53 +150,37 @@ type ScanResult struct {
 // whose CRC does not match: corruption is only ever reported as tail,
 // not decoded.
 func Scan(r io.Reader, fn func(payload []byte) error) (ScanResult, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	in := &counter{r: r}
+	br := bufio.NewReaderSize(in, 1<<16)
 	var res ScanResult
-	var hdr [FrameOverhead]byte
 	var buf []byte
-	le := binary.LittleEndian
 	for {
-		n, err := io.ReadFull(br, hdr[:])
-		if err != nil {
-			// EOF at a frame boundary is a clean end; anything shorter is
-			// a torn header.
-			res.Tail += int64(n)
-			return res, nil
-		}
-		length := int(le.Uint32(hdr[0:]))
-		want := le.Uint32(hdr[4:])
-		if length > MaxPayload {
-			res.Tail += int64(FrameOverhead) + remaining(br)
-			return res, nil
-		}
-		if cap(buf) < length {
-			buf = make([]byte, length)
-		}
-		buf = buf[:length]
-		m, err := io.ReadFull(br, buf)
-		if err != nil {
-			res.Tail += int64(FrameOverhead + m)
-			return res, nil
-		}
-		if crc32.Checksum(buf, crcTable) != want {
-			res.Tail += int64(FrameOverhead+length) + remaining(br)
-			return res, nil
-		}
-		if err := fn(buf); err != nil {
-			if errors.Is(err, ErrStop) {
-				res.Tail += int64(FrameOverhead+length) + remaining(br)
-				return res, nil
+		var err error
+		if buf, err = ReadFrame(br, buf); err == nil {
+			if err = fn(buf); err != nil && !errors.Is(err, ErrStop) {
+				return res, err
 			}
-			return res, err
+		}
+		if err != nil {
+			// Everything past the clean prefix is the untrusted tail, read
+			// or not.
+			_, _ = io.Copy(io.Discard, br)
+			res.Tail = in.n - res.Clean
+			return res, nil
 		}
 		res.Records++
-		res.Clean += int64(FrameOverhead + length)
+		res.Clean += int64(FrameOverhead + len(buf))
 	}
 }
 
-// remaining drains and counts the reader's leftover bytes, so Tail
-// reflects the full extent of the untrusted region.
-func remaining(br *bufio.Reader) int64 {
-	n, _ := io.Copy(io.Discard, br)
-	return n
+// counter counts the bytes read through it.
+type counter struct {
+	r io.Reader
+	n int64
+}
+
+func (c *counter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }

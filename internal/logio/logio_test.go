@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 )
@@ -163,5 +164,49 @@ func TestAppendTooLarge(t *testing.T) {
 	w := NewWriter(&bytes.Buffer{})
 	if _, err := w.Append(make([]byte, MaxPayload+1)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized append not rejected: %v", err)
+	}
+}
+
+// TestReadFrame: Seal and ReadFrame agree on the layout Writer.Append
+// writes, a damaged frame is an error and never a payload, and a declared
+// length is only a claim — the buffer grows as bytes arrive, a megabyte
+// ahead at most, so eight hostile bytes cannot demand MaxPayload.
+func TestReadFrame(t *testing.T) {
+	frame := append(make([]byte, FrameOverhead), "payload"...)
+	if err := Seal(frame); err != nil {
+		t.Fatal(err)
+	}
+	var viaWriter bytes.Buffer
+	if _, err := NewWriter(&viaWriter).Append([]byte("payload")); err != nil || !bytes.Equal(viaWriter.Bytes(), frame) {
+		t.Fatalf("Seal and Writer.Append disagree: %x vs %x (%v)", frame, viaWriter.Bytes(), err)
+	}
+	r := bytes.NewReader(append(append([]byte{}, frame...), frame...))
+	var buf []byte
+	for i := 0; i < 2; i++ {
+		var err error
+		if buf, err = ReadFrame(r, buf); err != nil || string(buf) != "payload" {
+			t.Fatalf("frame %d: %q, %v", i, buf, err)
+		}
+	}
+	if _, err := ReadFrame(r, buf); err != io.EOF {
+		t.Fatalf("end of stream: %v, want io.EOF", err)
+	}
+	if _, err := ReadFrame(bytes.NewReader(frame[:len(frame)-2]), nil); err != io.ErrUnexpectedEOF {
+		t.Fatalf("torn frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+	flipped := append([]byte{}, frame...)
+	flipped[len(flipped)-1] ^= 1
+	if _, err := ReadFrame(bytes.NewReader(flipped), nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("flipped bit: %v, want ErrCorrupt", err)
+	}
+	hostile := make([]byte, FrameOverhead+100)
+	binary.LittleEndian.PutUint32(hostile, MaxPayload+1)
+	if _, err := ReadFrame(bytes.NewReader(hostile), nil); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("length past MaxPayload: %v, want ErrTooLarge", err)
+	}
+	binary.LittleEndian.PutUint32(hostile, MaxPayload)
+	got, err := ReadFrame(bytes.NewReader(hostile), nil)
+	if err != io.ErrUnexpectedEOF || cap(got) > 2<<20 {
+		t.Fatalf("a %d-byte claim backed by 100 bytes: %v, buffer grown to %d", MaxPayload, err, cap(got))
 	}
 }

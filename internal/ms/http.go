@@ -9,9 +9,13 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"titant/internal/decision"
+	"titant/internal/link"
 	"titant/internal/telemetry"
 	"titant/internal/txn"
 )
@@ -199,6 +203,7 @@ func callerContext(r *http.Request) context.Context {
 //	POST /v1/policy        hot-swap a JSON policy document
 //	GET  /v1/stats         latency, decision, shadow and drift stats
 //	GET  /healthz          readiness: versions + subsystem enablement
+//	GET  /v1/link          Upgrade: the router's multiplexed shard link (internal/link)
 //
 // The ingest routes answer 409 stream_disabled on an engine built without
 // WithStreamAggregates and can be guarded with WithIngestToken; the
@@ -217,7 +222,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/debug/trace", s.handleDebugTrace)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	return s.traceMiddleware(mux)
+	h := s.traceMiddleware(mux)
+	// A link's calls run through h itself: the same middleware and routes
+	// as the HTTP exchange they replace, against an in-memory request.
+	mux.HandleFunc(link.Path, func(w http.ResponseWriter, r *http.Request) {
+		if err := s.links.Upgrade(w, r, h); err != nil {
+			writeError(w, http.StatusUpgradeRequired, "upgrade_required", err.Error())
+		}
+	})
+	return h
 }
 
 // traceMiddleware assigns every request its trace identity: a
@@ -307,6 +320,11 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, op verb, batch bo
 		return
 	}
 	ctx := callerContext(r)
+	if msv, err := strconv.ParseInt(r.Header.Get(HeaderDeadline), 10, 64); err == nil && msv > 0 {
+		d := withDeadline(ctx, time.Duration(msv)*time.Millisecond)
+		defer d.release()
+		ctx = d
+	}
 	var err error
 	switch {
 	case op == verbScore && batch:
@@ -390,6 +408,55 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, wb *wireBuf, op 
 		writeError(w, http.StatusBadRequest, "bad_request", msg)
 	}
 	return false
+}
+
+// HeaderDeadline carries how many milliseconds the sender will wait for
+// this call. A shard bounds the engine verb by it and answers 503
+// "canceled" past it: on a multiplexed link no connection closes under
+// an abandoned call, so the deadline is how a shard learns to stop.
+const HeaderDeadline = "X-Deadline-Ms"
+
+// deadline is that bound as a pooled context — no allocation per call,
+// where context.WithTimeout makes five. Done closes at the deadline only;
+// the parent's own cancellation shows through Err, which the engine polls
+// between stages.
+type deadline struct {
+	context.Context
+	at    time.Time
+	done  chan struct{}
+	timer *time.Timer
+	fired atomic.Bool
+}
+
+var deadlinePool = sync.Pool{New: func() any {
+	d := &deadline{done: make(chan struct{})}
+	d.timer = time.AfterFunc(time.Hour, func() { d.fired.Store(true); close(d.done) })
+	d.timer.Stop()
+	return d
+}}
+
+func withDeadline(parent context.Context, after time.Duration) *deadline {
+	d := deadlinePool.Get().(*deadline)
+	d.Context, d.at = parent, time.Now().Add(after)
+	d.timer.Reset(after)
+	return d
+}
+
+// release pools d again unless it fired: a closed channel is spent.
+func (d *deadline) release() {
+	if d.timer.Stop() {
+		d.Context = nil
+		deadlinePool.Put(d)
+	}
+}
+
+func (d *deadline) Deadline() (time.Time, bool) { return d.at, true }
+func (d *deadline) Done() <-chan struct{}       { return d.done }
+func (d *deadline) Err() error {
+	if d.fired.Load() {
+		return context.DeadlineExceeded
+	}
+	return d.Context.Err()
 }
 
 // DecideRequest is the wire format of POST /v1/decide: a transaction
@@ -574,16 +641,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // ListenAndServe serves the v1 API on addr until ctx is cancelled, then
-// shuts down gracefully, draining in-flight requests for up to five
-// seconds. It returns nil after a clean shutdown.
+// shuts down gracefully, draining in-flight requests and link calls for
+// up to five seconds. It returns nil after a clean shutdown.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	return ListenAndServe(ctx, addr, s.Handler())
+	return ListenAndServe(ctx, addr, s.Handler(), s.links.Shutdown)
 }
 
 // ListenAndServe serves handler on addr with the same graceful-shutdown
-// contract as Server.ListenAndServe, for daemons that wrap the v1 mux
-// with extra routes.
-func ListenAndServe(ctx context.Context, addr string, handler http.Handler) error {
+// contract as Server.ListenAndServe. drain, when not nil, runs inside the
+// shutdown budget after the HTTP server has drained: http.Server.Shutdown
+// does not know the connections a handler hijacked.
+func ListenAndServe(ctx context.Context, addr string, handler http.Handler, drain func(context.Context)) error {
 	hs := &http.Server{Addr: addr, Handler: handler}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
@@ -594,6 +662,9 @@ func ListenAndServe(ctx context.Context, addr string, handler http.Handler) erro
 		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		serr := hs.Shutdown(sctx)
+		if drain != nil {
+			drain(sctx)
+		}
 		// Surface a startup failure (e.g. address already in use) that
 		// raced the cancellation instead of reporting a clean shutdown.
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -27,6 +27,7 @@ import (
 	"titant/internal/eventlog"
 	"titant/internal/feature"
 	"titant/internal/hbase"
+	"titant/internal/link"
 	"titant/internal/ms/usercache"
 	"titant/internal/rng"
 	"titant/internal/telemetry"
@@ -128,6 +129,9 @@ type Server struct {
 	telScoreBatch  *telemetry.EndpointTrack
 	telDecide      *telemetry.EndpointTrack
 	telDecideBatch *telemetry.EndpointTrack
+
+	// links are the router links upgraded on GET /v1/link (internal/link).
+	links link.Hub
 }
 
 // New builds the v1 scoring engine over a feature table.
@@ -229,12 +233,16 @@ func driftSeriesNames(b *Bundle) []string {
 	return names
 }
 
-// Close releases the engine's background resources: the shadow scoring
-// worker, and the event log (flushed and fsynced, so a clean shutdown
-// loses nothing). Safe to call on an engine without either, and more
-// than once. Scoring after Close still works; shadow comparisons stop
-// and logged ingest fails.
+// Close releases the engine's background resources: its router links
+// (cut, and their goroutines waited for), the shadow scoring worker, and
+// the event log (flushed and fsynced, so a clean shutdown loses nothing).
+// Safe to call on an engine without any, and more than once. Scoring
+// after Close still works; shadow comparisons stop and logged ingest
+// fails.
 func (s *Server) Close() {
+	cut, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.links.Shutdown(cut)
 	if s.shadow != nil {
 		s.shadow.close()
 	}

@@ -52,6 +52,8 @@ type Stats struct {
 	// over the shard servers. /metrics reports it once per process
 	// (titant_engine_shards), never per shard.
 	Shards int `json:"shards" merge:"width"`
+	// LinkConns is the number of live router links (GET /v1/link).
+	LinkConns int `json:"link_conns" merge:"max" prom:"titant_link_conns" help:"live router links (multiplexed shard connections)"`
 }
 
 // Percentiles are the human-readable microsecond readings of a latency
@@ -202,7 +204,7 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		Scored: s.scored.Load(), Alerted: s.alerted.Load(), LatencyHist: s.hist.Snapshot(),
 		Version: s.BundleVersion(), Stages: s.tel.StageSnapshots(),
-		Admission: s.adm.stats(), Shards: len(s.tables),
+		Admission: s.adm.stats(), Shards: len(s.tables), LinkConns: s.links.Conns(),
 	}
 	if s.stream != nil {
 		n := s.stream.Ingested()

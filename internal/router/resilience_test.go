@@ -13,6 +13,7 @@ import (
 
 	"titant/internal/decision"
 	"titant/internal/faultinject"
+	"titant/internal/link"
 	"titant/internal/ms"
 	"titant/internal/telemetry"
 	"titant/internal/txn"
@@ -146,10 +147,18 @@ func TestMaxRetryAfter(t *testing.T) {
 // --- wire-level tests against scripted fake shards ---
 
 // fakeShard is a minimal shard-surface HTTP server whose behavior per
-// request is scripted by fn (return status, body).
+// request is scripted by fn (return status, body). Like a shard built
+// before the link it has no /v1/link, so the router's one probe is
+// answered 404 without reaching fn and every call arrives over HTTP.
 func fakeShard(t *testing.T, fn http.HandlerFunc) *httptest.Server {
 	t.Helper()
-	hs := httptest.NewServer(fn)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == link.Path {
+			http.NotFound(w, r)
+			return
+		}
+		fn(w, r)
+	}))
 	t.Cleanup(hs.Close)
 	return hs
 }
@@ -172,6 +181,7 @@ func newTestRouter(t *testing.T, urls []string, opts ...Option) *Router {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(rt.Close)
 	return rt
 }
 
@@ -220,10 +230,12 @@ func TestRouterRetriesTransient(t *testing.T) {
 // Without an idempotency key the shard must see exactly one delivery
 // per request; with the caller's explicit X-Idempotency-Key opt-in the
 // retries flow (and the shard sees the replays the caller promised to
-// dedup). Score, being idempotent, retries through the same fault.
+// dedup). Score, being idempotent, retries through the same fault. The
+// fault sits above the shard link, so what it drops are link answers: the
+// production path, not an HTTP stand-in.
 func TestRouterIngestAtMostOnce(t *testing.T) {
 	var ingests, scores atomic.Int64
-	shard := fakeShard(t, func(w http.ResponseWriter, r *http.Request) {
+	shard := linkShard(t, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		switch r.URL.Path {
 		case "/v1/ingest":
@@ -237,7 +249,9 @@ func TestRouterIngestAtMostOnce(t *testing.T) {
 	sc := &faultinject.Scenario{Seed: 1, Rules: []faultinject.Rule{
 		{Shard: 0, Kind: faultinject.KindDropResponse},
 	}}
-	tr := faultinject.NewTransport(nil, sc, faultinject.ShardByHost([]string{shard.URL}))
+	lk := link.New(nil)
+	defer lk.Close()
+	tr := faultinject.NewTransport(lk, sc, faultinject.ShardByHost([]string{shard.URL}))
 	rt := newTestRouter(t, []string{shard.URL},
 		WithTransport(tr),
 		WithRetries(2, time.Millisecond, 5*time.Millisecond),
@@ -263,8 +277,8 @@ func TestRouterIngestAtMostOnce(t *testing.T) {
 	if got := scores.Load(); got != 3 {
 		t.Fatalf("score saw %d deliveries, want 3", got)
 	}
-	if fwd := tr.Forwarded(); fwd != 7 {
-		t.Fatalf("chaos proxy forwarded %d requests, want 7", fwd)
+	if fwd := tr.Forwarded(); fwd != 7 || lk.Calls.Load() != 7 {
+		t.Fatalf("chaos proxy forwarded %d requests, %d of them by link; want 7, 7", fwd, lk.Calls.Load())
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -41,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"titant/internal/link"
 	"titant/internal/ms"
 	"titant/internal/telemetry"
 	"titant/internal/txn"
@@ -59,7 +61,7 @@ const (
 	// HeaderDeadline carries the caller's remaining budget in
 	// milliseconds; the router re-propagates the per-attempt remainder
 	// downstream so a shard never works past the caller's patience.
-	HeaderDeadline = "X-Deadline-Ms"
+	HeaderDeadline = ms.HeaderDeadline
 	// HeaderIdempotencyKey opts an ingest request into retries: the
 	// caller asserts replays are safe to deduplicate on its side.
 	HeaderIdempotencyKey = "X-Idempotency-Key"
@@ -135,7 +137,10 @@ func WithQuorum(q int) Option {
 }
 
 // WithTransport swaps the underlying HTTP transport — the seam the
-// faultinject chaos layer plugs into.
+// faultinject chaos layer plugs into. The router stacks the shard link
+// (internal/link) on a plain *http.Transport, as it does on the default;
+// any other RoundTripper gets every call itself, and wraps link.New when
+// it wants the link beneath it.
 func WithTransport(t http.RoundTripper) Option {
 	return func(rt *Router) { rt.client.Transport = t }
 }
@@ -149,7 +154,11 @@ func WithSeed(seed uint64) Option {
 // Router fans v1 traffic across a fixed shard ring.
 type Router struct {
 	shards []string // base URLs, index = shard number
+	// urls holds every shard request URL (per shard, by shardPaths entry),
+	// parsed once; requests share them read-only.
+	urls   []map[string]*url.URL
 	client *http.Client
+	link   *link.Transport // the shard link, when the router stacked it itself
 
 	// Resilience-plane tuning (see the Option funcs for semantics).
 	perTry     time.Duration
@@ -223,9 +232,23 @@ func New(shards []string, opts ...Option) (*Router, error) {
 	for _, o := range opts {
 		o(rt)
 	}
+	switch base := rt.client.Transport.(type) {
+	case nil, *http.Transport:
+		rt.link = link.New(base)
+		rt.client.Transport = rt.link
+	}
 	fb, err := ms.ParseFallbackAction(rt.fallback)
 	if err != nil {
 		return nil, err
+	}
+	rt.urls = make([]map[string]*url.URL, len(cleaned))
+	for i, s := range cleaned {
+		rt.urls[i] = map[string]*url.URL{}
+		for _, path := range shardPaths {
+			if rt.urls[i][path], err = url.Parse(s + path); err != nil {
+				return nil, fmt.Errorf("router: shard %d: %w", i, err)
+			}
+		}
 	}
 	rt.fallback = fb
 	if rt.quorum < 0 || rt.quorum > len(cleaned) {
@@ -248,8 +271,21 @@ func New(shards []string, opts ...Option) (*Router, error) {
 	return rt, nil
 }
 
+// shardPaths are the shard routes the router calls.
+var shardPaths = [...]string{
+	"/v1/score", "/v1/decide", "/v1/ingest", "/v1/score/batch", "/v1/decide/batch", "/v1/ingest/batch",
+	"/v1/models", "/v1/policy", "/v1/stats", "/metrics", "/healthz",
+}
+
 // Shards returns the ring width.
 func (rt *Router) Shards() int { return len(rt.shards) }
+
+// Close cuts the router's shard links and waits for their readers.
+func (rt *Router) Close() {
+	if rt.link != nil {
+		rt.link.Close()
+	}
+}
 
 // ownerShard returns the index of the shard owning user u.
 func (rt *Router) ownerShard(u txn.UserID) int {
@@ -302,7 +338,7 @@ func (rt *Router) traceMiddleware(next http.Handler) http.Handler {
 // ListenAndServe serves the router on addr with the shard servers'
 // graceful-shutdown contract.
 func (rt *Router) ListenAndServe(ctx context.Context, addr string) error {
-	return ms.ListenAndServe(ctx, addr, rt.Handler())
+	return ms.ListenAndServe(ctx, addr, rt.Handler(), nil)
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
@@ -333,10 +369,13 @@ func writeJSON(w http.ResponseWriter, status int, body interface{}) {
 // legs included, since every attempt copies from the same source
 // request. X-Deadline-Ms is NOT copied — the router re-derives it per
 // attempt from the remaining budget.
+//
+// The values are shared with src, not copied: both requests only read
+// them. The keys are in canonical form.
 func forwardHeaders(dst *http.Request, src *http.Request) {
-	for _, k := range []string{"Content-Type", "Authorization", "X-Caller", HeaderIdempotencyKey, telemetry.TraceHeader} {
-		if v := src.Header.Get(k); v != "" {
-			dst.Header.Set(k, v)
+	for _, k := range [...]string{"Content-Type", "Authorization", "X-Caller", HeaderIdempotencyKey, telemetry.TraceHeader} {
+		if v := src.Header[k]; len(v) > 0 && v[0] != "" {
+			dst.Header[k] = v[:1:1]
 		}
 	}
 }
@@ -390,16 +429,19 @@ func (rt *Router) attempt(ctx context.Context, src *http.Request, deadline time.
 	}
 	actx, cancel := context.WithTimeout(ctx, per)
 	defer cancel()
-	var rd io.Reader
+	// What http.NewRequestWithContext builds, less the URL parse.
+	u := rt.urls[spec.shard][spec.path]
+	req := (&http.Request{
+		Method: spec.method, URL: u, Host: u.Host, Header: make(http.Header, 6),
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}).WithContext(actx)
 	if spec.body != nil {
-		rd = bytes.NewReader(spec.body)
-	}
-	req, err := http.NewRequestWithContext(actx, spec.method, rt.shards[spec.shard]+spec.path, rd)
-	if err != nil {
-		return upstream{err: err}
+		req.ContentLength = int64(len(spec.body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(spec.body)), nil }
+		req.Body, _ = req.GetBody()
 	}
 	forwardHeaders(req, src)
-	req.Header.Set(HeaderDeadline, strconv.FormatInt(per.Milliseconds(), 10))
+	req.Header[HeaderDeadline] = []string{strconv.FormatInt(per.Milliseconds(), 10)}
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		// A timeout on an attempt that was clamped to the remaining
@@ -619,6 +661,19 @@ type batchScratch struct {
 	parts [][]ms.WireItem // per shard: the items of its answer
 	next  []int           // per shard: how many of them are spliced
 	out   []byte
+	// Per shard: item count, sub-batch size and body (the holder only, see
+	// above), answer, and the scatter goroutine's span buffer.
+	counts, sizes []int
+	bodies        [][]byte
+	ups           []upstream
+	callSpans     []telemetry.Spans
+}
+
+// perShard returns s resized to n zero values.
+func perShard[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -665,7 +720,9 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string)
 	defer func() { rt.observe(r, endpointName(r.URL.Path), rt.now().Sub(start), &spans) }()
 
 	n := len(rt.shards)
-	counts, sizes := make([]int, n), make([]int, n)
+	sc.counts, sc.sizes, sc.bodies = perShard(sc.counts, n), perShard(sc.sizes, n), perShard(sc.bodies, n)
+	sc.ups, sc.callSpans = perShard(sc.ups, n), perShard(sc.callSpans, n)
+	counts, sizes, bodies, ups, callSpans := sc.counts, sc.sizes, sc.bodies, sc.ups, sc.callSpans
 	sc.owner = sc.owner[:0]
 	for _, it := range sc.items {
 		si := ms.ShardOf(txn.UserID(it.From), n)
@@ -673,7 +730,6 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string)
 		counts[si]++
 		sizes[si] += it.End - it.Start + 1 // the item and its separator
 	}
-	bodies := make([][]byte, n)
 	for si, size := range sizes {
 		if counts[si] > 0 {
 			bodies[si] = append(make([]byte, 0, len(subBatchOpen)+size+1), subBatchOpen...)
@@ -690,8 +746,6 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string)
 	ctx, cancel, deadline := rt.requestBudget(r)
 	defer cancel()
 	retryable := itemsKey != "" || r.Header.Get(HeaderIdempotencyKey) != ""
-	ups := make([]upstream, n)
-	callSpans := make([]telemetry.Spans, n) // one buffer per scatter goroutine
 	var wg sync.WaitGroup
 	scatterStart := rt.now()
 	for si := range bodies {

@@ -98,6 +98,7 @@ func newFleet(t *testing.T, n int, shardOpts func() []ms.Option, rtOpts ...Optio
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(rt.Close)
 	f.rt = rt
 	return f
 }

@@ -40,6 +40,8 @@ type RouterStats struct {
 	HedgeWins         int64                     `json:"hedge_wins" prom:"titant_router_hedge_wins_total" help:"hedge legs that answered first"`
 	DegradedItems     int64                     `json:"degraded_items" prom:"titant_router_degraded_items_total" help:"items answered with a degraded envelope"`
 	DeadlineExhausted int64                     `json:"deadline_exhausted" prom:"titant_router_deadline_exhausted_total" help:"calls abandoned on an exhausted caller budget"`
+	LinkCalls         int64                     `json:"link_calls" prom:"titant_router_link_calls_total" help:"shard calls carried by a multiplexed link instead of an HTTP exchange"`
+	LinkRedials       int64                     `json:"link_redials" prom:"titant_router_link_redials_total" help:"shard links reopened after one died"`
 	Width             int                       `json:"-" prom:"titant_router_shards" help:"shard ring width"`
 	Quorum            int                       `json:"-" prom:"titant_router_quorum" help:"healthy shards /healthz requires for 200"`
 	FallbackAction    string                    `json:"fallback_action"`
@@ -53,6 +55,7 @@ type RouterStats struct {
 // order.
 type BreakerStats struct {
 	Shard     int                     `json:"shard" prom:",shard"`
+	Transport string                  `json:"transport" prom:"titant_router_shard_transport,transport" help:"how the shard's data plane is reached: link or http (value is always 1)"`
 	State     string                  `json:"state" prom:"titant_router_breaker_state,state" help:"per-shard breaker state (value is always 1)"`
 	Opens     int64                   `json:"opens" prom:"titant_router_breaker_opens_total" help:"breaker trips to open"`
 	HalfOpens int64                   `json:"half_opens" prom:"titant_router_breaker_half_opens_total" help:"breaker transitions to half-open"`
@@ -77,8 +80,15 @@ func (rt *Router) routerStats() RouterStats {
 		Breakers: make([]BreakerStats, len(rt.brk)),
 		Stages:   rt.tel.StageSnapshots(),
 	}
+	if rt.link != nil {
+		rs.LinkCalls, rs.LinkRedials = rt.link.Calls.Load(), rt.link.Redials.Load()
+	}
 	for si, b := range rt.brk {
 		rs.Breakers[si] = b.stats(si, rt.lat[si].Snapshot())
+		rs.Breakers[si].Transport = "http"
+		if rt.link != nil && rt.link.Linked(rt.urls[si][shardPaths[0]].Host) {
+			rs.Breakers[si].Transport = "link"
+		}
 	}
 	return rs
 }
