@@ -8,10 +8,26 @@ SHELL := /bin/bash
 
 BENCHTIME ?= 100x
 
-.PHONY: test bench-build race bench-serving loadgen-smoke chaos-smoke metrics-smoke
+.PHONY: test tier1-stress bench-build race bench-serving loadgen-smoke chaos-smoke metrics-smoke
 
+# test is the tier-1 gate. The timeout turns a hang into a two-minute
+# failure that prints every goroutine's stack, instead of a ten-minute one.
 test: bench-build
-	go build ./... && go test ./...
+	go build ./... && go test -count=1 -timeout 120s ./...
+
+# tier1-stress is the gate that catches what a lucky schedule hides: the
+# tier-1 suite ten times at GOMAXPROCS=2 beside a process spinning one
+# core, then the link and router transport tests twenty times under the
+# race detector. One failure or hang fails the target.
+tier1-stress:
+	@set -e; \
+	  yes > /dev/null & hog=$$!; \
+	  trap "kill $$hog" EXIT; \
+	  for i in 1 2 3 4 5 6 7 8 9 10; do \
+	    echo "=== tier-1 run $$i/10 (GOMAXPROCS=2, one core busy) ==="; \
+	    GOMAXPROCS=2 go test -count=1 -timeout 120s ./...; \
+	  done
+	go test -race -count=20 -timeout 600s ./internal/link/ ./internal/router/ -run 'Link|Multiplex|Restart|Pending|Chaos'
 
 # bench-build type-checks the benchmark module (bench/, a module of its
 # own that compiles against this one's exported accessors), so deleting

@@ -11,7 +11,7 @@ import (
 // BenchmarkStreamIngest measures the O(1) ingest claim: ns/op and
 // allocs/op must stay flat as the window grows from 16 to 360 buckets
 // (the ring is touched at one slot per ingest regardless of length; only
-// the per-user ring allocation, paid once per user, scales with it).
+// the per-user ring slots, paid once per user, scale with it).
 func BenchmarkStreamIngest(b *testing.B) {
 	for _, buckets := range []int{16, 90, 360} {
 		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
@@ -33,10 +33,10 @@ func BenchmarkStreamIngest(b *testing.B) {
 					st.Ingest(&tx)
 				}
 			}
-			// Warm one full window cycle so every (user, slot) ring bucket
-			// and its maps exist: the measured loop then sees the steady
-			// state, where rotation recycles cleared maps instead of
-			// allocating fresh ones.
+			// Warm one full window cycle so every (user, slot) bucket
+			// record and its cells exist: the measured loop then sees the
+			// steady state, where rotation recycles records and cells
+			// through the free lists instead of growing the slabs.
 			warm := buckets * 3600
 			fill(0, warm)
 			b.ReportAllocs()
@@ -44,6 +44,30 @@ func BenchmarkStreamIngest(b *testing.B) {
 			fill(warm, b.N)
 		})
 	}
+	// hot is one sender paying 8 192 distinct receivers inside each
+	// bucket, at the buckets=90 geometry: every op inserts into a list far
+	// past chainMax, and every 8 192nd rotates the bucket and drops one. A
+	// list walk per upsert would make it quadratic; it must stay within 2x
+	// of buckets=90.
+	b.Run("hot", func(b *testing.B) {
+		const receivers = 8192
+		st := New(WithWindow(90, 3600), WithCities(64))
+		fill := func(lo, n int) {
+			tx := txn.Transaction{}
+			for i := lo; i < lo+n; i++ {
+				sec := int64(i/receivers) * 3600
+				tx.Day, tx.Sec = txn.Day(sec/86400), int32(sec%86400)
+				tx.To = txn.UserID(1 + i%receivers)
+				tx.Amount = float32(i % 100)
+				st.Ingest(&tx)
+			}
+		}
+		warm := 90 * receivers
+		fill(0, warm)
+		b.ReportAllocs()
+		b.ResetTimer()
+		fill(warm, b.N)
+	})
 }
 
 // BenchmarkStreamReads measures the serving-path read costs: the O(1)
@@ -71,6 +95,12 @@ func BenchmarkStreamReads(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = st.Stats(txn.UserID(i % users))
+		}
+	})
+	b.Run("velocity", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _, _, _ = st.Velocity(txn.UserID(i % users))
 		}
 	})
 	b.Run("pairprior", func(b *testing.B) {

@@ -2,22 +2,25 @@ package stream
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"titant/internal/txn"
 )
 
 // State snapshot codec. WriteState serialises every accumulator the Store
-// owns — ring buckets, distinct-entity maps, city table, clock, jump
-// corroboration state — with float64 sums stored as raw bits, so a
-// RestoreState into a same-geometry Store reproduces reads (Stats,
-// Velocity, PairPrior, LookupCity) bitwise-identically. The event log
-// uses this as the "stream" section of its periodic snapshots: recovery
-// loads the snapshot and replays only the log tail behind it.
+// owns — live bucket records with their peer and day lists (sorted),
+// city table, clock, jump corroboration state — with float64 sums stored
+// as raw bits, so a RestoreState into a same-geometry Store reproduces
+// reads (Stats, Velocity, PairPrior, LookupCity) bitwise-identically. The
+// event log uses this as the "stream" section of its periodic snapshots:
+// recovery loads the snapshot and replays only the log tail behind it.
+// Snapshots written before the slab layout are version 1 too and must
+// keep restoring bitwise: testdata/window-v1.snap pins that.
 //
 // Ordering: WriteState takes every shard lock and the city lock one at a
 // time, so it is a consistent cut only if the caller has quiesced writers
@@ -49,20 +52,26 @@ func (s *Store) WriteState(w io.Writer) error {
 	bw.u64(s.pendingKey)
 	s.jumpMu.Unlock()
 
+	// Only users with a live bucket, and only their live buckets, are
+	// written: an expired one is invisible to every read.
+	low := s.windowLow()
+	var sc sortSpace
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		bw.u32(uint32(len(sh.users)))
 		// Deterministic user order keeps snapshots of identical state
 		// byte-identical, which makes them diffable and testable.
 		ids := make([]txn.UserID, 0, len(sh.users))
-		for u := range sh.users {
-			ids = append(ids, u)
+		for u, row := range sh.users {
+			if sh.newest[row] >= low {
+				ids = append(ids, u)
+			}
 		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+		slices.Sort(ids)
+		bw.u32(uint32(len(ids)))
 		for _, u := range ids {
 			bw.u32(uint32(u))
-			writeWindow(bw, sh.users[u])
+			sc.writeWindow(bw, sh, sh.ring(sh.users[u], s.buckets), low)
 		}
 		sh.mu.RUnlock()
 	}
@@ -88,41 +97,55 @@ func (s *Store) WriteState(w io.Writer) error {
 	return bw.w.Flush()
 }
 
-func writeWindow(bw *binWriter, w *userWindow) {
+// sortSpace is WriteState's reusable sort space.
+type sortSpace struct {
+	cells []int32
+	users []txn.UserID
+	days  []txn.Day
+}
+
+func (sc *sortSpace) writeWindow(bw *binWriter, sh *shard, ring []int32, low int64) {
 	live := 0
-	for i := range w.buckets {
-		if w.buckets[i].seq != noSeq {
+	for _, r := range ring {
+		if r >= 0 && sh.bkts[r].seq >= low {
 			live++
 		}
 	}
 	bw.u32(uint32(live))
-	for i := range w.buckets {
-		b := &w.buckets[i]
-		if b.seq == noSeq {
+	for slot, r := range ring {
+		if r < 0 || sh.bkts[r].seq < low {
 			continue
 		}
-		bw.u32(uint32(i))
+		b := &sh.bkts[r]
+		bw.u32(uint32(slot))
 		bw.i64(b.seq)
 		bw.f64(b.outCount)
 		bw.f64(b.inCount)
 		bw.f64(b.outAmount)
 		bw.f64(b.inAmount)
-		bw.u32(uint32(len(b.outPeers)))
-		for _, p := range sortedUsersF(b.outPeers) {
+		sc.cells = sc.cells[:0]
+		for c := sh.outs.first(b.outPeers); c >= 0; c = sh.outs.at(c).next {
+			sc.cells = append(sc.cells, c)
+		}
+		slices.SortFunc(sc.cells, func(x, y int32) int { return cmp.Compare(sh.outs.at(x).k, sh.outs.at(y).k) })
+		bw.u32(uint32(len(sc.cells)))
+		for _, c := range sc.cells {
+			bw.u32(uint32(sh.outs.at(c).k))
+			bw.f64(sh.outs.at(c).v)
+		}
+		sc.users = sh.ins.appendKeys(sc.users[:0], b.inPeers)
+		slices.Sort(sc.users)
+		bw.u32(uint32(len(sc.users)))
+		for _, p := range sc.users {
 			bw.u32(uint32(p))
-			bw.f64(b.outPeers[p])
 		}
-		bw.u32(uint32(len(b.inPeers)))
-		for _, p := range sortedUsers(b.inPeers) {
-			bw.u32(uint32(p))
-		}
-		bw.u32(uint32(len(b.outDays)))
-		for _, d := range b.outDays {
-			bw.u32(uint32(d))
-		}
-		bw.u32(uint32(len(b.inDays)))
-		for _, d := range b.inDays {
-			bw.u32(uint32(d))
+		for _, h := range [2]int32{b.outDays, b.inDays} {
+			sc.days = sh.days.appendKeys(sc.days[:0], h)
+			slices.Sort(sc.days)
+			bw.u32(uint32(len(sc.days)))
+			for _, d := range sc.days {
+				bw.u32(uint32(d))
+			}
 		}
 	}
 }
@@ -157,21 +180,11 @@ func (s *Store) RestoreState(r io.Reader) error {
 	s.pendingKey = br.u64()
 
 	for i := range s.shards {
-		sh := &s.shards[i]
-		nusers := int(br.u32())
-		if br.err != nil {
-			break
-		}
-		for j := 0; j < nusers; j++ {
-			u := txn.UserID(br.u32())
-			w := &userWindow{buckets: make([]bucket, s.buckets)}
-			for k := range w.buckets {
-				w.buckets[k].seq = noSeq
-			}
-			if err := readWindow(br, w, s.buckets); err != nil {
+		n := br.u32()
+		for j := uint32(0); j < n && br.err == nil; j++ {
+			if err := s.readWindow(br, uint64(i)); err != nil {
 				return err
 			}
-			sh.users[u] = w
 		}
 	}
 
@@ -209,70 +222,56 @@ func (s *Store) RestoreState(r io.Reader) error {
 	return nil
 }
 
-func readWindow(br *binReader, w *userWindow, buckets int) error {
-	live := int(br.u32())
+// readWindow restores one user's ring into stripe i. Counts are trusted
+// only as far as the bytes behind them: nothing is sized by one, and a
+// loop stops at the first failed read.
+func (s *Store) readWindow(br *binReader, i uint64) error {
+	u := txn.UserID(br.u32())
+	live := br.u32()
 	if br.err != nil {
 		return fmt.Errorf("stream: restore window: %w", br.err)
 	}
-	if live > buckets {
-		return fmt.Errorf("stream: restore: window claims %d live slots of %d", live, buckets)
+	sh := &s.shards[i]
+	if s.shardIndex(u) != i {
+		return fmt.Errorf("stream: restore: user %d filed under stripe %d", u, i)
 	}
-	for n := 0; n < live; n++ {
-		slot := int(br.u32())
+	if _, dup := sh.users[u]; dup {
+		return fmt.Errorf("stream: restore: user %d twice", u)
+	}
+	if live > uint32(s.buckets) {
+		return fmt.Errorf("stream: restore: window claims %d live slots of %d", live, s.buckets)
+	}
+	ring := sh.ring(sh.admit(u, s.buckets), s.buckets)
+	for ; live > 0; live-- {
+		slot, seq := br.u32(), br.i64()
 		if br.err != nil {
 			return fmt.Errorf("stream: restore window: %w", br.err)
 		}
-		if slot >= buckets {
-			return fmt.Errorf("stream: restore: slot %d out of %d", slot, buckets)
+		if seq < 0 || uint64(seq)%uint64(s.buckets) != uint64(slot) || ring[slot] >= 0 {
+			return fmt.Errorf("stream: restore: slot %d cannot hold sequence %d", slot, seq)
 		}
-		b := &w.buckets[slot]
-		b.seq = br.i64()
+		b := sh.slot(u, seq, s.buckets)
 		b.outCount = br.f64()
 		b.inCount = br.f64()
 		b.outAmount = br.f64()
 		b.inAmount = br.f64()
-		if n := int(br.u32()); n > 0 && br.err == nil {
-			b.outPeers = make(map[txn.UserID]float64, n)
-			for i := 0; i < n; i++ {
-				p := txn.UserID(br.u32())
-				b.outPeers[p] = br.f64()
+		for n := br.u32(); n > 0 && br.err == nil; n-- {
+			c, _ := sh.outs.add(&b.outPeers, txn.UserID(br.u32()))
+			sh.outs.at(c).v = br.f64()
+		}
+		for n := br.u32(); n > 0 && br.err == nil; n-- {
+			sh.ins.add(&b.inPeers, txn.UserID(br.u32()))
+		}
+		for _, h := range [2]*int32{&b.outDays, &b.inDays} {
+			for n := br.u32(); n > 0 && br.err == nil; n-- {
+				sh.days.add(h, txn.Day(int32(br.u32())))
 			}
-		}
-		if n := int(br.u32()); n > 0 && br.err == nil {
-			b.inPeers = make(map[txn.UserID]struct{}, n)
-			for i := 0; i < n; i++ {
-				b.inPeers[txn.UserID(br.u32())] = struct{}{}
-			}
-		}
-		for n := int(br.u32()); n > 0 && br.err == nil; n-- {
-			b.outDays.add(txn.Day(int32(br.u32())))
-		}
-		for n := int(br.u32()); n > 0 && br.err == nil; n-- {
-			b.inDays.add(txn.Day(int32(br.u32())))
 		}
 		if br.err != nil {
 			return fmt.Errorf("stream: restore window: %w", br.err)
 		}
 	}
 	return nil
-}
-
-func sortedUsersF(m map[txn.UserID]float64) []txn.UserID {
-	ids := make([]txn.UserID, 0, len(m))
-	for u := range m {
-		ids = append(ids, u)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
-}
-
-func sortedUsers(m map[txn.UserID]struct{}) []txn.UserID {
-	ids := make([]txn.UserID, 0, len(m))
-	for u := range m {
-		ids = append(ids, u)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
 }
 
 func b2u(b bool) uint8 {

@@ -1,8 +1,12 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"os"
+	"runtime"
 	"testing"
 
 	"titant/internal/txn"
@@ -162,4 +166,186 @@ func TestSnapshotTruncated(t *testing.T) {
 			t.Fatalf("truncated snapshot (%d/%d bytes) accepted", cut, len(data))
 		}
 	}
+}
+
+// goldenStore and goldenLog are what testdata/window-v1.snap was written
+// from: the map-ring layout's WriteState after this log — 16 days through
+// a 12-day window of 3-day buckets, so expired and multi-day buckets and
+// lists past chainMax are all in it, then one too-old transaction and one
+// far-future proposal left pending.
+func goldenStore() *Store { return New(WithShards(4), WithWindow(4, 3*86400), WithCities(12)) }
+
+func goldenLog() []txn.Transaction {
+	return append(genTxns(21, 16, 150, 40, 12),
+		txn.Transaction{ID: 900001, Day: 0, Sec: 5, From: 1, To: 2, Amount: 9},
+		txn.Transaction{ID: 900002, Day: 1 << 20, From: 3, To: 5, Amount: 1},
+	)
+}
+
+func snapshot(t testing.TB, s *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WriteState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotGoldenV1: a v1 snapshot the map-ring layout wrote restores
+// into the slab layout with every read bitwise equal to a fresh re-ingest
+// of its log, the pending jump included, and the two then snapshot to
+// the same bytes and stay equal under further traffic.
+func TestSnapshotGoldenV1(t *testing.T) {
+	data, err := os.ReadFile("testdata/window-v1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, fresh := goldenStore(), goldenStore()
+	if err := restored.RestoreState(bytes.NewReader(data)); err != nil {
+		t.Fatalf("restore v1 golden: %v", err)
+	}
+	fresh.IngestBatch(goldenLog())
+	if err := matchReference(restored, fresh, 40, 12); err != nil {
+		t.Fatalf("restored golden vs re-ingest: %v", err)
+	}
+	if a, b := snapshot(t, restored), snapshot(t, fresh); !bytes.Equal(a, b) {
+		t.Fatal("restored golden and re-ingest snapshot differently")
+	}
+	// The restored proposal is the pending one: a distinct transaction near
+	// it corroborates on both.
+	more := append([]txn.Transaction{{ID: 900003, Day: 1<<20 + 1, From: 4, To: 6, Amount: 2}},
+		genTxns(22, 3, 100, 40, 12)...)
+	for i := range more[1:] {
+		more[1+i].Day += 1 << 20
+	}
+	dropped := fresh.Dropped()
+	restored.IngestBatch(more)
+	fresh.IngestBatch(more)
+	if fresh.Dropped() != dropped {
+		t.Fatalf("the corroborated epoch was not accepted: %d drops", fresh.Dropped()-dropped)
+	}
+	if err := matchReference(restored, fresh, 40, 12); err != nil {
+		t.Fatalf("after the jump: %v", err)
+	}
+}
+
+// TestSnapshotRoundTripBytes: a snapshot stays version 1, and restoring it
+// and writing again reproduces it byte for byte.
+func TestSnapshotRoundTripBytes(t *testing.T) {
+	s := goldenStore()
+	s.IngestBatch(goldenLog())
+	a := snapshot(t, s)
+	if v := binary.LittleEndian.Uint32(a[4:]); v != snapVersion || snapVersion != 1 {
+		t.Fatalf("snapshot version %d", v)
+	}
+	r := goldenStore()
+	if err := r.RestoreState(bytes.NewReader(a)); err != nil {
+		t.Fatal(err)
+	}
+	if b := snapshot(t, r); !bytes.Equal(a, b) {
+		t.Fatalf("round trip changed the snapshot: %d bytes -> %d", len(a), len(b))
+	}
+}
+
+// craft writes a one-stripe, two-bucket, two-city snapshot holding one
+// user with one bucket, letting a test corrupt the slot, the sequence and
+// the user and receiver counts.
+func craft(users, slot uint32, seq int64, receivers uint32) []byte {
+	var buf bytes.Buffer
+	bw := &binWriter{w: bufio.NewWriter(&buf)}
+	bw.u32(snapMagic)
+	bw.u32(snapVersion)
+	bw.u32(1)    // stripes
+	bw.u32(2)    // buckets
+	bw.i64(3600) // bucket seconds
+	bw.u32(2)    // cities
+	bw.i64(5)    // clock
+	bw.i64(1)    // ingested
+	bw.i64(0)    // dropped
+	bw.i64(noSeq)
+	bw.u64(0)
+	bw.u32(users)
+	bw.u32(7) // the user
+	bw.u32(1) // live slots
+	bw.u32(slot)
+	bw.i64(seq)
+	for range 4 {
+		bw.f64(1)
+	}
+	bw.u32(receivers)
+	bw.u32(8)
+	bw.f64(1)
+	for range 3 { // senders, out days, in days
+		bw.u32(0)
+	}
+	bw.u8(1)
+	bw.i64(5)
+	for range 2 {
+		bw.i64(noSeq)
+	}
+	for range 2 * 2 * 2 {
+		bw.f64(0)
+	}
+	bw.w.Flush()
+	return buf.Bytes()
+}
+
+func craftStore() *Store { return New(WithShards(1), WithWindow(2, 3600), WithCities(2)) }
+
+// TestRestoreRejectsCorrupt: a slot that cannot hold its sequence, a count
+// past the bytes behind it and a truncated tail are errors, and a huge
+// count allocates nothing in proportion to itself.
+func TestRestoreRejectsCorrupt(t *testing.T) {
+	if err := craftStore().RestoreState(bytes.NewReader(craft(1, 1, 5, 1))); err != nil {
+		t.Fatalf("well-formed snapshot rejected: %v", err)
+	}
+	for name, data := range map[string][]byte{
+		"slot != seq%buckets": craft(1, 0, 5, 1),
+		"negative seq":        craft(1, 0, -2, 1),
+		"users past the end":  craft(1<<31, 1, 5, 1),
+		"peers past the end":  craft(1, 1, 5, 1<<31),
+		"truncated tail":      craft(1, 1, 5, 1)[:100],
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := craftStore().RestoreState(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: restore allocated %d bytes", name, grew)
+		}
+	}
+}
+
+// FuzzRestoreState: whatever the bytes, RestoreState returns (no panic, no
+// runaway allocation), and a store it accepted writes a snapshot that
+// restores to the same bytes again.
+func FuzzRestoreState(f *testing.F) {
+	golden, err := os.ReadFile("testdata/window-v1.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(craft(1, 1, 5, 1))
+	f.Add(craft(1, 0, 5, 1))
+	f.Add(craft(3, 1, 5, 2))
+	f.Add(craft(1, 1, 5, 1)[:90])
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, s := range []*Store{craftStore(), goldenStore()} {
+			if s.RestoreState(bytes.NewReader(data)) != nil {
+				continue
+			}
+			a := snapshot(t, s)
+			r := New(WithShards(s.Shards()), WithWindow(s.Buckets(), s.BucketSeconds()), WithCities(s.city.cities))
+			if err := r.RestoreState(bytes.NewReader(a)); err != nil {
+				t.Fatalf("a written snapshot does not restore: %v", err)
+			}
+			if b := snapshot(t, r); !bytes.Equal(a, b) {
+				t.Fatal("accepted state does not round-trip")
+			}
+		}
+	})
 }

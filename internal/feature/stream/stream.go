@@ -10,21 +10,23 @@
 // Server scores against are up to a day stale ("T+1"). This store closes
 // that gap for the aggregate fragment: Ingest is O(1) (two shard-striped
 // ring-bucket updates plus one city-table update), reads are O(buckets),
-// and memory per active user is bounded by the window geometry plus the
-// user's in-window distinct counterparties — the minimum any exact
-// distinct count requires.
+// and a resident user costs one int32 per ring slot, one 64-byte record
+// per bucket it has written, and one list cell per distinct counterparty
+// and active day in each — the minimum any exact distinct count requires.
+// All of it lives in per-stripe slabs addressed by int32 index, with no
+// pointers in them, so the garbage collector never scans the window.
 //
 // Window semantics: time is bucketed into fixed-width buckets of
 // BucketSeconds; the window covers the most recent Buckets buckets ending
 // at the newest ingested transaction's bucket (the store's clock advances
 // only by ingestion, so an idle store does not silently expire its
 // contents). Users whose whole ring has expired are evicted
-// opportunistically — one probe per ingest — so memory tracks the active
-// user set; and a clock jump further than one full window ahead needs a
-// second corroborating transaction before it is believed, so a single
-// corrupt far-future timestamp cannot slide the window past all real
-// traffic (see advanceClock). A Store configured with
-// Buckets×BucketSeconds equal to the
+// opportunistically — one probe per stripe an ingest locks — so memory
+// tracks the active user set; and a clock jump further than one full
+// window ahead needs a second corroborating transaction before it is
+// believed, so a single corrupt far-future timestamp cannot slide the
+// window past all real traffic (see advanceClock). A Store configured
+// with Buckets×BucketSeconds equal to the
 // paper's 90-day reference window and fed the same transactions produces
 // exactly the statistics BuildAggregates computes from that window — the
 // stream_test.go oracle test enforces this equivalence, including after
@@ -43,7 +45,9 @@
 package stream
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -160,7 +164,9 @@ func New(opts ...Option) *Store {
 		shards:     make([]shard, nshards),
 	}
 	for i := range s.shards {
-		s.shards[i].users = make(map[txn.UserID]*userWindow)
+		sh := &s.shards[i]
+		sh.users = make(map[txn.UserID]int32)
+		sh.outs.free, sh.ins.free, sh.days.free = -1, -1, -1
 	}
 	s.city.init(cfg.cities, cfg.buckets)
 	s.maxSeq.Store(noSeq)
@@ -189,56 +195,49 @@ func (s *Store) Ingested() int64 { return s.ingested.Load() }
 // whole window at ingest time.
 func (s *Store) Dropped() int64 { return s.dropped.Load() }
 
-// shard is one lock stripe. The trailing pad rounds the struct up to 64
-// bytes so adjacent stripes sit on separate cache lines and uncorrelated
-// ingests don't false-share their mutexes.
+// shard is one lock stripe and the slabs of the users it owns. Every slab
+// is a slice of pointer-free records addressed by int32 index: a resident
+// user is a row (its id, the newest sequence it wrote, and a ring of
+// Buckets slot entries naming its bucket records), a bucket record heads
+// four lists, and a list is cells in an arena. Rows, records and cells
+// are recycled through free lists when a ring slot rotates or a user is
+// evicted, so a long-lived store's slabs track its active set. A stripe
+// spans several cache lines, so adjacent stripes' mutexes never share one.
 type shard struct {
-	mu    sync.RWMutex // 24 bytes
-	users map[txn.UserID]*userWindow
-	_     [32]byte
+	mu    sync.RWMutex
+	users map[txn.UserID]int32 // resident user -> row
+
+	ids      []txn.UserID // row -> user
+	newest   []int64      // row -> newest sequence written; freeRow when free
+	rings    []int32      // row*Buckets + seq%Buckets -> bucket record, -1 empty
+	freeRows []int32
+	hand     int32 // the row the next eviction probe looks at
+
+	bkts     []bucket
+	freeBkts []int32
+
+	outs cells[txn.UserID, float64]  // receiver -> transfer count
+	ins  cells[txn.UserID, struct{}] // distinct senders
+	days cells[txn.Day, struct{}]    // distinct active days, either side
 }
 
-// userWindow is one user's ring of time buckets.
-type userWindow struct {
-	buckets []bucket
-}
+// freeRow is a free row's newest sequence: later than any window, so the
+// eviction probe passes over it.
+const freeRow = math.MaxInt64
 
-// bucket aggregates one user's activity inside one time bucket. The maps
-// are allocated lazily and cleared (not reallocated) on rotation. seq
-// identifies which bucket sequence the slot currently holds; slots whose
-// seq has fallen out of the window are skipped by readers and recycled by
-// the next write.
+// bucket aggregates one user's activity inside one time bucket: seq is
+// the bucket sequence the record holds, and the four heads name its
+// lists (-1: empty). A record whose seq has fallen out of the window is
+// skipped by readers and recycled by the next write to its ring slot.
+// The pad makes a record one 64-byte cache line, so a read of a ring
+// touches one line per live bucket.
 type bucket struct {
 	seq                 int64
 	outCount, inCount   float64
 	outAmount, inAmount float64
-	outPeers            map[txn.UserID]float64  // receiver -> transfer count (distinct-rcv + pair prior)
-	inPeers             map[txn.UserID]struct{} // distinct senders
-	outDays, inDays     daySet                  // distinct active days
-}
-
-// daySet is a bucket's distinct active days, kept sorted. A bucket spans
-// BucketSeconds of the timeline, so it holds one day or two at the default
-// day-wide geometry and BucketSeconds/86400+1 at most: a slice, whose one
-// element costs 8 bytes where a map's header and first group cost ~130,
-// per side of every (user, bucket) the window has touched.
-type daySet []txn.Day
-
-func (s *daySet) add(d txn.Day) {
-	if i, found := slices.BinarySearch(*s, d); !found {
-		*s = slices.Insert(*s, i, d)
-	}
-}
-
-// reset recycles a slot for a new sequence, keeping map and slice
-// allocations.
-func (b *bucket) reset(seq int64) {
-	b.seq = seq
-	b.outCount, b.inCount = 0, 0
-	b.outAmount, b.inAmount = 0, 0
-	clear(b.outPeers)
-	clear(b.inPeers)
-	b.outDays, b.inDays = b.outDays[:0], b.inDays[:0]
+	outPeers, inPeers   int32 // in outs, ins
+	outDays, inDays     int32 // in days
+	_                   [8]byte
 }
 
 func (s *Store) shardIndex(u txn.UserID) uint64 {
@@ -254,14 +253,275 @@ func (s *Store) seqOf(day txn.Day, sec int32) int64 {
 	return (int64(day)*86400 + int64(sec)) / s.bucketSecs
 }
 
-// slot returns the ring slot for seq, recycling it if it still holds an
-// older sequence. Callers hold the shard lock.
-func (w *userWindow) slot(seq int64) *bucket {
-	b := &w.buckets[seq%int64(len(w.buckets))]
-	if b.seq != seq {
-		b.reset(seq)
+// ring returns row's n ring slots.
+func (sh *shard) ring(row int32, n int) []int32 {
+	return sh.rings[int(row)*n : int(row+1)*n]
+}
+
+// slot returns u's bucket record for seq, making u resident and recycling
+// the ring slot if it holds an older sequence. Callers hold the write
+// lock; the record stays valid until the next slot call.
+func (sh *shard) slot(u txn.UserID, seq int64, n int) *bucket {
+	row, ok := sh.users[u]
+	if !ok {
+		row = sh.admit(u, n)
 	}
+	sh.newest[row] = max(sh.newest[row], seq)
+	r := &sh.rings[int(row)*n+int(seq%int64(n))]
+	if *r < 0 {
+		if k := len(sh.freeBkts); k > 0 {
+			*r, sh.freeBkts = sh.freeBkts[k-1], sh.freeBkts[:k-1]
+		} else {
+			*r = int32(len(sh.bkts))
+			sh.bkts = append(sh.bkts, bucket{})
+		}
+	} else if b := &sh.bkts[*r]; b.seq == seq {
+		return b
+	} else {
+		sh.dropLists(b)
+	}
+	b := &sh.bkts[*r]
+	*b = bucket{seq: seq, outPeers: -1, inPeers: -1, outDays: -1, inDays: -1}
 	return b
+}
+
+// admit gives u a row with an empty ring.
+func (sh *shard) admit(u txn.UserID, n int) int32 {
+	var row int32
+	if k := len(sh.freeRows); k > 0 {
+		row, sh.freeRows = sh.freeRows[k-1], sh.freeRows[:k-1]
+		sh.ids[row] = u
+	} else {
+		row = int32(len(sh.ids))
+		sh.ids = append(sh.ids, u)
+		sh.newest = append(sh.newest, 0)
+		for range n {
+			sh.rings = append(sh.rings, -1)
+		}
+	}
+	sh.newest[row] = noSeq
+	sh.users[u] = row
+	return row
+}
+
+func (sh *shard) dropLists(b *bucket) {
+	sh.outs.drop(b.outPeers)
+	sh.ins.drop(b.inPeers)
+	sh.days.drop(b.outDays)
+	sh.days.drop(b.inDays)
+}
+
+// applyOut applies t's sender half to the sender's bucket for seq: the
+// out-side sums, the receiver's transfer count and the active day.
+// Callers hold sh's write lock.
+func (sh *shard) applyOut(t *txn.Transaction, seq int64, n int) {
+	b := sh.slot(t.From, seq, n)
+	b.outCount++
+	b.outAmount += float64(t.Amount)
+	c, _ := sh.outs.add(&b.outPeers, t.To)
+	sh.outs.at(c).v++
+	sh.days.add(&b.outDays, t.Day)
+}
+
+// applyIn applies t's receiver half to the receiver's bucket for seq.
+// Callers hold sh's write lock.
+func (sh *shard) applyIn(t *txn.Transaction, seq int64, n int) {
+	b := sh.slot(t.To, seq, n)
+	b.inCount++
+	b.inAmount += float64(t.Amount)
+	sh.ins.add(&b.inPeers, t.From)
+	sh.days.add(&b.inDays, t.Day)
+}
+
+// List arenas. A list is a chain of cells, newest first, each a key and a
+// value (a receiver's transfer count; nothing for a set). Most lists are
+// a few cells long and a lookup walks them; one that grows past chainMax
+// is given an open-addressing hash index over its cells, and its head
+// then names the index (flag indexed) instead of a cell, so upserting
+// into the bucket of a sender paying thousands of receivers stays O(1).
+const (
+	chainMax  = 8
+	indexed   = 1 << 30 // head flag; cell indexes stay below it
+	chunkBits = 9
+	chunkLen  = 1 << chunkBits
+)
+
+type cell[K txn.UserID | txn.Day, V any] struct {
+	v    V // first: a zero-size V then adds no padding
+	k    K
+	next int32
+}
+
+// cells is one stripe's arena of list cells. It grows a chunk at a time,
+// so growing never copies the cells it has, and reuses the cells of
+// dropped lists. Those stay whole, so dropping one is O(1): free is the
+// first cell of the last list dropped (-1: none), and the first cell of
+// each dropped list keeps, in its key, the first cell of the one dropped
+// before it.
+type cells[K txn.UserID | txn.Day, V any] struct {
+	chunks  []*[chunkLen]cell[K, V]
+	n       int32 // cells carved from chunks
+	free    int32
+	idx     []index
+	freeIdx []int32
+}
+
+// index is a long list's hash index: the list's head cell and length,
+// and a power-of-two table of its cells keyed by hash (-1: empty slot),
+// at most half full.
+type index struct {
+	head, n int32
+	shift   uint8
+	slots   []int32
+}
+
+func (c *cells[K, V]) at(i int32) *cell[K, V] {
+	return &c.chunks[i>>chunkBits][i&(chunkLen-1)]
+}
+
+func (c *cells[K, V]) alloc(k K, next int32) int32 {
+	i := c.free
+	if i >= 0 {
+		if top := c.at(i); top.next >= 0 {
+			c.at(top.next).k = top.k
+			c.free = top.next
+		} else {
+			c.free = int32(top.k)
+		}
+	} else {
+		if c.n&(chunkLen-1) == 0 {
+			if c.n >= indexed {
+				panic("stream: list arena exhausted")
+			}
+			c.chunks = append(c.chunks, new([chunkLen]cell[K, V]))
+		}
+		i = c.n
+		c.n++
+	}
+	*c.at(i) = cell[K, V]{k: k, next: next}
+	return i
+}
+
+// first resolves a list head to the list's first cell (-1: empty).
+func (c *cells[K, V]) first(h int32) int32 {
+	if h >= indexed {
+		return c.idx[h-indexed].head
+	}
+	return h
+}
+
+func (ix *index) home(k int64) int {
+	return int(uint64(k) * 0x9e3779b97f4a7c15 >> ix.shift)
+}
+
+// find returns k's cell in the list headed h (-1: absent) and, for a
+// list without an index, the list's length.
+func (c *cells[K, V]) find(h int32, k K) (int32, int) {
+	if h >= indexed {
+		ix := &c.idx[h-indexed]
+		for j := ix.home(int64(k)); ; j = (j + 1) & (len(ix.slots) - 1) {
+			if s := ix.slots[j]; s < 0 || c.at(s).k == k {
+				return s, int(ix.n)
+			}
+		}
+	}
+	n := 0
+	for ; h >= 0; h = c.at(h).next {
+		if c.at(h).k == k {
+			return h, n
+		}
+		n++
+	}
+	return -1, n
+}
+
+// add returns k's cell in the list at *head, prepending a zero-valued one
+// if k is absent; added reports which.
+func (c *cells[K, V]) add(head *int32, k K) (cell int32, added bool) {
+	h := *head
+	i, n := c.find(h, k)
+	if i >= 0 {
+		return i, false
+	}
+	if h >= indexed {
+		ix := &c.idx[h-indexed]
+		ix.head = c.alloc(k, ix.head)
+		if 2*(ix.n+1) > int32(len(ix.slots)) {
+			c.rehash(ix, 2*len(ix.slots))
+		} else {
+			c.place(ix, ix.head)
+		}
+		return ix.head, true
+	}
+	i = c.alloc(k, h)
+	*head = i
+	if n == chainMax {
+		id := int32(len(c.idx))
+		if f := len(c.freeIdx); f > 0 {
+			id, c.freeIdx = c.freeIdx[f-1], c.freeIdx[:f-1]
+		} else {
+			c.idx = append(c.idx, index{})
+		}
+		c.idx[id].head = i
+		c.rehash(&c.idx[id], 4*chainMax)
+		*head = indexed + id
+	}
+	return i, true
+}
+
+// rehash sizes ix's table to size slots and indexes every cell of its
+// list, reusing the table a dropped list left behind when it is big
+// enough.
+func (c *cells[K, V]) rehash(ix *index, size int) {
+	if cap(ix.slots) >= size {
+		ix.slots = ix.slots[:size]
+	} else {
+		ix.slots = make([]int32, size)
+	}
+	for j := range ix.slots {
+		ix.slots[j] = -1
+	}
+	ix.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	ix.n = 0
+	for i := ix.head; i >= 0; i = c.at(i).next {
+		c.place(ix, i)
+	}
+}
+
+func (c *cells[K, V]) place(ix *index, i int32) {
+	j := ix.home(int64(c.at(i).k))
+	for ix.slots[j] >= 0 {
+		j = (j + 1) & (len(ix.slots) - 1)
+	}
+	ix.slots[j] = i
+	ix.n++
+}
+
+// drop returns the list headed h, and its index if it has one, to the
+// free lists.
+func (c *cells[K, V]) drop(h int32) {
+	if h >= indexed {
+		c.freeIdx = append(c.freeIdx, h-indexed)
+		h = c.idx[h-indexed].head
+	}
+	if h >= 0 {
+		c.at(h).k = K(c.free)
+		c.free = h
+	}
+}
+
+// appendKeys appends the keys of the list headed h to ks.
+func (c *cells[K, V]) appendKeys(ks []K, h int32) []K {
+	for i := c.first(h); i >= 0; i = c.at(i).next {
+		ks = append(ks, c.at(i).k)
+	}
+	return ks
+}
+
+// distinct counts the distinct keys in ks, reordering it.
+func distinct[K cmp.Ordered](ks []K) float64 {
+	slices.Sort(ks)
+	return float64(len(slices.Compact(ks)))
 }
 
 // advanceClock moves the window clock forward to seq. A jump further
@@ -311,12 +571,12 @@ func txnKey(t *txn.Transaction) uint64 {
 }
 
 // Ingest feeds one transaction into the live window: the sender's
-// out-side, the receiver's in-side, and the city table. O(1): two striped
-// map upserts plus constant ring-bucket arithmetic. Transactions older
-// than the whole window (or further ahead of it than advanceClock
-// tolerates) are counted in Dropped and otherwise ignored; accepted newer
-// transactions advance the window, expiring buckets that fall off the far
-// edge.
+// out-side, the receiver's in-side, and the city table. O(1) amortised:
+// two striped list upserts plus constant ring-bucket arithmetic.
+// Transactions older than the whole window (or further ahead of it than
+// advanceClock tolerates) are counted in Dropped and otherwise ignored;
+// accepted newer transactions advance the window, expiring buckets that
+// fall off the far edge.
 func (s *Store) Ingest(t *txn.Transaction) {
 	seq := s.seqOf(t.Day, t.Sec)
 	// The timeline starts at day 0: a negative sequence (negative wire
@@ -327,14 +587,13 @@ func (s *Store) Ingest(t *txn.Transaction) {
 		return
 	}
 
-	// Both user-side writes happen under both shard locks, with a single
-	// in-window decision: the window may slide between advanceClock and
-	// lock acquisition, and deciding per-side could apply the sender's
-	// half of a transaction but not the receiver's. Locks are ordered by
-	// shard index so concurrent ingests cannot deadlock; per-user slots
-	// only change under their shard lock, so the in-lock check is
-	// authoritative and a stale write can never recycle a slot holding
-	// newer data.
+	// Both halves happen under both shard locks, with a single in-window
+	// decision: the window may slide between advanceClock and lock
+	// acquisition, and deciding per-side could apply the sender's half of
+	// a transaction but not the receiver's. Locks are ordered by shard
+	// index so concurrent ingests cannot deadlock; per-user slots only
+	// change under their shard lock, so the in-lock check is authoritative
+	// and a stale write can never recycle a slot holding newer data.
 	fi, ti := s.shardIndex(t.From), s.shardIndex(t.To)
 	shFrom, shTo := &s.shards[fi], &s.shards[ti]
 	first, second := shFrom, shTo
@@ -353,29 +612,16 @@ func (s *Store) Ingest(t *txn.Transaction) {
 		s.dropped.Add(1)
 		return
 	}
-	b := shFrom.window(t.From, s.buckets).slot(seq)
-	b.outCount++
-	b.outAmount += float64(t.Amount)
-	if b.outPeers == nil {
-		b.outPeers = make(map[txn.UserID]float64, 4)
+	shFrom.applyOut(t, seq, s.buckets)
+	shTo.applyIn(t, seq, s.buckets)
+	// Piggyback an eviction probe on each write lock already held — as
+	// many as the users this ingest may have admitted — so memory tracks
+	// the active user set, not the all-time one.
+	low := s.windowLow()
+	shFrom.evictOne(low, s.buckets)
+	if second != first {
+		shTo.evictOne(low, s.buckets)
 	}
-	b.outPeers[t.To]++
-	b.outDays.add(t.Day)
-
-	b = shTo.window(t.To, s.buckets).slot(seq)
-	b.inCount++
-	b.inAmount += float64(t.Amount)
-	if b.inPeers == nil {
-		b.inPeers = make(map[txn.UserID]struct{}, 4)
-	}
-	b.inPeers[t.From] = struct{}{}
-	b.inDays.add(t.Day)
-
-	// Piggyback one eviction probe on the write lock already held: check
-	// a pseudo-random resident of the sender's shard and delete it if its
-	// whole ring has expired, so memory tracks the active user set, not
-	// the all-time one.
-	shFrom.evictOne(t.From, s.maxSeq.Load()-int64(s.buckets)+1)
 
 	if second != first {
 		second.mu.Unlock()
@@ -386,24 +632,34 @@ func (s *Store) Ingest(t *txn.Transaction) {
 	s.ingested.Add(1)
 }
 
-// evictOne probes one map entry (Go's randomised iteration order makes
-// successive probes hit different users) and deletes it if every bucket
-// fell out of the window. Amortised O(1) per ingest; a long-lived store
-// therefore sheds departed users at roughly its ingest rate. Callers hold
-// the shard write lock.
-func (sh *shard) evictOne(skip txn.UserID, low int64) {
-	for u, w := range sh.users {
-		if u == skip {
-			continue
-		}
-		for i := range w.buckets {
-			if w.buckets[i].seq >= low {
-				return
-			}
-		}
-		delete(sh.users, u)
+// evictOne probes the row under the stripe's clock hand and, if its
+// newest bucket fell out of the window, frees the row, its records and
+// their lists. One probe per ingest sweeps every row in turn, so a
+// long-lived store sheds departed users at roughly its ingest rate.
+// Callers hold the shard write lock.
+func (sh *shard) evictOne(low int64, n int) {
+	if len(sh.ids) == 0 {
 		return
 	}
+	if int(sh.hand) >= len(sh.ids) {
+		sh.hand = 0
+	}
+	row := sh.hand
+	sh.hand++
+	if sh.newest[row] >= low {
+		return
+	}
+	ring := sh.ring(row, n)
+	for i, r := range ring {
+		if r >= 0 {
+			sh.dropLists(&sh.bkts[r])
+			sh.freeBkts = append(sh.freeBkts, r)
+			ring[i] = -1
+		}
+	}
+	delete(sh.users, sh.ids[row])
+	sh.newest[row] = freeRow
+	sh.freeRows = append(sh.freeRows, row)
 }
 
 // IngestBatch ingests a slice in order.
@@ -413,24 +669,15 @@ func (s *Store) IngestBatch(ts []txn.Transaction) {
 	}
 }
 
-// window returns (or creates) u's ring of n buckets. Callers hold the
-// shard lock.
-func (sh *shard) window(u txn.UserID, n int) *userWindow {
-	w, ok := sh.users[u]
-	if !ok {
-		w = &userWindow{buckets: make([]bucket, n)}
-		for i := range w.buckets {
-			w.buckets[i].seq = noSeq
-		}
-		sh.users[u] = w
-	}
-	return w
-}
-
 // windowLow returns the lowest in-window sequence (inclusive).
 func (s *Store) windowLow() int64 {
 	return s.maxSeq.Load() - int64(s.buckets) + 1
 }
+
+// Reads visit a user's ring in slot order (seq % Buckets ascending),
+// skipping empty and expired slots, so every float sum adds the same
+// terms in the same order whatever the history of the slabs — the reads
+// are a function of the window's contents alone.
 
 // Stats sums user u's live window into the same UserStats fragment the
 // batch aggregates produce. O(buckets + in-window distinct entries).
@@ -439,64 +686,55 @@ func (s *Store) Stats(u txn.UserID) feature.UserStats {
 	sh := s.shardOf(u)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	w := sh.users[u]
-	if w == nil {
+	row, ok := sh.users[u]
+	if !ok {
 		return feature.UserStats{}
 	}
 	var st feature.UserStats
-	rcv := make(map[txn.UserID]struct{})
-	snd := make(map[txn.UserID]struct{})
-	outD := make(map[txn.Day]struct{})
-	inD := make(map[txn.Day]struct{})
-	for i := range w.buckets {
-		b := &w.buckets[i]
-		if b.seq < low {
+	var rcv, snd []txn.UserID
+	var outD, inD []txn.Day
+	for _, r := range sh.ring(row, s.buckets) {
+		if r < 0 || sh.bkts[r].seq < low {
 			continue
 		}
+		b := &sh.bkts[r]
 		st.OutCount += b.outCount
 		st.InCount += b.inCount
 		st.OutAmount += b.outAmount
 		st.InAmount += b.inAmount
-		for p := range b.outPeers {
-			rcv[p] = struct{}{}
-		}
-		for p := range b.inPeers {
-			snd[p] = struct{}{}
-		}
-		for _, d := range b.outDays {
-			outD[d] = struct{}{}
-		}
-		for _, d := range b.inDays {
-			inD[d] = struct{}{}
-		}
+		rcv = sh.outs.appendKeys(rcv, b.outPeers)
+		snd = sh.ins.appendKeys(snd, b.inPeers)
+		outD = sh.days.appendKeys(outD, b.outDays)
+		inD = sh.days.appendKeys(inD, b.inDays)
 	}
-	st.DistinctRcv = float64(len(rcv))
-	st.DistinctSnd = float64(len(snd))
-	st.OutDays = float64(len(outD))
-	st.InDays = float64(len(inD))
+	st.DistinctRcv = distinct(rcv)
+	st.DistinctSnd = distinct(snd)
+	st.OutDays = distinct(outD)
+	st.InDays = distinct(inD)
 	return st
 }
 
 // Velocity sums user u's in-window transfer counts and amounts without
-// touching the distinct-entity maps: the count/amount ring fields are
+// touching the distinct-entity lists: the count/amount record fields are
 // plain accumulators, so the read is O(buckets) with zero allocation —
 // cheap enough for the decision subsystem's velocity-cap rule predicates
-// to call on the scoring hot path (Stats, by contrast, allocates four
-// maps to reproduce the distinct counters exactly).
+// to call on the scoring hot path (Stats, by contrast, gathers and sorts
+// the lists to reproduce the distinct counters exactly).
 func (s *Store) Velocity(u txn.UserID) (outCount, outAmount, inCount, inAmount float64) {
 	low := s.windowLow()
 	sh := s.shardOf(u)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	w := sh.users[u]
-	if w == nil {
+	row, ok := sh.users[u]
+	if !ok {
 		return 0, 0, 0, 0
 	}
-	for i := range w.buckets {
-		b := &w.buckets[i]
-		if b.seq < low {
+	bkts := sh.bkts
+	for _, r := range sh.ring(row, s.buckets) {
+		if r < 0 || bkts[r].seq < low {
 			continue
 		}
+		b := &bkts[r]
 		outCount += b.outCount
 		outAmount += b.outAmount
 		inCount += b.inCount
@@ -512,17 +750,27 @@ func (s *Store) PairPrior(from, to txn.UserID) float64 {
 	sh := s.shardOf(from)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	w := sh.users[from]
-	if w == nil {
+	row, ok := sh.users[from]
+	if !ok {
 		return 0
 	}
 	var n float64
-	for i := range w.buckets {
-		b := &w.buckets[i]
-		if b.seq < low {
+	for _, r := range sh.ring(row, s.buckets) {
+		if r < 0 || sh.bkts[r].seq < low {
 			continue
 		}
-		n += b.outPeers[to]
+		h := sh.bkts[r].outPeers
+		if h >= indexed {
+			h, _ = sh.outs.find(h, to)
+		}
+		for h >= 0 { // a short list, walked here: find is not inlined
+			if c := sh.outs.at(h); c.k != to {
+				h = c.next
+				continue
+			}
+			n += sh.outs.at(h).v
+			break
+		}
 	}
 	return n
 }

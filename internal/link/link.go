@@ -404,10 +404,12 @@ func (c *conn) fail(err error) {
 
 // Hub is the shard's end. It tracks the links it serves because net/http
 // forgets a hijacked connection: neither http.Server.Close nor Shutdown
-// closes or waits for one.
+// closes or waits for one. Each link's connection is kept beside the
+// cancel of the context its calls run under, so cutting a link also
+// cancels the calls still in flight on it.
 type Hub struct {
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[net.Conn]context.CancelFunc
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -420,25 +422,29 @@ func (hub *Hub) Conns() int {
 }
 
 // Shutdown stops every link reading new calls, lets the calls in flight
-// answer until ctx ends, then cuts what is left and waits for the links'
-// goroutines. Later upgrades are refused.
+// answer until ctx ends, then cuts what is left — closing each connection
+// and cancelling its calls — and waits for the links' goroutines. Later
+// upgrades are refused.
 func (hub *Hub) Shutdown(ctx context.Context) {
-	each := func(do func(net.Conn)) {
+	each := func(do func(net.Conn, context.CancelFunc)) {
 		hub.mu.Lock()
 		defer hub.mu.Unlock()
 		hub.closed = true
-		for nc := range hub.conns {
-			do(nc)
+		for nc, cancel := range hub.conns {
+			do(nc, cancel)
 		}
 	}
 	// An expired read deadline wakes the link's blocked read: drain.
-	each(func(nc net.Conn) { _ = nc.SetReadDeadline(time.Unix(1, 0)) })
+	each(func(nc net.Conn, _ context.CancelFunc) { _ = nc.SetReadDeadline(time.Unix(1, 0)) })
 	idle := make(chan struct{})
 	go func() { hub.wg.Wait(); close(idle) }()
 	select {
 	case <-idle:
 	case <-ctx.Done():
-		each(func(nc net.Conn) { nc.Close() })
+		each(func(nc net.Conn, cancel context.CancelFunc) {
+			cancel()
+			nc.Close()
+		})
 		<-idle
 	}
 }
@@ -456,22 +462,25 @@ func (hub *Hub) Upgrade(w http.ResponseWriter, r *http.Request, h http.Handler) 
 		hub.mu.Unlock()
 		return errors.New("link: shutting down")
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	nc, brw, err := hj.Hijack()
 	if err == nil {
 		if hub.conns == nil {
-			hub.conns = map[net.Conn]struct{}{}
+			hub.conns = map[net.Conn]context.CancelFunc{}
 		}
-		hub.conns[nc] = struct{}{}
+		hub.conns[nc] = cancel
 		hub.wg.Add(1)
 	}
 	hub.mu.Unlock()
 	if err != nil {
+		cancel()
 		return err
 	}
 	_ = nc.SetDeadline(time.Time{}) // the HTTP server's timeouts do not govern a link
 	if _, err := io.WriteString(nc, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+proto+"\r\n\r\n"); err == nil {
-		serve(nc, bufio.NewReaderSize(brw.Reader, 64<<10), h)
+		serve(ctx, nc, bufio.NewReaderSize(brw.Reader, 64<<10), h)
 	}
+	cancel()
 	nc.Close()
 	hub.mu.Lock()
 	delete(hub.conns, nc)
@@ -504,13 +513,13 @@ type servedCall struct {
 }
 
 // serve reads calls off a link until it fails or is told to drain (a
-// read deadline), then waits for the calls in flight: a cut link cancels
-// them, a drain lets them answer.
-func serve(nc net.Conn, br *bufio.Reader, h http.Handler) {
-	ctx, cancel := context.WithCancel(context.Background())
+// read deadline), then waits for the calls in flight, which run under
+// ctx: a failed link cancels them before the wait, a drain lets them
+// answer — until the hub cuts the link, which cancels ctx.
+func serve(ctx context.Context, nc net.Conn, br *bufio.Reader, h http.Handler) {
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	s := &served{nc: nc, h: h}
-	defer s.calls.Wait()
 	for {
 		sc, _ := s.pool.Get().(*servedCall)
 		if sc == nil {
@@ -526,6 +535,7 @@ func serve(nc net.Conn, br *bufio.Reader, h http.Handler) {
 			if !errors.As(err, &ne) || !ne.Timeout() {
 				cancel()
 			}
+			s.calls.Wait()
 			return
 		}
 		s.calls.Add(1)

@@ -36,7 +36,9 @@ func shard(t testing.TB, h http.Handler) (*httptest.Server, *Hub) {
 	}))
 	t.Cleanup(func() {
 		hs.Close()
-		hub.Shutdown(context.Background())
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		hub.Shutdown(ctx)
 	})
 	return hs, hub
 }
@@ -171,9 +173,10 @@ func (l *lifo) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (l *lifo) release(stop <-chan struct{}) {
 	for {
+		stopped := false
 		select {
 		case <-stop:
-			return
+			stopped = true
 		case <-time.After(200 * time.Microsecond):
 		}
 		l.mu.Lock()
@@ -182,6 +185,9 @@ func (l *lifo) release(stop <-chan struct{}) {
 		}
 		l.stack = l.stack[:0]
 		l.mu.Unlock()
+		if stopped {
+			return
+		}
 	}
 }
 
@@ -354,6 +360,70 @@ func TestHubShutdownDrains(t *testing.T) {
 	}
 }
 
+// pipeWriter is a ResponseWriter whose connection hijacks to one end of a
+// net.Pipe, so a Hub serves a link without a listener.
+type pipeWriter struct {
+	httptest.ResponseRecorder
+	nc net.Conn
+}
+
+func (p *pipeWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	return p.nc, bufio.NewReadWriter(bufio.NewReader(p.nc), bufio.NewWriter(p.nc)), nil
+}
+
+// TestHubShutdownCutsBlockedCall: a call whose handler waits on its
+// request's context, a drain begun, then the drain's context ends. The cut
+// must cancel the call, so Shutdown returns within its context plus 50 ms
+// — on every one of 1 000 runs, because whether the read loop sees the
+// drain deadline before the cut is a matter of scheduling, and in that
+// order only the cut can cancel the call.
+func TestHubShutdownCutsBlockedCall(t *testing.T) {
+	const (
+		runs  = 1000
+		grace = time.Millisecond
+		slack = 50 * time.Millisecond
+	)
+	call := appendHead(nil, 1, 0, nil)
+	if err := logio.Seal(call); err != nil {
+		t.Fatal(err)
+	}
+	up := httptest.NewRequest(http.MethodGet, Path, nil)
+	up.Header.Set("Upgrade", proto)
+	for i := 0; i < runs; i++ {
+		client, server := net.Pipe()
+		go io.Copy(io.Discard, client)
+		hub := &Hub{}
+		entered := make(chan struct{})
+		h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			close(entered)
+			<-r.Context().Done()
+		})
+		served := make(chan error, 1)
+		go func() { served <- hub.Upgrade(&pipeWriter{nc: server}, up, h) }()
+		if _, err := client.Write(call); err != nil {
+			t.Fatalf("run %d: write call: %v", i, err)
+		}
+		<-entered
+		ctx, cancel := context.WithTimeout(context.Background(), grace)
+		start := time.Now()
+		done := make(chan struct{})
+		go func() { hub.Shutdown(ctx); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("run %d: Shutdown still waiting on a call blocked on its context", i)
+		}
+		cancel()
+		if took := time.Since(start); took > grace+slack {
+			t.Fatalf("run %d: Shutdown took %v, context %v", i, took, grace)
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("run %d: Upgrade: %v", i, err)
+		}
+		client.Close()
+	}
+}
+
 // frame builds a sealed frame around a payload.
 func frame(payload []byte) []byte {
 	f := append(make([]byte, logio.FrameOverhead), payload...)
@@ -420,7 +490,7 @@ func FuzzLinkFrame(f *testing.F) {
 		served := make(chan struct{})
 		go func() {
 			defer close(served)
-			serve(server, bufio.NewReader(server), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			serve(context.Background(), server, bufio.NewReader(server), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				ran.Add(1)
 				io.Copy(w, r.Body)
 			}))
