@@ -1,14 +1,7 @@
 # Developer entry points. The repo is plain `go build ./... && go test
 # ./...`; these targets wrap the multi-step flows.
 
-# bench-serving pipes `go test` through tee and benchjson; bash with
-# pipefail makes a failing benchmark run fail the target instead of
-# producing an empty-but-green JSON report.
-SHELL := /bin/bash
-
-BENCHTIME ?= 100x
-
-.PHONY: test tier1-stress bench-build race bench-serving loadgen-smoke chaos-smoke metrics-smoke
+.PHONY: test tier1-stress bench-build race loadgen-smoke chaos-smoke metrics-smoke
 
 # test is the tier-1 gate. The timeout turns a hang into a two-minute
 # failure that prints every goroutine's stack, instead of a ten-minute one.
@@ -17,8 +10,10 @@ test: bench-build
 
 # tier1-stress is the gate that catches what a lucky schedule hides: the
 # tier-1 suite ten times at GOMAXPROCS=2 beside a process spinning one
-# core, then the link and router transport tests twenty times under the
-# race detector. One failure or hang fails the target.
+# core, then the link and router transport tests — the golden cases with
+# every released answer poisoned among them — twenty times under the
+# race detector, then the wire-tier chaos test twenty times, whose faults
+# sit on the router's call seam. One failure or hang fails the target.
 tier1-stress:
 	@set -e; \
 	  yes > /dev/null & hog=$$!; \
@@ -27,7 +22,8 @@ tier1-stress:
 	    echo "=== tier-1 run $$i/10 (GOMAXPROCS=2, one core busy) ==="; \
 	    GOMAXPROCS=2 go test -count=1 -timeout 120s ./...; \
 	  done
-	go test -race -count=20 -timeout 600s ./internal/link/ ./internal/router/ -run 'Link|Multiplex|Restart|Pending|Chaos'
+	go test -race -count=20 -timeout 600s ./internal/link/ ./internal/router/ -run 'Link|Multiplex|Restart|Pending|Chaos|Released|Poison'
+	go test -count=20 -timeout 600s -run TestChaosWireTierShardOutage .
 
 # bench-build type-checks the benchmark module (bench/, a module of its
 # own that compiles against this one's exported accessors), so deleting
@@ -38,42 +34,12 @@ bench-build:
 race:
 	go test -race ./internal/feature/stream/ ./internal/ms/... ./internal/router/ ./internal/link/ ./internal/faultinject/ ./internal/hbase/ ./internal/decision/ ./internal/eventlog/ ./internal/logio/ ./internal/loadgen/ ./internal/synth/ ./internal/telemetry/
 
-# bench-serving runs the hot serving read-path benchmarks (user fetch,
-# multi-get, point read, cached and uncached batch scoring, plus the
-# decision path with policy and shadow variants) and writes
-# BENCH_serving.json — ns/op and allocs/op per benchmark — so future PRs
-# have machine-readable numbers to compare against; in particular,
-# BenchmarkDecideBatch/policy vs BenchmarkScoreBatch tracks the decision
-# path's overhead budget, BenchmarkDecideBatchCold beside
-# BenchmarkScoreBatchCached the cold-cache fetch path (uniform users over
-# a cache 1/16 of them: allocs/op must not grow with the misses), BenchmarkIngestLogged/logged vs /unlogged the
-# event log's ingest overhead (must stay allocation-flat),
-# BenchmarkScoreBatchTraced/traced vs /untraced the telemetry plane's
-# span-aggregation overhead (its built-in guard fails the run past 5%
-# or one extra alloc/op), BenchmarkWireDecideBatch/handler vs
-# BenchmarkDecideBatch/policy what the JSON wire costs one shard (and
-# /routed the whole router + 2 shards loopback path, allocs/op included),
-# and BenchmarkReplay the crash-recovery ns/record budget. The model
-# packages' BenchmarkScoreBatch is the score stage alone at the serving
-# width (116 columns), ns/row and allocs/op from one row to the batch
-# limit: GBDT at the bench fixture's 40 trees and at DefaultConfig()'s
-# 400, LR at 200 bins, ID3 and C5.0. BENCHTIME trades precision for wall
-# clock (use e.g. BENCHTIME=2s locally).
-bench-serving:
-	@set -o pipefail; { \
-	  go test -run '^$$' -bench 'BenchmarkScoreBatch$$' -benchmem -benchtime=$(BENCHTIME) ./internal/model/gbdt/ ./internal/model/lr/ ./internal/model/ruletree/ && \
-	  go test -run '^$$' -bench 'BenchmarkGet$$|BenchmarkMultiGet' -benchmem -benchtime=$(BENCHTIME) ./internal/hbase/ && \
-	  go test -run '^$$' -bench 'BenchmarkFetchUser' -benchmem -benchtime=$(BENCHTIME) ./internal/ms/ && \
-	  go test -run '^$$' -bench 'BenchmarkScoreSequential|BenchmarkScoreBatch$$|BenchmarkScoreBatchCached|BenchmarkDecideBatchCold|BenchmarkScoreBatchTraced|BenchmarkScoreBatchSharded|BenchmarkDecideBatch|BenchmarkWireDecideBatch|BenchmarkIngestLogged|BenchmarkReplay$$' -benchmem -benchtime=$(BENCHTIME) . ; \
-	} | tee /dev/stderr | go run ./cmd/benchjson > BENCH_serving.json
-	@echo "wrote BENCH_serving.json"
-
 # loadgen-smoke runs the open-loop scenario load harness end to end in
 # process — compose the scenario world, train a fast bundle, drive the
 # engine under admission control — and writes LOADGEN_report.json
 # (throughput, p50/p99/p999 from scheduled arrival, per-scenario recall
-# and precision against the manifests) next to BENCH_serving.json, so
-# every PR leaves a detection-quality and tail-latency trajectory. The
+# and precision against the manifests), so every PR leaves a
+# detection-quality and tail-latency trajectory. The
 # run doubles as an SLO gate: ci/slo.json pins tail-latency ceilings and
 # per-scenario recall floors, and a breach fails the target.
 loadgen-smoke:

@@ -136,13 +136,8 @@ func TestChaosWireTierShardOutage(t *testing.T) {
 		StartMs: outageAt.Milliseconds(),
 		EndMs:   revureAt.Milliseconds(),
 	}}}
-	// The faults are injected above the shard link: the outage is played
-	// over the production path.
-	lk := link.New(wire)
-	defer lk.Close()
-	chaos := faultinject.NewTransport(lk, scenario, faultinject.ShardByHost(urls))
 	rt, err := router.New(urls,
-		router.WithTransport(chaos),
+		router.WithTransport(wire),
 		router.WithTimeout(80*time.Millisecond),
 		router.WithRetries(1, 5*time.Millisecond, 10*time.Millisecond),
 		router.WithBreaker(router.BreakerConfig{ConsecutiveFails: 3, Cooldown: 200 * time.Millisecond}),
@@ -151,6 +146,14 @@ func TestChaosWireTierShardOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Close()
+	// The faults are injected above the shard link: the outage is played
+	// over the production path.
+	var chaos *faultinject.Transport
+	rt.Wrap(func(lk link.Caller) link.Caller {
+		chaos = faultinject.NewTransport(lk, scenario)
+		return chaos
+	})
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 	target := &loadgen.HTTPTarget{BaseURL: front.URL, Client: &http.Client{Transport: clientSide}}

@@ -232,13 +232,8 @@ func buildChaosFleet(cfg *loadgen.Config, scenarioPath string, shards, users int
 	// than the requests.
 	wire := &http.Transport{MaxIdleConns: 512, MaxIdleConnsPerHost: 128}
 	c.closers = append(c.closers, wire.CloseIdleConnections)
-	// The faults sit above the shard link, as they sat above the HTTP
-	// transport: the production path is what they break.
-	lk := link.New(wire)
-	c.closers = append(c.closers, lk.Close)
-	c.tr = faultinject.NewTransport(lk, sc, faultinject.ShardByHost(urls))
 	rt, err := router.New(urls,
-		router.WithTransport(c.tr),
+		router.WithTransport(wire),
 		router.WithTimeout(250*time.Millisecond),
 		router.WithBreaker(router.BreakerConfig{Cooldown: 500 * time.Millisecond}),
 		router.WithSeed(routerSeed),
@@ -246,6 +241,13 @@ func buildChaosFleet(cfg *loadgen.Config, scenarioPath string, shards, users int
 	if err != nil {
 		return nil, err
 	}
+	c.closers = append(c.closers, rt.Close)
+	// The faults sit above the shard link: the production path is what
+	// they break.
+	rt.Wrap(func(lk link.Caller) link.Caller {
+		c.tr = faultinject.NewTransport(lk, sc)
+		return c.tr
+	})
 	c.routerURL, err = func() (string, error) {
 		url, closeSrv, err := serveLoopback(rt.Handler())
 		if err != nil {

@@ -1,6 +1,7 @@
 // Package faultinject is the chaos layer that makes the wire tier's
-// resilience claims falsifiable. It wraps an http.RoundTripper with a
-// seeded, scripted fault scenario: per-shard latency injection,
+// resilience claims falsifiable. It wraps the router's call seam
+// (link.Caller) with a seeded, scripted fault scenario — above the shard
+// link, so the faults break the production path: per-shard latency injection,
 // blackholes (the request hangs until the caller's deadline fires),
 // connection resets, 5xx bursts and dropped responses (the request is
 // delivered but the reply is lost — the fault class that turns naive
@@ -17,16 +18,18 @@ package faultinject
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"titant/internal/link"
 	"titant/internal/rng"
 )
 
@@ -62,7 +65,7 @@ var validKinds = map[string]bool{
 // KindDropResponse faults.
 var ErrReset = errors.New("faultinject: connection reset by peer")
 
-// Rule is one scripted fault: on requests to Shard whose URL path starts
+// Rule is one scripted fault: on calls to Shard whose route's path starts
 // with Path (empty: any), between StartMs and EndMs after the scenario
 // starts, inject Kind with probability Prob.
 type Rule struct {
@@ -128,11 +131,6 @@ func ParseScenario(raw []byte) (*Scenario, error) {
 	return &s, nil
 }
 
-// Encode renders the scenario as indented JSON.
-func (s *Scenario) Encode() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
 // RuleStats counts one rule's activity.
 type RuleStats struct {
 	Kind    string `json:"kind"`
@@ -141,12 +139,12 @@ type RuleStats struct {
 	Applied int64  `json:"delivered"` // of those, requests still delivered upstream
 }
 
-// Transport injects a scenario's faults into requests passing through a
-// base RoundTripper. Safe for concurrent use.
+// Transport injects a scenario's faults into calls passing through a
+// base Caller, matching rules by the call's shard index. Safe for
+// concurrent use.
 type Transport struct {
-	base    http.RoundTripper
-	sc      *Scenario
-	shardOf func(*http.Request) int
+	base link.Caller
+	sc   *Scenario
 
 	mu      sync.Mutex
 	r       *rng.RNG
@@ -158,41 +156,15 @@ type Transport struct {
 	forwarded atomic.Int64 // requests delivered upstream (fault or not)
 }
 
-// NewTransport wraps base with the scenario's faults. shardOf maps a
-// request to its shard index (see ShardByHost); requests mapping to -1
-// bypass every rule. The fault clock starts at the first request unless
-// Start is called explicitly.
-func NewTransport(base http.RoundTripper, sc *Scenario, shardOf func(*http.Request) int) *Transport {
-	if base == nil {
-		base = http.DefaultTransport
-	}
+// NewTransport wraps base with the scenario's faults. The fault clock
+// starts at the first call unless Start is called explicitly.
+func NewTransport(base link.Caller, sc *Scenario) *Transport {
 	return &Transport{
 		base:    base,
 		sc:      sc,
-		shardOf: shardOf,
 		r:       rng.New(sc.Seed),
 		hits:    make([]atomic.Int64, len(sc.Rules)),
 		applied: make([]atomic.Int64, len(sc.Rules)),
-	}
-}
-
-// ShardByHost maps request hosts back to shard indices given the ring's
-// base URLs, for transports interposed below a router.
-func ShardByHost(urls []string) func(*http.Request) int {
-	byHost := make(map[string]int, len(urls))
-	for i, u := range urls {
-		h := u
-		if j := strings.Index(h, "://"); j >= 0 {
-			h = h[j+3:]
-		}
-		h = strings.TrimRight(h, "/")
-		byHost[h] = i
-	}
-	return func(r *http.Request) int {
-		if si, ok := byHost[r.URL.Host]; ok {
-			return si
-		}
-		return -1
 	}
 }
 
@@ -226,17 +198,17 @@ func (t *Transport) flip(p float64) bool {
 	return ok
 }
 
-// match returns the first rule active for this request, or -1.
-func (t *Transport) match(req *http.Request, shard int, nowMs int64) int {
+// match returns the first rule active for this call, or -1.
+func (t *Transport) match(c *link.Call, nowMs int64) int {
 	for i := range t.sc.Rules {
 		r := &t.sc.Rules[i]
-		if r.Shard != -1 && r.Shard != shard {
+		if r.Shard != -1 && r.Shard != c.Shard {
 			continue
 		}
 		if nowMs < r.StartMs || (r.EndMs != 0 && nowMs >= r.EndMs) {
 			continue
 		}
-		if r.Path != "" && !strings.HasPrefix(req.URL.Path, r.Path) {
+		if r.Path != "" && !strings.HasPrefix(link.Routes[c.Route].Path, r.Path) {
 			continue
 		}
 		if r.Prob > 0 && r.Prob < 1 && !t.flip(r.Prob) {
@@ -247,74 +219,70 @@ func (t *Transport) match(req *http.Request, shard int, nowMs int64) int {
 	return -1
 }
 
-// RoundTrip applies the first active rule, if any, then (depending on
-// the fault) forwards to the base transport.
-func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	now := time.Now()
-	shard := -1
-	if t.shardOf != nil {
-		shard = t.shardOf(req)
-	}
-	ri := -1
-	if shard >= 0 {
-		ri = t.match(req, shard, t.elapsed(now))
-	}
+// Do implements link.Caller: it applies the first active rule, if any,
+// then (depending on the fault) forwards the call to the base Caller.
+func (t *Transport) Do(ctx context.Context, c *link.Call) error {
+	ri := t.match(c, t.elapsed(time.Now()))
 	if ri < 0 {
 		t.forwarded.Add(1)
-		return t.base.RoundTrip(req)
+		return t.base.Do(ctx, c)
 	}
 	rule := &t.sc.Rules[ri]
 	t.hits[ri].Add(1)
 	switch rule.Kind {
 	case KindLatency:
-		timer := time.NewTimer(time.Duration(rule.LatencyMs) * time.Millisecond)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
+		if err := hold(ctx, c, time.Duration(rule.LatencyMs)*time.Millisecond); err != nil {
+			return err
 		}
 		t.applied[ri].Add(1)
 		t.forwarded.Add(1)
-		return t.base.RoundTrip(req)
+		return t.base.Do(ctx, c)
 	case KindBlackhole:
-		<-req.Context().Done()
-		return nil, req.Context().Err()
+		return hold(ctx, c, -1)
 	case KindReset:
-		return nil, ErrReset
+		return ErrReset
 	case KindHTTPError:
 		status := rule.Status
 		if status == 0 {
 			status = http.StatusInternalServerError
 		}
-		body := fmt.Sprintf(`{"error":{"code":"injected","message":"faultinject: synthesized %d"}}`, status)
-		return &http.Response{
-			StatusCode: status,
-			Status:     http.StatusText(status),
-			Proto:      "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-			Header:        http.Header{"Content-Type": []string{"application/json"}},
-			Body:          io.NopCloser(strings.NewReader(body)),
-			ContentLength: int64(len(body)),
-			Request:       req,
-		}, nil
+		c.Status, c.Answer[link.SlotContentType] = status, []byte(link.JSON)
+		c.Body = fmt.Appendf(nil, `{"error":{"code":"injected","message":"faultinject: synthesized %d"}}`, status)
+		return nil
 	case KindDropResponse:
 		t.applied[ri].Add(1)
 		t.forwarded.Add(1)
-		resp, err := t.base.RoundTrip(req)
-		if err != nil {
-			return nil, err
+		if err := t.base.Do(ctx, c); err != nil {
+			return err
 		}
 		// The server did the work; the reply is lost on the wire.
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return nil, ErrReset
+		return ErrReset
 	}
 	// Unreachable after Validate; fail loudly rather than pass silently.
-	return nil, fmt.Errorf("faultinject: unhandled kind %q", rule.Kind)
+	return fmt.Errorf("faultinject: unhandled kind %q", rule.Kind)
 }
 
-// Forwarded counts the requests actually delivered to the base
-// transport (including ones whose responses were then dropped).
+// hold keeps a call for d (d < 0: for ever) as the wire would: until ctx
+// ends or the call's Timeout passes, which is its error.
+func hold(ctx context.Context, c *link.Call, d time.Duration) error {
+	if c.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
+		defer cancel()
+	}
+	if d < 0 {
+		d = math.MaxInt64
+	}
+	select {
+	case <-time.After(d):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Forwarded counts the calls actually delivered to the base Caller
+// (including ones whose answers were then dropped).
 func (t *Transport) Forwarded() int64 { return t.forwarded.Load() }
 
 // Stats snapshots per-rule activity in rule order.

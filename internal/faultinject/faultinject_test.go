@@ -3,32 +3,28 @@ package faultinject
 import (
 	"context"
 	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"titant/internal/link"
 )
 
-func testServer(t *testing.T, hits *atomic.Int64) *httptest.Server {
-	t.Helper()
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		io.WriteString(w, "ok")
-	}))
-	t.Cleanup(hs.Close)
-	return hs
+// shards is a base Caller standing in for the wire: it counts the calls
+// that reach each shard and answers them "ok".
+type shards [2]atomic.Int64
+
+func (s *shards) Do(_ context.Context, c *link.Call) error {
+	s[c.Shard].Add(1)
+	c.Status, c.Body = 200, []byte("ok")
+	return nil
 }
 
-func get(t *testing.T, c *http.Client, url string) (*http.Response, error) {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c.Do(req)
+// call issues one call to shard through tr.
+func call(ctx context.Context, tr *Transport, shard int) (*link.Call, error) {
+	c := link.NewCall(shard, 0)
+	return c, tr.Do(ctx, c)
 }
 
 func TestParseScenarioRejectsBadScripts(t *testing.T) {
@@ -51,92 +47,81 @@ func TestParseScenarioRejectsBadScripts(t *testing.T) {
 	if sc.Seed != 7 || len(sc.Rules) != 1 {
 		t.Fatalf("parsed scenario = %+v", sc)
 	}
-	if enc, err := sc.Encode(); err != nil || !strings.Contains(string(enc), `"latency"`) {
-		t.Fatalf("round trip: %s (%v)", enc, err)
-	}
 }
 
 func TestTransportFaults(t *testing.T) {
-	var hits atomic.Int64
-	hs := testServer(t, &hits)
-	shardOf := ShardByHost([]string{hs.URL})
+	var hits shards
+	bg := context.Background()
 
 	t.Run("reset never reaches the server", func(t *testing.T) {
-		hits.Store(0)
-		sc := &Scenario{Rules: []Rule{{Shard: 0, Kind: KindReset}}}
-		tr := NewTransport(nil, sc, shardOf)
-		c := &http.Client{Transport: tr}
-		if _, err := get(t, c, hs.URL); err == nil || !errors.Is(err, ErrReset) && !strings.Contains(err.Error(), ErrReset.Error()) {
+		hits[0].Store(0)
+		tr := NewTransport(&hits, &Scenario{Rules: []Rule{{Shard: 0, Kind: KindReset}}})
+		if _, err := call(bg, tr, 0); !errors.Is(err, ErrReset) {
 			t.Fatalf("err = %v, want reset", err)
 		}
-		if hits.Load() != 0 || tr.Forwarded() != 0 {
-			t.Fatalf("reset forwarded: hits=%d fwd=%d", hits.Load(), tr.Forwarded())
+		if hits[0].Load() != 0 || tr.Forwarded() != 0 {
+			t.Fatalf("reset forwarded: hits=%d fwd=%d", hits[0].Load(), tr.Forwarded())
 		}
 	})
 
 	t.Run("http_error synthesizes without forwarding", func(t *testing.T) {
-		hits.Store(0)
-		sc := &Scenario{Rules: []Rule{{Shard: 0, Kind: KindHTTPError, Status: 502}}}
-		c := &http.Client{Transport: NewTransport(nil, sc, shardOf)}
-		resp, err := get(t, c, hs.URL)
+		hits[0].Store(0)
+		tr := NewTransport(&hits, &Scenario{Rules: []Rule{{Shard: 0, Kind: KindHTTPError, Status: 502}}})
+		c, err := call(bg, tr, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 502 || hits.Load() != 0 {
-			t.Fatalf("status=%d hits=%d", resp.StatusCode, hits.Load())
+		if c.Status != 502 || string(c.Answer[link.SlotContentType]) != link.JSON || !strings.Contains(string(c.Body), "synthesized 502") || hits[0].Load() != 0 {
+			t.Fatalf("status=%d body=%s hits=%d", c.Status, c.Body, hits[0].Load())
 		}
 	})
 
 	t.Run("drop_response delivers then loses the reply", func(t *testing.T) {
-		hits.Store(0)
-		sc := &Scenario{Rules: []Rule{{Shard: 0, Kind: KindDropResponse}}}
-		tr := NewTransport(nil, sc, shardOf)
-		c := &http.Client{Transport: tr}
-		if _, err := get(t, c, hs.URL); err == nil {
+		hits[0].Store(0)
+		tr := NewTransport(&hits, &Scenario{Rules: []Rule{{Shard: 0, Kind: KindDropResponse}}})
+		if _, err := call(bg, tr, 0); err == nil {
 			t.Fatal("dropped response returned no error")
 		}
-		if hits.Load() != 1 || tr.Forwarded() != 1 {
-			t.Fatalf("side effect accounting: hits=%d fwd=%d, want 1/1", hits.Load(), tr.Forwarded())
+		if hits[0].Load() != 1 || tr.Forwarded() != 1 {
+			t.Fatalf("side effect accounting: hits=%d fwd=%d, want 1/1", hits[0].Load(), tr.Forwarded())
 		}
 	})
 
 	t.Run("blackhole blocks until the context dies", func(t *testing.T) {
-		hits.Store(0)
-		sc := &Scenario{Rules: []Rule{{Shard: 0, Kind: KindBlackhole}}}
-		c := &http.Client{Transport: NewTransport(nil, sc, shardOf)}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		hits[0].Store(0)
+		tr := NewTransport(&hits, &Scenario{Rules: []Rule{{Shard: 0, Kind: KindBlackhole}}})
+		ctx, cancel := context.WithTimeout(bg, 30*time.Millisecond)
 		defer cancel()
-		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, hs.URL, nil)
 		start := time.Now()
-		_, err := c.Do(req)
-		if err == nil || !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := call(ctx, tr, 0); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("blackhole err = %v", err)
 		}
 		if d := time.Since(start); d < 25*time.Millisecond {
 			t.Fatalf("blackhole returned after %v, before the context expired", d)
 		}
-		if hits.Load() != 0 {
-			t.Fatal("blackholed request reached the server")
+		// The call's own timeout ends it too, as the wire's would.
+		c := link.NewCall(0, 0)
+		c.Timeout = 10 * time.Millisecond
+		if err := tr.Do(bg, c); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("blackhole past the call's timeout: %v", err)
+		}
+		if hits[0].Load() != 0 {
+			t.Fatal("blackholed call reached the server")
 		}
 	})
 
 	t.Run("latency delays then forwards", func(t *testing.T) {
-		hits.Store(0)
-		sc := &Scenario{Rules: []Rule{{Shard: 0, Kind: KindLatency, LatencyMs: 40}}}
-		tr := NewTransport(nil, sc, shardOf)
-		c := &http.Client{Transport: tr}
+		hits[0].Store(0)
+		tr := NewTransport(&hits, &Scenario{Rules: []Rule{{Shard: 0, Kind: KindLatency, LatencyMs: 40}}})
 		start := time.Now()
-		resp, err := get(t, c, hs.URL)
-		if err != nil {
+		if _, err := call(bg, tr, 0); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
 		if d := time.Since(start); d < 40*time.Millisecond {
 			t.Fatalf("latency fault added only %v", d)
 		}
-		if hits.Load() != 1 {
-			t.Fatal("latency fault swallowed the request")
+		if hits[0].Load() != 1 {
+			t.Fatal("latency fault swallowed the call")
 		}
 		st := tr.Stats()
 		if len(st) != 1 || st[0].Hits != 1 || st[0].Applied != 1 {
@@ -149,65 +134,49 @@ func TestTransportFaults(t *testing.T) {
 // a scripted outage starts and ends on schedule — the revival half of
 // every chaos scenario.
 func TestTransportWindowing(t *testing.T) {
-	var hits atomic.Int64
-	hs := testServer(t, &hits)
-	sc := &Scenario{Rules: []Rule{{Shard: 0, Kind: KindReset, StartMs: 50, EndMs: 100}}}
-	tr := NewTransport(nil, sc, ShardByHost([]string{hs.URL}))
-	base := time.Now()
-	tr.Start(base.Add(-70 * time.Millisecond)) // we are now 70ms "into" the scenario
-	c := &http.Client{Transport: tr}
-	if _, err := get(t, c, hs.URL); err == nil {
+	var hits shards
+	tr := NewTransport(&hits, &Scenario{Rules: []Rule{{Shard: 0, Kind: KindReset, StartMs: 50, EndMs: 100}}})
+	tr.Start(time.Now().Add(-70 * time.Millisecond)) // we are now 70ms "into" the scenario
+	if _, err := call(context.Background(), tr, 0); err == nil {
 		t.Fatal("inside the window the reset must fire")
 	}
-	// Wait until past EndMs; the same request now flows.
+	// Wait until past EndMs; the same call now flows.
 	time.Sleep(40 * time.Millisecond)
-	resp, err := get(t, c, hs.URL)
-	if err != nil {
+	if _, err := call(context.Background(), tr, 0); err != nil {
 		t.Fatalf("after the window: %v", err)
 	}
-	resp.Body.Close()
-	if hits.Load() != 1 {
-		t.Fatalf("hits = %d, want 1", hits.Load())
+	if hits[0].Load() != 1 {
+		t.Fatalf("hits = %d, want 1", hits[0].Load())
 	}
 }
 
 // TestTransportShardScoping: a rule scoped to shard 1 leaves shard 0
-// traffic untouched, and unmapped hosts bypass all rules.
+// traffic untouched — rules key on the call's shard index.
 func TestTransportShardScoping(t *testing.T) {
-	var hits0, hits1 atomic.Int64
-	hs0, hs1 := testServer(t, &hits0), testServer(t, &hits1)
-	sc := &Scenario{Rules: []Rule{{Shard: 1, Kind: KindReset}}}
-	tr := NewTransport(nil, sc, ShardByHost([]string{hs0.URL, hs1.URL}))
-	c := &http.Client{Transport: tr}
-	resp, err := get(t, c, hs0.URL)
-	if err != nil {
+	var hits shards
+	tr := NewTransport(&hits, &Scenario{Rules: []Rule{{Shard: 1, Kind: KindReset}}})
+	if _, err := call(context.Background(), tr, 0); err != nil {
 		t.Fatalf("shard 0 caught shard 1's fault: %v", err)
 	}
-	resp.Body.Close()
-	if _, err := get(t, c, hs1.URL); err == nil {
+	if _, err := call(context.Background(), tr, 1); err == nil {
 		t.Fatal("shard 1's fault did not fire")
 	}
-	if hits0.Load() != 1 || hits1.Load() != 0 {
-		t.Fatalf("hits = %d/%d", hits0.Load(), hits1.Load())
+	if hits[0].Load() != 1 || hits[1].Load() != 0 {
+		t.Fatalf("hits = %d/%d", hits[0].Load(), hits[1].Load())
 	}
 }
 
 // TestTransportSeededProbability: probabilistic rules draw from the
 // scenario seed — two transports with the same seed fault the same
-// requests in the same order.
+// calls in the same order.
 func TestTransportSeededProbability(t *testing.T) {
-	var hits atomic.Int64
-	hs := testServer(t, &hits)
+	var hits shards
 	run := func() []bool {
-		sc := &Scenario{Seed: 42, Rules: []Rule{{Shard: 0, Kind: KindReset, Prob: 0.5}}}
-		c := &http.Client{Transport: NewTransport(nil, sc, ShardByHost([]string{hs.URL}))}
+		tr := NewTransport(&hits, &Scenario{Seed: 42, Rules: []Rule{{Shard: 0, Kind: KindReset, Prob: 0.5}}})
 		out := make([]bool, 40)
 		for i := range out {
-			resp, err := get(t, c, hs.URL)
+			_, err := call(context.Background(), tr, 0)
 			out[i] = err != nil
-			if err == nil {
-				resp.Body.Close()
-			}
 		}
 		return out
 	}
@@ -215,7 +184,7 @@ func TestTransportSeededProbability(t *testing.T) {
 	faulted := 0
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("request %d: seeded runs diverged", i)
+			t.Fatalf("call %d: seeded runs diverged", i)
 		}
 		if a[i] {
 			faulted++

@@ -1,18 +1,21 @@
-// Package link is the router→shard hop's wire: one persistent connection
-// per shard carrying the six data-plane POSTs as CRC-framed calls,
+// Package link is the router→shard hop: one transport-neutral call that
+// both ends speak, and the wire that carries it — one persistent
+// connection per shard, the six data-plane POSTs as CRC-framed calls
 // multiplexed by call id, where HTTP/1.1 spent a text exchange and a
-// pooled connection's bookkeeping on every sub-batch. Only the framing
-// changes: a call and its answer are one internal/logio frame each, the
-// body the same JSON (ms/wire.go) under the payload head
+// pooled connection's bookkeeping on every sub-batch.
 //
-//	u64 call id | u16 code | len(headers) × (u32 len, value) | body
+// A call is a route index, seven header slots and a body; its answer is a
+// status, the same slots and a body. On the link each is one
+// internal/logio frame whose payload is
 //
-// where code is the route's index in routes on a call and the HTTP status
-// on an answer. Transport, the router's end, is an http.RoundTripper, so
-// the resilience plane and faultinject stack on it as on http.Transport;
-// Hub, the shard's end, runs every call through the shard's own
-// http.Handler, so the two wires cannot answer differently. See "The
-// shard link" in docs/ARCHITECTURE.md.
+//	u64 call id | u16 code | len(Headers) × (u32 len, value) | body
+//
+// where code is the route's index in Routes on a call and the HTTP status
+// on an answer. Transport, the router's end, is a Caller: the resilience
+// plane calls through that seam and faultinject wraps it. Hub, the shard's
+// end, hands each call to the shard's data-plane core — the Handler its
+// HTTP routes call too — so the two wires cannot answer differently. See
+// "The shard link" in docs/ARCHITECTURE.md.
 package link
 
 import (
@@ -27,12 +30,12 @@ import (
 	"net"
 	"net/http"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"titant/internal/logio"
+	"titant/internal/telemetry"
 )
 
 // Path is the shard route that upgrades a connection to a link.
@@ -40,15 +43,52 @@ const Path = "/v1/link"
 
 const proto = "titant-link"
 
-var (
-	routes = [...]string{"/v1/score", "/v1/score/batch", "/v1/decide", "/v1/decide/batch", "/v1/ingest", "/v1/ingest/batch"}
-	// headers are the ones a frame carries, each in its own slot (empty:
-	// absent): what the router forwards, its per-attempt deadline, and what
-	// it reads off an answer.
-	headers = [...]string{"Content-Type", "Authorization", "X-Caller", "X-Idempotency-Key", "X-Trace-Id", "X-Deadline-Ms", "Retry-After"}
-	// jsonValue is the header value every healthy call repeats.
-	jsonValue = []string{"application/json"}
+// Routes are the shard routes a call can name, by index: the six
+// data-plane POSTs a frame carries (a route's index is its frame code),
+// then the control plane, which a Transport always sends over HTTP.
+var Routes = [...]struct{ Method, Path string }{
+	{"POST", "/v1/score"}, {"POST", "/v1/score/batch"}, {"POST", "/v1/decide"},
+	{"POST", "/v1/decide/batch"}, {"POST", "/v1/ingest"}, {"POST", "/v1/ingest/batch"},
+	{"GET", "/v1/models"}, {"POST", "/v1/models"}, {"GET", "/v1/policy"}, {"POST", "/v1/policy"},
+	{"GET", "/v1/stats"}, {"GET", "/metrics"}, {"GET", "/healthz"},
+}
 
+// DataRoutes is how many of Routes a frame can carry.
+const DataRoutes = 6
+
+// Route returns the index of method and path in Routes, or -1.
+func Route(method, path string) int {
+	for i, r := range Routes {
+		if r.Method == method && r.Path == path {
+			return i
+		}
+	}
+	return -1
+}
+
+// The header slots, by index into a Header: what the router forwards, its
+// per-attempt deadline, and what it reads off an answer.
+const (
+	SlotContentType = iota
+	SlotAuthorization
+	SlotCaller
+	SlotIdempotencyKey
+	SlotTrace
+	SlotDeadline
+	SlotRetryAfter
+	numSlots
+)
+
+// Headers names the slots.
+var Headers = [numSlots]string{"Content-Type", "Authorization", "X-Caller", "X-Idempotency-Key", "X-Trace-Id", "X-Deadline-Ms", "Retry-After"}
+
+// Header is a call's or an answer's header slots; "" is absent.
+type Header [numSlots]string
+
+// JSON is the Content-Type every data-plane answer carries.
+const JSON = "application/json"
+
+var (
 	// Why a link died; conn.fail wraps them.
 	errMalformed = errors.New("malformed frame")
 	errClosed    = errors.New("closed")
@@ -57,21 +97,17 @@ var (
 
 // appendHead starts a frame in buf: logio's header, reserved, then the
 // payload up to where the body goes. logio.Seal closes the frame.
-func appendHead(buf []byte, id uint64, code int, h http.Header) []byte {
+func appendHead(buf []byte, id uint64, code int, h *Header) []byte {
 	buf = append(buf[:0], make([]byte, logio.FrameOverhead)...)
 	buf = le.AppendUint16(le.AppendUint64(buf, id), uint16(code))
-	for _, name := range headers {
-		var v string
-		if vs := h[name]; len(vs) > 0 {
-			v = vs[0]
-		}
+	for _, v := range h {
 		buf = append(le.AppendUint32(buf, uint32(len(v))), v...)
 	}
 	return buf
 }
 
 // split cuts a payload into its fields, trusting none of its lengths.
-func split(p []byte) (id uint64, code int, vals [len(headers)][]byte, body []byte, err error) {
+func split(p []byte) (id uint64, code int, vals [numSlots][]byte, body []byte, err error) {
 	if len(p) < 10 {
 		return 0, 0, vals, nil, errMalformed
 	}
@@ -86,51 +122,128 @@ func split(p []byte) (id uint64, code int, vals [len(headers)][]byte, body []byt
 	return id, code, vals, p, nil
 }
 
-// Transport is the router's end: it carries data-plane POSTs over one
-// link per shard host and hands everything else — control plane, stats
-// and health fan-outs, shards that do not speak the link — to base.
+// Caller carries calls to shards: the seam between the router's
+// resilience plane and the wire. Transport is the production one;
+// faultinject wraps it. Do returns nil once the answer is in the record.
+type Caller interface {
+	Do(ctx context.Context, c *Call) error
+}
+
+// Call is one call's pooled record at the router's end: Shard, Route,
+// Header and Timeout set and the body written, a Caller carries it; after
+// a nil error the answer is in Status, Answer and Body — views of the
+// answer frame, valid until Release.
+type Call struct {
+	Shard, Route int
+	Header       Header
+	// Timeout bounds the call beside its context (0: only the context
+	// does); the caller tells the callee in the X-Deadline-Ms slot.
+	Timeout time.Duration
+
+	Status int
+	Answer [numSlots][]byte
+	Body   []byte
+
+	frame  []byte // the call frame: head, then the body Write appends
+	bodyAt int    // where the body starts in frame; 0 before the head is written
+	rbuf   []byte // the answer frame (or, over HTTP, the answer body)
+	done   chan error
+}
+
+var callPool = sync.Pool{New: func() any { return &Call{done: make(chan error, 1)} }}
+
+// PoisonReleased, when set, makes Release overwrite the answer frame, so a
+// splice that reads an answer after its record went back to the pool reads
+// garbage, not the answer. The release tests set it.
+var PoisonReleased atomic.Bool
+
+// NewCall returns a pooled record for a call on route to shard.
+func NewCall(shard, route int) *Call {
+	c := callPool.Get().(*Call)
+	c.Shard, c.Route = shard, route
+	return c
+}
+
+// Write appends p to the call's body. The header slots are frozen at the
+// first Write.
+func (c *Call) Write(p []byte) (int, error) {
+	c.open()
+	c.frame = append(c.frame, p...)
+	return len(p), nil
+}
+
+func (c *Call) open() {
+	if c.bodyAt == 0 {
+		c.frame = appendHead(c.frame, 0, c.Route, &c.Header)
+		c.bodyAt = len(c.frame)
+	}
+}
+
+// body is what Write appended.
+func (c *Call) body() []byte {
+	c.open()
+	return c.frame[c.bodyAt:]
+}
+
+// Release pools the record again; the views of its answer die with it.
+func (c *Call) Release() {
+	if PoisonReleased.Load() {
+		full := c.rbuf[:cap(c.rbuf)]
+		for i := range full {
+			full[i] = 0xa5
+		}
+	}
+	if cap(c.frame)+cap(c.rbuf) > 1<<20 { // a control-plane body: not worth holding
+		return
+	}
+	*c = Call{frame: c.frame[:0], rbuf: c.rbuf[:0], done: c.done}
+	callPool.Put(c)
+}
+
+// Transport is the router's end: it carries data-plane calls over one
+// link per shard and everything else — control plane, stats and health
+// fan-outs, shards that do not speak the link — over HTTP on base.
 type Transport struct {
 	// Calls counts the calls carried by link, Redials the links reopened
 	// after one died.
 	Calls, Redials atomic.Int64
 
 	base    http.RoundTripper
+	peers   []*peer
 	readers sync.WaitGroup
 	mu      sync.Mutex // only ever taken last: a dial holds its peer's lock, then this
-	peers   map[string]*peer
 	closed  bool
 }
 
-// peer is one shard host: its link, or the finding that it has none.
+// peer is one shard: its base URL, its link, or the finding that it has
+// none.
 type peer struct {
+	url   string
 	mu    sync.Mutex
 	c     *conn
 	plain bool // answered the upgrade with something other than 101
 }
 
-// New returns a link transport over base (nil: http.DefaultTransport),
-// which carries the upgrade and every call the link does not.
-func New(base http.RoundTripper) *Transport {
+// New returns a link transport to the shards at the given base URLs (a
+// call's Shard indexes them) over base (nil: http.DefaultTransport), which
+// carries the upgrade and every call the link does not.
+func New(base http.RoundTripper, shards []string) *Transport {
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	return &Transport{base: base, peers: map[string]*peer{}}
-}
-
-func (t *Transport) peer(host string) *peer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p := t.peers[host]
-	if p == nil {
-		p = &peer{}
-		t.peers[host] = p
+	t := &Transport{base: base, peers: make([]*peer, len(shards))}
+	for i, u := range shards {
+		t.peers[i] = &peer{url: u}
 	}
-	return p
+	return t
 }
 
-// Linked reports whether host is reached by a live link right now.
-func (t *Transport) Linked(host string) bool {
-	p := t.peer(host)
+// URL is the address of route on shard.
+func (t *Transport) URL(shard, route int) string { return t.peers[shard].url + Routes[route].Path }
+
+// Linked reports whether shard is reached by a live link right now.
+func (t *Transport) Linked(shard int) bool {
+	p := t.peers[shard]
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.c != nil && !p.c.dead.Load()
@@ -141,10 +254,8 @@ func (t *Transport) Linked(host string) bool {
 func (t *Transport) Close() {
 	t.mu.Lock()
 	t.closed = true
-	peers := t.peers
-	t.peers = map[string]*peer{}
 	t.mu.Unlock()
-	for _, p := range peers {
+	for _, p := range t.peers {
 		p.mu.Lock()
 		if p.c != nil {
 			p.c.fail(errClosed)
@@ -154,39 +265,69 @@ func (t *Transport) Close() {
 	t.readers.Wait()
 }
 
-// RoundTrip implements http.RoundTripper. The body is copied into the
-// call's frame before it returns, so an abandoned retry or hedge leg
-// never reads its caller's buffer late. What a frame cannot say (another
-// route, a query, a body of unknown or absurd length) goes over HTTP.
-func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	route := slices.Index(routes[:], req.URL.Path)
-	if route < 0 || req.Method != http.MethodPost || req.URL.RawQuery != "" ||
-		req.ContentLength < 0 || req.ContentLength > logio.MaxPayload/2 {
-		return t.base.RoundTrip(req)
+// Do implements Caller. What a frame cannot say (a control-plane route,
+// an absurd body) goes over HTTP.
+func (t *Transport) Do(ctx context.Context, c *Call) error {
+	p := t.peers[c.Shard]
+	if c.Route >= DataRoutes || len(c.body()) > logio.MaxPayload/2 {
+		return t.http(ctx, p, c)
 	}
-	p := t.peer(req.URL.Host)
-	c, err := p.link(t, req)
-	if c != nil {
+	cn, err := p.link(ctx, t)
+	if cn != nil {
 		t.Calls.Add(1)
-		return c.roundTrip(req, route)
+		return cn.do(ctx, c)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	resp, err := t.base.RoundTrip(req)
-	if err != nil {
+	if err = t.http(ctx, p, c); err != nil {
 		// A plain peer is probed again after a transport failure: it may
 		// come back as a build that speaks the link.
 		p.mu.Lock()
 		p.plain = false
 		p.mu.Unlock()
 	}
-	return resp, err
+	return err
+}
+
+// http carries c as an HTTP exchange.
+func (t *Transport) http(ctx context.Context, p *peer, c *Call) error {
+	if c.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
+		defer cancel()
+	}
+	req, err := http.NewRequestWithContext(ctx, Routes[c.Route].Method, p.url+Routes[c.Route].Path, bytes.NewReader(c.body()))
+	if err != nil {
+		return err
+	}
+	for i, v := range c.Header {
+		if v != "" {
+			req.Header[Headers[i]] = []string{v}
+		}
+	}
+	resp, err := t.base.RoundTrip(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	buf := bytes.NewBuffer(c.rbuf[:0])
+	if _, err = buf.ReadFrom(io.LimitReader(resp.Body, 64<<20)); err != nil {
+		return err
+	}
+	c.rbuf = buf.Bytes()
+	c.Status, c.Body = resp.StatusCode, c.rbuf
+	for i, name := range Headers {
+		if v := resp.Header.Get(name); v != "" {
+			c.Answer[i] = []byte(v)
+		}
+	}
+	return nil
 }
 
 // link returns the peer's live link, opening one if need be. Neither a
 // link nor an error means the peer speaks plain HTTP only.
-func (p *peer) link(t *Transport, req *http.Request) (*conn, error) {
+func (p *peer) link(ctx context.Context, t *Transport) (*conn, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.plain || (p.c != nil && !p.c.dead.Load()) {
@@ -194,10 +335,10 @@ func (p *peer) link(t *Transport, req *http.Request) (*conn, error) {
 	}
 	// Callers queue here behind a dial. One that waited its budget away
 	// behind a dial that failed must not start the next.
-	if err := req.Context().Err(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	up, err := http.NewRequestWithContext(req.Context(), http.MethodGet, req.URL.Scheme+"://"+req.URL.Host+Path, nil)
+	up, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+Path, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +363,7 @@ func (p *peer) link(t *Transport, req *http.Request) (*conn, error) {
 	if p.c != nil {
 		t.Redials.Add(1)
 	}
-	c := &conn{rwc: rwc, wlock: make(chan struct{}, 1), pending: map[uint64]*call{}}
+	c := &conn{rwc: rwc, wlock: make(chan struct{}, 1), pending: map[uint64]*Call{}}
 	p.c = c
 	t.readers.Add(1)
 	go func() {
@@ -242,144 +383,88 @@ type conn struct {
 	dead  atomic.Bool
 
 	mu      sync.Mutex
-	pending map[uint64]*call
+	pending map[uint64]*Call
 	lastID  uint64
 	err     error // why the link died
 }
 
-// call is a call's pooled record: its frame and its answer — the payload
-// and how the reader split it.
-type call struct {
-	done       chan error // capacity 1; nil: the answer is in
-	wbuf, rbuf []byte
-	status     int
-	vals       [len(headers)][]byte
-	body       bytes.Reader
-}
-
-var callPool = sync.Pool{New: func() any { return &call{done: make(chan error, 1)} }}
-
-// answer is the response handed to the caller and, in the same
-// allocation, its body: a view of the call record until Close pools that
-// again. The response itself stays valid after Close, as callers expect.
-type answer struct {
-	http.Response
-	cl *call
-}
-
-func (a *answer) Read(p []byte) (int, error) {
-	if a.cl == nil {
-		return 0, http.ErrBodyReadAfterClose
+func (cn *conn) do(ctx context.Context, c *Call) error {
+	cn.mu.Lock()
+	if cn.err != nil {
+		cn.mu.Unlock()
+		return cn.err
 	}
-	return a.cl.body.Read(p)
-}
+	cn.lastID++
+	id := cn.lastID
+	cn.pending[id] = c
+	cn.mu.Unlock()
 
-func (a *answer) Close() error {
-	if a.cl != nil {
-		callPool.Put(a.cl)
-		a.cl = nil
-	}
-	return nil
-}
-
-func (c *conn) roundTrip(req *http.Request, route int) (*http.Response, error) {
-	c.mu.Lock()
-	if c.err != nil {
-		c.mu.Unlock()
-		return nil, c.err
-	}
-	ctx, cl := req.Context(), callPool.Get().(*call)
-	c.lastID++
-	id := c.lastID
-	c.pending[id] = cl
-	c.mu.Unlock()
-
-	var err error
-	n := int(req.ContentLength)
-	cl.wbuf = slices.Grow(appendHead(cl.wbuf, id, route, req.Header), n)
-	if req.Body != nil {
-		_, err = io.ReadFull(req.Body, cl.wbuf[len(cl.wbuf):len(cl.wbuf)+n])
-		req.Body.Close()
-	}
-	if cl.wbuf = cl.wbuf[:len(cl.wbuf)+n]; err == nil {
-		err = logio.Seal(cl.wbuf)
+	c.open()
+	le.PutUint64(c.frame[logio.FrameOverhead:], id)
+	err := logio.Seal(c.frame)
+	var expired <-chan struct{}
+	if c.Timeout > 0 {
+		dl := telemetry.WithDeadline(ctx, c.Timeout, telemetry.TraceID{})
+		defer dl.Release()
+		expired = dl.Done()
 	}
 	if err == nil {
 		select {
-		case c.wlock <- struct{}{}:
-			if _, err = c.rwc.Write(cl.wbuf); err != nil {
-				c.fail(err)
+		case cn.wlock <- struct{}{}:
+			if _, err = cn.rwc.Write(c.frame); err != nil {
+				cn.fail(err)
 			}
-			<-c.wlock
+			<-cn.wlock
 		case <-ctx.Done():
 			err = ctx.Err()
+		case <-expired:
+			err = context.DeadlineExceeded
 		}
 	}
 	if err == nil {
 		select {
-		case err = <-cl.done:
-			if err == nil {
-				return cl.response(req), nil
-			}
-			callPool.Put(cl)
-			return nil, err
+		case err = <-c.done:
+			return err
 		case <-ctx.Done():
 			err = ctx.Err()
+		case <-expired:
+			err = context.DeadlineExceeded
 		}
 	}
 	// Abandoned: if the call is still pending the reader will drop its late
 	// answer; if the reader (or fail) took it first, its verdict is due.
-	c.mu.Lock()
-	_, mine := c.pending[id]
-	delete(c.pending, id)
-	c.mu.Unlock()
+	cn.mu.Lock()
+	_, mine := cn.pending[id]
+	delete(cn.pending, id)
+	cn.mu.Unlock()
 	if !mine {
-		<-cl.done
+		<-c.done
 	}
-	callPool.Put(cl)
-	return nil, err
+	return err
 }
 
-func (cl *call) response(req *http.Request) *http.Response {
-	h := make(http.Header, 4)
-	for i, v := range cl.vals {
-		if string(v) == jsonValue[0] {
-			h[headers[i]] = jsonValue
-		} else if len(v) > 0 {
-			h[headers[i]] = []string{string(v)}
-		}
-	}
-	a := &answer{cl: cl}
-	a.Response = http.Response{
-		StatusCode: cl.status, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: h, Body: a, ContentLength: int64(cl.body.Len()), Request: req,
-	}
-	return &a.Response
-}
-
-func (c *conn) readLoop() {
-	br := bufio.NewReaderSize(c.rwc, 64<<10)
+func (cn *conn) readLoop() {
+	br := bufio.NewReaderSize(cn.rwc, 64<<10)
 	var buf []byte
 	for {
 		var err error
 		if buf, err = logio.ReadFrame(br, buf); err != nil {
-			c.fail(err)
+			cn.fail(err)
 			return
 		}
 		id, status, vals, body, err := split(buf)
 		if err != nil {
-			c.fail(err)
+			cn.fail(err)
 			return
 		}
-		c.mu.Lock()
-		cl := c.pending[id]
-		delete(c.pending, id)
-		c.mu.Unlock()
-		if cl != nil { // else abandoned: a late answer is nobody's
-			cl.rbuf, buf = buf, cl.rbuf
-			cl.status, cl.vals = status, vals
-			cl.body.Reset(body)
-			cl.done <- nil
+		cn.mu.Lock()
+		c := cn.pending[id]
+		delete(cn.pending, id)
+		cn.mu.Unlock()
+		if c != nil { // else abandoned: a late answer is nobody's
+			c.rbuf, buf = buf, c.rbuf
+			c.Status, c.Answer, c.Body = status, vals, body
+			c.done <- nil
 		}
 	}
 }
@@ -387,20 +472,26 @@ func (c *conn) readLoop() {
 // fail kills the link once: every pending call gets a transport error —
 // what the breaker and the retry loop already understand — and the peer's
 // next call redials.
-func (c *conn) fail(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
+func (cn *conn) fail(err error) {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	if cn.err != nil {
 		return
 	}
-	c.err = fmt.Errorf("link: %w", err)
-	c.dead.Store(true)
-	for id, cl := range c.pending {
-		delete(c.pending, id)
-		cl.done <- c.err
+	cn.err = fmt.Errorf("link: %w", err)
+	cn.dead.Store(true)
+	for id, c := range cn.pending {
+		delete(cn.pending, id)
+		c.done <- cn.err
 	}
-	c.rwc.Close()
+	cn.rwc.Close()
 }
+
+// Handler is a shard's data-plane core, the one function behind both of
+// its wires: it answers the call on route (< DataRoutes) with header slots
+// h and body by appending the answer body to out, and returns the answer's
+// status and slots. h and body are only valid during the call.
+type Handler func(ctx context.Context, route int, h *Header, body, out []byte) (status int, ans Header, reply []byte)
 
 // Hub is the shard's end. It tracks the links it serves because net/http
 // forgets a hijacked connection: neither http.Server.Close nor Shutdown
@@ -450,9 +541,9 @@ func (hub *Hub) Shutdown(ctx context.Context) {
 }
 
 // Upgrade hijacks an upgrade request's connection and serves it as a
-// link, running each call through h, until the link ends. A non-nil
-// error means nothing was written: the caller owes w an answer.
-func (hub *Hub) Upgrade(w http.ResponseWriter, r *http.Request, h http.Handler) error {
+// link, handing each call to h, until the link ends. A non-nil error
+// means nothing was written: the caller owes w an answer.
+func (hub *Hub) Upgrade(w http.ResponseWriter, r *http.Request, h Handler) error {
 	hj, ok := w.(http.Hijacker)
 	if !ok || r.Method != http.MethodGet || r.Header.Get("Upgrade") != proto {
 		return errors.New("link: GET with Upgrade: " + proto + " only")
@@ -491,40 +582,39 @@ func (hub *Hub) Upgrade(w http.ResponseWriter, r *http.Request, h http.Handler) 
 
 // served is a link's shard end.
 type served struct {
+	ctx   context.Context
 	nc    net.Conn
-	h     http.Handler
+	h     Handler
 	wmu   sync.Mutex
 	calls sync.WaitGroup
-	pool  sync.Pool // *servedCall, bound to this link's context
+	pool  sync.Pool // *servedCall
 }
 
-// servedCall is a call's pooled in-memory request/response pair: the
-// http.Request the handler reads, whose headers and body alias the frame
-// in in, and the http.ResponseWriter whose output is the answer frame out.
+// servedCall is a call's pooled record at the shard end: the frame in, its
+// route, slots and body (views of in), the handler's reply, and the answer
+// frame out. A slot equal to the record's last keeps that string, so on a
+// warm link only the trace id allocates.
 type servedCall struct {
-	s       *served
-	in, out []byte
-	id      uint64
-	req     *http.Request
-	body    bytes.Reader
-	vals    [len(headers)][1]string
-	header  http.Header
-	wrote   bool
+	s              *served
+	in, reply, out []byte
+	id             uint64
+	route          int
+	hdr            Header
+	body           []byte
 }
 
 // serve reads calls off a link until it fails or is told to drain (a
 // read deadline), then waits for the calls in flight, which run under
 // ctx: a failed link cancels them before the wait, a drain lets them
 // answer — until the hub cuts the link, which cancels ctx.
-func serve(ctx context.Context, nc net.Conn, br *bufio.Reader, h http.Handler) {
+func serve(ctx context.Context, nc net.Conn, br *bufio.Reader, h Handler) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	s := &served{nc: nc, h: h}
+	s := &served{ctx: ctx, nc: nc, h: h}
 	for {
 		sc, _ := s.pool.Get().(*servedCall)
 		if sc == nil {
-			sc = &servedCall{s: s, header: http.Header{}}
-			sc.req, _ = http.NewRequestWithContext(ctx, http.MethodPost, "/", nil)
+			sc = &servedCall{s: s}
 		}
 		var err error
 		if sc.in, err = logio.ReadFrame(br, sc.in); err == nil {
@@ -543,26 +633,17 @@ func serve(ctx context.Context, nc net.Conn, br *bufio.Reader, h http.Handler) {
 	}
 }
 
-// parse points the pooled request at the frame in sc.in. A header value
-// equal to the record's last keeps that string, so on a warm link only
-// the trace id allocates.
 func (sc *servedCall) parse() error {
 	id, route, vals, body, err := split(sc.in)
-	if err != nil || route >= len(routes) {
+	if err != nil || route >= DataRoutes {
 		return errMalformed
 	}
-	sc.id, sc.req.URL.Path = id, routes[route]
-	clear(sc.req.Header)
+	sc.id, sc.route, sc.body = id, route, body
 	for i, v := range vals {
-		if sc.vals[i][0] != string(v) {
-			sc.vals[i][0] = string(v)
-		}
-		if len(v) > 0 {
-			sc.req.Header[headers[i]] = sc.vals[i][:]
+		if sc.hdr[i] != string(v) {
+			sc.hdr[i] = string(v)
 		}
 	}
-	sc.body.Reset(body)
-	sc.req.Body, sc.req.ContentLength = sc, int64(len(body))
 	return nil
 }
 
@@ -573,12 +654,13 @@ func (sc *servedCall) run() {
 		// As net/http does for a panicking handler: log it and drop the
 		// connection, not the process.
 		if p := recover(); p != nil {
-			log.Printf("link: panic serving %s: %v\n%s", sc.req.URL.Path, p, debug.Stack())
+			log.Printf("link: panic serving %s: %v\n%s", Routes[sc.route].Path, p, debug.Stack())
 			s.nc.Close()
 		}
 	}()
-	s.h.ServeHTTP(sc, sc.req)
-	sc.WriteHeader(http.StatusOK)
+	status, ans, reply := s.h(s.ctx, sc.route, &sc.hdr, sc.body, sc.reply[:0])
+	sc.reply = reply
+	sc.out = append(appendHead(sc.out, sc.id, status, &ans), reply...)
 	err := logio.Seal(sc.out)
 	if err == nil {
 		s.wmu.Lock()
@@ -588,24 +670,5 @@ func (sc *servedCall) run() {
 	if err != nil {
 		s.nc.Close()
 	}
-	clear(sc.header)
-	sc.wrote = false
 	s.pool.Put(sc)
-}
-
-func (sc *servedCall) Read(p []byte) (int, error) { return sc.body.Read(p) }
-func (sc *servedCall) Close() error               { return nil }
-func (sc *servedCall) Header() http.Header        { return sc.header }
-
-func (sc *servedCall) WriteHeader(status int) {
-	if !sc.wrote {
-		sc.wrote = true
-		sc.out = appendHead(sc.out, sc.id, status, sc.header)
-	}
-}
-
-func (sc *servedCall) Write(p []byte) (int, error) {
-	sc.WriteHeader(http.StatusOK)
-	sc.out = append(sc.out, p...)
-	return len(p), nil
 }

@@ -22,14 +22,14 @@ import (
 	"titant/internal/logio"
 )
 
-// shard serves h on a real socket with the link route in front of it, as
-// ms.Server.Handler does.
-func shard(t testing.TB, h http.Handler) (*httptest.Server, *Hub) {
+// shard serves h on a real socket: the link route upgrades, every other
+// route is h over HTTP, as ms.Server.Handler does.
+func shard(t testing.TB, h Handler) (*httptest.Server, *Hub) {
 	t.Helper()
 	hub := &Hub{}
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != Path {
-			h.ServeHTTP(w, r)
+			asHTTP(h)(w, r)
 		} else if err := hub.Upgrade(w, r, h); err != nil {
 			http.Error(w, err.Error(), http.StatusUpgradeRequired)
 		}
@@ -43,64 +43,93 @@ func shard(t testing.TB, h http.Handler) (*httptest.Server, *Hub) {
 	return hs, hub
 }
 
-// echo answers with what it was sent: route, the carried headers, body.
-func echo(w http.ResponseWriter, r *http.Request) {
-	body, _ := io.ReadAll(r.Body)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Trace-Id", r.Header.Get("X-Trace-Id"))
-	w.Header().Set("Retry-After", r.Header.Get("X-Caller"))
-	w.Header().Set("X-Not-Carried", "dropped")
-	if r.Header.Get("X-Idempotency-Key") == "teapot" {
-		w.WriteHeader(http.StatusTeapot)
+// asHTTP serves a Handler as an HTTP route, the way a shard's HTTP mux
+// reaches its core.
+func asHTTP(h Handler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var hdr Header
+		for i, name := range Headers {
+			hdr[i] = r.Header.Get(name)
+		}
+		body, _ := io.ReadAll(r.Body)
+		status, ans, out := h(r.Context(), Route(r.Method, r.URL.Path), &hdr, body, nil)
+		for i, v := range ans {
+			if v != "" {
+				w.Header().Set(Headers[i], v)
+			}
+		}
+		w.WriteHeader(status)
+		w.Write(out)
 	}
-	fmt.Fprintf(w, "%s %s|%s|", r.Method, r.URL.Path, r.Header.Get("X-Deadline-Ms"))
-	w.Write(body)
 }
 
-func post(ctx context.Context, rt http.RoundTripper, url, body string, hdr ...string) (int, http.Header, string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(body))
-	if err != nil {
-		return 0, nil, "", err
+// echo answers with what it was sent: route, deadline slot, body — and
+// the trace and caller slots as the answer's trace and Retry-After.
+func echo(_ context.Context, route int, h *Header, body, out []byte) (int, Header, []byte) {
+	status := http.StatusOK
+	if h[SlotIdempotencyKey] == "teapot" {
+		status = http.StatusTeapot
 	}
+	out = fmt.Appendf(out, "%s %s|%s|", Routes[route].Method, Routes[route].Path, h[SlotDeadline])
+	return status, Header{SlotContentType: JSON, SlotTrace: h[SlotTrace], SlotRetryAfter: h[SlotCaller]}, append(out, body...)
+}
+
+// answer is what a caller saw of a call.
+type answer struct {
+	status int
+	hdr    Header
+	body   string
+}
+
+// post carries one call on route to shard, hdr naming header/value pairs.
+func post(ctx context.Context, lk *Transport, shard int, route string, body string, hdr ...string) (answer, error) {
+	method, path, _ := strings.Cut(route, " ")
+	c := NewCall(shard, Route(method, path))
+	defer c.Release()
 	for i := 0; i+1 < len(hdr); i += 2 {
-		req.Header.Set(hdr[i], hdr[i+1])
+		for s, name := range Headers {
+			if name == hdr[i] {
+				c.Header[s] = hdr[i+1]
+			}
+		}
 	}
-	resp, err := rt.RoundTrip(req)
-	if err != nil {
-		return 0, nil, "", err
+	c.Write([]byte(body))
+	if err := lk.Do(ctx, c); err != nil {
+		return answer{}, err
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, resp.Header, string(raw), err
+	a := answer{status: c.Status, body: string(c.Body)}
+	for i, v := range c.Answer {
+		a.hdr[i] = string(v)
+	}
+	return a, nil
 }
 
-// TestLinkCarriesCall: a data-plane POST crosses the link with its route,
-// whitelisted headers and body, and the answer comes back with status,
-// the three answer headers and body; anything else goes over HTTP.
+// TestLinkCarriesCall: a data-plane call crosses the link with its route,
+// header slots and body, and the answer comes back with status, slots
+// and body; a control-plane call goes over HTTP.
 func TestLinkCarriesCall(t *testing.T) {
-	hs, hub := shard(t, http.HandlerFunc(echo))
-	lk := New(nil)
+	hs, hub := shard(t, echo)
+	lk := New(nil, []string{hs.URL})
 	defer lk.Close()
 	ctx := context.Background()
 
-	code, h, body, err := post(ctx, lk, hs.URL+"/v1/decide/batch", `{"transactions":[]}`,
-		"X-Trace-Id", "abc", "X-Caller", "7", "X-Deadline-Ms", "250", "X-Idempotency-Key", "teapot", "X-Other", "no")
+	a, err := post(ctx, lk, 0, "POST /v1/decide/batch", `{"transactions":[]}`,
+		"X-Trace-Id", "abc", "X-Caller", "7", "X-Deadline-Ms", "250", "X-Idempotency-Key", "teapot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `POST /v1/decide/batch|250|{"transactions":[]}`; code != http.StatusTeapot || body != want {
-		t.Fatalf("got %d %q, want 418 %q", code, body, want)
+	if want := `POST /v1/decide/batch|250|{"transactions":[]}`; a.status != http.StatusTeapot || a.body != want {
+		t.Fatalf("got %d %q, want 418 %q", a.status, a.body, want)
 	}
-	if h.Get("Content-Type") != "application/json" || h.Get("X-Trace-Id") != "abc" || h.Get("Retry-After") != "7" || h.Get("X-Not-Carried") != "" {
-		t.Fatalf("answer headers %v", h)
+	if a.hdr[SlotContentType] != JSON || a.hdr[SlotTrace] != "abc" || a.hdr[SlotRetryAfter] != "7" {
+		t.Fatalf("answer slots %q", a.hdr)
 	}
-	host := strings.TrimPrefix(hs.URL, "http://")
-	if !lk.Linked(host) || lk.Calls.Load() != 1 || hub.Conns() != 1 {
-		t.Fatalf("linked %v, calls %d, conns %d; want true, 1, 1", lk.Linked(host), lk.Calls.Load(), hub.Conns())
+	if !lk.Linked(0) || lk.Calls.Load() != 1 || hub.Conns() != 1 {
+		t.Fatalf("linked %v, calls %d, conns %d; want true, 1, 1", lk.Linked(0), lk.Calls.Load(), hub.Conns())
 	}
-	// Not a data-plane POST: plain HTTP, headers and all.
-	if _, h, _, err = post(ctx, lk, hs.URL+"/v1/models", "x"); err != nil || h.Get("X-Not-Carried") != "dropped" {
-		t.Fatalf("control-plane call: %v, headers %v", err, h)
+	// Not a data-plane call: plain HTTP, slots and all.
+	if a, err = post(ctx, lk, 0, "GET /v1/stats", "", "X-Caller", "8"); err != nil || a.body != "GET /v1/stats||" || a.hdr[SlotRetryAfter] != "8" {
+		t.Fatalf("control-plane call: %+v, %v", a, err)
 	}
 	if lk.Calls.Load() != 1 {
 		t.Fatalf("control-plane call counted as a link call")
@@ -111,43 +140,42 @@ func TestLinkCarriesCall(t *testing.T) {
 // and probed again only after a transport failure; one with it is linked.
 func TestLinkNegotiation(t *testing.T) {
 	var probes atomic.Int64
-	linked, _ := shard(t, http.HandlerFunc(echo))
-	old := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	linked, _ := shard(t, echo)
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == Path {
 			probes.Add(1)
 			http.NotFound(w, r)
 			return
 		}
-		echo(w, r)
+		asHTTP(echo)(w, r)
 	}))
-	old.Start()
 	defer old.Close()
-	lk := New(&http.Transport{})
+	lk := New(&http.Transport{}, []string{linked.URL, old.URL})
 	defer lk.Close()
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		for _, hs := range []*httptest.Server{linked, old} {
-			if _, _, body, err := post(ctx, lk, hs.URL+"/v1/score", "b"); err != nil || body != "POST /v1/score||b" {
-				t.Fatalf("%s: %q, %v", hs.URL, body, err)
+		for si := range 2 {
+			if a, err := post(ctx, lk, si, "POST /v1/score", "b"); err != nil || a.body != "POST /v1/score||b" {
+				t.Fatalf("shard %d: %q, %v", si, a.body, err)
 			}
 		}
 	}
 	if probes.Load() != 1 || lk.Calls.Load() != 3 {
 		t.Fatalf("probes %d, link calls %d; want 1, 3", probes.Load(), lk.Calls.Load())
 	}
-	if lk.Linked(strings.TrimPrefix(old.URL, "http://")) || !lk.Linked(strings.TrimPrefix(linked.URL, "http://")) {
+	if lk.Linked(1) || !lk.Linked(0) {
 		t.Fatal("Linked disagrees with the negotiation")
 	}
 	// The old shard goes away: the failure is a transport error, and the
 	// next call probes again.
 	old.Close()
-	if _, _, _, err := post(ctx, lk, old.URL+"/v1/score", "b"); err == nil {
+	if _, err := post(ctx, lk, 1, "POST /v1/score", "b"); err == nil {
 		t.Fatal("call to a closed shard succeeded")
 	}
-	if _, _, _, err := post(ctx, lk, old.URL+"/v1/score", "b"); err == nil || probes.Load() != 1 {
+	if _, err := post(ctx, lk, 1, "POST /v1/score", "b"); err == nil || probes.Load() != 1 {
 		t.Fatalf("want a failed dial, got %v after %d probes", err, probes.Load())
 	}
-	if lk.peer(strings.TrimPrefix(old.URL, "http://")).plain {
+	if lk.peers[1].plain {
 		t.Fatal("a peer that failed at the transport is still taken for a plain one")
 	}
 }
@@ -159,16 +187,16 @@ type lifo struct {
 	stack []chan struct{}
 }
 
-func (l *lifo) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (l *lifo) serve(ctx context.Context, route int, h *Header, body, out []byte) (int, Header, []byte) {
 	gate := make(chan struct{})
 	l.mu.Lock()
 	l.stack = append(l.stack, gate)
 	l.mu.Unlock()
 	select {
 	case <-gate:
-	case <-r.Context().Done():
+	case <-ctx.Done():
 	}
-	echo(w, r)
+	return echo(ctx, route, h, body, out)
 }
 
 func (l *lifo) release(stop <-chan struct{}) {
@@ -202,10 +230,10 @@ func TestLinkMultiplex(t *testing.T) {
 	for range 2 {
 		l := &lifo{}
 		go l.release(stop)
-		hs, _ := shard(t, l)
+		hs, _ := shard(t, l.serve)
 		urls = append(urls, hs.URL)
 	}
-	lk := New(nil)
+	lk := New(nil, urls)
 	defer lk.Close()
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
@@ -219,7 +247,7 @@ func TestLinkMultiplex(t *testing.T) {
 					time.AfterFunc(time.Duration(rnd.Intn(400))*time.Microsecond, cancel)
 				}
 				body := fmt.Sprintf("caller %d call %d %s", c, i, strings.Repeat("x", rnd.Intn(3000)))
-				_, h, got, err := post(ctx, lk, urls[rnd.Intn(2)]+"/v1/score/batch", body, "X-Trace-Id", body[:12])
+				a, err := post(ctx, lk, rnd.Intn(2), "POST /v1/score/batch", body, "X-Trace-Id", body[:12])
 				cancel()
 				if err != nil {
 					if !errors.Is(err, context.Canceled) {
@@ -227,8 +255,8 @@ func TestLinkMultiplex(t *testing.T) {
 					}
 					continue
 				}
-				if want := "POST /v1/score/batch||" + body; got != want || h.Get("X-Trace-Id") != body[:12] {
-					t.Errorf("caller %d call %d got another call's answer: %.60q", c, i, got)
+				if want := "POST /v1/score/batch||" + body; a.body != want || a.hdr[SlotTrace] != body[:12] {
+					t.Errorf("caller %d call %d got another call's answer: %.60q", c, i, a.body)
 				}
 			}
 		}()
@@ -240,27 +268,30 @@ func TestLinkMultiplex(t *testing.T) {
 }
 
 // TestLinkLateAnswerDiscarded: a call abandoned while the shard still
-// works on it leaves the link up; its late answer goes nowhere and the
-// next call on the same connection gets its own bytes.
+// works on it — here at its Timeout — leaves the link up; its late answer
+// goes nowhere and the next call on the same connection gets its own
+// bytes.
 func TestLinkLateAnswerDiscarded(t *testing.T) {
 	gate := make(chan struct{})
-	hs, hub := shard(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("X-Caller") == "slow" {
+	hs, hub := shard(t, func(ctx context.Context, route int, h *Header, body, out []byte) (int, Header, []byte) {
+		if h[SlotCaller] == "slow" {
 			<-gate
 		}
-		echo(w, r)
-	}))
-	lk := New(nil)
+		return echo(ctx, route, h, body, out)
+	})
+	lk := New(nil, []string{hs.URL})
 	defer lk.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, _, _, err := post(ctx, lk, hs.URL+"/v1/score", "first", "X-Caller", "slow"); !errors.Is(err, context.DeadlineExceeded) {
+	c := NewCall(0, Route("POST", "/v1/score"))
+	c.Header[SlotCaller], c.Timeout = "slow", 20*time.Millisecond
+	c.Write([]byte("first"))
+	if err := lk.Do(context.Background(), c); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("abandoned call: %v", err)
 	}
+	c.Release()
 	close(gate) // the late answer is written now
 	for i := 0; i < 3; i++ {
-		if _, _, body, err := post(context.Background(), lk, hs.URL+"/v1/score", "second"); err != nil || body != "POST /v1/score||second" {
-			t.Fatalf("call after an abandoned one: %q, %v", body, err)
+		if a, err := post(context.Background(), lk, 0, "POST /v1/score", "second"); err != nil || a.body != "POST /v1/score||second" {
+			t.Fatalf("call after an abandoned one: %q, %v", a.body, err)
 		}
 	}
 	if lk.Redials.Load() != 0 || hub.Conns() != 1 {
@@ -273,20 +304,20 @@ func TestLinkLateAnswerDiscarded(t *testing.T) {
 // came back on the same address.
 func TestLinkDeadPeer(t *testing.T) {
 	entered, gate := make(chan struct{}, 4), make(chan struct{})
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("X-Caller") == "slow" {
+	h := func(ctx context.Context, route int, hdr *Header, body, out []byte) (int, Header, []byte) {
+		if hdr[SlotCaller] == "slow" {
 			entered <- struct{}{}
 			<-gate
 		}
-		echo(w, r)
-	})
+		return echo(ctx, route, hdr, body, out)
+	}
 	hs, hub := shard(t, h)
-	lk := New(nil)
+	lk := New(nil, []string{hs.URL})
 	defer lk.Close()
 	errc := make(chan error, 2)
 	for range 2 {
 		go func() {
-			_, _, _, err := post(context.Background(), lk, hs.URL+"/v1/score", "x", "X-Caller", "slow")
+			_, err := post(context.Background(), lk, 0, "POST /v1/score", "x", "X-Caller", "slow")
 			errc <- err
 		}()
 		<-entered
@@ -302,7 +333,7 @@ func TestLinkDeadPeer(t *testing.T) {
 		}
 	}
 	close(gate)
-	if _, _, _, err := post(context.Background(), lk, hs.URL+"/v1/score", "x"); err == nil {
+	if _, err := post(context.Background(), lk, 0, "POST /v1/score", "x"); err == nil {
 		t.Fatal("call to a dead shard succeeded")
 	}
 	// It restarts on the same address.
@@ -318,8 +349,8 @@ func TestLinkDeadPeer(t *testing.T) {
 	})}
 	go back.Serve(ln)
 	defer func() { back.Close(); hub2.Shutdown(cut) }()
-	if _, _, body, err := post(context.Background(), lk, hs.URL+"/v1/score", "again"); err != nil || body != "POST /v1/score||again" {
-		t.Fatalf("call after the restart: %q, %v", body, err)
+	if a, err := post(context.Background(), lk, 0, "POST /v1/score", "again"); err != nil || a.body != "POST /v1/score||again" {
+		t.Fatalf("call after the restart: %q, %v", a.body, err)
 	}
 	if lk.Redials.Load() != 1 {
 		t.Fatalf("redials %d, want 1", lk.Redials.Load())
@@ -330,17 +361,17 @@ func TestLinkDeadPeer(t *testing.T) {
 // call in flight answer, and returns only when the link's goroutines have.
 func TestHubShutdownDrains(t *testing.T) {
 	entered, gate := make(chan struct{}), make(chan struct{})
-	hs, hub := shard(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	hs, hub := shard(t, func(ctx context.Context, route int, h *Header, body, out []byte) (int, Header, []byte) {
 		close(entered)
 		<-gate
-		echo(w, r)
-	}))
-	lk := New(nil)
+		return echo(ctx, route, h, body, out)
+	})
+	lk := New(nil, []string{hs.URL})
 	defer lk.Close()
 	got := make(chan string, 1)
 	go func() {
-		_, _, body, _ := post(context.Background(), lk, hs.URL+"/v1/ingest", "kept")
-		got <- body
+		a, _ := post(context.Background(), lk, 0, "POST /v1/ingest", "kept")
+		got <- a.body
 	}()
 	<-entered
 	done := make(chan struct{})
@@ -372,9 +403,9 @@ func (p *pipeWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 }
 
 // TestHubShutdownCutsBlockedCall: a call whose handler waits on its
-// request's context, a drain begun, then the drain's context ends. The cut
-// must cancel the call, so Shutdown returns within its context plus 50 ms
-// — on every one of 1 000 runs, because whether the read loop sees the
+// context, a drain begun, then the drain's context ends. The cut must
+// cancel the call, so Shutdown returns within its context plus 50 ms —
+// on every one of 1 000 runs, because whether the read loop sees the
 // drain deadline before the cut is a matter of scheduling, and in that
 // order only the cut can cancel the call.
 func TestHubShutdownCutsBlockedCall(t *testing.T) {
@@ -383,7 +414,7 @@ func TestHubShutdownCutsBlockedCall(t *testing.T) {
 		grace = time.Millisecond
 		slack = 50 * time.Millisecond
 	)
-	call := appendHead(nil, 1, 0, nil)
+	call := appendHead(nil, 1, 0, &Header{})
 	if err := logio.Seal(call); err != nil {
 		t.Fatal(err)
 	}
@@ -394,10 +425,11 @@ func TestHubShutdownCutsBlockedCall(t *testing.T) {
 		go io.Copy(io.Discard, client)
 		hub := &Hub{}
 		entered := make(chan struct{})
-		h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h := func(ctx context.Context, _ int, _ *Header, _, out []byte) (int, Header, []byte) {
 			close(entered)
-			<-r.Context().Done()
-		})
+			<-ctx.Done()
+			return http.StatusOK, Header{}, out
+		}
 		served := make(chan error, 1)
 		go func() { served <- hub.Upgrade(&pipeWriter{nc: server}, up, h) }()
 		if _, err := client.Write(call); err != nil {
@@ -439,7 +471,7 @@ func frame(payload []byte) []byte {
 // no panic, no call run from a frame that failed its checks, and what
 // does split re-encodes to the same bytes.
 func FuzzLinkFrame(f *testing.F) {
-	good := appendHead(nil, 7, 3, http.Header{"X-Trace-Id": {"abc"}, "Content-Type": {"application/json"}})
+	good := appendHead(nil, 7, 3, &Header{SlotContentType: JSON, SlotTrace: "abc"})
 	good = append(good, `{"transactions":[]}`...)
 	if err := logio.Seal(good); err != nil {
 		f.Fatal(err)
@@ -469,16 +501,14 @@ func FuzzLinkFrame(f *testing.F) {
 			if err != nil {
 				break
 			}
-			h := http.Header{}
+			var h Header
 			for i, v := range vals {
-				if len(v) > 0 {
-					h[headers[i]] = []string{string(v)}
-				}
+				h[i] = string(v)
 			}
-			if again := append(appendHead(nil, id, code, h), body...); !bytes.Equal(again[logio.FrameOverhead:], buf) {
+			if again := append(appendHead(nil, id, code, &h), body...); !bytes.Equal(again[logio.FrameOverhead:], buf) {
 				t.Fatalf("split then appendHead changed the payload:\n%x\n%x", buf, again[logio.FrameOverhead:])
 			}
-			if code >= len(routes) {
+			if code >= DataRoutes {
 				break
 			}
 			valid++
@@ -490,10 +520,10 @@ func FuzzLinkFrame(f *testing.F) {
 		served := make(chan struct{})
 		go func() {
 			defer close(served)
-			serve(context.Background(), server, bufio.NewReader(server), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			serve(context.Background(), server, bufio.NewReader(server), func(_ context.Context, _ int, _ *Header, body, out []byte) (int, Header, []byte) {
 				ran.Add(1)
-				io.Copy(w, r.Body)
-			}))
+				return http.StatusOK, Header{}, append(out, body...)
+			})
 			server.Close()
 		}()
 		go io.Copy(io.Discard, client)
@@ -512,21 +542,45 @@ func FuzzLinkFrame(f *testing.F) {
 func TestLinkHandlerPanic(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(os.Stderr)
-	hs, _ := shard(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("X-Caller") == "boom" {
+	hs, _ := shard(t, func(ctx context.Context, route int, h *Header, body, out []byte) (int, Header, []byte) {
+		if h[SlotCaller] == "boom" {
 			panic("handler bug")
 		}
-		echo(w, r)
-	}))
-	lk := New(nil)
+		return echo(ctx, route, h, body, out)
+	})
+	lk := New(nil, []string{hs.URL})
 	defer lk.Close()
-	if _, _, _, err := post(context.Background(), lk, hs.URL+"/v1/score", "x", "X-Caller", "boom"); err == nil || !strings.Contains(err.Error(), "link: ") {
+	if _, err := post(context.Background(), lk, 0, "POST /v1/score", "x", "X-Caller", "boom"); err == nil || !strings.Contains(err.Error(), "link: ") {
 		t.Fatalf("call into a panicking handler: %v", err)
 	}
-	if _, _, body, err := post(context.Background(), lk, hs.URL+"/v1/score", "y"); err != nil || body != "POST /v1/score||y" {
-		t.Fatalf("call after the panic: %q, %v", body, err)
+	if a, err := post(context.Background(), lk, 0, "POST /v1/score", "y"); err != nil || a.body != "POST /v1/score||y" {
+		t.Fatalf("call after the panic: %q, %v", a.body, err)
 	}
 	if lk.Redials.Load() != 1 {
 		t.Fatalf("redials %d, want 1", lk.Redials.Load())
+	}
+}
+
+// TestReleasePoisons: with PoisonReleased set a released call's answer
+// frame is overwritten, so a splice that reads an answer after its
+// record went back to the pool reads garbage, not the answer.
+func TestReleasePoisons(t *testing.T) {
+	PoisonReleased.Store(true)
+	defer PoisonReleased.Store(false)
+	hs, _ := shard(t, echo)
+	lk := New(nil, []string{hs.URL})
+	defer lk.Close()
+	c := NewCall(0, Route("POST", "/v1/score"))
+	c.Write([]byte("payload"))
+	if err := lk.Do(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
+	body := c.Body
+	if string(body) != "POST /v1/score||payload" {
+		t.Fatalf("answer %q", body)
+	}
+	c.Release()
+	if !bytes.Equal(body, bytes.Repeat([]byte{0xa5}, len(body))) {
+		t.Fatalf("released answer still readable: %q", body)
 	}
 }

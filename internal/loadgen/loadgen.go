@@ -76,8 +76,7 @@ type LatencyReport struct {
 	Max  int64 `json:"max_us"`
 }
 
-// Report is the run's JSON result (written next to BENCH_serving.json by
-// cmd/titant loadgen).
+// Report is the run's JSON result (written by cmd/titant loadgen).
 type Report struct {
 	Schedule    string  `json:"schedule"`
 	DurationSec float64 `json:"duration_seconds"`

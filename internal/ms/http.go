@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"titant/internal/decision"
@@ -128,10 +127,9 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 
 // writeEncodeError answers 500 for a response value JSON cannot carry.
 func writeEncodeError(w http.ResponseWriter, err *encodeError) {
-	data, _ := json.Marshal(errorEnvelope{APIError{Code: "internal", Message: err.Error()}})
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusInternalServerError)
-	_, _ = w.Write(append(data, '\n'))
+	_, _ = w.Write(envelope(nil, "internal", err.Error(), ""))
 }
 
 // writeError writes the error envelope, folding in the request's trace
@@ -145,48 +143,36 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	}})
 }
 
-// CheckBearer reports whether the request carries the given bearer token,
-// comparing in constant time.
-func CheckBearer(r *http.Request, token string) bool {
-	return subtle.ConstantTimeCompare([]byte(r.Header.Get("Authorization")), []byte("Bearer "+token)) == 1
+// checkBearer reports whether an Authorization value carries the given
+// bearer token, comparing in constant time.
+func checkBearer(auth, token string) bool {
+	return subtle.ConstantTimeCompare([]byte(auth), []byte("Bearer "+token)) == 1
 }
 
-// writeScoreError maps the engine's typed errors onto HTTP statuses.
-func writeScoreError(w http.ResponseWriter, err error) {
+// scoreError maps the engine's typed errors onto HTTP statuses, envelope
+// codes and a Retry-After.
+func scoreError(err error) (status int, code, retryAfter string) {
 	switch {
 	case errors.Is(err, ErrRateLimited):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "rate_limited", err.Error())
+		return http.StatusTooManyRequests, "rate_limited", "1"
 	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "overloaded", err.Error())
+		return http.StatusTooManyRequests, "overloaded", "1"
 	case errors.Is(err, ErrUserNotFound):
-		writeError(w, http.StatusNotFound, "user_not_found", err.Error())
+		return http.StatusNotFound, "user_not_found", ""
 	case errors.Is(err, ErrBatchTooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", err.Error())
+		return http.StatusRequestEntityTooLarge, "batch_too_large", ""
 	case errors.Is(err, ErrStreamDisabled):
-		writeError(w, http.StatusConflict, "stream_disabled", err.Error())
+		return http.StatusConflict, "stream_disabled", ""
 	case errors.Is(err, ErrPolicyDisabled):
-		writeError(w, http.StatusConflict, "policy_disabled", err.Error())
+		return http.StatusConflict, "policy_disabled", ""
 	case errors.Is(err, ErrBundleInvalid):
-		writeError(w, http.StatusInternalServerError, "bundle_invalid", err.Error())
+		return http.StatusInternalServerError, "bundle_invalid", ""
 	case errors.Is(err, ErrDimensionMismatch):
-		writeError(w, http.StatusInternalServerError, "dimension_mismatch", err.Error())
+		return http.StatusInternalServerError, "dimension_mismatch", ""
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusServiceUnavailable, "canceled", err.Error())
-	default:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		return http.StatusServiceUnavailable, "canceled", ""
 	}
-}
-
-// callerContext tags the request context with the admission caller
-// identity carried by the X-Caller header, so per-caller quotas key on
-// the client's declared identity (untagged requests share "default").
-func callerContext(r *http.Request) context.Context {
-	if c := r.Header.Get("X-Caller"); c != "" {
-		return WithCallerContext(r.Context(), c)
-	}
-	return r.Context()
+	return http.StatusInternalServerError, "internal", ""
 }
 
 // Handler returns the v1 HTTP mux:
@@ -212,9 +198,8 @@ func callerContext(r *http.Request) context.Context {
 // policy swap changes live risk decisions exactly as a model swap does).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for path, op := range map[string]verb{"/v1/score": verbScore, "/v1/decide": verbDecide, "/v1/ingest": verbIngest} {
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, op, false) })
-		mux.HandleFunc(path+"/batch", func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, op, true) })
+	for route := range link.DataRoutes {
+		mux.HandleFunc(link.Routes[route].Path, func(w http.ResponseWriter, r *http.Request) { s.serveHTTP(w, r, route) })
 	}
 	mux.HandleFunc("/v1/models", s.handleModels)
 	mux.HandleFunc("/v1/policy", s.handlePolicy)
@@ -222,15 +207,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/debug/trace", s.handleDebugTrace)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	h := s.traceMiddleware(mux)
-	// A link's calls run through h itself: the same middleware and routes
-	// as the HTTP exchange they replace, against an in-memory request.
+	// A link's calls go to the same core as the six data-plane routes.
 	mux.HandleFunc(link.Path, func(w http.ResponseWriter, r *http.Request) {
-		if err := s.links.Upgrade(w, r, h); err != nil {
+		if err := s.links.Upgrade(w, r, s.serveCall); err != nil {
 			writeError(w, http.StatusUpgradeRequired, "upgrade_required", err.Error())
 		}
 	})
-	return h
+	return s.traceMiddleware(mux)
 }
 
 // traceMiddleware assigns every request its trace identity: a
@@ -284,10 +267,14 @@ const (
 // transaction's own.
 var verbFields = [...]wireField{verbScore: txnFields, verbDecide: txnFields | fieldScenario, verbIngest: txnFields | fieldFraud}
 
-// batchBodyLimit derives a batch route's body cap from the engine's batch
+// bodyLimit is a data-plane route's body cap: one transaction's worth for
+// a single route; for a batch route it derives from the engine's batch
 // limit (clamped to the hard ceiling), keeping parse cost proportional to
 // the configured batch size.
-func (s *Server) batchBodyLimit() int64 {
+func (s *Server) bodyLimit(batch bool) int64 {
+	if !batch {
+		return maxScoreBytes
+	}
 	limit := int64(maxBatchBytes)
 	if s.maxBatch > 0 {
 		if l := int64(s.maxBatch)*maxTxnJSONBytes + 1024; l < limit {
@@ -297,62 +284,152 @@ func (s *Server) batchBodyLimit() int64 {
 	return limit
 }
 
-// serve is the one shape of the six data-plane routes: decode the body
-// into pooled rows, run the engine verb over them, encode its answer.
-// Nothing on the success path touches encoding/json (see wire.go).
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, op verb, batch bool) {
+// httpBody is one data-plane HTTP exchange's pooled buffers: the request
+// body and the answer.
+type httpBody struct{ in, out []byte }
+
+var httpBodies = sync.Pool{New: func() any { return new(httpBody) }}
+
+var errNotPost = errors.New("POST only")
+
+// serveHTTP is a data-plane route over HTTP: the slots taken from the
+// headers, the body read under its cap, then the core.
+func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request, route int) {
+	hb := httpBodies.Get().(*httpBody)
+	defer httpBodies.Put(hb)
+	var h link.Header
+	for i, name := range link.Headers {
+		if v := r.Header[name]; len(v) > 0 {
+			h[i] = v[0]
+		}
+	}
+	// The trace middleware adopted or minted the call's trace.
+	h[link.SlotTrace] = w.Header().Get(telemetry.TraceHeader)
+	readErr := errNotPost
+	if r.Method == http.MethodPost {
+		hb.in, readErr = ReadBody(hb.in[:0], http.MaxBytesReader(w, r.Body, s.bodyLimit(route%2 == 1)), r.ContentLength)
+	}
+	status, ans, out := s.answer(r.Context(), route, &h, hb.in, readErr, hb.out[:0])
+	if hb.out = out; status == http.StatusOK {
+		WriteBody(w, out)
+		return
+	}
+	if ra := ans[link.SlotRetryAfter]; ra != "" {
+		w.Header().Set("Retry-After", ra)
+	}
+	w.Header()["Content-Type"] = jsonType
+	w.WriteHeader(status)
+	_, _ = w.Write(out)
+}
+
+// serveCall is the data-plane core as a link hands it a call.
+func (s *Server) serveCall(ctx context.Context, route int, h *link.Header, body, out []byte) (int, link.Header, []byte) {
+	return s.answer(ctx, route, h, body, nil, out)
+}
+
+// answer is the one shape of the six data-plane routes on either wire:
+// adopt the call's trace, decode the body into pooled rows, run the
+// engine verb over them under the call's deadline, append the answer to
+// out. readErr is why an HTTP body could not be read. Nothing on the
+// success path touches encoding/json (see wire.go).
+func (s *Server) answer(parent context.Context, route int, h *link.Header, body []byte, readErr error, out []byte) (status int, ans link.Header, reply []byte) {
+	// link.Routes lists each verb's single route, then its batch route, in
+	// verb order.
+	op, batch := verb(route/2), route%2 == 1
 	switch op {
 	case verbDecide:
 		defer recordEndpoint(s.decideHist, time.Now())
 	case verbIngest:
 		defer recordEndpoint(s.ingestHist, time.Now())
 	}
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
+	trace, ok := telemetry.ParseTraceID(h[link.SlotTrace])
+	ans[link.SlotContentType], ans[link.SlotTrace] = link.JSON, h[link.SlotTrace]
+	if !ok {
+		trace = s.minter.Mint()
+		ans[link.SlotTrace] = trace.String()
 	}
-	if op == verbIngest && !s.checkIngestAuth(w, r) {
-		return
+	limit, max := s.bodyLimit(batch), 1
+	if batch {
+		if max = s.maxBatch; max <= 0 {
+			max = math.MaxInt
+		}
+	}
+	switch {
+	case readErr == errNotPost:
+		return failed(ans, out, http.StatusMethodNotAllowed, "method_not_allowed", readErr.Error())
+	case op == verbIngest && s.ingestToken != "" && !checkBearer(h[link.SlotAuthorization], s.ingestToken):
+		return failed(ans, out, http.StatusUnauthorized, "unauthorized", "ingest requires a valid bearer token")
+	case readErr != nil && tooBig(readErr):
+		return failed(ans, out, http.StatusRequestEntityTooLarge, "body_too_large", readErr.Error())
+	case readErr != nil:
+		return failed(ans, out, http.StatusBadRequest, "bad_request", "malformed JSON: "+readErr.Error())
+	case int64(len(body)) > limit:
+		return failed(ans, out, http.StatusRequestEntityTooLarge, "body_too_large", (&http.MaxBytesError{Limit: limit}).Error())
 	}
 	wb := wirePool.Get().(*wireBuf)
-	defer wirePool.Put(wb)
-	if !s.decode(w, r, wb, op, batch) {
-		return
+	defer wb.release()
+	if err := wb.decode(body, verbFields[op], batch, max); err != nil {
+		return failed(ans, out, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
 	}
-	ctx := callerContext(r)
-	if msv, err := strconv.ParseInt(r.Header.Get(HeaderDeadline), 10, 64); err == nil && msv > 0 {
-		d := withDeadline(ctx, time.Duration(msv)*time.Millisecond)
-		defer d.release()
-		ctx = d
+	if wb.n > max {
+		return failedVerb(ans, out, batchTooLarge(wb.n, max))
 	}
+	if row, err := wb.scenarioError(); err != nil {
+		msg := err.Error()
+		if batch {
+			msg = fmt.Sprintf("transaction %d: %v", row, err)
+		}
+		return failed(ans, out, http.StatusBadRequest, "bad_request", msg)
+	}
+	ctx := parent
+	if c := h[link.SlotCaller]; c != "" {
+		ctx = WithCallerContext(ctx, c)
+	}
+	var after time.Duration
+	if msv, err := strconv.ParseInt(h[link.SlotDeadline], 10, 64); err == nil && msv > 0 {
+		after = time.Duration(msv) * time.Millisecond
+	}
+	d := telemetry.WithDeadline(ctx, after, trace)
+	defer d.Release()
+	if key := h[link.SlotIdempotencyKey]; op == verbIngest && key != "" {
+		e, first, err := s.idem.claim(d, key)
+		switch {
+		case err != nil:
+			return failedVerb(ans, out, err)
+		case !first:
+			return e.status, ans, append(out, e.body...)
+		}
+		defer func() { s.idem.settle(e, status, reply) }()
+	}
+	wb.out = out
 	var err error
 	switch {
 	case op == verbScore && batch:
 		var vs []Verdict
-		if vs, err = s.ScoreBatch(ctx, wb.txns); err == nil {
+		if vs, err = s.ScoreBatch(d, wb.txns); err == nil {
 			err = wb.putVerdicts(vs)
 		}
 	case op == verbScore:
 		var v Verdict
-		if v, err = s.Score(ctx, &wb.txns[0]); err == nil {
+		if v, err = s.Score(d, &wb.txns[0]); err == nil {
 			err = wb.putVerdict(&v)
 		}
 	case op == verbDecide && batch:
 		var ds []Decision
-		if ds, err = s.DecideBatch(ctx, wb.txns, wb.scenarios); err == nil {
+		if ds, err = s.DecideBatch(d, wb.txns, wb.scenarios); err == nil {
 			err = wb.putDecisions(ds)
 		}
 	case op == verbDecide:
-		var d Decision
-		if d, err = s.Decide(ctx, &wb.txns[0], wb.scenarios[0]); err == nil {
-			err = wb.putDecision(&d)
+		var dc Decision
+		if dc, err = s.Decide(d, &wb.txns[0], wb.scenarios[0]); err == nil {
+			err = wb.putDecision(&dc)
 		}
 	default:
 		// Ingest takes no context, so admission runs here: the one request
 		// path that bypasses Score/Decide still honors quotas and the
 		// inflight bound.
 		var release func()
-		if release, err = s.Admit(ctx, len(wb.txns)); err != nil {
+		if release, err = s.Admit(d, len(wb.txns)); err != nil {
 			break
 		}
 		defer release()
@@ -365,49 +442,39 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, op verb, batch bo
 			err = wb.putIngested(len(wb.txns))
 		}
 	}
-	var unencodable *encodeError
-	switch {
-	case err == nil:
-		WriteBody(w, wb.out)
-	case errors.As(err, &unencodable):
-		writeEncodeError(w, unencodable)
-	default:
-		writeScoreError(w, err)
+	if err != nil {
+		return failedVerb(ans, out, err)
 	}
+	return http.StatusOK, ans, wb.out
 }
 
-// decode reads and decodes the request body into wb, writing the
-// envelope on failure: 413 for an oversize body or batch, 400 for a
-// malformed one.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, wb *wireBuf, op verb, batch bool) bool {
-	limit, max := int64(maxScoreBytes), 1
-	if batch {
-		limit, max = s.batchBodyLimit(), s.maxBatch
-		if max <= 0 {
-			max = math.MaxInt
-		}
+// envelope appends the error envelope; trace "" leaves trace_id out.
+func envelope(out []byte, code, msg, trace string) []byte {
+	data, _ := json.Marshal(errorEnvelope{APIError{Code: code, Message: msg, TraceID: trace}})
+	return append(append(out, data...), '\n')
+}
+
+// failed answers the error envelope, naming the answer's trace.
+func failed(ans link.Header, out []byte, status int, code, msg string) (int, link.Header, []byte) {
+	return status, ans, envelope(out, code, msg, ans[link.SlotTrace])
+}
+
+// tooBig reports a body read past its cap.
+func tooBig(err error) bool {
+	var e *http.MaxBytesError
+	return errors.As(err, &e)
+}
+
+// failedVerb answers an engine error (see scoreError) or an answer the
+// encoders cannot represent.
+func failedVerb(ans link.Header, out []byte, err error) (int, link.Header, []byte) {
+	var unencodable *encodeError
+	if errors.As(err, &unencodable) {
+		return http.StatusInternalServerError, ans, envelope(out, "internal", unencodable.Error(), "")
 	}
-	err := wb.decode(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, verbFields[op], batch, max)
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig):
-		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large", err.Error())
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
-	case wb.n > max:
-		writeScoreError(w, batchTooLarge(wb.n, max))
-	default:
-		row, err := wb.scenarioError()
-		if err == nil {
-			return true
-		}
-		msg := err.Error()
-		if batch {
-			msg = fmt.Sprintf("transaction %d: %v", row, err)
-		}
-		writeError(w, http.StatusBadRequest, "bad_request", msg)
-	}
-	return false
+	status, code, retryAfter := scoreError(err)
+	ans[link.SlotRetryAfter] = retryAfter
+	return failed(ans, out, status, code, err.Error())
 }
 
 // HeaderDeadline carries how many milliseconds the sender will wait for
@@ -415,49 +482,6 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, wb *wireBuf, op 
 // "canceled" past it: on a multiplexed link no connection closes under
 // an abandoned call, so the deadline is how a shard learns to stop.
 const HeaderDeadline = "X-Deadline-Ms"
-
-// deadline is that bound as a pooled context — no allocation per call,
-// where context.WithTimeout makes five. Done closes at the deadline only;
-// the parent's own cancellation shows through Err, which the engine polls
-// between stages.
-type deadline struct {
-	context.Context
-	at    time.Time
-	done  chan struct{}
-	timer *time.Timer
-	fired atomic.Bool
-}
-
-var deadlinePool = sync.Pool{New: func() any {
-	d := &deadline{done: make(chan struct{})}
-	d.timer = time.AfterFunc(time.Hour, func() { d.fired.Store(true); close(d.done) })
-	d.timer.Stop()
-	return d
-}}
-
-func withDeadline(parent context.Context, after time.Duration) *deadline {
-	d := deadlinePool.Get().(*deadline)
-	d.Context, d.at = parent, time.Now().Add(after)
-	d.timer.Reset(after)
-	return d
-}
-
-// release pools d again unless it fired: a closed channel is spent.
-func (d *deadline) release() {
-	if d.timer.Stop() {
-		d.Context = nil
-		deadlinePool.Put(d)
-	}
-}
-
-func (d *deadline) Deadline() (time.Time, bool) { return d.at, true }
-func (d *deadline) Done() <-chan struct{}       { return d.done }
-func (d *deadline) Err() error {
-	if d.fired.Load() {
-		return context.DeadlineExceeded
-	}
-	return d.Context.Err()
-}
 
 // DecideRequest is the wire format of POST /v1/decide: a transaction
 // plus the scenario it arrived under (omitted or empty = default).
@@ -495,18 +519,8 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		// Same guard as POST /v1/models: a policy swap changes live risk
 		// decisions exactly as a model swap does.
-		if s.modelToken != "" && !CheckBearer(r, s.modelToken) {
-			writeError(w, http.StatusUnauthorized, "unauthorized", "policy swap requires a valid bearer token")
-			return
-		}
-		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPolicyBytes))
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge, "policy_too_large", err.Error())
-				return
-			}
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		raw, ok := s.swapBody(w, r, maxPolicyBytes, "policy", "policy")
+		if !ok {
 			return
 		}
 		pol, err := decision.Parse(raw)
@@ -530,20 +544,29 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// swapBody reads a model or policy swap's body under its cap, behind the
+// model token; on false the envelope is written.
+func (s *Server) swapBody(w http.ResponseWriter, r *http.Request, limit int64, what, tooLarge string) ([]byte, bool) {
+	if s.modelToken != "" && !checkBearer(r.Header.Get("Authorization"), s.modelToken) {
+		writeError(w, http.StatusUnauthorized, "unauthorized", what+" swap requires a valid bearer token")
+		return nil, false
+	}
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	switch {
+	case tooBig(err):
+		writeError(w, http.StatusRequestEntityTooLarge, tooLarge+"_too_large", err.Error())
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	default:
+		return raw, true
+	}
+	return nil, false
+}
+
 // recordEndpoint lands one request's wall time in a per-endpoint
 // histogram (deferred at handler entry, so errors are measured too).
 func recordEndpoint(h *telemetry.Histogram, start time.Time) {
 	h.Record(time.Since(start))
-}
-
-// checkIngestAuth enforces the optional ingest bearer token, writing the
-// 401 envelope on failure.
-func (s *Server) checkIngestAuth(w http.ResponseWriter, r *http.Request) bool {
-	if s.ingestToken != "" && !CheckBearer(r, s.ingestToken) {
-		writeError(w, http.StatusUnauthorized, "unauthorized", "ingest requires a valid bearer token")
-		return false
-	}
-	return true
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -551,18 +574,8 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, s.ModelInfo())
 	case http.MethodPost:
-		if s.modelToken != "" && !CheckBearer(r, s.modelToken) {
-			writeError(w, http.StatusUnauthorized, "unauthorized", "model swap requires a valid bearer token")
-			return
-		}
-		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBundleBytes))
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge, "bundle_too_large", err.Error())
-				return
-			}
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		raw, ok := s.swapBody(w, r, maxBundleBytes, "model", "bundle")
+		if !ok {
 			return
 		}
 		b, err := DecodeBundle(raw)

@@ -1,9 +1,15 @@
 package ms
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
+	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -11,8 +17,12 @@ import (
 	"testing"
 	"time"
 
+	"titant/internal/decision"
 	"titant/internal/feature"
+	"titant/internal/feature/stream"
 	"titant/internal/link"
+	"titant/internal/logio"
+	"titant/internal/txn"
 )
 
 // slowModel is a stub detector that parks in every scoring call. The
@@ -35,31 +45,54 @@ func (m *slowModel) ScoreBatch(dst []float64, _ *feature.Matrix) {
 	clear(dst)
 }
 
-func postDeadline(t *testing.T, rt http.RoundTripper, url, body, deadlineMs string) (int, string, time.Duration) {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+// wire posts one call to a shard — over HTTP, or over a link when lk is
+// set — and returns the answer's status and body.
+type wire func(route int, h link.Header, body string) (int, string)
+
+func httpWire(t *testing.T, base string) wire {
+	plain := &http.Transport{}
+	t.Cleanup(plain.CloseIdleConnections)
+	return func(route int, h link.Header, body string) (int, string) {
+		req, err := http.NewRequest(http.MethodPost, base+link.Routes[route].Path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range h {
+			if v != "" {
+				req.Header.Set(link.Headers[i], v)
+			}
+		}
+		resp, err := plain.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(raw)
 	}
-	req.Header.Set(HeaderDeadline, deadlineMs)
-	start := time.Now()
-	resp, err := rt.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
+}
+
+func linkWire(t *testing.T, lk *link.Transport) wire {
+	return func(route int, h link.Header, body string) (int, string) {
+		c := link.NewCall(0, route)
+		defer c.Release()
+		c.Header = h
+		c.Write([]byte(body))
+		if err := lk.Do(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
+		return c.Status, string(c.Body)
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, string(raw), time.Since(start)
 }
 
 // TestShardHonoursDeadline: a call carrying X-Deadline-Ms: 5 into an
 // engine whose model takes 10 ms is answered 503 "canceled" well inside
 // 50 ms on both transports — the HTTP route reads the header, the link
-// the frame slot, one code path behind them — the worker pool is gone
-// when it is, and the next call on the same connection is unaffected.
+// the frame slot, one core behind them — the worker pool is gone when it
+// is, and the next call on the same connection is unaffected.
 func TestShardHonoursDeadline(t *testing.T) {
 	bundle, err := NewBundle("slow", &slowModel{Width: feature.NumBasic, SleepMs: 10}, 0.5, trainToy(t, 0).City, 0)
 	if err != nil {
@@ -75,18 +108,23 @@ func TestShardHonoursDeadline(t *testing.T) {
 	body := `{"transactions":[{"id":1,"from":1,"to":2,"amount":5},{"id":2,"from":2,"to":3,"amount":7},` +
 		`{"id":3,"from":3,"to":4,"amount":9},{"id":4,"from":4,"to":1,"amount":11}]}`
 
-	plain := &http.Transport{}
-	defer plain.CloseIdleConnections()
-	lk := link.New(nil)
+	lk := link.New(nil, []string{hs.URL})
 	defer lk.Close()
-	for name, rt := range map[string]http.RoundTripper{"http": plain, "link": lk} {
+	for name, post := range map[string]wire{"http": httpWire(t, hs.URL), "link": linkWire(t, lk)} {
 		t.Run(name, func(t *testing.T) {
+			call := func(deadlineMs string) (int, string, time.Duration) {
+				var h link.Header
+				h[link.SlotDeadline] = deadlineMs
+				start := time.Now()
+				code, raw := post(link.Route("POST", "/v1/score/batch"), h, body)
+				return code, raw, time.Since(start)
+			}
 			// Warm: the connection and its goroutines exist before the count.
-			if code, raw, _ := postDeadline(t, rt, hs.URL+"/v1/score/batch", body, "2000"); code != http.StatusOK {
+			if code, raw, _ := call("2000"); code != http.StatusOK {
 				t.Fatalf("warm call: %d %s", code, raw)
 			}
 			before := runtime.NumGoroutine()
-			code, raw, took := postDeadline(t, rt, hs.URL+"/v1/score/batch", body, "5")
+			code, raw, took := call("5")
 			if code != http.StatusServiceUnavailable || !strings.Contains(raw, `"code":"canceled"`) {
 				t.Fatalf("expired call answered %d %s, want 503 canceled", code, raw)
 			}
@@ -98,7 +136,7 @@ func TestShardHonoursDeadline(t *testing.T) {
 					t.Fatalf("%d goroutines after the expired call, %d before it", runtime.NumGoroutine(), before)
 				}
 			}
-			if code, raw, _ := postDeadline(t, rt, hs.URL+"/v1/score/batch", body, "2000"); code != http.StatusOK || !strings.Contains(raw, `"verdicts"`) {
+			if code, raw, _ := call("2000"); code != http.StatusOK || !strings.Contains(raw, `"verdicts"`) {
 				t.Fatalf("call after the expired one: %d %s", code, raw)
 			}
 		})
@@ -108,34 +146,166 @@ func TestShardHonoursDeadline(t *testing.T) {
 	}
 }
 
-// TestDeadlineContextPooled: the deadline context costs no allocation per
-// call, and one that fired is never handed out again.
-func TestDeadlineContextPooled(t *testing.T) {
-	ctx := context.Background()
-	if !raceEnabled {
-		if n := testing.AllocsPerRun(200, func() { withDeadline(ctx, time.Second).release() }); n > 0 {
-			t.Errorf("withDeadline+release allocates %.0f objects per call, want 0", n)
+// TestIngestIdempotent: one keyed ingest sent twice over HTTP and twice
+// over the link is applied to the window once; all four answers are the
+// same bytes, and the three replays are counted. A replay that arrives
+// while the first call is still being applied waits for its answer.
+func TestIngestIdempotent(t *testing.T) {
+	st := stream.New(stream.WithCities(2))
+	srv, err := New(table(t), trainToy(t, 0), WithStreamAggregates(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	lk := link.New(nil, []string{hs.URL})
+	defer lk.Close()
+	batch := link.Route("POST", "/v1/ingest/batch")
+	body := `{"transactions":[{"id":1,"day":1,"sec":5,"from":1,"to":2,"amount":5}]}`
+	var h link.Header
+	h[link.SlotIdempotencyKey], h[link.SlotTrace] = "k-1", "0123456789abcdef0123456789abcdef"
+	var answers []string
+	for _, post := range []wire{httpWire(t, hs.URL), httpWire(t, hs.URL), linkWire(t, lk), linkWire(t, lk)} {
+		code, raw := post(batch, h, body)
+		if code != http.StatusOK {
+			t.Fatalf("keyed ingest: %d %s", code, raw)
+		}
+		answers = append(answers, raw)
+	}
+	for i, a := range answers {
+		if a != answers[0] {
+			t.Errorf("answer %d %q differs from the first %q", i, a, answers[0])
 		}
 	}
-	d := withDeadline(ctx, time.Millisecond)
-	<-d.Done()
-	if d.Err() != context.DeadlineExceeded {
-		t.Fatalf("Err after the deadline: %v", d.Err())
+	stats := srv.Stats()
+	if *stats.Ingested != 1 || *stats.IngestDeduped != 3 {
+		t.Fatalf("ingested %d, deduped %d; want 1, 3", *stats.Ingested, *stats.IngestDeduped)
 	}
-	d.release()
-	for i := 0; i < 100; i++ {
-		fresh := withDeadline(ctx, time.Second)
-		if fresh == d || fresh.Err() != nil {
-			t.Fatal("a fired deadline context was pooled again")
+
+	// In flight: the holder of a key has not settled, so a replay waits —
+	// until its own context ends, or the holder's answer is in.
+	e, first, err := srv.idem.claim(context.Background(), "k-2")
+	if err != nil || !first {
+		t.Fatalf("claim of a fresh key: first %v, %v", first, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, _, err := srv.idem.claim(ctx, "k-2"); err != context.DeadlineExceeded {
+		t.Fatalf("replay of a key in flight: %v, want its context's end", err)
+	}
+	got := make(chan string, 1)
+	go func() {
+		r, _, _ := srv.idem.claim(context.Background(), "k-2")
+		got <- string(r.body)
+	}()
+	srv.idem.settle(e, http.StatusOK, []byte("first\n"))
+	if b := <-got; b != "first\n" {
+		t.Fatalf("waiting replay got %q", b)
+	}
+}
+
+// rawLink opens a link to a shard by hand — an upgrade written on a TCP
+// connection, frames built and read in place — so that a warm call costs
+// the client side no allocation and a count sees the shard end alone.
+func rawLink(t *testing.T, addr string) func(route int, h *link.Header, body []byte) (int, []byte) {
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	fmt.Fprintf(nc, "GET %s HTTP/1.1\r\nHost: shard\r\nConnection: Upgrade\r\nUpgrade: titant-link\r\n\r\n", link.Path)
+	br := bufio.NewReader(nc)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade: %v %v", resp, err)
+	}
+	le := binary.LittleEndian
+	var out, in []byte
+	return func(route int, h *link.Header, body []byte) (int, []byte) {
+		out = append(out[:0], make([]byte, logio.FrameOverhead)...)
+		out = le.AppendUint16(le.AppendUint64(out, 1), uint16(route))
+		for _, v := range h {
+			out = append(le.AppendUint32(out, uint32(len(v))), v...)
 		}
-		defer fresh.release()
+		out = append(out, body...)
+		if err := logio.Seal(out); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(out); err != nil {
+			t.Fatal(err)
+		}
+		if in, err = logio.ReadFrame(br, in); err != nil {
+			t.Fatal(err)
+		}
+		status, p := int(le.Uint16(in[8:])), in[10:]
+		for range h {
+			p = p[4+le.Uint32(p):]
+		}
+		return status, p
 	}
-	// The parent's cancellation shows through Err.
-	parent, cancel := context.WithCancel(ctx)
-	child := withDeadline(parent, time.Second)
-	defer child.release()
-	cancel()
-	if child.Err() != context.Canceled {
-		t.Fatalf("Err under a cancelled parent: %v", child.Err())
+}
+
+// TestLinkCallAllocBudget counts the shard end of one warm link call —
+// frame read, slots, core, answer frame — beyond its engine verb: at most
+// 4 objects (≈ 11.7 when the link replayed each frame through a pooled
+// http.Request and the trace middleware). Every call carries a fresh
+// trace, as routed calls do.
+func TestLinkCallAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled scratch is not reused reliably under the race detector")
+	}
+	tab := table(t)
+	up := &Uploader{Table: tab}
+	for i := txn.UserID(1); i <= 32; i++ {
+		u := txn.User{ID: i, Age: uint8(20 + i)}
+		if err := up.PutUser(&u, feature.UserStats{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := New(tab, trainToy(t, 0), WithPolicy(decidePolicy(t)), WithWorkers(1), WithUserCache(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	call := rawLink(t, hs.Listener.Addr().String())
+	req := DecideBatchRequest{Transactions: make([]DecideRequest, 64)}
+	txns, scs := make([]txn.Transaction, 64), make([]decision.Scenario, 64)
+	for i := range txns {
+		tr := TxnRequest{ID: int64(i), From: int32(1 + i%32), To: int32(1 + (i+7)%32), Amount: float32(10 * i), Sec: int32(i)}
+		req.Transactions[i] = DecideRequest{TxnRequest: tr, Scenario: "withdrawal"}
+		txns[i], scs[i] = tr.Txn(), decision.ScenarioWithdrawal
+	}
+	body, _ := json.Marshal(req)
+	var h link.Header
+	h[link.SlotContentType], h[link.SlotDeadline] = link.JSON, "2000"
+	trace := []byte("0123456789abcdef0123456789abcdef")
+	route, n := link.Route("POST", "/v1/decide/batch"), 0
+	fresh := func() {
+		n++
+		for i := 0; i < 16; i++ {
+			trace[31-i] = "0123456789abcdef"[n>>(4*i)&15]
+		}
+		h[link.SlotTrace] = string(trace)
+	}
+	over := testing.AllocsPerRun(200, func() {
+		fresh()
+		status, ans := call(route, &h, body)
+		if status != http.StatusOK || !bytes.HasPrefix(ans, []byte(`{"decisions":[`)) {
+			t.Fatalf("status %d: %.80s", status, ans)
+		}
+	})
+	clientSide := testing.AllocsPerRun(200, fresh) // the trace string the count's client makes
+	direct := testing.AllocsPerRun(200, func() {
+		if _, err := srv.DecideBatch(context.Background(), txns, scs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	shardEnd := over - clientSide - direct
+	t.Logf("link call %.1f allocs, of which the client's trace %.1f and DecideBatch %.1f: shard end %.1f", over, clientSide, direct, shardEnd)
+	if shardEnd > 4 {
+		t.Errorf("the shard end of a warm link call allocates %.1f objects beyond its engine verb, budget 4", shardEnd)
 	}
 }

@@ -132,6 +132,8 @@ type Server struct {
 
 	// links are the router links upgraded on GET /v1/link (internal/link).
 	links link.Hub
+	// idem answers keyed ingest replays (X-Idempotency-Key) on either wire.
+	idem idemTable
 }
 
 // New builds the v1 scoring engine over a feature table.

@@ -35,18 +35,19 @@ type Stats struct {
 	Scored  int64 `json:"scored" merge:"sum" prom:"titant_scoring_scored_total" help:"transactions scored"`
 	Alerted int64 `json:"alerted" merge:"sum" prom:"titant_scoring_alerted_total" help:"transactions scored at or above the alert threshold"`
 	Percentiles
-	LatencyHist  *telemetry.HistSnapshot   `json:"latency_hist,omitempty" merge:"hist" prom:"titant_scoring_latency_seconds" help:"per-transaction scoring latency"`
-	Version      string                    `json:"version" merge:"first" prom:"titant_bundle_info,version" help:"active bundle metadata (value is always 1)"`
-	VersionMixed bool                      `json:"version_mixed,omitempty" merge:"or"` // shards disagree on Version: a rollout is in flight or stuck
-	Stages       []telemetry.StageSnapshot `json:"-" merge:"-"`
-	Ingested     *int64                    `json:"ingested,omitempty" merge:"sum" prom:"titant_ingest_ingested_total" help:"transactions accepted into the live window"`
-	Endpoints    *Endpoints                `json:"endpoints,omitempty"`
-	Admission    *AdmissionStats           `json:"admission,omitempty"`
-	UserCache    *CacheStats               `json:"user_cache,omitempty"`
-	Policy       *PolicyStats              `json:"policy,omitempty"`
-	Shadow       *ShadowStats              `json:"shadow,omitempty"`
-	EventLog     *EventLogStats            `json:"eventlog,omitempty"`
-	Drift        *DriftStats               `json:"drift,omitempty"`
+	LatencyHist   *telemetry.HistSnapshot   `json:"latency_hist,omitempty" merge:"hist" prom:"titant_scoring_latency_seconds" help:"per-transaction scoring latency"`
+	Version       string                    `json:"version" merge:"first" prom:"titant_bundle_info,version" help:"active bundle metadata (value is always 1)"`
+	VersionMixed  bool                      `json:"version_mixed,omitempty" merge:"or"` // shards disagree on Version: a rollout is in flight or stuck
+	Stages        []telemetry.StageSnapshot `json:"-" merge:"-"`
+	Ingested      *int64                    `json:"ingested,omitempty" merge:"sum" prom:"titant_ingest_ingested_total" help:"transactions accepted into the live window"`
+	IngestDeduped *int64                    `json:"ingest_deduped,omitempty" merge:"sum" prom:"titant_ingest_deduped_total" help:"keyed ingest replays answered from the idempotency table instead of applied"`
+	Endpoints     *Endpoints                `json:"endpoints,omitempty"`
+	Admission     *AdmissionStats           `json:"admission,omitempty"`
+	UserCache     *CacheStats               `json:"user_cache,omitempty"`
+	Policy        *PolicyStats              `json:"policy,omitempty"`
+	Shadow        *ShadowStats              `json:"shadow,omitempty"`
+	EventLog      *EventLogStats            `json:"eventlog,omitempty"`
+	Drift         *DriftStats               `json:"drift,omitempty"`
 	// Shards is the width of the engine's feature store — the number of
 	// tables user rows partition across — and, behind a router, the sum
 	// over the shard servers. /metrics reports it once per process
@@ -207,8 +208,8 @@ func (s *Server) Stats() Stats {
 		Admission: s.adm.stats(), Shards: len(s.tables), LinkConns: s.links.Conns(),
 	}
 	if s.stream != nil {
-		n := s.stream.Ingested()
-		st.Ingested = &n
+		n, dd := s.stream.Ingested(), s.idem.deduped.Load()
+		st.Ingested, st.IngestDeduped = &n, &dd
 		st.Endpoints = &Endpoints{Ingest: endpointStats(s.ingestHist)}
 	}
 	if s.cache != nil {

@@ -759,11 +759,11 @@ func WriteBody(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// wireBuf is one request's codec scratch on a shard: the body, the rows
-// decoded from it and the response encoded for it. It comes from
-// wirePool and goes back when the handler returns, so nothing reachable
-// from it may outlive the handler invocation; the engine verbs copy what
-// they keep.
+// wireBuf is one call's codec scratch on a shard: the rows decoded from
+// its body and the answer encoded for it. It comes from wirePool and goes
+// back when the call is answered, so nothing reachable from it may outlive
+// the call; the engine verbs copy what they keep. The body and the answer
+// buffer are the caller's: release drops them.
 type wireBuf struct {
 	wireDecoder
 	out []byte
@@ -771,15 +771,17 @@ type wireBuf struct {
 
 var wirePool = sync.Pool{New: func() any { return new(wireBuf) }}
 
-// decode reads r (size as in ReadBody) and decodes it as one transaction
-// or as a batch of at most max, with the given optional members. After a
-// nil return wb.txns and wb.scenarios hold the rows; a batch longer than
-// max leaves its length in wb.n and only max rows.
-func (wb *wireBuf) decode(r io.Reader, size int64, fields wireField, batch bool, max int) (err error) {
-	if wb.buf, err = ReadBody(wb.buf[:0], r, size); err != nil {
-		return err
-	}
-	wb.pos, wb.fields, wb.max, wb.n, wb.scErr = 0, fields, max, 0, nil
+func (wb *wireBuf) release() {
+	wb.buf, wb.out = nil, nil
+	wirePool.Put(wb)
+}
+
+// decode decodes body as one transaction or as a batch of at most max,
+// with the given optional members. After a nil return wb.txns and
+// wb.scenarios hold the rows; a batch longer than max leaves its length
+// in wb.n and only max rows.
+func (wb *wireBuf) decode(body []byte, fields wireField, batch bool, max int) (err error) {
+	wb.buf, wb.pos, wb.fields, wb.max, wb.n, wb.scErr = body, 0, fields, max, 0, nil
 	wb.txns, wb.scenarios = wb.txns[:0], wb.scenarios[:0]
 	if batch {
 		err = wb.batch(keyTransactions)

@@ -120,7 +120,7 @@ func checkWireDecode(t *testing.T, body []byte) {
 		for _, batch := range []bool{false, true} {
 			want, wantSc, refErr := refDecode(body, op, batch)
 			wb := &wireScratch
-			err := wb.decode(bytes.NewReader(body), int64(len(body)), verbFields[op], batch, math.MaxInt)
+			err := wb.decode(body, verbFields[op], batch, math.MaxInt)
 			if err == nil {
 				_, err = wb.scenarioError()
 			}
@@ -227,7 +227,7 @@ func TestWireDecodeTrailingBytes(t *testing.T) {
 		t.Fatal("json.Unmarshal accepts trailing bytes")
 	}
 	var wb wireBuf
-	if err := wb.decode(bytes.NewReader(body), -1, txnFields, true, 16); err == nil {
+	if err := wb.decode(body, txnFields, true, 16); err == nil {
 		t.Fatal("codec accepts trailing bytes")
 	}
 	if _, err := SplitTransactions(body, nil); err == nil {
@@ -248,14 +248,14 @@ func TestWireDecodeDepth(t *testing.T) {
 func TestWireDecodeBatchLimit(t *testing.T) {
 	var wb wireBuf
 	body := `{"transactions":[{"id":1},{"id":2},{"id":3},{"id":4},{"id":5}]}`
-	if err := wb.decode(strings.NewReader(body), int64(len(body)), txnFields, true, 3); err != nil {
+	if err := wb.decode([]byte(body), txnFields, true, 3); err != nil {
 		t.Fatal(err)
 	}
 	if wb.n != 5 || len(wb.txns) != 3 || cap(wb.txns) > 4 || wb.txns[2].ID != 3 {
 		t.Fatalf("n %d, %d rows (cap %d): %+v", wb.n, len(wb.txns), cap(wb.txns), wb.txns)
 	}
 	bad := `{"transactions":[{"id":1},{"id":2},{"id":3},{"id":4},{"id":"5"}]}`
-	if err := wb.decode(strings.NewReader(bad), int64(len(bad)), txnFields, true, 3); err == nil {
+	if err := wb.decode([]byte(bad), txnFields, true, 3); err == nil {
 		t.Fatal("a malformed row past the limit was accepted")
 	}
 }
@@ -483,8 +483,9 @@ func TestHandlerAllocBudget(t *testing.T) {
 		return over - direct
 	}
 	small, large := surplus(64), surplus(256)
-	// Measured 12: trace ID, its header and contexts, the two response
-	// headers, MaxBytesReader, the test's own body wrapper.
+	// Measured 10 (12 before the route called the data-plane core): the
+	// trace middleware's ID, header, context and request copy, the two
+	// response headers, MaxBytesReader, the test's own body wrapper.
 	const budget = 14
 	if small > budget || large > budget {
 		t.Errorf("handler allocates %.0f (64 txns) and %.0f (256 txns) more than DecideBatch per request, budget %d", small, large, budget)

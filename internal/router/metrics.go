@@ -35,6 +35,7 @@ func (rt *Router) metrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ups := rt.fanGet(r, "/metrics", callSpec{retryable: true})
+	defer releaseAll(ups)
 	unreachable := 0
 	page, err := telemetry.ParseExpo(rt.ownMetrics().Bytes())
 	if err != nil {
@@ -42,12 +43,12 @@ func (rt *Router) metrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for si, u := range ups {
-		if u.failed() || u.status != http.StatusOK {
+		if u.failed() || u.Status != http.StatusOK {
 			rt.errors.Add(1)
 			unreachable++
 			continue
 		}
-		sc, err := telemetry.ParseExpo(u.body)
+		sc, err := telemetry.ParseExpo(u.Body)
 		if err != nil {
 			rt.errors.Add(1)
 			writeError(w, http.StatusBadGateway, "shard_bad_response",

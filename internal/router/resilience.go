@@ -276,7 +276,7 @@ func (rt *Router) backoffWait(ctx context.Context, attempt int, deadline time.Ti
 // retryable specs (idempotent ops) get up to 1+retries, each behind a
 // fresh breaker check so a circuit that opens mid-loop stops the
 // hammering immediately — and one that half-opens mid-loop lets the
-// retry double as the probe.
+// retry double as the probe. The caller releases the answer returned.
 func (rt *Router) resilientCall(ctx context.Context, src *http.Request, deadline time.Time, spec callSpec) upstream {
 	attempts := 1
 	if spec.retryable && rt.retries > 0 {
@@ -298,24 +298,27 @@ func (rt *Router) resilientCall(ctx context.Context, src *http.Request, deadline
 		if !spec.noBreaker {
 			probe, ok = rt.brk[spec.shard].allow()
 			if !ok {
+				last.release()
 				last = upstream{err: errCircuitOpen}
 				continue
 			}
 		}
 		start := rt.now()
-		u := rt.attempt(ctx, src, deadline, spec)
+		u := rt.attempt(ctx, src, deadline, &spec)
 		if errors.Is(u.err, errBudgetExhausted) {
 			if !spec.noBreaker {
 				// Never launched: not evidence about the shard.
 				rt.brk[spec.shard].cancelProbe(probe)
 			}
 			rt.deadlines.Add(1)
+			last.release()
 			return u
 		}
-		fail := u.err != nil || u.status >= 500
+		fail := u.err != nil || u.Status >= 500
 		if !spec.noBreaker {
 			rt.brk[spec.shard].record(fail, probe)
 		}
+		last.release()
 		if !fail {
 			rt.lat[spec.shard].Record(rt.now().Sub(start))
 			return u
@@ -384,9 +387,12 @@ func (rt *Router) hedgedCall(ctx context.Context, src *http.Request, deadline ti
 			}
 		case r := <-ch:
 			pending--
-			if fail := r.u.err != nil || r.u.status >= 500; !fail {
+			if fail := r.u.err != nil || r.u.Status >= 500; !fail {
 				if r.leg == 1 {
 					rt.hedgeWins.Add(1)
+				}
+				if firstFail != nil {
+					firstFail.release()
 				}
 				merge(r.leg)
 				return r.u

@@ -130,11 +130,9 @@ func TestBreakerProbeCancelReleasesSlot(t *testing.T) {
 
 func TestMaxRetryAfter(t *testing.T) {
 	mk := func(ra string) upstream {
-		h := http.Header{}
-		if ra != "" {
-			h.Set("Retry-After", ra)
-		}
-		return upstream{status: 429, header: h}
+		c := &link.Call{Status: 429}
+		c.Answer[link.SlotRetryAfter] = []byte(ra)
+		return upstream{Call: c}
 	}
 	if got := maxRetryAfter([]upstream{mk("3"), mk("11"), mk("7"), {}}); got != "11" {
 		t.Fatalf("max Retry-After = %q, want 11", got)
@@ -229,56 +227,52 @@ func TestRouterRetriesTransient(t *testing.T) {
 // request but loses every reply — the worst case for a naive retrier.
 // Without an idempotency key the shard must see exactly one delivery
 // per request; with the caller's explicit X-Idempotency-Key opt-in the
-// retries flow (and the shard sees the replays the caller promised to
-// dedup). Score, being idempotent, retries through the same fault. The
-// fault sits above the shard link, so what it drops are link answers: the
-// production path, not an HTTP stand-in.
+// retries flow — three deliveries — and the shard's key table applies
+// them once. Score, being idempotent, retries through the same fault.
+// The shard is a real engine, and the fault sits above the shard link,
+// so what it drops are link answers: the production path, not an HTTP
+// stand-in.
 func TestRouterIngestAtMostOnce(t *testing.T) {
-	var ingests, scores atomic.Int64
-	shard := linkShard(t, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		switch r.URL.Path {
-		case "/v1/ingest":
-			ingests.Add(1)
-			fmt.Fprint(w, `{"ingested":1}`)
-		case "/v1/score":
-			scores.Add(1)
-			fmt.Fprint(w, `{"txn_id":1,"score":0.5}`)
-		}
-	})
+	srv, err := ms.New(seedTable(t), toyBundle(t), streamOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	shard := httptest.NewServer(srv.Handler())
+	t.Cleanup(shard.Close)
 	sc := &faultinject.Scenario{Seed: 1, Rules: []faultinject.Rule{
 		{Shard: 0, Kind: faultinject.KindDropResponse},
 	}}
-	lk := link.New(nil)
-	defer lk.Close()
-	tr := faultinject.NewTransport(lk, sc, faultinject.ShardByHost([]string{shard.URL}))
 	rt := newTestRouter(t, []string{shard.URL},
-		WithTransport(tr),
 		WithRetries(2, time.Millisecond, 5*time.Millisecond),
 		WithBreaker(BreakerConfig{ConsecutiveFails: 100}))
+	var tr *faultinject.Transport
+	rt.Wrap(func(c link.Caller) link.Caller {
+		tr = faultinject.NewTransport(c, sc)
+		return tr
+	})
+	applied := func() int64 { return *srv.Stats().Ingested }
 
-	body := []byte(`{"id":1,"from":3,"amount":10}`)
-	w := doReq(t, rt.Handler(), http.MethodPost, "/v1/ingest", body, nil)
+	w := doReq(t, rt.Handler(), http.MethodPost, "/v1/ingest", []byte(`{"id":1,"day":1,"sec":5,"from":3,"to":4,"amount":10}`), nil)
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("dropped-reply ingest: %d, want 503", w.Code)
 	}
-	if got := ingests.Load(); got != 1 {
-		t.Fatalf("at-most-once violated: shard ingested %d times for one request", got)
+	if got, fwd := applied(), tr.Forwarded(); got != 1 || fwd != 1 {
+		t.Fatalf("at-most-once violated: %d deliveries, %d applications for one request", fwd, got)
 	}
 
-	// The caller opts into replays: retries now flow (1 + 2 retries).
-	doReq(t, rt.Handler(), http.MethodPost, "/v1/ingest", body, map[string]string{"X-Idempotency-Key": "k-1"})
-	if got := ingests.Load() - 1; got != 3 {
-		t.Fatalf("idempotent ingest saw %d deliveries, want 3", got)
+	// The caller opts into replays: retries now flow (1 + 2 retries), and
+	// the shard applies the first and answers the replays from its table.
+	doReq(t, rt.Handler(), http.MethodPost, "/v1/ingest", []byte(`{"id":2,"day":1,"sec":6,"from":3,"to":4,"amount":10}`),
+		map[string]string{"X-Idempotency-Key": "k-1"})
+	if got, fwd, dd := applied()-1, tr.Forwarded()-1, *srv.Stats().IngestDeduped; got != 1 || fwd != 3 || dd != 2 {
+		t.Fatalf("keyed ingest: %d deliveries, %d applications, %d replays deduped; want 3, 1, 2", fwd, got, dd)
 	}
 
 	// Idempotent reads retry by default through the same fault.
-	doReq(t, rt.Handler(), http.MethodPost, "/v1/score", body, nil)
-	if got := scores.Load(); got != 3 {
-		t.Fatalf("score saw %d deliveries, want 3", got)
-	}
-	if fwd := tr.Forwarded(); fwd != 7 || lk.Calls.Load() != 7 {
-		t.Fatalf("chaos proxy forwarded %d requests, %d of them by link; want 7, 7", fwd, lk.Calls.Load())
+	doReq(t, rt.Handler(), http.MethodPost, "/v1/score", []byte(`{"id":1,"from":3,"amount":10}`), nil)
+	if fwd := tr.Forwarded(); fwd != 7 || rt.link.Calls.Load() != 7 {
+		t.Fatalf("chaos proxy forwarded %d calls, %d of them by link; want 7, 7", fwd, rt.link.Calls.Load())
 	}
 }
 

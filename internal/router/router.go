@@ -8,9 +8,13 @@
 //
 // Shard servers are plain `titant serve` processes: each carries the
 // full read-only feature table (replicated T+1 artifacts are cheap to
-// copy) while the hot user-keyed state — user cache, stream window,
-// event log — partitions naturally because each server only ever sees
-// its owners' traffic.
+// copy) while the hot user-keyed state — user cache, event log, the
+// sender's half of the stream window — partitions by sender, because
+// every call goes to its sender's owner. The window's receiver half does
+// not: an ingest lands on the sender's owner, so on a wire fleet the
+// receiver-velocity rule reads and the live city fraud rates are
+// shard-local partial sums, not one engine's, until ingest routes the
+// receiver's half to its own owner.
 //
 // Partial failure is the steady state, and every proxied call runs
 // through the resilience plane (see resilience.go): a deadline budget
@@ -27,7 +31,6 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -136,13 +139,11 @@ func WithQuorum(q int) Option {
 	return func(rt *Router) { rt.quorum = q }
 }
 
-// WithTransport swaps the underlying HTTP transport — the seam the
-// faultinject chaos layer plugs into. The router stacks the shard link
-// (internal/link) on a plain *http.Transport, as it does on the default;
-// any other RoundTripper gets every call itself, and wraps link.New when
-// it wants the link beneath it.
+// WithTransport sets the HTTP transport beneath the shard link
+// (default http.DefaultTransport): it carries the link's upgrade, the
+// control plane, and every call to a shard that does not speak the link.
 func WithTransport(t http.RoundTripper) Option {
-	return func(rt *Router) { rt.client.Transport = t }
+	return func(rt *Router) { rt.base = t }
 }
 
 // WithSeed seeds the backoff-jitter RNG (default 1), keeping chaos runs
@@ -154,14 +155,15 @@ func WithSeed(seed uint64) Option {
 // Router fans v1 traffic across a fixed shard ring.
 type Router struct {
 	shards []string // base URLs, index = shard number
-	// urls holds every shard request URL (per shard, by shardPaths entry),
-	// parsed once; requests share them read-only.
-	urls   []map[string]*url.URL
-	client *http.Client
-	link   *link.Transport // the shard link, when the router stacked it itself
+	base   http.RoundTripper
+	link   *link.Transport // the shard link
+	// caller is what the resilience plane issues calls through: the link,
+	// or a layer wrapped around it (see Wrap).
+	caller link.Caller
 
 	// Resilience-plane tuning (see the Option funcs for semantics).
 	perTry     time.Duration
+	perTryMs   string // X-Deadline-Ms of an attempt the budget does not clamp
 	budget     time.Duration
 	margin     time.Duration
 	retries    int
@@ -218,7 +220,6 @@ func New(shards []string, opts ...Option) (*Router, error) {
 	}
 	rt := &Router{
 		shards:     cleaned,
-		client:     &http.Client{},
 		perTry:     2 * time.Second,
 		budget:     10 * time.Second,
 		margin:     50 * time.Millisecond,
@@ -232,24 +233,18 @@ func New(shards []string, opts ...Option) (*Router, error) {
 	for _, o := range opts {
 		o(rt)
 	}
-	switch base := rt.client.Transport.(type) {
-	case nil, *http.Transport:
-		rt.link = link.New(base)
-		rt.client.Transport = rt.link
-	}
 	fb, err := ms.ParseFallbackAction(rt.fallback)
 	if err != nil {
 		return nil, err
 	}
-	rt.urls = make([]map[string]*url.URL, len(cleaned))
 	for i, s := range cleaned {
-		rt.urls[i] = map[string]*url.URL{}
-		for _, path := range shardPaths {
-			if rt.urls[i][path], err = url.Parse(s + path); err != nil {
-				return nil, fmt.Errorf("router: shard %d: %w", i, err)
-			}
+		if _, err := url.Parse(s); err != nil {
+			return nil, fmt.Errorf("router: shard %d: %w", i, err)
 		}
 	}
+	rt.link = link.New(rt.base, cleaned)
+	rt.caller = rt.link
+	rt.perTryMs = strconv.FormatInt(rt.perTry.Milliseconds(), 10)
 	rt.fallback = fb
 	if rt.quorum < 0 || rt.quorum > len(cleaned) {
 		return nil, fmt.Errorf("router: quorum %d out of range for %d shards", rt.quorum, len(cleaned))
@@ -271,21 +266,16 @@ func New(shards []string, opts ...Option) (*Router, error) {
 	return rt, nil
 }
 
-// shardPaths are the shard routes the router calls.
-var shardPaths = [...]string{
-	"/v1/score", "/v1/decide", "/v1/ingest", "/v1/score/batch", "/v1/decide/batch", "/v1/ingest/batch",
-	"/v1/models", "/v1/policy", "/v1/stats", "/metrics", "/healthz",
-}
-
 // Shards returns the ring width.
 func (rt *Router) Shards() int { return len(rt.shards) }
 
+// Wrap puts wrap's Caller between the resilience plane and the shard
+// link — the seam the faultinject chaos layer plugs into, so that its
+// faults sit above the production path. Call it before serving.
+func (rt *Router) Wrap(wrap func(link.Caller) link.Caller) { rt.caller = wrap(rt.caller) }
+
 // Close cuts the router's shard links and waits for their readers.
-func (rt *Router) Close() {
-	if rt.link != nil {
-		rt.link.Close()
-	}
-}
+func (rt *Router) Close() { rt.link.Close() }
 
 // ownerShard returns the index of the shard owning user u.
 func (rt *Router) ownerShard(u txn.UserID) int {
@@ -360,7 +350,8 @@ func writeJSON(w http.ResponseWriter, status int, body interface{}) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// forwardHeaders copies the request headers shard servers act on.
+// forwardHeaders fills the call slots shard servers act on from the
+// request's headers.
 // X-Caller rides through so per-caller admission quotas hold across the
 // wire tier; X-Idempotency-Key rides through so shards (and the retry
 // classifier) see the caller's dedup assertion; X-Trace-Id (rewritten by
@@ -369,36 +360,49 @@ func writeJSON(w http.ResponseWriter, status int, body interface{}) {
 // legs included, since every attempt copies from the same source
 // request. X-Deadline-Ms is NOT copied — the router re-derives it per
 // attempt from the remaining budget.
-//
-// The values are shared with src, not copied: both requests only read
-// them. The keys are in canonical form.
-func forwardHeaders(dst *http.Request, src *http.Request) {
-	for _, k := range [...]string{"Content-Type", "Authorization", "X-Caller", HeaderIdempotencyKey, telemetry.TraceHeader} {
-		if v := src.Header[k]; len(v) > 0 && v[0] != "" {
-			dst.Header[k] = v[:1:1]
+func forwardHeaders(h *link.Header, src *http.Request) {
+	for _, i := range [...]int{link.SlotContentType, link.SlotAuthorization, link.SlotCaller, link.SlotIdempotencyKey, link.SlotTrace} {
+		if v := src.Header[link.Headers[i]]; len(v) > 0 {
+			h[i] = v[0]
 		}
 	}
 }
 
-// upstream is one proxied shard response, fully buffered.
+// upstream is one proxied shard call's outcome: the answer — Status,
+// Answer slots and Body, held in its call record until release — or a
+// transport failure.
 type upstream struct {
-	status int
-	header http.Header
-	body   []byte
-	err    error // transport failure (no response)
+	*link.Call
+	err error // transport failure (no answer)
 }
 
 // failed reports whether the upstream is a transport failure or 5xx —
 // the failure class that counts against breakers and triggers
 // degradation. 4xx means the shard is healthy and refusing.
-func (u upstream) failed() bool { return u.err != nil || u.status >= 500 }
+func (u upstream) failed() bool { return u.err != nil || u.Status >= 500 }
+
+// release hands the answer's record back to its pool: after the last
+// splice out of its body is written.
+func (u upstream) release() {
+	if u.Call != nil {
+		u.Release()
+	}
+}
+
+func releaseAll(ups []upstream) {
+	for _, u := range ups {
+		u.release()
+	}
+}
 
 // callSpec describes one logical shard call for the resilience plane.
 type callSpec struct {
-	method string
-	path   string
-	body   []byte
-	shard  int
+	route int // index into link.Routes
+	body  []byte
+	// sub, when set, writes the body instead: the batch scratch whose
+	// items owned by shard form the call's sub-batch.
+	sub   *batchScratch
+	shard int
 	// retryable marks idempotent ops (score/decide/stats/healthz, and
 	// ingest only with an idempotency key) eligible for the retry loop.
 	retryable bool
@@ -413,60 +417,51 @@ type callSpec struct {
 	spans *telemetry.Spans
 }
 
-// attempt issues one HTTP attempt for spec, bounded by the smaller of
-// the per-try timeout and the remaining deadline budget, propagating
-// the remainder downstream as X-Deadline-Ms.
-func (rt *Router) attempt(ctx context.Context, src *http.Request, deadline time.Time, spec callSpec) upstream {
+// attempt issues one call for spec through the caller seam, bounded by
+// the smaller of the per-try timeout and the remaining deadline budget,
+// propagating the remainder downstream as X-Deadline-Ms. The call's
+// record comes from a pool and its body is written straight into its
+// frame; a failure is quoted as the *url.Error an HTTP client reports.
+func (rt *Router) attempt(ctx context.Context, src *http.Request, deadline time.Time, spec *callSpec) upstream {
 	rem := deadline.Sub(rt.now())
 	if rem <= 0 {
 		return upstream{err: errBudgetExhausted}
 	}
-	per := rt.perTry
-	clamped := false
+	per, perMs, clamped := rt.perTry, rt.perTryMs, false
 	if per <= 0 || rem < per {
-		per = rem
-		clamped = true
+		per, perMs, clamped = rem, strconv.FormatInt(rem.Milliseconds(), 10), true
 	}
-	actx, cancel := context.WithTimeout(ctx, per)
-	defer cancel()
-	// What http.NewRequestWithContext builds, less the URL parse.
-	u := rt.urls[spec.shard][spec.path]
-	req := (&http.Request{
-		Method: spec.method, URL: u, Host: u.Host, Header: make(http.Header, 6),
-		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-	}).WithContext(actx)
-	if spec.body != nil {
-		req.ContentLength = int64(len(spec.body))
-		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(spec.body)), nil }
-		req.Body, _ = req.GetBody()
+	c := link.NewCall(spec.shard, spec.route)
+	forwardHeaders(&c.Header, src)
+	c.Header[link.SlotDeadline], c.Timeout = perMs, per
+	if spec.sub != nil {
+		spec.sub.writeSub(c, spec.shard)
+	} else {
+		c.Write(spec.body)
 	}
-	forwardHeaders(req, src)
-	req.Header[HeaderDeadline] = []string{strconv.FormatInt(per.Milliseconds(), 10)}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		// A timeout on an attempt that was clamped to the remaining
-		// budget IS the budget running out, not the shard being slow.
-		if clamped && errors.Is(err, context.DeadlineExceeded) {
-			return upstream{err: errBudgetExhausted}
-		}
-		if ctx.Err() != nil && deadline.Sub(rt.now()) <= 0 {
-			return upstream{err: errBudgetExhausted}
-		}
-		return upstream{err: err}
+	err := rt.caller.Do(ctx, c)
+	if err == nil {
+		return upstream{Call: c}
 	}
-	defer resp.Body.Close()
-	data, err := ms.ReadBody(nil, io.LimitReader(resp.Body, maxControlBytes), resp.ContentLength)
-	if err != nil {
-		return upstream{err: err}
+	c.Release()
+	// A timeout on an attempt that was clamped to the remaining budget IS
+	// the budget running out, not the shard being slow.
+	if clamped && errors.Is(err, context.DeadlineExceeded) {
+		return upstream{err: errBudgetExhausted}
 	}
-	return upstream{status: resp.StatusCode, header: resp.Header, body: data}
+	if ctx.Err() != nil && deadline.Sub(rt.now()) <= 0 {
+		return upstream{err: errBudgetExhausted}
+	}
+	m := link.Routes[spec.route].Method
+	return upstream{err: &url.Error{Op: m[:1] + strings.ToLower(m[1:]), URL: rt.link.URL(spec.shard, spec.route), Err: err}}
 }
 
 // requestBudget derives this request's work deadline: the caller's
 // X-Deadline-Ms (capped by the router's own budget) minus the gather
 // margin, so merging finishes before the caller hangs up. The margin
-// never eats more than half the budget.
-func (rt *Router) requestBudget(r *http.Request) (context.Context, context.CancelFunc, time.Time) {
+// never eats more than half the budget. Every attempt is clamped to it,
+// so no context has to carry it.
+func (rt *Router) requestBudget(r *http.Request) time.Time {
 	budget := rt.budget
 	if h := r.Header.Get(HeaderDeadline); h != "" {
 		if msv, err := strconv.ParseInt(h, 10, 64); err == nil && msv > 0 {
@@ -479,9 +474,7 @@ func (rt *Router) requestBudget(r *http.Request) (context.Context, context.Cance
 	if work < budget/2 {
 		work = budget / 2
 	}
-	deadline := rt.now().Add(work)
-	ctx, cancel := context.WithDeadline(r.Context(), deadline)
-	return ctx, cancel, deadline
+	return rt.now().Add(work)
 }
 
 // itemError classifies one failed upstream into the typed per-item
@@ -497,8 +490,8 @@ func (rt *Router) itemError(u upstream, shard int) *ms.ItemError {
 		msg = fmt.Sprintf("shard %d circuit open", shard)
 	case u.err != nil:
 		msg = fmt.Sprintf("shard %d: %v", shard, u.err)
-	case u.status >= 500:
-		msg = fmt.Sprintf("shard %d answered %d", shard, u.status)
+	case u.Status >= 500:
+		msg = fmt.Sprintf("shard %d answered %d", shard, u.Status)
 	}
 	return &ms.ItemError{Code: code, Shard: shard, Message: msg}
 }
@@ -524,17 +517,17 @@ func (rt *Router) relay(w http.ResponseWriter, u upstream) {
 		writeError(w, http.StatusBadGateway, "shard_unreachable", u.err.Error())
 		return
 	}
-	if u.status >= 400 {
+	if u.Status >= 400 {
 		rt.errors.Add(1)
 	}
-	if ct := u.header.Get("Content-Type"); ct != "" {
+	if ct := string(u.Answer[link.SlotContentType]); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
-	if ra := u.header.Get("Retry-After"); ra != "" && w.Header().Get("Retry-After") == "" {
+	if ra := string(u.Answer[link.SlotRetryAfter]); ra != "" && w.Header().Get("Retry-After") == "" {
 		w.Header().Set("Retry-After", ra)
 	}
-	w.WriteHeader(u.status)
-	_, _ = w.Write(u.body)
+	w.WriteHeader(u.Status)
+	_, _ = w.Write(u.Body)
 }
 
 // maxRetryAfter returns the largest Retry-After advertised by any
@@ -543,10 +536,10 @@ func (rt *Router) relay(w http.ResponseWriter, u upstream) {
 func maxRetryAfter(ups []upstream) string {
 	best, bestN := "", -1.0
 	for _, u := range ups {
-		if u.header == nil {
+		if u.Call == nil {
 			continue
 		}
-		ra := u.header.Get("Retry-After")
+		ra := string(u.Answer[link.SlotRetryAfter])
 		if ra == "" {
 			continue
 		}
@@ -588,9 +581,7 @@ func (rt *Router) single(w http.ResponseWriter, r *http.Request) {
 	start := rt.now()
 	var spans telemetry.Spans
 	defer func() { rt.observe(r, endpointName(r.URL.Path), rt.now().Sub(start), &spans) }()
-	ctx, cancel, deadline := rt.requestBudget(r)
-	defer cancel()
-	spec := callSpec{method: http.MethodPost, path: r.URL.Path, body: body, shard: rt.ownerShard(txn.UserID(from)), spans: &spans}
+	spec := callSpec{route: link.Route(http.MethodPost, r.URL.Path), body: body, shard: rt.ownerShard(txn.UserID(from)), spans: &spans}
 	switch r.URL.Path {
 	case "/v1/ingest":
 		spec.retryable = r.Header.Get(HeaderIdempotencyKey) != ""
@@ -598,7 +589,8 @@ func (rt *Router) single(w http.ResponseWriter, r *http.Request) {
 		spec.retryable, spec.hedged = true, true
 	}
 	rstart := rt.now()
-	u := rt.hedgedCall(ctx, r, deadline, spec)
+	u := rt.hedgedCall(r.Context(), r, rt.requestBudget(r), spec)
+	defer u.release()
 	spans[telemetry.StageRoute] = rt.now().Sub(rstart)
 	if !u.failed() {
 		rt.relay(w, u)
@@ -651,9 +643,9 @@ func (rt *Router) readError(w http.ResponseWriter, err error) {
 // batchScratch is one batch request's working set, pooled: the inbound
 // body, where its transactions lie and who owns them, where each shard's
 // answers lie, and the spliced response. It goes back to the pool when
-// the handler returns, after the last scatter call has: the sub-batch
-// bodies handed to those calls are never part of it, because a retried
-// or abandoned attempt's transport may read its body late.
+// the handler returns, after the last scatter call has: every attempt
+// writes its sub-batch out of body into its own call record before it
+// returns, so no transport reads the scratch late.
 type batchScratch struct {
 	body  []byte
 	items []ms.WireItem   // the request's transactions, in input order
@@ -661,12 +653,25 @@ type batchScratch struct {
 	parts [][]ms.WireItem // per shard: the items of its answer
 	next  []int           // per shard: how many of them are spliced
 	out   []byte
-	// Per shard: item count, sub-batch size and body (the holder only, see
-	// above), answer, and the scatter goroutine's span buffer.
-	counts, sizes []int
-	bodies        [][]byte
-	ups           []upstream
-	callSpans     []telemetry.Spans
+	// Per shard: item count, answer, and the scatter goroutine's span
+	// buffer.
+	counts    []int
+	ups       []upstream
+	callSpans []telemetry.Spans
+}
+
+// writeSub writes shard si's sub-batch into c: its items' byte ranges,
+// in input order, under a "transactions" array.
+func (sc *batchScratch) writeSub(c *link.Call, si int) {
+	sep := subBatchOpen
+	for i, it := range sc.items {
+		if sc.owner[i] == si {
+			c.Write([]byte(sep))
+			c.Write(sc.body[it.Start:it.End])
+			sep = ","
+		}
+	}
+	c.Write([]byte("]}"))
 }
 
 // perShard returns s resized to n zero values.
@@ -720,35 +725,21 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string)
 	defer func() { rt.observe(r, endpointName(r.URL.Path), rt.now().Sub(start), &spans) }()
 
 	n := len(rt.shards)
-	sc.counts, sc.sizes, sc.bodies = perShard(sc.counts, n), perShard(sc.sizes, n), perShard(sc.bodies, n)
-	sc.ups, sc.callSpans = perShard(sc.ups, n), perShard(sc.callSpans, n)
-	counts, sizes, bodies, ups, callSpans := sc.counts, sc.sizes, sc.bodies, sc.ups, sc.callSpans
+	sc.counts, sc.ups, sc.callSpans = perShard(sc.counts, n), perShard(sc.ups, n), perShard(sc.callSpans, n)
+	counts, ups, callSpans := sc.counts, sc.ups, sc.callSpans
 	sc.owner = sc.owner[:0]
 	for _, it := range sc.items {
 		si := ms.ShardOf(txn.UserID(it.From), n)
 		sc.owner = append(sc.owner, si)
 		counts[si]++
-		sizes[si] += it.End - it.Start + 1 // the item and its separator
-	}
-	for si, size := range sizes {
-		if counts[si] > 0 {
-			bodies[si] = append(make([]byte, 0, len(subBatchOpen)+size+1), subBatchOpen...)
-		}
-	}
-	for i, it := range sc.items {
-		b := bodies[sc.owner[i]]
-		if len(b) > len(subBatchOpen) {
-			b = append(b, ',')
-		}
-		bodies[sc.owner[i]] = append(b, sc.body[it.Start:it.End]...)
 	}
 
-	ctx, cancel, deadline := rt.requestBudget(r)
-	defer cancel()
+	ctx, deadline := r.Context(), rt.requestBudget(r)
+	route := link.Route(http.MethodPost, r.URL.Path)
 	retryable := itemsKey != "" || r.Header.Get(HeaderIdempotencyKey) != ""
 	var wg sync.WaitGroup
 	scatterStart := rt.now()
-	for si := range bodies {
+	for si := range counts {
 		if counts[si] == 0 {
 			continue
 		}
@@ -757,12 +748,13 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string)
 		go func() {
 			defer wg.Done()
 			ups[si] = rt.resilientCall(ctx, r, deadline, callSpec{
-				method: http.MethodPost, path: r.URL.Path, body: append(bodies[si], "]}"...),
-				shard: si, retryable: retryable, spans: &callSpans[si],
+				route: route, sub: sc, shard: si, retryable: retryable, spans: &callSpans[si],
 			})
 		}()
 	}
 	wg.Wait()
+	// The answers stay in their call records until the response is written.
+	defer releaseAll(ups)
 	spans[telemetry.StageRoute] = rt.now().Sub(scatterStart)
 	for i := range callSpans {
 		spans[telemetry.StageRetry] += callSpans[i][telemetry.StageRetry]
@@ -772,7 +764,7 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string)
 	// forwarded (malformed row, over quota): relay it whole, lowest
 	// failing shard index first, with the cross-shard max Retry-After.
 	for si, u := range ups {
-		if counts[si] > 0 && u.err == nil && u.status >= 400 && u.status < 500 {
+		if counts[si] > 0 && u.err == nil && u.Status >= 400 && u.Status < 500 {
 			if ra := maxRetryAfter(ups); ra != "" {
 				w.Header().Set("Retry-After", ra)
 			}
@@ -808,7 +800,7 @@ func (rt *Router) gatherIngest(w http.ResponseWriter, counts []int, ups []upstre
 			})
 			continue
 		}
-		ingested, err := ms.DecodeIngestResponse(u.body)
+		ingested, err := ms.DecodeIngestResponse(u.Body)
 		if err != nil {
 			rt.errors.Add(1)
 			writeError(w, http.StatusBadGateway, "shard_bad_response", err.Error())
@@ -845,7 +837,7 @@ func (rt *Router) gatherItems(w http.ResponseWriter, itemsKey string, sc *batchS
 			failed[si] = rt.itemError(u, si)
 		default:
 			var err error
-			sc.parts[si], err = ms.SplitItems(u.body, itemsKey, sc.parts[si])
+			sc.parts[si], err = ms.SplitItems(u.Body, itemsKey, sc.parts[si])
 			if err == nil && len(sc.parts[si]) != counts[si] {
 				err = fmt.Errorf("shard %d returned %d %s for %d transactions", si, len(sc.parts[si]), itemsKey, counts[si])
 			}
@@ -871,7 +863,7 @@ func (rt *Router) gatherItems(w http.ResponseWriter, itemsKey string, sc *batchS
 		if failed[si] == nil {
 			part := sc.parts[si][sc.next[si]]
 			sc.next[si]++
-			out = append(out, ups[si].body[part.Start:part.End]...)
+			out = append(out, ups[si].Body[part.Start:part.End]...)
 			continue
 		}
 		dv := ms.DegradedVerdict{
@@ -908,18 +900,18 @@ func (rt *Router) gatherItems(w http.ResponseWriter, itemsKey string, sc *batchS
 func (rt *Router) control(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		ctx, cancel, deadline := rt.requestBudget(r)
-		defer cancel()
+		deadline := rt.requestBudget(r)
 		var last upstream
+		defer func() { last.release() }()
 		for si := range rt.shards {
-			u := rt.resilientCall(ctx, r, deadline, callSpec{
-				method: http.MethodGet, path: r.URL.Path, shard: si,
+			last.release()
+			last = rt.resilientCall(r.Context(), r, deadline, callSpec{
+				route: link.Route(http.MethodGet, r.URL.Path), shard: si,
 			})
-			if !u.failed() {
-				rt.relay(w, u)
+			if !last.failed() {
+				rt.relay(w, last)
 				return
 			}
-			last = u
 		}
 		rt.errors.Add(1)
 		rt.writeFailure(w, last, len(rt.shards)-1)
@@ -930,14 +922,16 @@ func (rt *Router) control(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		rt.controls.Add(1)
-		ctx, cancel, deadline := rt.requestBudget(r)
-		defer cancel()
+		deadline := rt.requestBudget(r)
 		var last upstream
+		defer func() { last.release() }()
 		for si := range rt.shards {
-			u := rt.resilientCall(ctx, r, deadline, callSpec{
-				method: http.MethodPost, path: r.URL.Path, body: body, shard: si,
+			last.release()
+			u := rt.resilientCall(r.Context(), r, deadline, callSpec{
+				route: link.Route(http.MethodPost, r.URL.Path), body: body, shard: si,
 			})
-			if u.err != nil || u.status != http.StatusOK {
+			last = u
+			if u.err != nil || u.Status != http.StatusOK {
 				rt.errors.Add(1)
 				if u.err != nil {
 					writeError(w, http.StatusBadGateway, "shard_unreachable",
@@ -947,7 +941,6 @@ func (rt *Router) control(w http.ResponseWriter, r *http.Request) {
 				rt.relay(w, u)
 				return
 			}
-			last = u
 		}
 		rt.relay(w, last)
 	default:
@@ -956,10 +949,9 @@ func (rt *Router) control(w http.ResponseWriter, r *http.Request) {
 }
 
 // fanGet issues one GET per shard concurrently through the resilience
-// plane.
+// plane. The caller releases the answers.
 func (rt *Router) fanGet(r *http.Request, path string, spec callSpec) []upstream {
-	ctx, cancel, deadline := rt.requestBudget(r)
-	defer cancel()
+	deadline := rt.requestBudget(r)
 	ups := make([]upstream, len(rt.shards))
 	var wg sync.WaitGroup
 	for si := range rt.shards {
@@ -967,8 +959,8 @@ func (rt *Router) fanGet(r *http.Request, path string, spec callSpec) []upstream
 		go func(si int) {
 			defer wg.Done()
 			s := spec
-			s.method, s.path, s.shard = http.MethodGet, path, si
-			ups[si] = rt.resilientCall(ctx, r, deadline, s)
+			s.route, s.shard = link.Route(http.MethodGet, path), si
+			ups[si] = rt.resilientCall(r.Context(), r, deadline, s)
 		}(si)
 	}
 	wg.Wait()
@@ -988,6 +980,7 @@ func (rt *Router) healthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ups := rt.fanGet(r, "/healthz", callSpec{retryable: true, noBreaker: true})
+	defer releaseAll(ups)
 	type shardHealth struct {
 		Shard   int    `json:"shard"`
 		Status  string `json:"status"`
@@ -1002,11 +995,11 @@ func (rt *Router) healthz(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case u.err != nil:
 			sh.Status, sh.Error = "unreachable", u.err.Error()
-		case u.status != http.StatusOK:
-			sh.Status = fmt.Sprintf("http_%d", u.status)
+		case u.Status != http.StatusOK:
+			sh.Status = fmt.Sprintf("http_%d", u.Status)
 		default:
 			var body map[string]interface{}
-			if err := json.Unmarshal(u.body, &body); err != nil || body["status"] != "ok" {
+			if err := json.Unmarshal(u.Body, &body); err != nil || body["status"] != "ok" {
 				sh.Status = "degraded"
 			} else {
 				healthy++

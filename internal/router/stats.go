@@ -77,16 +77,14 @@ func (rt *Router) routerStats() RouterStats {
 		Hedges: rt.hedges.Load(), HedgeWins: rt.hedgeWins.Load(),
 		DegradedItems: rt.degraded.Load(), DeadlineExhausted: rt.deadlines.Load(),
 		Width: len(rt.shards), Quorum: rt.quorum, FallbackAction: rt.fallback,
-		Breakers: make([]BreakerStats, len(rt.brk)),
-		Stages:   rt.tel.StageSnapshots(),
-	}
-	if rt.link != nil {
-		rs.LinkCalls, rs.LinkRedials = rt.link.Calls.Load(), rt.link.Redials.Load()
+		Breakers:  make([]BreakerStats, len(rt.brk)),
+		Stages:    rt.tel.StageSnapshots(),
+		LinkCalls: rt.link.Calls.Load(), LinkRedials: rt.link.Redials.Load(),
 	}
 	for si, b := range rt.brk {
 		rs.Breakers[si] = b.stats(si, rt.lat[si].Snapshot())
 		rs.Breakers[si].Transport = "http"
-		if rt.link != nil && rt.link.Linked(rt.urls[si][shardPaths[0]].Host) {
+		if rt.link.Linked(si) {
 			rs.Breakers[si].Transport = "link"
 		}
 	}
@@ -103,6 +101,7 @@ func (rt *Router) stats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ups := rt.fanGet(r, "/v1/stats", callSpec{retryable: true})
+	defer releaseAll(ups)
 	var bodies []ms.Stats
 	var unreachable []int
 	for si, u := range ups {
@@ -112,7 +111,7 @@ func (rt *Router) stats(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var body ms.Stats
-		if err := json.Unmarshal(u.body, &body); err != nil {
+		if err := json.Unmarshal(u.Body, &body); err != nil {
 			rt.errors.Add(1)
 			writeError(w, http.StatusBadGateway, "shard_bad_response", err.Error())
 			return

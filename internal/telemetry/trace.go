@@ -92,6 +92,11 @@ func WithTrace(ctx context.Context, id TraceID) context.Context {
 
 // TraceFrom extracts the trace ID from ctx (zero ID, false if absent).
 func TraceFrom(ctx context.Context) (TraceID, bool) {
-	id, ok := ctx.Value(traceKey{}).(TraceID)
-	return id, ok && !id.IsZero()
+	switch id := ctx.Value(traceKey{}).(type) {
+	case TraceID:
+		return id, !id.IsZero()
+	case *TraceID:
+		return *id, !id.IsZero()
+	}
+	return TraceID{}, false
 }
