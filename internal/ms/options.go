@@ -28,8 +28,8 @@ func WithAlert(a Alert) Option {
 	return func(s *Server) { s.alert = a }
 }
 
-// WithWorkers sets the fan-out width of ScoreBatch's fetch and score
-// phases. Values below 1 keep the default (GOMAXPROCS).
+// WithWorkers sets the fan-out width of the batch fetch and assemble
+// stages (scoring is one pass on the caller); below 1 keeps GOMAXPROCS.
 func WithWorkers(n int) Option {
 	return func(s *Server) {
 		if n >= 1 {

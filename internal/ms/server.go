@@ -888,55 +888,61 @@ func (s *Server) multiGet(ctx context.Context, fs *fetchScratch) error {
 }
 
 // runPool runs fn(0..n-1) across the engine's worker pool, stopping at
-// the first error or context cancellation.
+// the first error or context cancellation. The caller works beside
+// min(workers, n)−1 helpers, so a one-unit stage runs on the caller with
+// no goroutine, and the stage's state is one pooled record.
 func (s *Server) runPool(ctx context.Context, n int, fn func(int) error) error {
-	workers := s.workers
-	if workers > n {
-		workers = n
+	r := poolRuns.Get().(*poolRun)
+	r.ctx, r.n, r.fn = ctx, n, fn
+	helpers := max(min(s.workers, n)-1, 0)
+	r.wg.Add(helpers)
+	for range helpers {
+		go r.helper()
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		stop.Store(true)
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	r.work()
+	r.wg.Wait()
+	err := r.err
+	*r = poolRun{helper: r.helper} // a pooled record pins no ctx or fn
+	poolRuns.Put(r)
+	return err
+}
+
+// poolRun is one runPool stage. helper, bound once per record, is what a
+// helper goroutine runs, so spawning one allocates no closure.
+type poolRun struct {
+	ctx    context.Context
+	n      int
+	fn     func(int) error
+	next   atomic.Int64
+	stop   atomic.Bool
+	wg     sync.WaitGroup
+	err    error
+	helper func()
+}
+
+var poolRuns = sync.Pool{New: func() any {
+	r := new(poolRun)
+	r.helper = func() { r.work(); r.wg.Done() }
+	return r
+}}
+
+// work claims indexes until they run out or the stage stops. Only the
+// failure that stops it writes err, so err needs no lock: the caller reads
+// it after wg.Wait.
+func (r *poolRun) work() {
+	n, fn, done := r.n, r.fn, r.ctx.Done()
+	for i := int(r.next.Add(1)) - 1; i < n && !r.stop.Load(); i = int(r.next.Add(1)) - 1 {
+		var err error
+		select {
+		case <-done:
+			err = r.ctx.Err()
+		default:
+			err = fn(i)
 		}
-		errMu.Unlock()
+		if err != nil && !r.stop.Swap(true) {
+			r.err = err
+		}
 	}
-	done := ctx.Done()
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || stop.Load() {
-					return
-				}
-				select {
-				case <-done:
-					fail(ctx.Err())
-					return
-				default:
-				}
-				if err := fn(i); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // observe records one verdict's counters and latency, firing the alert

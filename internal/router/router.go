@@ -182,9 +182,11 @@ type Router struct {
 
 	// Observability plane: the trace-ID minter for requests arriving
 	// without an X-Trace-Id, and the per-endpoint stage span tracker
-	// behind /v1/debug/trace and the router's /metrics page.
+	// behind /v1/debug/trace and the router's /metrics page, its tracks
+	// fixed per data-plane route ("/v1/score/batch" → "score_batch").
 	minter *telemetry.Minter
 	tel    *telemetry.Tracker
+	tracks [link.DataRoutes]*telemetry.EndpointTrack
 
 	// Observability counters for the /v1/stats "router" section.
 	singles   atomic.Int64 // single-row requests forwarded to one owner
@@ -263,6 +265,9 @@ func New(shards []string, opts ...Option) (*Router, error) {
 	rt.tel = telemetry.NewTracker([]string{
 		"score", "decide", "ingest", "score_batch", "decide_batch", "ingest_batch",
 	}, 0)
+	for i := range rt.tracks {
+		rt.tracks[i] = rt.tel.Endpoint(strings.ReplaceAll(strings.TrimPrefix(link.Routes[i].Path, "/v1/"), "/", "_"))
+	}
 	return rt, nil
 }
 
@@ -580,8 +585,8 @@ func (rt *Router) single(w http.ResponseWriter, r *http.Request) {
 	rt.singles.Add(1)
 	start := rt.now()
 	var spans telemetry.Spans
-	defer func() { rt.observe(r, endpointName(r.URL.Path), rt.now().Sub(start), &spans) }()
 	spec := callSpec{route: link.Route(http.MethodPost, r.URL.Path), body: body, shard: rt.ownerShard(txn.UserID(from)), spans: &spans}
+	defer func() { rt.observe(r, spec.route, rt.now().Sub(start), &spans) }()
 	switch r.URL.Path {
 	case "/v1/ingest":
 		spec.retryable = r.Header.Get(HeaderIdempotencyKey) != ""
@@ -614,21 +619,11 @@ func (rt *Router) single(w http.ResponseWriter, r *http.Request) {
 	rt.writeFailure(w, u, spec.shard)
 }
 
-// endpointName maps a /v1 data-plane path to its span-tracker endpoint
-// ("/v1/score/batch" → "score_batch").
-func endpointName(path string) string {
-	return strings.ReplaceAll(strings.TrimPrefix(path, "/v1/"), "/", "_")
-}
-
-// observe folds one request's spans into the router's tracker under the
+// observe folds one request's spans into its route's track under the
 // request's trace ID.
-func (rt *Router) observe(r *http.Request, endpoint string, total time.Duration, spans *telemetry.Spans) {
-	et := rt.tel.Endpoint(endpoint)
-	if et == nil {
-		return
-	}
+func (rt *Router) observe(r *http.Request, route int, total time.Duration, spans *telemetry.Spans) {
 	id, _ := telemetry.TraceFrom(r.Context())
-	et.Observe(id, total, spans)
+	rt.tracks[route].Observe(id, total, spans)
 }
 
 func (rt *Router) readError(w http.ResponseWriter, err error) {
@@ -647,12 +642,13 @@ func (rt *Router) readError(w http.ResponseWriter, err error) {
 // writes its sub-batch out of body into its own call record before it
 // returns, so no transport reads the scratch late.
 type batchScratch struct {
-	body  []byte
-	items []ms.WireItem   // the request's transactions, in input order
-	owner []int           // owner shard of each
-	parts [][]ms.WireItem // per shard: the items of its answer
-	next  []int           // per shard: how many of them are spliced
-	out   []byte
+	body   []byte
+	items  []ms.WireItem   // the request's transactions, in input order
+	owner  []int           // owner shard of each
+	parts  [][]ms.WireItem // per shard: the items of its answer
+	next   []int           // per shard: how many of them are spliced
+	failed []*ms.ItemError // per shard: why its items degrade, nil if they don't
+	out    []byte
 	// Per shard: item count, answer, and the scatter goroutine's span
 	// buffer.
 	counts    []int
@@ -722,7 +718,8 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string)
 	rt.batches.Add(1)
 	start := rt.now()
 	var spans telemetry.Spans
-	defer func() { rt.observe(r, endpointName(r.URL.Path), rt.now().Sub(start), &spans) }()
+	route := link.Route(http.MethodPost, r.URL.Path)
+	defer func() { rt.observe(r, route, rt.now().Sub(start), &spans) }()
 
 	n := len(rt.shards)
 	sc.counts, sc.ups, sc.callSpans = perShard(sc.counts, n), perShard(sc.ups, n), perShard(sc.callSpans, n)
@@ -735,7 +732,6 @@ func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string)
 	}
 
 	ctx, deadline := r.Context(), rt.requestBudget(r)
-	route := link.Route(http.MethodPost, r.URL.Path)
 	retryable := itemsKey != "" || r.Header.Get(HeaderIdempotencyKey) != ""
 	var wg sync.WaitGroup
 	scatterStart := rt.now()
@@ -823,9 +819,7 @@ func (rt *Router) gatherIngest(w http.ResponseWriter, counts []int, ups []upstre
 func (rt *Router) gatherItems(w http.ResponseWriter, itemsKey string, sc *batchScratch, counts []int, ups []upstream) {
 	n := len(ups)
 	sc.parts = slices.Grow(sc.parts[:0], n)[:n]
-	sc.next = slices.Grow(sc.next[:0], n)[:n]
-	clear(sc.next)
-	failed := make([]*ms.ItemError, n)
+	sc.next, sc.failed = perShard(sc.next, n), perShard(sc.failed, n)
 	degradedCount := 0
 	for si, u := range ups {
 		switch {
@@ -834,7 +828,7 @@ func (rt *Router) gatherItems(w http.ResponseWriter, itemsKey string, sc *batchS
 			rt.errors.Add(1)
 			rt.degraded.Add(int64(counts[si]))
 			degradedCount += counts[si]
-			failed[si] = rt.itemError(u, si)
+			sc.failed[si] = rt.itemError(u, si)
 		default:
 			var err error
 			sc.parts[si], err = ms.SplitItems(u.Body, itemsKey, sc.parts[si])
@@ -860,14 +854,14 @@ func (rt *Router) gatherItems(w http.ResponseWriter, itemsKey string, sc *batchS
 			out = append(out, ',')
 		}
 		si := sc.owner[i]
-		if failed[si] == nil {
+		if sc.failed[si] == nil {
 			part := sc.parts[si][sc.next[si]]
 			sc.next[si]++
 			out = append(out, ups[si].Body[part.Start:part.End]...)
 			continue
 		}
 		dv := ms.DegradedVerdict{
-			TxnID: txn.TxnID(it.ID), Degraded: true, Error: failed[si],
+			TxnID: txn.TxnID(it.ID), Degraded: true, Error: sc.failed[si],
 			TraceID: w.Header().Get(telemetry.TraceHeader),
 		}
 		var item interface{} = dv
