@@ -1,7 +1,7 @@
 # Developer entry points. The repo is plain `go build ./... && go test
 # ./...`; these targets wrap the multi-step flows.
 
-.PHONY: test tier1-stress bench-build race loadgen-smoke chaos-smoke metrics-smoke
+.PHONY: test tier1-stress bench-build race fuzz-smoke loadgen-smoke chaos-smoke metrics-smoke
 
 # test is the tier-1 gate. The timeout turns a hang into a two-minute
 # failure that prints every goroutine's stack, instead of a ten-minute one.
@@ -35,6 +35,16 @@ bench-build:
 
 race:
 	go test -race ./internal/feature/stream/ ./internal/ms/... ./internal/router/ ./internal/link/ ./internal/faultinject/ ./internal/hbase/ ./internal/decision/ ./internal/eventlog/ ./internal/logio/ ./internal/loadgen/ ./internal/synth/ ./internal/telemetry/
+
+# fuzz-smoke runs the stream window's two fuzzers for 20 s each: its slab
+# reads against the map-ring reference window, and snapshot restore over
+# arbitrary bytes. go test fuzzes one target per run. Minimizing an
+# interesting input defaults to 60 s, and one grown from the 35 KB golden
+# snapshot takes all of it, so it is capped here and the 20 s go to new
+# inputs; a failing input is still written to testdata/fuzz whole.
+fuzz-smoke:
+	go test ./internal/feature/stream/ -run '^$$' -fuzz '^FuzzStreamMatchesReference$$' -fuzztime 20s -fuzzminimizetime 1s
+	go test ./internal/feature/stream/ -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime 20s -fuzzminimizetime 1s
 
 # loadgen-smoke runs the open-loop scenario load harness end to end in
 # process — compose the scenario world, train a fast bundle, drive the

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"runtime/metrics"
 	"testing"
+	"unsafe"
 
 	"titant/internal/rng"
 	"titant/internal/synth"
@@ -27,8 +28,11 @@ const mib = 1 << 20
 // TestWindowHeapBudget warms a default-geometry window with the benchmark
 // world's reference network (6 000 users, seed 1: 163 694 transactions)
 // and holds what it costs to counts: the live heap it adds, and how much
-// of that the collector scans. The map-ring layout it replaced took
-// 96.8 MiB, 60.4 MiB of it scannable.
+// of that the collector scans. The map-ring layout took 96.8 MiB, 60.4 MiB
+// of it scannable; the first slab layout, with one 64-byte record per
+// bucket, float64 counts and int-keyed days, took 27.4 MiB; split
+// 32-byte sum and 16-byte list-head records, uint32 counts and int32 days
+// take 21.0.
 func TestWindowHeapBudget(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("heap budget: not under -race or -short")
@@ -51,11 +55,30 @@ func TestWindowHeapBudget(t *testing.T) {
 	runtime.KeepAlive(st)
 	heap, scan := float64(int64(heap1-heap0))/mib, float64(int64(scan1-scan0))/mib
 	t.Logf("%d transactions: live heap +%.1f MiB, scannable +%.2f MiB", len(net), heap, scan)
-	if heap > 32 {
-		t.Errorf("window holds %.1f MiB of live heap, budget 32", heap)
+	if heap > 24 {
+		t.Errorf("window holds %.1f MiB of live heap, budget 24", heap)
 	}
 	if scan > 1 {
 		t.Errorf("collector scans %.2f MiB of the window, budget 1", scan)
+	}
+}
+
+// TestRecordLayout pins the sizes the heap budget rests on: two sum
+// records to a cache line, the list heads beside them, and 12-byte
+// receiver and 8-byte day cells.
+func TestRecordLayout(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"bucket", unsafe.Sizeof(bucket{}), 32},
+		{"lists", unsafe.Sizeof(lists{}), 16},
+		{"receiver cell", unsafe.Sizeof(cell[txn.UserID, uint32]{}), 12},
+		{"day cell", unsafe.Sizeof(cell[int32, struct{}]{}), 8},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 

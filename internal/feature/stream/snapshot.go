@@ -16,7 +16,9 @@ import (
 // owns — live bucket records with their peer and day lists (sorted),
 // city table, clock, jump corroboration state — with float64 sums stored
 // as raw bits, so a RestoreState into a same-geometry Store reproduces
-// reads (Stats, Velocity, PairPrior, LookupCity) bitwise-identically. The
+// reads (Stats, Velocity, PairPrior, LookupCity) bitwise-identically.
+// Counts are kept as uint32 but travel as float64 bits, the format's
+// width, so a restored count that is not a uint32 is an error. The
 // event log uses this as the "stream" section of its periodic snapshots:
 // recovery loads the snapshot and replays only the log tail behind it.
 // Snapshots written before the slab layout are version 1 too and must
@@ -101,7 +103,7 @@ func (s *Store) WriteState(w io.Writer) error {
 type sortSpace struct {
 	cells []int32
 	users []txn.UserID
-	days  []txn.Day
+	days  []int32
 }
 
 func (sc *sortSpace) writeWindow(bw *binWriter, sh *shard, ring []int32, low int64) {
@@ -116,30 +118,30 @@ func (sc *sortSpace) writeWindow(bw *binWriter, sh *shard, ring []int32, low int
 		if r < 0 || sh.bkts[r].seq < low {
 			continue
 		}
-		b := &sh.bkts[r]
+		b, l := &sh.bkts[r], &sh.lsts[r]
 		bw.u32(uint32(slot))
 		bw.i64(b.seq)
-		bw.f64(b.outCount)
-		bw.f64(b.inCount)
+		bw.f64(float64(b.outCount))
+		bw.f64(float64(b.inCount))
 		bw.f64(b.outAmount)
 		bw.f64(b.inAmount)
 		sc.cells = sc.cells[:0]
-		for c := sh.outs.first(b.outPeers); c >= 0; c = sh.outs.at(c).next {
+		for c := sh.outs.first(l.outPeers); c >= 0; c = sh.outs.at(c).next {
 			sc.cells = append(sc.cells, c)
 		}
 		slices.SortFunc(sc.cells, func(x, y int32) int { return cmp.Compare(sh.outs.at(x).k, sh.outs.at(y).k) })
 		bw.u32(uint32(len(sc.cells)))
 		for _, c := range sc.cells {
 			bw.u32(uint32(sh.outs.at(c).k))
-			bw.f64(sh.outs.at(c).v)
+			bw.f64(float64(sh.outs.at(c).v))
 		}
-		sc.users = sh.ins.appendKeys(sc.users[:0], b.inPeers)
+		sc.users = sh.ins.appendKeys(sc.users[:0], l.inPeers)
 		slices.Sort(sc.users)
 		bw.u32(uint32(len(sc.users)))
 		for _, p := range sc.users {
 			bw.u32(uint32(p))
 		}
-		for _, h := range [2]int32{b.outDays, b.inDays} {
+		for _, h := range [2]int32{l.outDays, l.inDays} {
 			sc.days = sh.days.appendKeys(sc.days[:0], h)
 			slices.Sort(sc.days)
 			bw.u32(uint32(len(sc.days)))
@@ -250,21 +252,21 @@ func (s *Store) readWindow(br *binReader, i uint64) error {
 		if seq < 0 || uint64(seq)%uint64(s.buckets) != uint64(slot) || ring[slot] >= 0 {
 			return fmt.Errorf("stream: restore: slot %d cannot hold sequence %d", slot, seq)
 		}
-		b := sh.slot(u, seq, s.buckets)
-		b.outCount = br.f64()
-		b.inCount = br.f64()
+		b, l := sh.slot(u, seq, s.buckets)
+		b.outCount = br.count()
+		b.inCount = br.count()
 		b.outAmount = br.f64()
 		b.inAmount = br.f64()
 		for n := br.u32(); n > 0 && br.err == nil; n-- {
-			c, _ := sh.outs.add(&b.outPeers, txn.UserID(br.u32()))
-			sh.outs.at(c).v = br.f64()
+			c, _ := sh.outs.add(&l.outPeers, txn.UserID(br.u32()))
+			sh.outs.at(c).v = br.count()
 		}
 		for n := br.u32(); n > 0 && br.err == nil; n-- {
-			sh.ins.add(&b.inPeers, txn.UserID(br.u32()))
+			sh.ins.add(&l.inPeers, txn.UserID(br.u32()))
 		}
-		for _, h := range [2]*int32{&b.outDays, &b.inDays} {
+		for _, h := range [2]*int32{&l.outDays, &l.inDays} {
 			for n := br.u32(); n > 0 && br.err == nil; n-- {
-				sh.days.add(h, txn.Day(int32(br.u32())))
+				sh.days.add(h, int32(br.u32()))
 			}
 		}
 		if br.err != nil {
@@ -297,13 +299,11 @@ func (b *binWriter) write(n int) {
 	_, b.err = b.w.Write(b.buf[:n])
 }
 
-func (b *binWriter) u8(v uint8)   { b.buf[0] = v; b.write(1) }
-func (b *binWriter) u32(v uint32) { binary.LittleEndian.PutUint32(b.buf[:], v); b.write(4) }
-func (b *binWriter) u64(v uint64) { binary.LittleEndian.PutUint64(b.buf[:], v); b.write(8) }
-func (b *binWriter) i64(v int64)  { b.u64(uint64(v)) }
-func (b *binWriter) f64(v float64) {
-	b.u64(math.Float64bits(v))
-}
+func (b *binWriter) u8(v uint8)    { b.buf[0] = v; b.write(1) }
+func (b *binWriter) u32(v uint32)  { binary.LittleEndian.PutUint32(b.buf[:], v); b.write(4) }
+func (b *binWriter) u64(v uint64)  { binary.LittleEndian.PutUint64(b.buf[:], v); b.write(8) }
+func (b *binWriter) i64(v int64)   { b.u64(uint64(v)) }
+func (b *binWriter) f64(v float64) { b.u64(math.Float64bits(v)) }
 
 type binReader struct {
 	r   *bufio.Reader
@@ -311,34 +311,29 @@ type binReader struct {
 	buf [8]byte
 }
 
-func (b *binReader) read(n int) bool {
+// read returns the next n bytes, or zeros once a read has failed.
+func (b *binReader) read(n int) []byte {
+	if b.err == nil {
+		_, b.err = io.ReadFull(b.r, b.buf[:n])
+	}
 	if b.err != nil {
-		return false
+		clear(b.buf[:])
 	}
-	_, b.err = io.ReadFull(b.r, b.buf[:n])
-	return b.err == nil
+	return b.buf[:n]
 }
 
-func (b *binReader) u8() uint8 {
-	if !b.read(1) {
-		return 0
-	}
-	return b.buf[0]
-}
-
-func (b *binReader) u32() uint32 {
-	if !b.read(4) {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b.buf[:4])
-}
-
-func (b *binReader) u64() uint64 {
-	if !b.read(8) {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b.buf[:])
-}
-
+func (b *binReader) u8() uint8    { return b.read(1)[0] }
+func (b *binReader) u32() uint32  { return binary.LittleEndian.Uint32(b.read(4)) }
+func (b *binReader) u64() uint64  { return binary.LittleEndian.Uint64(b.read(8)) }
 func (b *binReader) i64() int64   { return int64(b.u64()) }
 func (b *binReader) f64() float64 { return math.Float64frombits(b.u64()) }
+
+// count reads a float64 count that must be a uint32: a fractional,
+// negative or too large one is an error, never truncated.
+func (b *binReader) count() uint32 {
+	v := b.f64()
+	if b.err == nil && (v != math.Trunc(v) || v < 0 || v > math.MaxUint32) {
+		b.err = fmt.Errorf("count %v is not a uint32", v)
+	}
+	return uint32(v)
+}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -248,9 +249,10 @@ func TestSnapshotRoundTripBytes(t *testing.T) {
 }
 
 // craft writes a one-stripe, two-bucket, two-city snapshot holding one
-// user with one bucket, letting a test corrupt the slot, the sequence and
-// the user and receiver counts.
-func craft(users, slot uint32, seq int64, receivers uint32) []byte {
+// user with one bucket, letting a test corrupt the slot, the sequence,
+// the user and receiver counts, and the three transfer counts: the
+// bucket's out and in counts and its one receiver's.
+func craft(users, slot uint32, seq int64, receivers uint32, count float64) []byte {
 	var buf bytes.Buffer
 	bw := &binWriter{w: bufio.NewWriter(&buf)}
 	bw.u32(snapMagic)
@@ -269,12 +271,13 @@ func craft(users, slot uint32, seq int64, receivers uint32) []byte {
 	bw.u32(1) // live slots
 	bw.u32(slot)
 	bw.i64(seq)
-	for range 4 {
-		bw.f64(1)
-	}
+	bw.f64(count)
+	bw.f64(count)
+	bw.f64(1) // out amount
+	bw.f64(1) // in amount
 	bw.u32(receivers)
 	bw.u32(8)
-	bw.f64(1)
+	bw.f64(count)
 	for range 3 { // senders, out days, in days
 		bw.u32(0)
 	}
@@ -296,15 +299,15 @@ func craftStore() *Store { return New(WithShards(1), WithWindow(2, 3600), WithCi
 // past the bytes behind it and a truncated tail are errors, and a huge
 // count allocates nothing in proportion to itself.
 func TestRestoreRejectsCorrupt(t *testing.T) {
-	if err := craftStore().RestoreState(bytes.NewReader(craft(1, 1, 5, 1))); err != nil {
+	if err := craftStore().RestoreState(bytes.NewReader(craft(1, 1, 5, 1, 1))); err != nil {
 		t.Fatalf("well-formed snapshot rejected: %v", err)
 	}
 	for name, data := range map[string][]byte{
-		"slot != seq%buckets": craft(1, 0, 5, 1),
-		"negative seq":        craft(1, 0, -2, 1),
-		"users past the end":  craft(1<<31, 1, 5, 1),
-		"peers past the end":  craft(1, 1, 5, 1<<31),
-		"truncated tail":      craft(1, 1, 5, 1)[:100],
+		"slot != seq%buckets": craft(1, 0, 5, 1, 1),
+		"negative seq":        craft(1, 0, -2, 1, 1),
+		"users past the end":  craft(1<<31, 1, 5, 1, 1),
+		"peers past the end":  craft(1, 1, 5, 1<<31, 1),
+		"truncated tail":      craft(1, 1, 5, 1, 1)[:100],
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -319,6 +322,65 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestRestoreCountsAreUint32: a transfer count the window cannot hold as
+// a uint32 — fractional, negative, 2^32 or past it, not a number — is an
+// error wherever it sits, never truncated; 0 and math.MaxUint32 restore.
+func TestRestoreCountsAreUint32(t *testing.T) {
+	good := craft(1, 1, 5, 1, 1)
+	for _, off := range []int{92, 100, 132} { // out, in and receiver count
+		if v := math.Float64frombits(binary.LittleEndian.Uint64(good[off:])); v != 1 {
+			t.Fatalf("offset %d holds %v, not a count", off, v)
+		}
+		for _, v := range []float64{0.5, -1, 1 << 32, 1<<32 + 1, math.MaxUint32 + 0.5, math.NaN(), math.Inf(1)} {
+			data := bytes.Clone(good)
+			binary.LittleEndian.PutUint64(data[off:], math.Float64bits(v))
+			if err := craftStore().RestoreState(bytes.NewReader(data)); err == nil {
+				t.Errorf("count %v at offset %d accepted", v, off)
+			}
+		}
+	}
+	for _, v := range []float64{0, math.MaxUint32} {
+		s := craftStore()
+		if err := s.RestoreState(bytes.NewReader(craft(1, 1, 5, 1, v))); err != nil {
+			t.Fatalf("count %v rejected: %v", v, err)
+		}
+		if n, _, _, _ := s.Velocity(7); n != v || s.PairPrior(7, 8) != v {
+			t.Fatalf("count %v restored as %v and %v", v, n, s.PairPrior(7, 8))
+		}
+	}
+}
+
+// TestCountsSaturate: a count at the top of uint32 stays there instead of
+// wrapping, which would show a hot sender as quiet to a velocity-cap rule,
+// and the saturated window snapshots and restores as it reads.
+func TestCountsSaturate(t *testing.T) {
+	s := craftStore()
+	if err := s.RestoreState(bytes.NewReader(craft(1, 1, 5, 1, math.MaxUint32-1))); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 { // into user 7's bucket 5, each way
+		out := txn.Transaction{ID: txn.TxnID(10 + 2*i), Sec: 5*3600 + 1, From: 7, To: 8, Amount: 1}
+		in := txn.Transaction{ID: txn.TxnID(11 + 2*i), Sec: 5*3600 + 2, From: 8, To: 7, Amount: 1}
+		s.Ingest(&out)
+		s.Ingest(&in)
+	}
+	outN, _, inN, _ := s.Velocity(7)
+	st := s.Stats(7)
+	for name, got := range map[string]float64{
+		"Velocity out": outN, "Velocity in": inN, "Stats out": st.OutCount, "Stats in": st.InCount,
+		"PairPrior": s.PairPrior(7, 8),
+	} {
+		if got != math.MaxUint32 {
+			t.Errorf("%s = %v, want %v", name, got, uint32(math.MaxUint32))
+		}
+	}
+	r := craftStore()
+	if err := r.RestoreState(bytes.NewReader(snapshot(t, s))); err != nil {
+		t.Fatal(err)
+	}
+	assertStoresEqual(t, s, r, 10, "saturated round trip")
+}
+
 // FuzzRestoreState: whatever the bytes, RestoreState returns (no panic, no
 // runaway allocation), and a store it accepted writes a snapshot that
 // restores to the same bytes again.
@@ -327,19 +389,22 @@ func FuzzRestoreState(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(craft(1, 1, 5, 1))
-	f.Add(craft(1, 0, 5, 1))
-	f.Add(craft(3, 1, 5, 2))
-	f.Add(craft(1, 1, 5, 1)[:90])
+	f.Add(craft(1, 1, 5, 1, 1))
+	f.Add(craft(1, 0, 5, 1, 1))
+	f.Add(craft(3, 1, 5, 2, 1))
+	f.Add(craft(1, 1, 5, 1, 1)[:90])
 	f.Add(golden)
 	f.Add(golden[:len(golden)/2])
+	f.Add(craft(1, 1, 5, 1, 0.5))
+	f.Add(craft(1, 1, 5, 1, 1<<32))
+	f.Add(craft(1, 1, 5, 1, math.MaxUint32))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, s := range []*Store{craftStore(), goldenStore()} {
 			if s.RestoreState(bytes.NewReader(data)) != nil {
 				continue
 			}
 			a := snapshot(t, s)
-			r := New(WithShards(s.Shards()), WithWindow(s.Buckets(), s.BucketSeconds()), WithCities(s.city.cities))
+			r := New(WithShards(s.Shards()), WithWindow(s.Buckets(), s.bucketSecs), WithCities(s.city.cities))
 			if err := r.RestoreState(bytes.NewReader(a)); err != nil {
 				t.Fatalf("a written snapshot does not restore: %v", err)
 			}

@@ -10,14 +10,15 @@
 // Server scores against are up to a day stale ("T+1"). This store closes
 // that gap for the aggregate fragment: Ingest is O(1) (two shard-striped
 // ring-bucket updates plus one city-table update), reads are O(buckets),
-// and a resident user costs one int32 per ring slot, one 64-byte record
-// per bucket it has written, and one list cell per distinct counterparty
-// and active day in each — the minimum any exact distinct count requires.
-// All of it lives in per-stripe slabs addressed by int32 index, with no
-// pointers in them, so the garbage collector never scans the window.
+// and a resident user costs one int32 per ring slot, a 32-byte sum record
+// and a 16-byte record of list heads per bucket it has written, and one
+// list cell per distinct counterparty and active day in each — the
+// minimum any exact distinct count requires. All of it lives in
+// per-stripe slabs addressed by int32 index, with no pointers in them, so
+// the garbage collector never scans the window.
 //
 // Window semantics: time is bucketed into fixed-width buckets of
-// BucketSeconds; the window covers the most recent Buckets buckets ending
+// bucketSeconds; the window covers the most recent Buckets buckets ending
 // at the newest ingested transaction's bucket (the store's clock advances
 // only by ingestion, so an idle store does not silently expire its
 // contents). Users whose whole ring has expired are evicted
@@ -26,7 +27,7 @@
 // window ahead needs a second corroborating transaction before it is
 // believed, so a single corrupt far-future timestamp cannot slide the
 // window past all real traffic (see advanceClock). A Store configured
-// with Buckets×BucketSeconds equal to the
+// with Buckets×bucketSeconds equal to the
 // paper's 90-day reference window and fed the same transactions produces
 // exactly the statistics BuildAggregates computes from that window — the
 // stream_test.go oracle test enforces this equivalence, including after
@@ -182,24 +183,19 @@ func (s *Store) Shards() int { return len(s.shards) }
 // Buckets returns the ring length of every window.
 func (s *Store) Buckets() int { return s.buckets }
 
-// BucketSeconds returns the width of one ring bucket.
-func (s *Store) BucketSeconds() int64 { return s.bucketSecs }
-
-// WindowSeconds returns the total window span.
-func (s *Store) WindowSeconds() int64 { return int64(s.buckets) * s.bucketSecs }
-
 // Ingested returns the number of transactions accepted into the window.
 func (s *Store) Ingested() int64 { return s.ingested.Load() }
 
-// Dropped returns the number of transactions rejected as older than the
-// whole window at ingest time.
+// Dropped returns the number of transactions rejected at ingest time: older
+// than the whole window, or with a timestamp the window cannot hold.
 func (s *Store) Dropped() int64 { return s.dropped.Load() }
 
 // shard is one lock stripe and the slabs of the users it owns. Every slab
 // is a slice of pointer-free records addressed by int32 index: a resident
 // user is a row (its id, the newest sequence it wrote, and a ring of
-// Buckets slot entries naming its bucket records), a bucket record heads
-// four lists, and a list is cells in an arena. Rows, records and cells
+// Buckets slot entries naming its bucket records), a bucket record is a
+// sum record in bkts and, at the same index, the heads of its four lists
+// in lsts, and a list is cells in an arena. Rows, records and cells
 // are recycled through free lists when a ring slot rotates or a user is
 // evicted, so a long-lived store's slabs track its active set. A stripe
 // spans several cache lines, so adjacent stripes' mutexes never share one.
@@ -214,30 +210,41 @@ type shard struct {
 	hand     int32 // the row the next eviction probe looks at
 
 	bkts     []bucket
+	lsts     []lists // record -> its list heads, beside bkts
 	freeBkts []int32
 
-	outs cells[txn.UserID, float64]  // receiver -> transfer count
+	outs cells[txn.UserID, uint32]   // receiver -> transfer count
 	ins  cells[txn.UserID, struct{}] // distinct senders
-	days cells[txn.Day, struct{}]    // distinct active days, either side
+	days cells[int32, struct{}]      // distinct active days, either side
 }
 
 // freeRow is a free row's newest sequence: later than any window, so the
 // eviction probe passes over it.
 const freeRow = math.MaxInt64
 
-// bucket aggregates one user's activity inside one time bucket: seq is
-// the bucket sequence the record holds, and the four heads name its
-// lists (-1: empty). A record whose seq has fallen out of the window is
-// skipped by readers and recycled by the next write to its ring slot.
-// The pad makes a record one 64-byte cache line, so a read of a ring
-// touches one line per live bucket.
+// bucket sums one user's activity inside one time bucket: seq is the
+// bucket sequence the record holds. A record whose seq has fallen out of
+// the window is skipped by readers and recycled by the next write to its
+// ring slot. Two records share a cache line, and Velocity reads nothing
+// else. Counts saturate at math.MaxUint32 rather than wrap.
 type bucket struct {
 	seq                 int64
-	outCount, inCount   float64
 	outAmount, inAmount float64
-	outPeers, inPeers   int32 // in outs, ins
-	outDays, inDays     int32 // in days
-	_                   [8]byte
+	outCount, inCount   uint32
+}
+
+// lists heads the bucket record's four lists (-1: empty).
+type lists struct {
+	outPeers, inPeers int32 // in outs, ins
+	outDays, inDays   int32 // in days
+}
+
+// inc adds one to a count, saturating: a wrapped count would show a hot
+// sender as quiet.
+func inc(n *uint32) {
+	if *n < math.MaxUint32 {
+		*n++
+	}
 }
 
 func (s *Store) shardIndex(u txn.UserID) uint64 {
@@ -261,7 +268,7 @@ func (sh *shard) ring(row int32, n int) []int32 {
 // slot returns u's bucket record for seq, making u resident and recycling
 // the ring slot if it holds an older sequence. Callers hold the write
 // lock; the record stays valid until the next slot call.
-func (sh *shard) slot(u txn.UserID, seq int64, n int) *bucket {
+func (sh *shard) slot(u txn.UserID, seq int64, n int) (*bucket, *lists) {
 	row, ok := sh.users[u]
 	if !ok {
 		row = sh.admit(u, n)
@@ -274,15 +281,16 @@ func (sh *shard) slot(u txn.UserID, seq int64, n int) *bucket {
 		} else {
 			*r = int32(len(sh.bkts))
 			sh.bkts = append(sh.bkts, bucket{})
+			sh.lsts = append(sh.lsts, lists{})
 		}
-	} else if b := &sh.bkts[*r]; b.seq == seq {
-		return b
+	} else if sh.bkts[*r].seq == seq {
+		return &sh.bkts[*r], &sh.lsts[*r]
 	} else {
-		sh.dropLists(b)
+		sh.dropLists(*r)
 	}
-	b := &sh.bkts[*r]
-	*b = bucket{seq: seq, outPeers: -1, inPeers: -1, outDays: -1, inDays: -1}
-	return b
+	sh.bkts[*r] = bucket{seq: seq}
+	sh.lsts[*r] = lists{-1, -1, -1, -1}
+	return &sh.bkts[*r], &sh.lsts[*r]
 }
 
 // admit gives u a row with an empty ring.
@@ -304,33 +312,34 @@ func (sh *shard) admit(u txn.UserID, n int) int32 {
 	return row
 }
 
-func (sh *shard) dropLists(b *bucket) {
-	sh.outs.drop(b.outPeers)
-	sh.ins.drop(b.inPeers)
-	sh.days.drop(b.outDays)
-	sh.days.drop(b.inDays)
+func (sh *shard) dropLists(r int32) {
+	l := &sh.lsts[r]
+	sh.outs.drop(l.outPeers)
+	sh.ins.drop(l.inPeers)
+	sh.days.drop(l.outDays)
+	sh.days.drop(l.inDays)
 }
 
 // applyOut applies t's sender half to the sender's bucket for seq: the
 // out-side sums, the receiver's transfer count and the active day.
 // Callers hold sh's write lock.
 func (sh *shard) applyOut(t *txn.Transaction, seq int64, n int) {
-	b := sh.slot(t.From, seq, n)
-	b.outCount++
+	b, l := sh.slot(t.From, seq, n)
+	inc(&b.outCount)
 	b.outAmount += float64(t.Amount)
-	c, _ := sh.outs.add(&b.outPeers, t.To)
-	sh.outs.at(c).v++
-	sh.days.add(&b.outDays, t.Day)
+	c, _ := sh.outs.add(&l.outPeers, t.To)
+	inc(&sh.outs.at(c).v)
+	sh.days.add(&l.outDays, int32(t.Day))
 }
 
 // applyIn applies t's receiver half to the receiver's bucket for seq.
 // Callers hold sh's write lock.
 func (sh *shard) applyIn(t *txn.Transaction, seq int64, n int) {
-	b := sh.slot(t.To, seq, n)
-	b.inCount++
+	b, l := sh.slot(t.To, seq, n)
+	inc(&b.inCount)
 	b.inAmount += float64(t.Amount)
-	sh.ins.add(&b.inPeers, t.From)
-	sh.days.add(&b.inDays, t.Day)
+	sh.ins.add(&l.inPeers, t.From)
+	sh.days.add(&l.inDays, int32(t.Day))
 }
 
 // List arenas. A list is a chain of cells, newest first, each a key and a
@@ -346,7 +355,7 @@ const (
 	chunkLen  = 1 << chunkBits
 )
 
-type cell[K txn.UserID | txn.Day, V any] struct {
+type cell[K txn.UserID | int32, V any] struct {
 	v    V // first: a zero-size V then adds no padding
 	k    K
 	next int32
@@ -358,7 +367,7 @@ type cell[K txn.UserID | txn.Day, V any] struct {
 // first cell of the last list dropped (-1: none), and the first cell of
 // each dropped list keeps, in its key, the first cell of the one dropped
 // before it.
-type cells[K txn.UserID | txn.Day, V any] struct {
+type cells[K txn.UserID | int32, V any] struct {
 	chunks  []*[chunkLen]cell[K, V]
 	n       int32 // cells carved from chunks
 	free    int32
@@ -581,8 +590,9 @@ func (s *Store) Ingest(t *txn.Transaction) {
 	seq := s.seqOf(t.Day, t.Sec)
 	// The timeline starts at day 0: a negative sequence (negative wire
 	// day/sec) is malformed input, and letting it through would index the
-	// rings with a negative modulo.
-	if seq < 0 || !s.advanceClock(seq, txnKey(t)) {
+	// rings with a negative modulo. Days are kept, and snapshotted, as
+	// int32, so one past that range is malformed too.
+	if seq < 0 || t.Day != txn.Day(int32(t.Day)) || !s.advanceClock(seq, txnKey(t)) {
 		s.dropped.Add(1)
 		return
 	}
@@ -652,7 +662,7 @@ func (sh *shard) evictOne(low int64, n int) {
 	ring := sh.ring(row, n)
 	for i, r := range ring {
 		if r >= 0 {
-			sh.dropLists(&sh.bkts[r])
+			sh.dropLists(r)
 			sh.freeBkts = append(sh.freeBkts, r)
 			ring[i] = -1
 		}
@@ -692,20 +702,20 @@ func (s *Store) Stats(u txn.UserID) feature.UserStats {
 	}
 	var st feature.UserStats
 	var rcv, snd []txn.UserID
-	var outD, inD []txn.Day
+	var outD, inD []int32
 	for _, r := range sh.ring(row, s.buckets) {
 		if r < 0 || sh.bkts[r].seq < low {
 			continue
 		}
-		b := &sh.bkts[r]
-		st.OutCount += b.outCount
-		st.InCount += b.inCount
+		b, l := &sh.bkts[r], &sh.lsts[r]
+		st.OutCount += float64(b.outCount)
+		st.InCount += float64(b.inCount)
 		st.OutAmount += b.outAmount
 		st.InAmount += b.inAmount
-		rcv = sh.outs.appendKeys(rcv, b.outPeers)
-		snd = sh.ins.appendKeys(snd, b.inPeers)
-		outD = sh.days.appendKeys(outD, b.outDays)
-		inD = sh.days.appendKeys(inD, b.inDays)
+		rcv = sh.outs.appendKeys(rcv, l.outPeers)
+		snd = sh.ins.appendKeys(snd, l.inPeers)
+		outD = sh.days.appendKeys(outD, l.outDays)
+		inD = sh.days.appendKeys(inD, l.inDays)
 	}
 	st.DistinctRcv = distinct(rcv)
 	st.DistinctSnd = distinct(snd)
@@ -735,9 +745,9 @@ func (s *Store) Velocity(u txn.UserID) (outCount, outAmount, inCount, inAmount f
 			continue
 		}
 		b := &bkts[r]
-		outCount += b.outCount
+		outCount += float64(b.outCount)
 		outAmount += b.outAmount
-		inCount += b.inCount
+		inCount += float64(b.inCount)
 		inAmount += b.inAmount
 	}
 	return outCount, outAmount, inCount, inAmount
@@ -759,7 +769,7 @@ func (s *Store) PairPrior(from, to txn.UserID) float64 {
 		if r < 0 || sh.bkts[r].seq < low {
 			continue
 		}
-		h := sh.bkts[r].outPeers
+		h := sh.lsts[r].outPeers
 		if h >= indexed {
 			h, _ = sh.outs.find(h, to)
 		}
@@ -768,7 +778,7 @@ func (s *Store) PairPrior(from, to txn.UserID) float64 {
 				h = c.next
 				continue
 			}
-			n += sh.outs.at(h).v
+			n += float64(sh.outs.at(h).v)
 			break
 		}
 	}
@@ -836,13 +846,7 @@ func (cs *cityStats) init(cities, buckets int) {
 	cs.fraudSum = make([]atomic.Int64, cities)
 }
 
-func (cs *cityStats) clampCity(c uint16) int {
-	i := int(c)
-	if i >= cs.cities {
-		i = cs.cities - 1
-	}
-	return i
-}
+func (cs *cityStats) clampCity(c uint16) int { return min(int(c), cs.cities-1) }
 
 // expireSlot removes a slot's contents from the rolling sums and zeroes
 // it. Callers hold mu.
@@ -873,10 +877,7 @@ func (cs *cityStats) add(seq int64, city uint16, isFraud bool) {
 	if seq > cs.head {
 		// Advancing the head expires exactly the slots the new sequences
 		// will occupy — the buckets falling off the far edge of the window.
-		steps := seq - cs.head
-		if steps > int64(cs.nbuckets) {
-			steps = int64(cs.nbuckets)
-		}
+		steps := min(seq-cs.head, int64(cs.nbuckets))
 		for k := seq - steps + 1; k <= seq; k++ {
 			slot := int(k % int64(cs.nbuckets))
 			cs.expireSlot(slot)

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -314,6 +315,31 @@ func TestNegativeTimestampDropped(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeDayDropped: a day past int32 cannot be kept or written to
+// a snapshot (days travel as u32), so it is shed as a drop. Kept, it
+// would share a bucket with the day it aliases and restore as one active
+// day too few.
+func TestOutOfRangeDayDropped(t *testing.T) {
+	newStore := func() *Store { return New(WithShards(1), WithWindow(2, 1<<50), WithCities(2)) }
+	st := newStore()
+	ok := txn.Transaction{ID: 1, Day: 5, From: 1, To: 2, Amount: 5}
+	bad := txn.Transaction{ID: 2, Day: 1<<32 + 5, From: 1, To: 2, Amount: 5}
+	st.Ingest(&ok)
+	st.Ingest(&bad)
+	if st.Dropped() != 1 || st.Ingested() != 1 {
+		t.Fatalf("dropped=%d ingested=%d, want 1/1", st.Dropped(), st.Ingested())
+	}
+	var buf bytes.Buffer
+	if err := st.WriteState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r := newStore()
+	if err := r.RestoreState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	assertStoresEqual(t, st, r, 3, "after restore")
+}
+
 // TestIdleGapRecovers: a genuine gap longer than the window (daemon idle,
 // traffic resumes) is accepted once a second transaction corroborates the
 // new epoch.
@@ -396,15 +422,15 @@ func TestShardDistribution(t *testing.T) {
 func TestOptions(t *testing.T) {
 	st := New()
 	if st.Shards() != DefaultShards || st.Buckets() != DefaultBuckets ||
-		st.BucketSeconds() != DefaultBucketSeconds {
-		t.Fatalf("defaults: shards=%d buckets=%d secs=%d", st.Shards(), st.Buckets(), st.BucketSeconds())
+		st.bucketSecs != DefaultBucketSeconds {
+		t.Fatalf("defaults: shards=%d buckets=%d secs=%d", st.Shards(), st.Buckets(), st.bucketSecs)
 	}
 	st = New(WithShards(3), WithWindow(7, 60), WithCities(0))
 	if st.Shards() != 4 {
 		t.Fatalf("shards = %d, want 4 (rounded up)", st.Shards())
 	}
-	if st.Buckets() != 7 || st.BucketSeconds() != 60 || st.WindowSeconds() != 420 {
-		t.Fatalf("window: %d x %ds", st.Buckets(), st.BucketSeconds())
+	if st.Buckets() != 7 || st.bucketSecs != 60 {
+		t.Fatalf("window: %d x %ds", st.Buckets(), st.bucketSecs)
 	}
 	st = New(WithShards(0), WithWindow(0, 0))
 	if st.Shards() != DefaultShards || st.Buckets() != DefaultBuckets {
