@@ -11,9 +11,10 @@ test: bench-build
 # tier1-stress is the gate that catches what a lucky schedule hides: the
 # tier-1 suite ten times at GOMAXPROCS=2 beside a process spinning one
 # core, then the link and router transport tests — the golden cases with
-# every released answer poisoned among them — and the engine's worker
-# pool contract twenty times under the race detector, then the wire-tier
-# chaos test twenty times, whose faults sit on the router's call seam.
+# every released answer poisoned among them — the engine's worker pool
+# contract and the wire answers' pooled results twenty times under the
+# race detector, then the wire-tier chaos test twenty times, whose faults
+# sit on the router's call seam.
 # One failure or hang fails the target.
 tier1-stress:
 	@set -e; \
@@ -24,7 +25,7 @@ tier1-stress:
 	    GOMAXPROCS=2 go test -count=1 -timeout 120s ./...; \
 	  done
 	go test -race -count=20 -timeout 600s ./internal/link/ ./internal/router/ -run 'Link|Multiplex|Restart|Pending|Chaos|Released|Poison'
-	go test -race -count=20 -timeout 600s ./internal/ms/ -run '^TestRunPool$$'
+	go test -race -count=20 -timeout 600s ./internal/ms/ -run '^(TestRunPool|TestPooledResultsIsolated)$$'
 	go test -count=20 -timeout 600s -run TestChaosWireTierShardOutage .
 
 # bench-build type-checks the benchmark module (bench/, a module of its

@@ -36,7 +36,9 @@ type servingFleet struct {
 }
 
 // composeAndDeploy builds the scenario world, trains the requested
-// ensemble and uploads it across shards feature tables in a temp dir.
+// ensemble and uploads it across shards feature tables in a temp dir:
+// partitions of one engine's store (ms.NewSharded). A wire fleet asks for
+// one table and gives every shard server all of it.
 func composeAndDeploy(users int, seed uint64, shards int, detectors, combineName string, fast bool) (*servingFleet, error) {
 	wcfg := titant.DefaultWorldConfig()
 	if users > 0 {
@@ -172,8 +174,8 @@ func serveLoopback(h http.Handler) (string, func(), error) {
 }
 
 // buildChaosFleet stands up the in-process wire fleet for a chaos run:
-// shards shard servers (each a full engine over its slice of the
-// feature store), a router carrying the resilience plane, and the
+// shards shard servers (each a full engine over the whole feature
+// store), a router carrying the resilience plane, and the
 // seeded fault scenario injected into the router's transport. The
 // labeled replay and manifest land in cfg for detection grading.
 func buildChaosFleet(cfg *loadgen.Config, scenarioPath string, shards, users int, seed uint64,
@@ -199,7 +201,10 @@ func buildChaosFleet(cfg *loadgen.Config, scenarioPath string, shards, users int
 		}
 	}
 
-	f, err := composeAndDeploy(users, seed, shards, detectors, combineName, fast)
+	// One full table that every shard server reads, as a wire fleet's
+	// shards each hold the whole store: a receiver another shard owns
+	// scores from its row, not as a cold start.
+	f, err := composeAndDeploy(users, seed, 1, detectors, combineName, fast)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +219,7 @@ func buildChaosFleet(cfg *loadgen.Config, scenarioPath string, shards, users int
 
 	urls := make([]string, shards)
 	for i := range urls {
-		eng, err := titant.NewEngine(f.tabs[i], f.bundle, f.engineOpts(quota, burst, maxInflight)...)
+		eng, err := titant.NewEngine(f.tabs[0], f.bundle, f.engineOpts(quota, burst, maxInflight)...)
 		if err != nil {
 			return nil, err
 		}

@@ -54,7 +54,8 @@ func cmdMetricsSmoke(args []string) {
 		log.Fatal("metrics-smoke: -shards must be >= 2 (the re-label diff needs a fleet)")
 	}
 
-	f, err := composeAndDeploy(*users, *seed, *shards, *detectors, *combineName, *fast)
+	// Every shard server reads one full table, as in the chaos fleet.
+	f, err := composeAndDeploy(*users, *seed, 1, *detectors, *combineName, *fast)
 	if err != nil {
 		log.Fatalf("metrics-smoke: %v", err)
 	}
@@ -68,7 +69,7 @@ func cmdMetricsSmoke(args []string) {
 
 	shardURLs := make([]string, *shards)
 	for i := range shardURLs {
-		eng, err := titant.NewEngine(f.tabs[i], f.bundle, f.engineOpts(0, 0, 0)...)
+		eng, err := titant.NewEngine(f.tabs[0], f.bundle, f.engineOpts(0, 0, 0)...)
 		if err != nil {
 			log.Fatalf("metrics-smoke: shard %d: %v", i, err)
 		}

@@ -92,6 +92,7 @@ var (
 	// Why a link died; conn.fail wraps them.
 	errMalformed = errors.New("malformed frame")
 	errClosed    = errors.New("closed")
+	errStalled   = errors.New("write stalled past the call's deadline")
 	le           = binary.LittleEndian
 )
 
@@ -364,6 +365,8 @@ func (p *peer) link(ctx context.Context, t *Transport) (*conn, error) {
 		t.Redials.Add(1)
 	}
 	c := &conn{rwc: rwc, wlock: make(chan struct{}, 1), pending: map[uint64]*Call{}}
+	c.stall = time.AfterFunc(time.Hour, func() { c.fail(errStalled) })
+	c.stall.Stop()
 	p.c = c
 	t.readers.Add(1)
 	go func() {
@@ -380,6 +383,9 @@ type conn struct {
 	// wlock is the write lock — a channel, so that a caller queued behind
 	// a write that is stuck can leave when its context ends.
 	wlock chan struct{}
+	// stall fails the link when a write outlives its call's deadline; only
+	// the writer holding wlock arms it.
+	stall *time.Timer
 	dead  atomic.Bool
 
 	mu      sync.Mutex
@@ -403,17 +409,19 @@ func (cn *conn) do(ctx context.Context, c *Call) error {
 	le.PutUint64(c.frame[logio.FrameOverhead:], id)
 	err := logio.Seal(c.frame)
 	var expired <-chan struct{}
+	deadline, bounded := ctx.Deadline()
 	if c.Timeout > 0 {
 		dl := telemetry.WithDeadline(ctx, c.Timeout, telemetry.TraceID{})
 		defer dl.Release()
 		expired = dl.Done()
+		if at, _ := dl.Deadline(); !bounded || at.Before(deadline) {
+			deadline, bounded = at, true
+		}
 	}
 	if err == nil {
 		select {
 		case cn.wlock <- struct{}{}:
-			if _, err = cn.rwc.Write(c.frame); err != nil {
-				cn.fail(err)
-			}
+			err = cn.write(c.frame, deadline, bounded)
 			<-cn.wlock
 		case <-ctx.Done():
 			err = ctx.Err()
@@ -441,6 +449,30 @@ func (cn *conn) do(ctx context.Context, c *Call) error {
 		<-c.done
 	}
 	return err
+}
+
+// write sends a frame under wlock by the call's deadline, when it has one.
+// A write still blocked then means the peer stopped reading: the stall
+// timer fails the link, which closes the connection under the write and
+// frees wlock for the callers queued behind it. (The upgraded body
+// net/http hands the router does not expose its connection's
+// SetWriteDeadline, so a timer does what that deadline would.)
+func (cn *conn) write(frame []byte, deadline time.Time, bounded bool) error {
+	if bounded {
+		left := time.Until(deadline)
+		if left <= 0 {
+			return context.DeadlineExceeded
+		}
+		cn.stall.Reset(left)
+		defer cn.stall.Stop()
+	}
+	if _, err := cn.rwc.Write(frame); err != nil {
+		cn.fail(err)
+		cn.mu.Lock()
+		defer cn.mu.Unlock()
+		return cn.err // errStalled when the timer cut the write
+	}
+	return nil
 }
 
 func (cn *conn) readLoop() {

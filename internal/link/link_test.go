@@ -357,6 +357,69 @@ func TestLinkDeadPeer(t *testing.T) {
 	}
 }
 
+// deafPeer accepts one link upgrade and then never reads from it, as a
+// shard wedged behind a full socket would.
+func deafPeer(t *testing.T) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() { close(done); ln.Close() })
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		nc.(*net.TCPConn).SetReadBuffer(4096)
+		if _, err := http.ReadRequest(bufio.NewReader(nc)); err != nil {
+			return
+		}
+		fmt.Fprintf(nc, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", proto)
+		<-done
+	}()
+	return "http://" + ln.Addr().String()
+}
+
+// TestLinkWriteDeadline: a call to a shard that stops reading ends by its
+// own deadline — its Timeout, or its context's — even while its frame
+// is stuck in the write, and the stall fails the link, so no caller
+// waits behind the stuck write's lock.
+func TestLinkWriteDeadline(t *testing.T) {
+	const budget = 200 * time.Millisecond
+	for _, byContext := range []bool{false, true} {
+		lk := New(nil, []string{deafPeer(t)})
+		c := NewCall(0, Route("POST", "/v1/score/batch"))
+		c.Write(make([]byte, 24<<20)) // more than the socket buffers hold
+		ctx, cancel := context.Background(), context.CancelFunc(func() {})
+		if byContext {
+			ctx, cancel = context.WithTimeout(ctx, budget)
+		} else {
+			c.Timeout = budget
+		}
+		start, errc := time.Now(), make(chan error, 1)
+		go func() { errc <- lk.Do(ctx, c) }()
+		select {
+		case err := <-errc:
+			if err == nil || !strings.Contains(err.Error(), "stalled") {
+				t.Errorf("by context %v: a call stuck in its write ended with %v, want the stall", byContext, err)
+			}
+			if took := time.Since(start); took > budget+time.Second {
+				t.Errorf("by context %v: the stuck call took %v, budget %v", byContext, took, budget)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("by context %v: a write to a peer that never reads outlived its call's deadline", byContext)
+		}
+		if lk.Linked(0) {
+			t.Errorf("by context %v: the link is still live after a stalled write", byContext)
+		}
+		cancel()
+		c.Release()
+		lk.Close()
+	}
+}
+
 // TestHubShutdownDrains: Shutdown stops a link reading new calls, lets the
 // call in flight answer, and returns only when the link's goroutines have.
 func TestHubShutdownDrains(t *testing.T) {

@@ -2,12 +2,9 @@ package ms
 
 import (
 	"context"
-	"fmt"
 	"sort"
-	"time"
 
 	"titant/internal/decision"
-	"titant/internal/telemetry"
 	"titant/internal/txn"
 )
 
@@ -101,35 +98,7 @@ func (s *Server) PolicyInfo() PolicyInfo {
 // scores. Returns ErrPolicyDisabled on an engine built without
 // WithPolicy.
 func (s *Server) Decide(ctx context.Context, t *txn.Transaction, sc decision.Scenario) (Decision, error) {
-	pol := s.currentPolicy()
-	if pol == nil {
-		return Decision{}, ErrPolicyDisabled
-	}
-	start := time.Now()
-	var spans telemetry.Spans
-	release, err := s.Admit(ctx, 1)
-	if err != nil {
-		return Decision{}, err
-	}
-	defer release()
-	spans[telemetry.StageAdmit] = time.Since(start)
-	var d Decision
-	var epoch int64
-	if err := s.runOne(ctx, t, &spans, func(sb *scoredBatch) error {
-		decideStart := time.Now()
-		s.fillDecision(&d, pol, t, sc, sb)
-		spans[telemetry.StageDecide] = time.Since(decideStart)
-		d.Latency = sb.perItem
-		epoch = sb.shadowEpoch
-		return nil
-	}); err != nil {
-		return Decision{}, err
-	}
-	shadowStart := time.Now()
-	s.observeDecision(t, &d, epoch)
-	spans[telemetry.StageShadow] = time.Since(shadowStart)
-	s.traceObserve(ctx, s.telDecide, time.Since(start), &spans)
-	return d, nil
+	return s.one(ctx, t, true, sc, new(results))
 }
 
 // DecideBatch decides a batch in input order over the same pooled
@@ -139,56 +108,11 @@ func (s *Server) Decide(ctx context.Context, t *txn.Transaction, sc decision.Sce
 // scenarios selects each transaction's scenario, index-aligned with
 // txns; nil decides the whole batch under the default scenario.
 func (s *Server) DecideBatch(ctx context.Context, txns []txn.Transaction, scenarios []decision.Scenario) ([]Decision, error) {
-	pol := s.currentPolicy()
-	if pol == nil {
-		return nil, ErrPolicyDisabled
-	}
-	if scenarios != nil && len(scenarios) != len(txns) {
-		return nil, fmt.Errorf("ms: %d scenarios for %d transactions", len(scenarios), len(txns))
-	}
-	if len(txns) == 0 {
-		return nil, nil
-	}
-	start := time.Now()
-	var spans telemetry.Spans
-	release, err := s.Admit(ctx, len(txns))
-	if err != nil {
+	var dst results
+	if err := s.batch(ctx, txns, true, scenarios, &dst); err != nil {
 		return nil, err
 	}
-	defer release()
-	spans[telemetry.StageAdmit] = time.Since(start)
-	var decisions []Decision
-	var epoch int64
-	if err := s.runBatch(ctx, txns, &spans, func(sb *scoredBatch) error {
-		decideStart := time.Now()
-		decisions = make([]Decision, len(txns))
-		members := sb.memberBacking(len(txns))
-		epoch = sb.shadowEpoch
-		in := s.inputTemplate(sb)
-		for i := range txns {
-			if scenarios != nil {
-				in.Scenario = scenarios[i]
-			}
-			in.Txn = &txns[i]
-			in.Score = sb.combined[i]
-			in.Row = i
-			d := &decisions[i]
-			d.Verdict = sb.verdict(&txns[i], i, members)
-			d.Latency = sb.perItem
-			applyOutcome(d, pol, in.Scenario, pol.Decide(&in))
-		}
-		spans[telemetry.StageDecide] = time.Since(decideStart)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	shadowStart := time.Now()
-	for i := range decisions {
-		s.observeDecision(&txns[i], &decisions[i], epoch)
-	}
-	spans[telemetry.StageShadow] = time.Since(shadowStart)
-	s.traceObserve(ctx, s.telDecideBatch, time.Since(start), &spans)
-	return decisions, nil
+	return dst.decisions, nil
 }
 
 // inputTemplate seeds the per-batch decision input with the fields that
@@ -205,15 +129,6 @@ func (s *Server) inputTemplate(sb *scoredBatch) decision.Input {
 		MemberScores: sb.memberScores,
 		Velocity:     s.velocity,
 	}
-}
-
-// fillDecision evaluates the policy for the one row of a single-
-// transaction scoring pass into d.
-func (s *Server) fillDecision(d *Decision, pol *decision.Policy, t *txn.Transaction, sc decision.Scenario, sb *scoredBatch) {
-	in := s.inputTemplate(sb)
-	in.Txn, in.Scenario, in.Score, in.Row = t, sc, sb.combined[0], 0
-	d.Verdict = sb.verdict(t, 0, sb.memberBacking(1))
-	applyOutcome(d, pol, sc, pol.Decide(&in))
 }
 
 // applyOutcome copies one policy outcome into a decision.

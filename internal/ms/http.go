@@ -403,30 +403,10 @@ func (s *Server) answer(parent context.Context, route int, h *link.Header, body 
 	}
 	wb.out = out
 	var err error
-	switch {
-	case op == verbScore && batch:
-		var vs []Verdict
-		if vs, err = s.ScoreBatch(d, wb.txns); err == nil {
-			err = wb.putVerdicts(vs)
-		}
-	case op == verbScore:
-		var v Verdict
-		if v, err = s.Score(d, &wb.txns[0]); err == nil {
-			err = wb.putVerdict(&v)
-		}
-	case op == verbDecide && batch:
-		var ds []Decision
-		if ds, err = s.DecideBatch(d, wb.txns, wb.scenarios); err == nil {
-			err = wb.putDecisions(ds)
-		}
-	case op == verbDecide:
-		var dc Decision
-		if dc, err = s.Decide(d, &wb.txns[0], wb.scenarios[0]); err == nil {
-			err = wb.putDecision(&dc)
-		}
-	default:
+	switch decide := op == verbDecide; {
+	case op == verbIngest:
 		// Ingest takes no context, so admission runs here: the one request
-		// path that bypasses Score/Decide still honors quotas and the
+		// path that bypasses the scoring cores still honors quotas and the
 		// inflight bound.
 		var release func()
 		if release, err = s.Admit(d, len(wb.txns)); err != nil {
@@ -440,6 +420,21 @@ func (s *Server) answer(parent context.Context, route int, h *link.Header, body 
 		}
 		if err == nil {
 			err = wb.putIngested(len(wb.txns))
+		}
+	case batch:
+		// The core leaves its results in wb (none for an empty batch) for
+		// the encoder, which reads them before release.
+		if err = s.batch(d, wb.txns, decide, wb.scenarios, &wb.results); err == nil && decide {
+			err = wb.putDecisions(wb.decisions[:len(wb.txns)])
+		} else if err == nil {
+			err = wb.putVerdicts(wb.verdicts[:len(wb.txns)])
+		}
+	default:
+		var dc Decision
+		if dc, err = s.one(d, &wb.txns[0], decide, wb.scenarios[0], &wb.results); err == nil && decide {
+			err = wb.putDecision(&dc)
+		} else if err == nil {
+			err = wb.putVerdict(&dc.Verdict)
 		}
 	}
 	if err != nil {

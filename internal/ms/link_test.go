@@ -12,8 +12,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -247,10 +249,12 @@ func rawLink(t *testing.T, addr string) func(route int, h *link.Header, body []b
 }
 
 // TestLinkCallAllocBudget counts the shard end of one warm link call —
-// frame read, slots, core, answer frame — beyond its engine verb: at most
-// 4 objects (≈ 11.7 when the link replayed each frame through a pooled
-// http.Request and the trace middleware). Every call carries a fresh
-// trace, as routed calls do.
+// frame read, slots, core, engine verb, answer frame — at 64 and at 256
+// transactions: at most 2 objects at either size, since the engine puts
+// its decisions in the call's pooled wire buffer (4 beside DecideBatch's
+// own 2 before it did, ≈ 11.7 beside them when the link replayed each
+// frame through a pooled http.Request and the trace middleware). Every
+// call carries a fresh trace, as routed calls do.
 func TestLinkCallAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pooled scratch is not reused reliably under the race detector")
@@ -271,14 +275,6 @@ func TestLinkCallAllocBudget(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	call := rawLink(t, hs.Listener.Addr().String())
-	req := DecideBatchRequest{Transactions: make([]DecideRequest, 64)}
-	txns, scs := make([]txn.Transaction, 64), make([]decision.Scenario, 64)
-	for i := range txns {
-		tr := TxnRequest{ID: int64(i), From: int32(1 + i%32), To: int32(1 + (i+7)%32), Amount: float32(10 * i), Sec: int32(i)}
-		req.Transactions[i] = DecideRequest{TxnRequest: tr, Scenario: "withdrawal"}
-		txns[i], scs[i] = tr.Txn(), decision.ScenarioWithdrawal
-	}
-	body, _ := json.Marshal(req)
 	var h link.Header
 	h[link.SlotContentType], h[link.SlotDeadline] = link.JSON, "2000"
 	trace := []byte("0123456789abcdef0123456789abcdef")
@@ -290,22 +286,191 @@ func TestLinkCallAllocBudget(t *testing.T) {
 		}
 		h[link.SlotTrace] = string(trace)
 	}
-	over := testing.AllocsPerRun(200, func() {
-		fresh()
-		status, ans := call(route, &h, body)
-		if status != http.StatusOK || !bytes.HasPrefix(ans, []byte(`{"decisions":[`)) {
-			t.Fatalf("status %d: %.80s", status, ans)
-		}
-	})
 	clientSide := testing.AllocsPerRun(200, fresh) // the trace string the count's client makes
-	direct := testing.AllocsPerRun(200, func() {
-		if _, err := srv.DecideBatch(context.Background(), txns, scs); err != nil {
+	shardEnd := func(size int) float64 {
+		req := DecideBatchRequest{Transactions: make([]DecideRequest, size)}
+		for i := range req.Transactions {
+			tr := TxnRequest{ID: int64(i), From: int32(1 + i%32), To: int32(1 + (i+7)%32), Amount: float32(10 * i), Sec: int32(i)}
+			req.Transactions[i] = DecideRequest{TxnRequest: tr, Scenario: "withdrawal"}
+		}
+		body, _ := json.Marshal(req)
+		over := testing.AllocsPerRun(200, func() {
+			fresh()
+			status, ans := call(route, &h, body)
+			if status != http.StatusOK || !bytes.HasPrefix(ans, []byte(`{"decisions":[`)) {
+				t.Fatalf("status %d: %.80s", status, ans)
+			}
+		})
+		t.Logf("%d transactions: link call %.1f allocs, of which the client's trace %.1f: shard end %.1f", size, over, clientSide, over-clientSide)
+		return over - clientSide
+	}
+	small, large := shardEnd(64), shardEnd(256)
+	if small > 2 || large > 2 {
+		t.Errorf("the shard end of a warm link call allocates %.1f (64 txns) and %.1f (256 txns) objects, budget 2", small, large)
+	}
+	if small != large {
+		t.Errorf("the shard end grows with the batch: %.1f objects at 64 transactions, %.1f at 256", small, large)
+	}
+}
+
+// TestPooledResultsIsolated: the wire answer encodes the engine's results
+// from its call's pooled buffer, so concurrent calls must never see each
+// other's rows. Link and HTTP callers hammer one shard with score and
+// decide calls, single and batched, of varying sizes; every answer must
+// equal what the plain Score, ScoreBatch, Decide or DecideBatch returns
+// for the same rows, member breakdowns included, latency aside.
+func TestPooledResultsIsolated(t *testing.T) {
+	tab := table(t)
+	seedEmbUsers(t, &Uploader{Table: tab}, 64)
+	srv, err := New(tab, embSumBundle(t), WithPolicy(decidePolicy(t)), WithWorkers(2), WithUserCache(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	lk := link.New(nil, []string{hs.URL})
+	defer lk.Close()
+	plain := &http.Transport{}
+	defer plain.CloseIdleConnections()
+	// The two wires, as the callers' goroutines use them: errors, not t.Fatal.
+	wires := []func(route int, body string) (int, string, error){
+		func(route int, body string) (int, string, error) {
+			c := link.NewCall(0, route)
+			defer c.Release()
+			c.Write([]byte(body))
+			if err := lk.Do(context.Background(), c); err != nil {
+				return 0, "", err
+			}
+			return c.Status, string(c.Body), nil
+		},
+		func(route int, body string) (int, string, error) {
+			resp, err := (&http.Client{Transport: plain}).Post(hs.URL+link.Routes[route].Path, link.JSON, strings.NewReader(body))
+			if err != nil {
+				return 0, "", err
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			return resp.StatusCode, string(raw), err
+		},
+	}
+
+	// One case per (route, batch): its body and the plain engine's answer.
+	type want struct {
+		route string
+		body  string
+		ds    []Decision
+		vs    []Verdict
+	}
+	ctx := context.Background()
+	var cases []want
+	for k, size := range []int{1, 3, 17, 64, 5, 130} {
+		txns := uniformBatches(1, size, 64, uint64(k+1))[0]
+		scs := make([]decision.Scenario, size)
+		reqs := make([]DecideRequest, size)
+		for i := range txns {
+			if i%5 == 2 {
+				txns[i].Amount = 200000 // the amount-ceiling rule decides it
+			}
+			scs[i] = decision.Scenario((i + k) % decision.NumScenarios)
+			tx := &txns[i]
+			reqs[i] = DecideRequest{TxnRequest: TxnRequest{ID: int64(tx.ID), From: int32(tx.From), To: int32(tx.To), Amount: tx.Amount}, Scenario: scs[i].String()}
+		}
+		ds, err := srv.DecideBatch(ctx, txns, scs)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	shardEnd := over - clientSide - direct
-	t.Logf("link call %.1f allocs, of which the client's trace %.1f and DecideBatch %.1f: shard end %.1f", over, clientSide, direct, shardEnd)
-	if shardEnd > 4 {
-		t.Errorf("the shard end of a warm link call allocates %.1f objects beyond its engine verb, budget 4", shardEnd)
+		vs, err := srv.ScoreBatch(ctx, txns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, _ := json.Marshal(DecideBatchRequest{Transactions: reqs})
+		cases = append(cases, want{route: "/v1/decide/batch", body: string(batch), ds: ds}, want{route: "/v1/score/batch", body: string(batch), vs: vs})
+		one, _ := json.Marshal(reqs[0])
+		d, err := srv.Decide(ctx, &txns[0], scs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := srv.Score(ctx, &txns[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, want{route: "/v1/decide", body: string(one), ds: []Decision{d}}, want{route: "/v1/score", body: string(one), vs: []Verdict{v}})
+	}
+	for i := range cases {
+		for j := range cases[i].ds {
+			cases[i].ds[j].Latency = 0
+		}
+		for j := range cases[i].vs {
+			cases[i].vs[j].Latency = 0
+		}
+	}
+
+	const callers, calls = 6, 40
+	var wg sync.WaitGroup
+	errc := make(chan error, callers)
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range calls {
+				w := cases[(c*7+n*5)%len(cases)]
+				status, body, err := wires[(c+n)%2](link.Route("POST", w.route), w.body)
+				if err != nil || status != http.StatusOK {
+					errc <- fmt.Errorf("%s: status %d, %v: %s", w.route, status, err, body)
+					return
+				}
+				var ds []Decision
+				var vs []Verdict
+				switch w.route {
+				case "/v1/decide/batch":
+					var r DecideBatchResponse
+					err, ds = json.Unmarshal([]byte(body), &r), r.Decisions
+				case "/v1/score/batch":
+					var r BatchResponse
+					err, vs = json.Unmarshal([]byte(body), &r), r.Verdicts
+				case "/v1/decide":
+					ds = make([]Decision, 1)
+					err = json.Unmarshal([]byte(body), &ds[0])
+				default:
+					vs = make([]Verdict, 1)
+					err = json.Unmarshal([]byte(body), &vs[0])
+				}
+				if err != nil {
+					errc <- fmt.Errorf("%s: %v: %s", w.route, err, body)
+					return
+				}
+				for i := range ds {
+					ds[i].Latency = 0
+				}
+				for i := range vs {
+					vs[i].Latency = 0
+				}
+				if !reflect.DeepEqual(ds, w.ds) || !reflect.DeepEqual(vs, w.vs) {
+					errc <- fmt.Errorf("%s over %d rows: the wire answered\n%+v%+v\nthe engine\n%+v%+v", w.route, len(w.ds)+len(w.vs), ds, vs, w.ds, w.vs)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+}
+
+// TestWireBufReleaseClears: a released wire buffer keeps its results'
+// storage but none of their contents, so it pins no bundle's or policy's
+// strings.
+func TestWireBufReleaseClears(t *testing.T) {
+	wb := &wireBuf{}
+	wb.verdicts = []Verdict{{Version: "v1", Members: []MemberScore{{Name: "gbdt"}}}}
+	wb.decisions = []Decision{{Verdict: Verdict{Version: "v1"}, Reason: "band", PolicyVersion: "p1"}}
+	wb.members = []MemberScore{{Name: "gbdt", Score: 1}}
+	vs, ds, ms := wb.verdicts, wb.decisions, wb.members
+	wb.release()
+	if !reflect.DeepEqual(vs[0], Verdict{}) || !reflect.DeepEqual(ds[0], Decision{}) || ms[0] != (MemberScore{}) {
+		t.Fatalf("released buffer still holds %+v %+v %+v", vs[0], ds[0], ms[0])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"titant/internal/feature"
+	"titant/internal/hbase"
 	"titant/internal/txn"
 )
 
@@ -37,40 +38,57 @@ func grow[T any](s []T, n int) []T {
 
 // fetchScratch is one batch's fetch-stage state: the deduplicated user
 // set, every user's fragments, and the store read's bookkeeping. ids,
-// parts and found are index-aligned; index maps a user to that position.
+// parts and found are index-aligned; index maps a user to that position,
+// and pos holds each transaction's sender and receiver positions in turn.
+// The assembly and multi-get stage funcs are bound once per scratch, so
+// no runPool stage allocates a closure; they read the batch's inputs from
+// the fields below them.
 type fetchScratch struct {
 	index  map[txn.UserID]int32
 	ids    []txn.UserID
+	pos    []int32
 	parts  []userParts
 	found  []bool
 	misses []miss   // users the cache could not answer
 	keys   []byte   // the misses' row keys, back to back
 	rows   []string // rows[k]: misses[k]'s key, a substring of one string(keys)
+
+	assemble, readChunk func(int) error
+	tables              []*hbase.Table
+	txns                []txn.Transaction
+	bundle              *Bundle
+	city                feature.CitySource
+	m                   *feature.Matrix
 }
 
 var fetchPool = sync.Pool{New: func() any {
-	return &fetchScratch{index: make(map[txn.UserID]int32)}
+	fs := &fetchScratch{index: make(map[txn.UserID]int32)}
+	fs.assemble, fs.readChunk = fs.assembleRow, fs.readChunkAt
+	return fs
 }}
 
-// add appends u to the batch's user set unless it is already there.
+// add appends u to the batch's user set unless it is already there, and
+// its position to pos.
 func (fs *fetchScratch) add(u txn.UserID) {
-	if _, ok := fs.index[u]; !ok {
-		fs.index[u] = int32(len(fs.ids))
+	i, ok := fs.index[u]
+	if !ok {
+		i = int32(len(fs.ids))
+		fs.index[u] = i
 		fs.ids = append(fs.ids, u)
 	}
+	fs.pos = append(fs.pos, i)
 }
 
-// partsOf returns u's fragments; u must have been added.
-func (fs *fetchScratch) partsOf(u txn.UserID) *userParts { return &fs.parts[fs.index[u]] }
-
 // putFetchScratch returns fs to the pool holding nothing of the batch:
-// parts alias store values and rows alias the batch's key string, and a
-// pooled scratch must pin neither.
+// parts alias store values, rows alias the batch's key string, and the
+// stage inputs name the batch's rows, bundle and matrix; a pooled scratch
+// must pin none of them.
 func putFetchScratch(fs *fetchScratch) {
 	clear(fs.index)
 	clear(fs.parts)
 	clear(fs.rows)
-	fs.ids = fs.ids[:0]
+	fs.ids, fs.pos = fs.ids[:0], fs.pos[:0]
+	fs.tables, fs.txns, fs.bundle, fs.city, fs.m = nil, nil, nil, nil, nil
 	fetchPool.Put(fs)
 }
 

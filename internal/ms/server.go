@@ -22,6 +22,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"titant/internal/decision"
 	"titant/internal/eventlog"
@@ -446,85 +447,14 @@ type scoredBatch struct {
 	shadowEpoch  int64         // shadow epoch these scores belong to
 }
 
-// runOne is the single-transaction scoring core: fetch both users'
-// fragments, assemble the feature vector into a pooled one-row matrix,
-// run the ensemble, observe drift, then hand the scratch to visit.
-// Cancellation and deadlines on ctx are honoured; a cancelled context
-// returns promptly with ctx.Err() and visit never runs (so alerts and
-// decisions are never derived from an abandoned request).
-//
-// spans receives the fetch/assemble/score stage timings — a stack
-// buffer owned by the caller, so stage tracing costs a few monotonic
-// clock reads and no allocation.
-func (s *Server) runOne(ctx context.Context, t *txn.Transaction, spans *telemetry.Spans, visit func(*scoredBatch) error) error {
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	bundle, city, mon, epoch := s.scoringView()
-	ens, err := bundle.runtime()
-	if err != nil {
-		return err
-	}
-	from, to, err := s.fetchPair(t.From, t.To)
-	if err != nil {
-		return err
-	}
-	asmStart := time.Now()
-	spans[telemetry.StageFetch] = asmStart.Sub(start)
-	m := getMatrix(1, feature.NumBasic+2*bundle.EmbeddingDim)
-	defer putMatrix(m)
-	if err := assembleRow(t, &from, &to, bundle, city, m.Row(0)); err != nil {
-		return err
-	}
-	scoreStart := time.Now()
-	spans[telemetry.StageAssemble] = scoreStart.Sub(asmStart)
-	sc := getScoreScratch(ens.breakdown(), 1)
-	defer putScoreScratch(sc)
-	if err := ens.score(sc.combined, sc.sb.memberScores, m); err != nil {
-		return err
-	}
-	// Re-check after all the work so a deadline that expired mid-fetch or
-	// mid-score upholds the no-alert guarantee.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.recordScores(mon, sc.combined, sc.sb.memberScores)
-	spans[telemetry.StageScore] = time.Since(scoreStart)
-	sc.sb.bundle, sc.sb.ens, sc.sb.shadowEpoch = bundle, ens, epoch
-	sc.sb.perItem = time.Since(start)
-	return visit(&sc.sb)
-}
-
 // Score runs the full online path for one transaction: fetch both users'
 // fragments from HBase, assemble the feature vector, run the ensemble,
 // fire the alert if the combined score crosses the threshold. It is the
 // batch path at batch size one — a pooled one-row matrix through the
 // same ensemble core — so single and batch scoring cannot drift.
 func (s *Server) Score(ctx context.Context, t *txn.Transaction) (Verdict, error) {
-	start := time.Now()
-	var spans telemetry.Spans
-	release, err := s.Admit(ctx, 1)
-	if err != nil {
-		return Verdict{}, err
-	}
-	defer release()
-	spans[telemetry.StageAdmit] = time.Since(start)
-	var v Verdict
-	var epoch int64
-	if err := s.runOne(ctx, t, &spans, func(sb *scoredBatch) error {
-		v = sb.verdict(t, 0, sb.memberBacking(1))
-		v.Latency = sb.perItem
-		epoch = sb.shadowEpoch
-		return nil
-	}); err != nil {
-		return Verdict{}, err
-	}
-	shadowStart := time.Now()
-	s.observe(t, &v, epoch)
-	spans[telemetry.StageShadow] = time.Since(shadowStart)
-	s.traceObserve(ctx, s.telScore, time.Since(start), &spans)
-	return v, nil
+	d, err := s.one(ctx, t, false, decision.ScenarioDefault, new(results))
+	return d.Verdict, err
 }
 
 // ScoreBatch scores a batch in input order through the batch-native
@@ -538,47 +468,150 @@ func (s *Server) Score(ctx context.Context, t *txn.Transaction) (Verdict, error)
 // with Score's latencies in the shared histogram; the batch's end-to-end
 // time is the caller's to observe.
 func (s *Server) ScoreBatch(ctx context.Context, txns []txn.Transaction) ([]Verdict, error) {
+	var dst results
+	if err := s.batch(ctx, txns, false, nil, &dst); err != nil {
+		return nil, err
+	}
+	return dst.verdicts, nil
+}
+
+// results is where a verb's core puts what it returns. The public verbs
+// pass a zero one, so they allocate exactly what they hand back; a shard's
+// wire answer passes its pooled wireBuf's, whose contents live only until
+// the answer is encoded.
+type results struct {
+	verdicts  []Verdict
+	decisions []Decision
+	members   []MemberScore
+}
+
+// one is the core of Score and, with decide, of Decide under the active
+// policy and scenario sc: admission, run, the verdict (and decision),
+// its observation and the call's trace. The member breakdown goes in dst.
+func (s *Server) one(ctx context.Context, t *txn.Transaction, decide bool, sc decision.Scenario, dst *results) (Decision, error) {
+	et, pol := s.telScore, (*decision.Policy)(nil)
+	if decide {
+		if et, pol = s.telDecide, s.currentPolicy(); pol == nil {
+			return Decision{}, ErrPolicyDisabled
+		}
+	}
+	start := time.Now()
+	var spans telemetry.Spans
+	release, err := s.Admit(ctx, 1)
+	if err != nil {
+		return Decision{}, err
+	}
+	defer release()
+	spans[telemetry.StageAdmit] = time.Since(start)
+	var d Decision
+	var epoch int64
+	// t as a one-row batch, not a copy: the Alert callback would move a
+	// copy to the heap.
+	if err := s.run(ctx, unsafe.Slice(t, 1), true, &spans, func(sb *scoredBatch) error {
+		decideStart := time.Now()
+		d.Verdict = sb.verdict(t, 0, sb.memberBacking(1, dst))
+		if decide {
+			in := s.inputTemplate(sb)
+			in.Txn, in.Scenario, in.Score, in.Row = t, sc, sb.combined[0], 0
+			applyOutcome(&d, pol, sc, pol.Decide(&in))
+			spans[telemetry.StageDecide] = time.Since(decideStart)
+		}
+		d.Latency = sb.perItem
+		epoch = sb.shadowEpoch
+		return nil
+	}); err != nil {
+		return Decision{}, err
+	}
+	shadowStart := time.Now()
+	if decide {
+		s.observeDecision(t, &d, epoch)
+	} else {
+		s.observe(t, &d.Verdict, epoch)
+	}
+	spans[telemetry.StageShadow] = time.Since(shadowStart)
+	s.traceObserve(ctx, et, time.Since(start), &spans)
+	return d, nil
+}
+
+// batch is the core of ScoreBatch and, with decide, of DecideBatch under
+// the active policy (scenarios index-aligned with txns, nil: the default
+// scenario): it puts the verdicts in dst.verdicts, or the decisions in
+// dst.decisions, and their member breakdowns in dst.members.
+func (s *Server) batch(ctx context.Context, txns []txn.Transaction, decide bool, scenarios []decision.Scenario, dst *results) error {
+	et, pol := s.telScoreBatch, (*decision.Policy)(nil)
+	if decide {
+		if et, pol = s.telDecideBatch, s.currentPolicy(); pol == nil {
+			return ErrPolicyDisabled
+		}
+		if scenarios != nil && len(scenarios) != len(txns) {
+			return fmt.Errorf("ms: %d scenarios for %d transactions", len(scenarios), len(txns))
+		}
+	}
 	if len(txns) == 0 {
-		return nil, nil
+		return nil
 	}
 	start := time.Now()
 	var spans telemetry.Spans
 	release, err := s.Admit(ctx, len(txns))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer release()
 	spans[telemetry.StageAdmit] = time.Since(start)
-	var verdicts []Verdict
 	var epoch int64
-	if err := s.runBatch(ctx, txns, &spans, func(sb *scoredBatch) error {
-		verdicts = make([]Verdict, len(txns))
-		members := sb.memberBacking(len(txns))
-		for i := range txns {
-			verdicts[i] = sb.verdict(&txns[i], i, members)
-			verdicts[i].Latency = sb.perItem
-		}
+	if err := s.run(ctx, txns, false, &spans, func(sb *scoredBatch) error {
+		decideStart := time.Now()
+		members := sb.memberBacking(len(txns), dst)
 		epoch = sb.shadowEpoch
+		if !decide {
+			dst.verdicts = grow(dst.verdicts, len(txns))
+			for i := range txns {
+				dst.verdicts[i] = sb.verdict(&txns[i], i, members)
+				dst.verdicts[i].Latency = sb.perItem
+			}
+			return nil
+		}
+		dst.decisions = grow(dst.decisions, len(txns))
+		in := s.inputTemplate(sb)
+		for i := range txns {
+			if scenarios != nil {
+				in.Scenario = scenarios[i]
+			}
+			in.Txn, in.Score, in.Row = &txns[i], sb.combined[i], i
+			d := &dst.decisions[i]
+			d.Verdict = sb.verdict(&txns[i], i, members)
+			d.Latency = sb.perItem
+			applyOutcome(d, pol, in.Scenario, pol.Decide(&in))
+		}
+		spans[telemetry.StageDecide] = time.Since(decideStart)
 		return nil
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	shadowStart := time.Now()
-	for i := range verdicts {
-		s.observe(&txns[i], &verdicts[i], epoch)
+	for i := range txns {
+		if decide {
+			s.observeDecision(&txns[i], &dst.decisions[i], epoch)
+		} else {
+			s.observe(&txns[i], &dst.verdicts[i], epoch)
+		}
 	}
 	spans[telemetry.StageShadow] = time.Since(shadowStart)
-	s.traceObserve(ctx, s.telScoreBatch, time.Since(start), &spans)
-	return verdicts, nil
+	s.traceObserve(ctx, et, time.Since(start), &spans)
+	return nil
 }
 
-// runBatch is the batch scoring core shared by ScoreBatch and
-// DecideBatch: dedup-fetch, pooled assembly, one vectorised ensemble
-// pass, drift observation, then the visit callback over the live
-// scratch (see scoredBatch). spans receives the fetch/assemble/score
-// stage timings — a caller-owned stack buffer, so tracing adds clock
-// reads, not allocations.
-func (s *Server) runBatch(ctx context.Context, txns []txn.Transaction, spans *telemetry.Spans, visit func(*scoredBatch) error) error {
+// run is the scoring core of every verb: fetch the transactions' users,
+// assemble their rows into a pooled matrix, run the ensemble over it in
+// one vectorised pass, observe drift, then hand the live scratch to visit
+// (see scoredBatch). single is the one-transaction verbs' fetch and
+// assembly (fillOne); a batch's is fillBatch. Cancellation and deadlines
+// on ctx are honoured; a cancelled context returns promptly with
+// ctx.Err() and visit never runs (so alerts and decisions are never
+// derived from an abandoned request). spans receives the
+// fetch/assemble/score stage timings — a caller-owned stack buffer, so
+// tracing adds clock reads, not allocations.
+func (s *Server) run(ctx context.Context, txns []txn.Transaction, single bool, spans *telemetry.Spans, visit func(*scoredBatch) error) error {
 	if s.maxBatch > 0 && len(txns) > s.maxBatch {
 		return batchTooLarge(len(txns), s.maxBatch)
 	}
@@ -590,11 +623,59 @@ func (s *Server) runBatch(ctx context.Context, txns []txn.Transaction, spans *te
 	if err != nil {
 		return err
 	}
+	start := time.Now()
+	m := getMatrix(len(txns), feature.NumBasic+2*bundle.EmbeddingDim)
+	defer putMatrix(m)
+	var fetched time.Time
+	if single {
+		fetched, err = s.fillOne(&txns[0], bundle, city, m)
+	} else {
+		fetched, err = s.fillBatch(ctx, txns, bundle, city, m)
+	}
+	if err != nil {
+		return err
+	}
+	scoreStart := time.Now()
+	spans[telemetry.StageFetch], spans[telemetry.StageAssemble] = fetched.Sub(start), scoreStart.Sub(fetched)
+	sc := getScoreScratch(ens.breakdown(), len(txns))
+	defer putScoreScratch(sc)
+	if err := ens.score(sc.combined, sc.sb.memberScores, m); err != nil {
+		return err
+	}
+	// Re-check after all the work so a deadline that expired mid-fetch or
+	// mid-score upholds the no-alert guarantee.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	s.recordScores(mon, sc.combined, sc.sb.memberScores)
+	end := time.Now()
+	spans[telemetry.StageScore] = end.Sub(scoreStart)
+	sc.sb.bundle, sc.sb.ens, sc.sb.shadowEpoch = bundle, ens, epoch
+	sc.sb.perItem = end.Sub(start) / time.Duration(len(txns))
+	return visit(&sc.sb)
+}
 
-	// Phase 1: fetch each distinct user in the batch exactly once — cache
-	// hits resolved by a cache probe, misses chunked into multi-get rounds
-	// that amortise one store lock acquisition over a whole chunk.
-	fetchStart := time.Now()
+// fillOne fetches one transaction's two users inline — a point read, or
+// with a cache a single shard probe, costs less than a batch's dedup
+// bookkeeping — and assembles its row of m. It returns when the fetch
+// ended, which splits the caller's fetch and assembly spans.
+func (s *Server) fillOne(t *txn.Transaction, bundle *Bundle, city feature.CitySource, m *feature.Matrix) (fetched time.Time, err error) {
+	from, err := s.fetchOne(t.From)
+	if err != nil {
+		return fetched, err
+	}
+	to, err := s.fetchOne(t.To)
+	if err != nil {
+		return fetched, err
+	}
+	return time.Now(), assembleRow(t, &from, &to, bundle, city, m.Row(0))
+}
+
+// fillBatch fetches each distinct user of a batch exactly once — cache
+// hits by a probe, misses in chunked multi-get rounds that amortise one
+// store lock acquisition over a whole chunk — then assembles m's rows over
+// the worker pool. It returns when the fetch ended, as fillOne does.
+func (s *Server) fillBatch(ctx context.Context, txns []txn.Transaction, bundle *Bundle, city feature.CitySource, m *feature.Matrix) (fetched time.Time, err error) {
 	fs := fetchPool.Get().(*fetchScratch)
 	defer putFetchScratch(fs)
 	for i := range txns {
@@ -602,48 +683,18 @@ func (s *Server) runBatch(ctx context.Context, txns []txn.Transaction, spans *te
 		fs.add(txns[i].To)
 	}
 	if err := s.fetchUsers(ctx, fs); err != nil {
-		return err
+		return fetched, err
 	}
 	if s.strict {
 		for i, ok := range fs.found {
 			if !ok {
-				return fmt.Errorf("%w: user %d", ErrUserNotFound, fs.ids[i])
+				return fetched, fmt.Errorf("%w: user %d", ErrUserNotFound, fs.ids[i])
 			}
 		}
 	}
-	asmStart := time.Now()
-	spans[telemetry.StageFetch] = asmStart.Sub(fetchStart)
-
-	// Phase 2: assemble the batch's feature matrix over the pool.
-	m := getMatrix(len(txns), feature.NumBasic+2*bundle.EmbeddingDim)
-	defer putMatrix(m)
-	if err := s.runPool(ctx, len(txns), func(i int) error {
-		t := &txns[i]
-		if err := assembleRow(t, fs.partsOf(t.From), fs.partsOf(t.To), bundle, city, m.Row(i)); err != nil {
-			return fmt.Errorf("ms: txn %d: %w", t.ID, err)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	scoreStart := time.Now()
-	spans[telemetry.StageAssemble] = scoreStart.Sub(asmStart)
-
-	// Phase 3: one vectorised ensemble pass over the whole matrix.
-	sc := getScoreScratch(ens.breakdown(), len(txns))
-	defer putScoreScratch(sc)
-	if err := ens.score(sc.combined, sc.sb.memberScores, m); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.recordScores(mon, sc.combined, sc.sb.memberScores)
-	spans[telemetry.StageScore] = time.Since(scoreStart)
-	sc.sb.bundle, sc.sb.ens, sc.sb.shadowEpoch = bundle, ens, epoch
-	sc.sb.perItem = time.Since(fetchStart) / time.Duration(len(txns))
-	return visit(&sc.sb)
+	fetched = time.Now()
+	fs.txns, fs.bundle, fs.city, fs.m = txns, bundle, city, m
+	return fetched, s.runPool(ctx, len(txns), fs.assemble)
 }
 
 // traceObserve folds one request's spans into the endpoint's stage
@@ -678,6 +729,16 @@ func observeDrift(mon *decision.Monitor, combined []float64, memberScores [][]fl
 	}
 }
 
+// assembleRow is the batch's assembly stage for transaction i: its row
+// of fs.m from the fragments at its two recorded positions.
+func (fs *fetchScratch) assembleRow(i int) error {
+	t := &fs.txns[i]
+	if err := assembleRow(t, &fs.parts[fs.pos[2*i]], &fs.parts[fs.pos[2*i+1]], fs.bundle, fs.city, fs.m.Row(i)); err != nil {
+		return fmt.Errorf("ms: txn %d: %w", t.ID, err)
+	}
+	return nil
+}
+
 // assembleRow writes one transaction's full feature vector (52 basic
 // features plus both endpoints' embeddings) into row, a matrix row of
 // width NumBasic+2*EmbeddingDim. city supplies the per-city statistics —
@@ -696,14 +757,15 @@ func assembleRow(t *txn.Transaction, from, to *userParts, bundle *Bundle, city f
 	return nil
 }
 
-// memberBacking allocates the per-member breakdowns of rows verdicts in
-// one array (nil for v1 single-model bundles, which have none), so a
-// batch pays one allocation for them instead of one per verdict.
-func (sb *scoredBatch) memberBacking(rows int) []MemberScore {
+// memberBacking puts the per-member breakdowns of rows verdicts in one
+// array of dst (nil for v1 single-model bundles, which have none), so a
+// batch pays at most one allocation for them instead of one per verdict.
+func (sb *scoredBatch) memberBacking(rows int, dst *results) []MemberScore {
 	if sb.memberScores == nil {
 		return nil
 	}
-	return make([]MemberScore, rows*len(sb.ens.names))
+	dst.members = grow(dst.members, rows*len(sb.ens.names))
+	return dst.members
 }
 
 // verdict builds the verdict for row i: combined score against the
@@ -772,20 +834,6 @@ func (s *Server) fetchOne(u txn.UserID) (userParts, error) {
 		return parts, fmt.Errorf("%w: user %d", ErrUserNotFound, u)
 	}
 	return parts, nil
-}
-
-// fetchPair reads the sender's then the receiver's fragments inline.
-// Before the point-read engine this parallelised the two reads with a
-// goroutine; a point read now costs well under a spawn-and-channel round
-// trip (and with a cache, a warm read is a single shard probe), so the
-// sequential pair is the faster path in every configuration.
-func (s *Server) fetchPair(from, to txn.UserID) (userParts, userParts, error) {
-	fp, err := s.fetchOne(from)
-	if err != nil {
-		return fp, userParts{}, err
-	}
-	tp, err := s.fetchOne(to)
-	return fp, tp, err
 }
 
 // fetchChunk bounds one multi-get round: large enough to amortise the
@@ -867,24 +915,27 @@ func (s *Server) fetchUsers(ctx context.Context, fs *fetchScratch) error {
 // in fetchChunk-sized rounds over the worker pool. A round that spans a
 // table boundary splits there, so every store call names one table.
 func (s *Server) multiGet(ctx context.Context, fs *fetchScratch) error {
+	fs.tables = s.tables
+	return s.runPool(ctx, (len(fs.misses)+fetchChunk-1)/fetchChunk, fs.readChunk)
+}
+
+// readChunkAt is multiGet's stage for round ci.
+func (fs *fetchScratch) readChunkAt(ci int) error {
 	misses := fs.misses
-	chunks := (len(misses) + fetchChunk - 1) / fetchChunk
-	return s.runPool(ctx, chunks, func(ci int) error {
-		lo := ci * fetchChunk
-		hi := min(lo+fetchChunk, len(misses))
-		for lo < hi {
-			tab := misses[lo].tab
-			end := lo + 1
-			for end < hi && misses[end].tab == tab {
-				end++
-			}
-			if err := fs.readRows(s.tables[tab], lo, end); err != nil {
-				return err
-			}
-			lo = end
+	lo := ci * fetchChunk
+	hi := min(lo+fetchChunk, len(misses))
+	for lo < hi {
+		tab := misses[lo].tab
+		end := lo + 1
+		for end < hi && misses[end].tab == tab {
+			end++
 		}
-		return nil
-	})
+		if err := fs.readRows(fs.tables[tab], lo, end); err != nil {
+			return err
+		}
+		lo = end
+	}
+	return nil
 }
 
 // runPool runs fn(0..n-1) across the engine's worker pool, stopping at

@@ -120,14 +120,9 @@ func (r *shadowRunner) scoreOne(j *shadowJob) {
 		r.meter.Error()
 		return
 	}
-	from, to, err := r.s.fetchPair(j.t.From, j.t.To)
-	if err != nil {
-		r.meter.Error()
-		return
-	}
 	m := getMatrix(1, feature.NumBasic+2*b.EmbeddingDim)
 	defer putMatrix(m)
-	if err := assembleRow(&j.t, &from, &to, b, &b.City, m.Row(0)); err != nil {
+	if _, err := r.s.fillOne(&j.t, b, &b.City, m); err != nil {
 		r.meter.Error()
 		return
 	}

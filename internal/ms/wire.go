@@ -760,12 +760,15 @@ func WriteBody(w http.ResponseWriter, body []byte) {
 }
 
 // wireBuf is one call's codec scratch on a shard: the rows decoded from
-// its body and the answer encoded for it. It comes from wirePool and goes
-// back when the call is answered, so nothing reachable from it may outlive
-// the call; the engine verbs copy what they keep. The body and the answer
-// buffer are the caller's: release drops them.
+// its body, the engine verb's results and the answer encoded from them. It
+// comes from wirePool and goes back when the call is answered, so nothing
+// reachable from it may outlive the call; the engine verbs copy what they
+// keep. The body and the answer buffer are the caller's: release drops
+// them, and clears the results so a pooled buffer pins no swapped-out
+// bundle's or policy's strings.
 type wireBuf struct {
 	wireDecoder
+	results
 	out []byte
 }
 
@@ -773,6 +776,9 @@ var wirePool = sync.Pool{New: func() any { return new(wireBuf) }}
 
 func (wb *wireBuf) release() {
 	wb.buf, wb.out = nil, nil
+	clear(wb.verdicts)
+	clear(wb.decisions)
+	clear(wb.members)
 	wirePool.Put(wb)
 }
 

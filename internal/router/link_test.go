@@ -410,9 +410,10 @@ func TestRouterLinkLifecycle(t *testing.T) {
 // TestRoutedAllocBudget pins what a warm routed decide batch allocates,
 // process-wide: client → router → 2 shards over loopback, the client
 // posting raw bytes as BenchmarkWireDecideBatch/routed does. 377 objects
-// at the commit before the link, 210 before the call seam and 128 before
-// the engine's pooled fan-out, 64 transactions; and the count must not
-// grow with the batch beyond what the engines themselves add.
+// at the commit before the link, 210 before the call seam, 128 before the
+// engine's pooled fan-out and 112 before the shards' engines wrote their
+// decisions into the wire buffer, 64 transactions; and the count must not
+// grow with the batch.
 func TestRoutedAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pooled scratch is not reused reliably under the race detector")
@@ -423,15 +424,9 @@ func TestRoutedAllocBudget(t *testing.T) {
 	defer front.Close()
 	client := &http.Client{Transport: &http.Transport{}}
 	defer client.CloseIdleConnections()
-	measure := func(n int) (routed, engines float64) {
-		reqs := fleetTxns(n, 9)
-		raw, _ := json.Marshal(map[string]interface{}{"transactions": reqs})
-		parts := make([][]txn.Transaction, 2)
-		for i := range reqs {
-			si := ms.ShardOf(txn.UserID(reqs[i].From), 2)
-			parts[si] = append(parts[si], reqs[i].Txn())
-		}
-		routed = testing.AllocsPerRun(100, func() {
+	measure := func(n int) float64 {
+		raw, _ := json.Marshal(map[string]interface{}{"transactions": fleetTxns(n, 9)})
+		routed := testing.AllocsPerRun(100, func() {
 			resp, err := client.Post(front.URL+"/v1/decide/batch", "application/json", bytes.NewReader(raw))
 			if err != nil {
 				t.Fatal(err)
@@ -442,24 +437,15 @@ func TestRoutedAllocBudget(t *testing.T) {
 				t.Fatalf("status %d, %v", resp.StatusCode, err)
 			}
 		})
-		engines = testing.AllocsPerRun(100, func() {
-			for si, p := range parts {
-				if _, err := f.servers[si].DecideBatch(context.Background(), p, make([]decision.Scenario, len(p))); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-		t.Logf("%d transactions: routed %.0f allocs, the two DecideBatch calls %.0f", n, routed, engines)
-		return routed, engines
+		t.Logf("%d transactions: routed %.0f allocs", n, routed)
+		return routed
 	}
-	small, smallEng := measure(64)
-	large, largeEng := measure(256)
-	if small > 118 {
-		t.Errorf("a routed 64-transaction decide batch allocates %.0f objects, budget 118", small)
+	small, large := measure(64), measure(256)
+	if small > 108 {
+		t.Errorf("a routed 64-transaction decide batch allocates %.0f objects, budget 108", small)
 	}
-	if grew := (large - largeEng) - (small - smallEng); grew > 4 {
-		t.Errorf("the wire tier's share grows with the batch: %.0f objects at 64 transactions, %.0f at 256",
-			small-smallEng, large-largeEng)
+	if large-small > 4 {
+		t.Errorf("the wire tier's allocations grow with the batch: %.0f objects at 64 transactions, %.0f at 256", small, large)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Stage names one segment of a request's hot path. Engine stages map
-// the phases of runOne/runBatch (admission gate, user fetch through the
+// the phases of ms.Server.run (admission gate, user fetch through the
 // cache, feature assembly including the streaming aggregates, the
 // member-model score + combine pass, the policy decision, the shadow
 // enqueue); router stages map the wire tier (routing an attempt, retry
