@@ -150,3 +150,25 @@ func TestEndToEndServing(t *testing.T) {
 		t.Errorf("scored %d != %d", st.Scored, len(ds.Test))
 	}
 }
+
+// BenchmarkTrainForServing trains the serving bundle the serving
+// benchmark trains: a 6000-user composed world with the default scenario
+// mix, GBDT only with 40 trees, 3 walks per node.
+func BenchmarkTrainForServing(b *testing.B) {
+	cfg := synth.DefaultConfig()
+	cfg.Users = 6000
+	w, _ := synth.Compose(cfg, synth.DefaultScenarioMix())
+	ds, err := w.Dataset(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.GBDT.Trees = 40
+	opts.DW.WalksPerNode = 3
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := TrainEnsembleForServing(w.Users, ds, []Detector{DetGBDT}, ms.CombineMean, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
