@@ -35,7 +35,7 @@ bench-build:
 	cd bench && go vet ./...
 
 race:
-	go test -race ./internal/feature/stream/ ./internal/ms/... ./internal/router/ ./internal/link/ ./internal/faultinject/ ./internal/hbase/ ./internal/decision/ ./internal/eventlog/ ./internal/logio/ ./internal/loadgen/ ./internal/synth/ ./internal/telemetry/
+	go test -race ./internal/feature/stream/ ./internal/ms/... ./internal/router/ ./internal/link/ ./internal/faultinject/ ./internal/hbase/ ./internal/decision/ ./internal/eventlog/ ./internal/logio/ ./internal/loadgen/ ./internal/synth/ ./internal/telemetry/ ./internal/nrl/deepwalk/ ./internal/model/gbdt/ ./internal/feature/ ./internal/par/
 
 # fuzz-smoke runs the stream window's two fuzzers for 20 s each: its slab
 # reads against the map-ring reference window, and snapshot restore over

@@ -27,6 +27,7 @@ import (
 	"titant/internal/nrl"
 	"titant/internal/nrl/deepwalk"
 	"titant/internal/nrl/struc2vec"
+	"titant/internal/par"
 	"titant/internal/txn"
 )
 
@@ -164,7 +165,8 @@ type Embeddings struct {
 }
 
 // LearnEmbeddings builds the transaction network from the dataset's
-// 90-day window and trains both NRL methods.
+// 90-day window and trains both NRL methods, side by side: they only read
+// the graph.
 func LearnEmbeddings(ds *txn.Dataset, opts Options) *Embeddings {
 	g := graph.FromTransactions(ds.Network)
 	dwCfg := opts.DW
@@ -173,10 +175,11 @@ func LearnEmbeddings(ds *txn.Dataset, opts Options) *Embeddings {
 	s2vCfg := opts.S2V
 	s2vCfg.Dim = opts.Dim
 	s2vCfg.Seed = opts.Seed
-	return &Embeddings{
-		DW:  deepwalk.Train(g, dwCfg),
-		S2V: struc2vec.Train(g, s2vCfg),
-	}
+	emb := &Embeddings{}
+	par.Do(g.NumNodes()*dwCfg.WalksPerNode*dwCfg.WalkLength,
+		func() { emb.DW = deepwalk.Train(g, dwCfg) },
+		func() { emb.S2V = struc2vec.Train(g, s2vCfg) })
+	return emb
 }
 
 // LearnDW trains only DeepWalk (for sweeps that do not need S2V).
@@ -420,16 +423,7 @@ func TrainEnsembleForServing(users []txn.User, ds *txn.Dataset, dets []Detector,
 	if len(dets) == 0 {
 		return nil, nil, 0, fmt.Errorf("core: ensemble needs at least one detector")
 	}
-	emb := LearnDW(ds, opts)
-	agg := feature.BuildAggregates(ds.Network, opts.Cities)
-	ex := feature.NewExtractor(users, agg)
-	trainM := buildMatrix(ex, ds.Train, FeatBasicDW, emb, opts.Dim)
-	labels := feature.LabelsOf(ds.Train)
-	valStart := ds.TrainEnd - txn.Day(opts.ValDays)
-	fitRows, valRows := splitByDay(ds.Train, valStart)
-	fitM, fitL := subset(trainM, labels, fitRows)
-	valM, valL := subset(trainM, labels, valRows)
-
+	emb, agg, fitM, fitL, valM, valL := servingMatrices(users, ds, opts)
 	members := make([]ms.EnsembleMember, 0, len(dets))
 	for _, det := range dets {
 		clf := trainDetector(det, fitM, fitL, opts)
@@ -455,18 +449,30 @@ func TrainEnsembleForServing(users []txn.User, ds *txn.Dataset, dets []Detector,
 // GBDT, the Table 1 winner) on a dataset and returns everything the
 // online side needs.
 func TrainForServing(users []txn.User, ds *txn.Dataset, opts Options) (model.Classifier, *Embeddings, float64, error) {
-	emb := LearnDW(ds, opts)
-	agg := feature.BuildAggregates(ds.Network, opts.Cities)
-	ex := feature.NewExtractor(users, agg)
-	trainM := buildMatrix(ex, ds.Train, FeatBasicDW, emb, opts.Dim)
-	labels := feature.LabelsOf(ds.Train)
-	valStart := ds.TrainEnd - txn.Day(opts.ValDays)
-	fitRows, valRows := splitByDay(ds.Train, valStart)
-	fitM, fitL := subset(trainM, labels, fitRows)
-	valM, valL := subset(trainM, labels, valRows)
+	emb, _, fitM, fitL, valM, valL := servingMatrices(users, ds, opts)
 	cfg := opts.GBDT
 	cfg.Seed = opts.Seed
 	clf := gbdt.Train(fitM, fitL, cfg)
 	_, threshold := metrics.BestF1(mustScores(clf, valM), valL)
 	return clf, emb, threshold, nil
+}
+
+// servingMatrices is both serving trainers' preamble: it learns DeepWalk
+// beside the aggregates and the basic training features (neither reads
+// the other; the work counted is DeepWalk's walk steps), joins the embeddings on (Basic+DW) and splits the rows into
+// the fit and the validation days.
+func servingMatrices(users []txn.User, ds *txn.Dataset, opts Options) (emb *Embeddings, agg *feature.Aggregates, fitM *feature.Matrix, fitL []bool, valM *feature.Matrix, valL []bool) {
+	var basic *feature.Matrix
+	par.Do(len(users)*opts.DW.WalksPerNode*opts.DW.WalkLength,
+		func() { emb = LearnDW(ds, opts) },
+		func() {
+			agg = feature.BuildAggregates(ds.Network, opts.Cities)
+			basic = feature.NewExtractor(users, agg).BasicMatrix(ds.Train)
+		})
+	trainM := feature.WithEmbeddings(basic, ds.Train, opts.Dim, emb.DW.Lookup)
+	labels := feature.LabelsOf(ds.Train)
+	fitRows, valRows := splitByDay(ds.Train, ds.TrainEnd-txn.Day(opts.ValDays))
+	fitM, fitL = subset(trainM, labels, fitRows)
+	valM, valL = subset(trainM, labels, valRows)
+	return emb, agg, fitM, fitL, valM, valL
 }

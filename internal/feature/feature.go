@@ -14,6 +14,7 @@ import (
 	"math"
 	"sort"
 
+	"titant/internal/par"
 	"titant/internal/txn"
 )
 
@@ -447,23 +448,26 @@ func FitDiscretizer(m *Matrix, bins int) *Discretizer {
 		panic("feature: need at least 2 bins")
 	}
 	d := &Discretizer{Cuts: make([][]float64, m.Cols)}
-	col := make([]float64, m.Rows)
-	for j := 0; j < m.Cols; j++ {
-		for i := 0; i < m.Rows; i++ {
-			col[i] = m.At(i, j)
-		}
-		sort.Float64s(col)
-		var cuts []float64
-		for b := 1; b < bins; b++ {
-			q := col[(b*m.Rows)/bins]
-			// A cut at the column minimum would create an empty lowest
-			// bucket; skip it (and dedupe equal quantiles).
-			if q > col[0] && (len(cuts) == 0 || q > cuts[len(cuts)-1]) {
-				cuts = append(cuts, q)
+	// Columns are independent: each range of them sorts in its own buffer.
+	par.Ranges(m.Cols, m.Rows*m.Cols, func(lo, hi int) {
+		col := make([]float64, m.Rows)
+		for j := lo; j < hi; j++ {
+			for i := 0; i < m.Rows; i++ {
+				col[i] = m.At(i, j)
 			}
+			sort.Float64s(col)
+			var cuts []float64
+			for b := 1; b < bins; b++ {
+				q := col[(b*m.Rows)/bins]
+				// A cut at the column minimum would create an empty lowest
+				// bucket; skip it (and dedupe equal quantiles).
+				if q > col[0] && (len(cuts) == 0 || q > cuts[len(cuts)-1]) {
+					cuts = append(cuts, q)
+				}
+			}
+			d.Cuts[j] = cuts
 		}
-		d.Cuts[j] = cuts
-	}
+	})
 	return d
 }
 
@@ -518,13 +522,14 @@ func (d *Discretizer) Transform(m *Matrix) *Binned {
 		}
 		b.NumBins[j] = n
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		out := b.Row(i)
-		for j, v := range row {
-			out[j] = uint8(d.Bin(j, v))
+	par.Ranges(m.Rows, m.Rows*m.Cols, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out := b.Row(i)
+			for j, v := range m.Row(i) {
+				out[j] = uint8(d.Bin(j, v))
+			}
 		}
-	}
+	})
 	return b
 }
 

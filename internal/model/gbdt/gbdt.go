@@ -13,6 +13,7 @@ import (
 
 	"titant/internal/feature"
 	"titant/internal/model"
+	"titant/internal/par"
 	"titant/internal/rng"
 )
 
@@ -102,10 +103,11 @@ func Train(m *feature.Matrix, labels []bool, cfg Config) *Model {
 	}
 
 	pred := make([]float64, m.Rows)
+	grad := make([]float64, m.Rows) // negative gradient = residual for RMSE
 	for i := range pred {
 		pred[i] = base
+		grad[i] = y[i] - base
 	}
-	grad := make([]float64, m.Rows) // negative gradient = residual for RMSE
 
 	r := rng.New(cfg.Seed)
 	nSample := int(cfg.Subsample * float64(m.Rows))
@@ -124,9 +126,6 @@ func Train(m *feature.Matrix, labels []bool, cfg Config) *Model {
 
 	for t := 0; t < cfg.Trees; t++ {
 		tr := r.Split(uint64(t) + 1)
-		for i := range grad {
-			grad[i] = y[i] - pred[i]
-		}
 		// Row subsample: partial Fisher-Yates for the first nSample slots.
 		for i := 0; i < nSample; i++ {
 			j := i + tr.Intn(m.Rows-i)
@@ -141,9 +140,12 @@ func Train(m *feature.Matrix, labels []bool, cfg Config) *Model {
 				tree.Nodes[i].Value *= cfg.LearningRate
 			}
 		}
-		for i := 0; i < m.Rows; i++ {
-			pred[i] += tree.eval(binned.Row(i))
-		}
+		par.Ranges(m.Rows, m.Rows*cfg.Depth, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				pred[i] += tree.eval(binned.Row(i))
+				grad[i] = y[i] - pred[i]
+			}
+		})
 		out.TreesArr = append(out.TreesArr, tree)
 	}
 	return out
@@ -187,33 +189,34 @@ func (b *treeBuilder) build(rows []int, cols []int, grad []float64, r *rng.RNG) 
 		b.nodeOf[i] = 0
 	}
 	for depth := 0; depth < cfg.Depth; depth++ {
-		// Zero histograms of the nodes in this level. Node-local index =
-		// flat index - (2^depth - 1).
+		// Node-local index = flat index - (2^depth - 1).
 		first := int32(1<<depth) - 1
 		count := 1 << depth
-		for n := 0; n < count; n++ {
-			hs, hc := b.histSum[n], b.histCnt[n]
-			for k := range hs {
-				hs[k] = 0
-				hc[k] = 0
+		// Each range of the sampled columns zeroes its cells of every
+		// node in this level, then one pass over the rows, in order,
+		// accumulates them.
+		par.Ranges(len(cols), len(rows)*len(cols), func(lo, hi int) {
+			for n := 0; n < count; n++ {
+				for _, c := range cols[lo:hi] {
+					clear(b.histSum[n][c*cfg.Bins : (c+1)*cfg.Bins])
+					clear(b.histCnt[n][c*cfg.Bins : (c+1)*cfg.Bins])
+				}
 			}
-		}
-		// One pass over rows accumulates every node's histograms.
-		for _, i := range rows {
-			nd := b.nodeOf[i]
-			if nd < 0 {
-				continue // row settled in a leaf
+			for _, i := range rows {
+				nd := b.nodeOf[i]
+				if nd < 0 {
+					continue // row settled in a leaf
+				}
+				rowBins := b.data.Row(i)
+				hs, hc := b.histSum[nd-first], b.histCnt[nd-first]
+				g := grad[i]
+				for _, c := range cols[lo:hi] {
+					k := c*cfg.Bins + int(rowBins[c])
+					hs[k] += g
+					hc[k]++
+				}
 			}
-			local := nd - first
-			rowBins := b.data.Row(i)
-			hs, hc := b.histSum[local], b.histCnt[local]
-			g := grad[i]
-			for _, c := range cols {
-				k := c*cfg.Bins + int(rowBins[c])
-				hs[k] += g
-				hc[k]++
-			}
-		}
+		})
 		// Choose the best split per node.
 		type split struct {
 			col   int

@@ -13,6 +13,7 @@ package deepwalk
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"titant/internal/graph"
 	"titant/internal/nrl"
@@ -64,32 +65,32 @@ func Walks(g *graph.Graph, walkLength, walksPerNode int, seed uint64, fn func(wa
 	}
 	r := rng.New(seed)
 	walk := make([]graph.NodeID, 0, walkLength)
-	n := g.NumNodes()
 	for rep := 0; rep < walksPerNode; rep++ {
 		// A fresh permutation per repetition, as in the original paper.
-		order := r.Perm(n)
-		for _, start := range order {
-			walk = walk[:0]
-			cur := graph.NodeID(start)
-			walk = append(walk, cur)
-			for len(walk) < walkLength {
-				out := g.OutNeighbors(cur)
-				in := g.InNeighbors(cur)
-				deg := len(out) + len(in)
-				if deg == 0 {
-					break
-				}
-				k := r.Intn(deg)
-				if k < len(out) {
-					cur = out[k]
-				} else {
-					cur = in[k-len(out)]
-				}
-				walk = append(walk, cur)
-			}
+		for _, start := range r.Perm(g.NumNodes()) {
+			walk = Walk(g, graph.NodeID(start), walk, r)
 			fn(walk)
 		}
 	}
+}
+
+// Walk refills walk with one random walk from start of up to cap(walk)
+// nodes (at least one), ending early at a node without neighbours.
+func Walk(g *graph.Graph, start graph.NodeID, walk []graph.NodeID, r *rng.RNG) []graph.NodeID {
+	walk = append(walk[:0], start)
+	for cur := start; len(walk) < cap(walk); walk = append(walk, cur) {
+		out, in := g.OutNeighbors(cur), g.InNeighbors(cur)
+		k := len(out) + len(in)
+		if k == 0 {
+			break
+		}
+		if k = r.Intn(k); k < len(out) {
+			cur = out[k]
+		} else {
+			cur = in[k-len(out)]
+		}
+	}
+	return walk
 }
 
 // SGNS is the skip-gram-with-negative-sampling trainer state. It is
@@ -116,42 +117,88 @@ func NewSGNS(n, dim int, r *rng.RNG) *SGNS {
 	return s
 }
 
+const (
+	group    = 6   // targets whose dot products share one pass
+	stackDim = 128 // largest dimension whose update sum is on the stack
+)
+
 // Update applies one positive pair (center, context) plus the given
 // negative samples, with learning rate lr. It returns the summed absolute
 // update magnitude (useful for convergence diagnostics).
+//
+// The targets are the context (label 1), then each negative other than
+// the context (label 0), in order. A target's step reads the center's
+// vector, which changes only at the end, and writes only its own Syn1
+// row; so a run of distinct targets has independent dot products, taken
+// in one interleaved pass, before the sigmoids and axpys are applied
+// target by target. A repeated target starts a new run, as it must read
+// its row after the earlier step. The bits are those of one target at a
+// time.
 func (s *SGNS) Update(center, context graph.NodeID, negatives []graph.NodeID, lr float32) float32 {
 	in := s.Syn0[center]
-	work := make([]float32, s.Dim)
-	var total float32
-	apply := func(target graph.NodeID, label float32) {
-		out := s.Syn1[target]
-		var dot float64
-		for i := range in {
-			dot += float64(in[i]) * float64(out[i])
-		}
-		pred := float32(sigmoid(dot))
-		g := (label - pred) * lr
-		for i := range in {
-			work[i] += g * out[i]
-			out[i] += g * in[i]
-		}
-		if g < 0 {
-			total -= g
-		} else {
-			total += g
-		}
+	var buf [stackDim]float32
+	work := buf[:min(len(in), stackDim)]
+	if len(in) > stackDim {
+		work = make([]float32, len(in))
 	}
-	apply(context, 1)
-	for _, neg := range negatives {
-		if neg == context {
-			continue
+	var run [group]graph.NodeID
+	var total float32
+	label := float32(1)
+	for next := -1; next < len(negatives); {
+		n := 0
+		for ; next < len(negatives) && n < group; next++ {
+			target := context
+			if next >= 0 {
+				if target = negatives[next]; target == context {
+					continue
+				}
+			}
+			if slices.Contains(run[:n], target) {
+				break
+			}
+			run[n] = target
+			n++
 		}
-		apply(neg, 0)
+		if n == 0 {
+			break
+		}
+		dots := s.dots(in, run[:n])
+		var gs [group]float32
+		for k := range n {
+			gs[k] = (label - float32(sigmoid(dots[k]))) * lr
+			label = 0
+		}
+		for k, target := range run[:n] {
+			out, g := s.Syn1[target][:len(in)], gs[k]
+			for i := range in {
+				work[i] += g * out[i]
+				out[i] += g * in[i]
+			}
+			total += max(g, -g)
+		}
 	}
 	for i := range in {
 		in[i] += work[i]
 	}
 	return total
+}
+
+// dots returns in's dot products with the Syn1 rows of run, each summed
+// in float64 in index order; slots past len(run) repeat its last row.
+func (s *SGNS) dots(in []float32, run []graph.NodeID) [group]float64 {
+	row := func(k int) []float32 { return s.Syn1[run[min(k, len(run)-1)]][:len(in)] }
+	o0, o1, o2, o3, o4, o5 := row(0), row(1), row(2), row(3), row(4), row(5)
+	var d0, d1, d2, d3, d4, d5 float64
+	for i, x := range in {
+		v := float64(x)
+		d0 += v * float64(o0[i])
+		d1 += v * float64(o1[i])
+		d2 += v * float64(o2[i])
+		d3 += v * float64(o3[i])
+		d4 += v * float64(o4[i])
+		d5 += v * float64(o5[i])
+	}
+	return [group]float64{d0, d1, d2, d3, d4, d5}
 }
 
 func sigmoid(z float64) float64 {
@@ -200,9 +247,24 @@ func (t *NegativeTable) Sample(r *rng.RNG) graph.NodeID {
 	return t.table[r.Intn(len(t.table))]
 }
 
+// pairBlock is how many skip-gram pairs the sampler hands over at once.
+const pairBlock = 4096
+
+// pairs is one block of sampled skip-gram pairs: pair i trains center[i]
+// against context[i] and negs[i*k:(i+1)*k] at rate lr[i].
+type pairs struct {
+	center, context, negs []graph.NodeID
+	lr                    []float32
+}
+
 // Train runs DeepWalk on g and returns the learned user embeddings.
+//
+// Walks and the window and negative draws never read the vectors, so a
+// sampler goroutine draws the pairs into blocks while the caller trains
+// on them in the order drawn: the bits of sampling and training in one
+// loop.
 func Train(g *graph.Graph, cfg Config) *nrl.Embeddings {
-	if cfg.Dim < 1 || cfg.Window < 1 || cfg.Negatives < 0 {
+	if cfg.Dim < 1 || cfg.Window < 1 || cfg.Negatives < 0 || cfg.WalkLength < 1 || cfg.WalksPerNode < 1 {
 		panic(fmt.Sprintf("deepwalk: bad config %+v", cfg))
 	}
 	n := g.NumNodes()
@@ -220,39 +282,50 @@ func Train(g *graph.Graph, cfg Config) *nrl.Embeddings {
 	}
 	neg := NewNegativeTable(freq, 1<<17)
 
-	totalWalks := n * cfg.WalksPerNode
-	walkIdx := 0
-	trainRNG := r.Split(2)
-	negBuf := make([]graph.NodeID, cfg.Negatives)
-	Walks(g, cfg.WalkLength, cfg.WalksPerNode, cfg.Seed+7, func(walk []graph.NodeID) {
-		// Linear learning-rate decay over all walks.
-		progress := float64(walkIdx) / float64(totalWalks)
-		lr := cfg.LearningRate * (1 - progress)
-		if lr < cfg.MinLR {
-			lr = cfg.MinLR
-		}
-		walkIdx++
-		for i, center := range walk {
-			// Dynamic window, as in word2vec: uniform in [1, Window].
-			w := 1 + trainRNG.Intn(cfg.Window)
-			lo, hi := i-w, i+w
-			if lo < 0 {
-				lo = 0
-			}
-			if hi >= len(walk) {
-				hi = len(walk) - 1
-			}
-			for j := lo; j <= hi; j++ {
-				if j == i || walk[j] == center {
-					continue
+	// Three blocks circulate: one filling, one training, one queued.
+	full, free := make(chan *pairs, 3), make(chan *pairs, 3)
+	for range 3 {
+		free <- &pairs{}
+	}
+	go func() {
+		defer close(full)
+		totalWalks := n * cfg.WalksPerNode
+		walkIdx := 0
+		trainRNG := r.Split(2)
+		b := <-free
+		Walks(g, cfg.WalkLength, cfg.WalksPerNode, cfg.Seed+7, func(walk []graph.NodeID) {
+			// Linear learning-rate decay over all walks.
+			progress := float64(walkIdx) / float64(totalWalks)
+			lr := float32(max(cfg.LearningRate*(1-progress), cfg.MinLR))
+			walkIdx++
+			for i, center := range walk {
+				// Dynamic window, as in word2vec: uniform in [1, Window].
+				w := 1 + trainRNG.Intn(cfg.Window)
+				for j := max(i-w, 0); j <= min(i+w, len(walk)-1); j++ {
+					if j == i || walk[j] == center {
+						continue
+					}
+					for range cfg.Negatives {
+						b.negs = append(b.negs, neg.Sample(trainRNG))
+					}
+					b.center, b.context, b.lr = append(b.center, center), append(b.context, walk[j]), append(b.lr, lr)
+					if len(b.center) == pairBlock {
+						full <- b
+						b = <-free
+					}
 				}
-				for k := range negBuf {
-					negBuf[k] = neg.Sample(trainRNG)
-				}
-				s.Update(center, walk[j], negBuf, float32(lr))
 			}
+		})
+		full <- b
+	}()
+	k := cfg.Negatives
+	for b := range full {
+		for i := range b.center {
+			s.Update(b.center[i], b.context[i], b.negs[i*k:(i+1)*k], b.lr[i])
 		}
-	})
+		b.center, b.context, b.negs, b.lr = b.center[:0], b.context[:0], b.negs[:0], b.lr[:0]
+		free <- b
+	}
 
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		out.Set(g.User(v), s.Syn0[v])

@@ -1,6 +1,8 @@
 package deepwalk
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"titant/internal/graph"
@@ -175,14 +177,33 @@ func TestSGNSSkipsSelfNegative(t *testing.T) {
 	}
 }
 
+// TestBadConfigPanics checks that Train rejects a bad config on the
+// caller's goroutine, before the sampler starts: a panic there would kill
+// the process instead of reaching the caller's recover.
 func TestBadConfigPanics(t *testing.T) {
 	g := twoCliques(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Train(g, Config{Dim: 0})
+	for name, mutate := range map[string]func(*Config){
+		"dim":          func(c *Config) { c.Dim = 0 },
+		"window":       func(c *Config) { c.Window = 0 },
+		"negatives":    func(c *Config) { c.Negatives = -1 },
+		"walkLength":   func(c *Config) { c.WalkLength = 0 },
+		"walksPerNode": func(c *Config) { c.WalksPerNode = 0 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := BenchConfig()
+			mutate(&cfg)
+			before := runtime.NumGoroutine()
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+				if n := runtime.NumGoroutine(); n > before {
+					t.Fatalf("%d goroutines after the panic, %d before", n, before)
+				}
+			}()
+			Train(g, cfg)
+		})
+	}
 }
 
 func TestBadWalkParamsPanics(t *testing.T) {
@@ -201,5 +222,30 @@ func BenchmarkTrainSmall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Train(g, cfg)
+	}
+}
+
+// BenchmarkSGNSUpdate times one skip-gram update at the paper's dimension
+// with BenchConfig's 4 and DefaultConfig's 5 negatives, all targets
+// distinct or with one negative drawn twice.
+func BenchmarkSGNSUpdate(b *testing.B) {
+	const nodes = 1024
+	for _, negs := range []int{4, 5} {
+		for _, repeat := range []bool{false, true} {
+			b.Run(fmt.Sprintf("neg=%d/repeat=%v", negs, repeat), func(b *testing.B) {
+				s := NewSGNS(nodes, 32, rng.New(1))
+				buf := make([]graph.NodeID, negs)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for k := range buf {
+						buf[k] = graph.NodeID((i*7 + k*131 + 3) % nodes)
+					}
+					if repeat {
+						buf[negs-1] = buf[0]
+					}
+					s.Update(graph.NodeID(i%nodes), graph.NodeID((i*13+1)%nodes), buf, 0.001)
+				}
+			})
+		}
 	}
 }

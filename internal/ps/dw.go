@@ -50,6 +50,9 @@ type DWResult struct {
 // bulk-sequential simulation; the cluster clock is charged as if all
 // workers ran concurrently.
 func TrainDeepWalk(c *Cluster, g *graph.Graph, cfg DWConfig) DWResult {
+	if cfg.DW.WalkLength < 1 {
+		panic(fmt.Sprintf("ps: bad walk length %d", cfg.DW.WalkLength))
+	}
 	if cfg.BatchPairs <= 0 {
 		cfg.BatchPairs = 512
 	}
@@ -82,6 +85,7 @@ func TrainDeepWalk(c *Cluster, g *graph.Graph, cfg DWConfig) DWResult {
 	workerBatches := make([]float64, c.Workers)
 
 	negBuf := make([]graph.NodeID, cfg.DW.Negatives)
+	walk := make([]graph.NodeID, 0, cfg.DW.WalkLength)
 	totalWalks := n * cfg.DW.WalksPerNode
 	walkIdx := 0
 
@@ -96,23 +100,13 @@ func TrainDeepWalk(c *Cluster, g *graph.Graph, cfg DWConfig) DWResult {
 		for rep := 0; rep < cfg.DW.WalksPerNode; rep++ {
 			for start := lo; start < hi; start++ {
 				// Random walk from this worker's node.
-				walk := walkFrom(g, graph.NodeID(start), cfg.DW.WalkLength, wr)
+				walk = deepwalk.Walk(g, graph.NodeID(start), walk, wr)
 				progress := float64(walkIdx) / float64(totalWalks)
 				walkIdx++
-				lr := cfg.DW.LearningRate * (1 - progress)
-				if lr < cfg.DW.MinLR {
-					lr = cfg.DW.MinLR
-				}
+				lr := max(cfg.DW.LearningRate*(1-progress), cfg.DW.MinLR)
 				for i, center := range walk {
 					win := 1 + wr.Intn(cfg.DW.Window)
-					loJ, hiJ := i-win, i+win
-					if loJ < 0 {
-						loJ = 0
-					}
-					if hiJ >= len(walk) {
-						hiJ = len(walk) - 1
-					}
-					for j := loJ; j <= hiJ; j++ {
+					for j := max(i-win, 0); j <= min(i+win, len(walk)-1); j++ {
 						if j == i || walk[j] == center {
 							continue
 						}
@@ -176,30 +170,4 @@ func TrainDeepWalk(c *Cluster, g *graph.Graph, cfg DWConfig) DWResult {
 		out.Embeddings.Set(g.User(v), params.Syn0[v])
 	}
 	return out
-}
-
-// walkFrom produces one random walk starting at v over the undirected view.
-func walkFrom(g *graph.Graph, v graph.NodeID, length int, r *rng.RNG) []graph.NodeID {
-	if length < 1 {
-		panic(fmt.Sprintf("ps: bad walk length %d", length))
-	}
-	walk := make([]graph.NodeID, 0, length)
-	cur := v
-	walk = append(walk, cur)
-	for len(walk) < length {
-		out := g.OutNeighbors(cur)
-		in := g.InNeighbors(cur)
-		deg := len(out) + len(in)
-		if deg == 0 {
-			break
-		}
-		k := r.Intn(deg)
-		if k < len(out) {
-			cur = out[k]
-		} else {
-			cur = in[k-len(out)]
-		}
-		walk = append(walk, cur)
-	}
-	return walk
 }
