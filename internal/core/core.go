@@ -457,10 +457,11 @@ func TrainForServing(users []txn.User, ds *txn.Dataset, opts Options) (model.Cla
 	return clf, emb, threshold, nil
 }
 
-// servingMatrices is both serving trainers' preamble: it learns DeepWalk
-// beside the aggregates and the basic training features (neither reads
-// the other; the work counted is DeepWalk's walk steps), joins the embeddings on (Basic+DW) and splits the rows into
-// the fit and the validation days.
+// servingMatrices is both serving trainers' preamble. It learns DeepWalk
+// beside the aggregates and the basic training features, which it does
+// not read, counting its walk steps as the work; then it joins the
+// embeddings on (Basic+DW) and splits the rows into the fit and the
+// validation days.
 func servingMatrices(users []txn.User, ds *txn.Dataset, opts Options) (emb *Embeddings, agg *feature.Aggregates, fitM *feature.Matrix, fitL []bool, valM *feature.Matrix, valL []bool) {
 	var basic *feature.Matrix
 	par.Do(len(users)*opts.DW.WalksPerNode*opts.DW.WalkLength,

@@ -118,8 +118,9 @@ func NewSGNS(n, dim int, r *rng.RNG) *SGNS {
 }
 
 const (
-	group    = 6   // targets whose dot products share one pass
-	stackDim = 128 // largest dimension whose update sum is on the stack
+	group     = 6    // targets whose dot products share one pass
+	stackDim  = 128  // largest dimension whose update sum is on the stack
+	pairBlock = 4096 // skip-gram pairs the sampler hands over at once
 )
 
 // Update applies one positive pair (center, context) plus the given
@@ -247,11 +248,8 @@ func (t *NegativeTable) Sample(r *rng.RNG) graph.NodeID {
 	return t.table[r.Intn(len(t.table))]
 }
 
-// pairBlock is how many skip-gram pairs the sampler hands over at once.
-const pairBlock = 4096
-
-// pairs is one block of sampled skip-gram pairs: pair i trains center[i]
-// against context[i] and negs[i*k:(i+1)*k] at rate lr[i].
+// pairs is one block of sampled pairs: pair i trains center[i] against
+// context[i] and its k negatives negs[i*k:(i+1)*k] at rate lr[i].
 type pairs struct {
 	center, context, negs []graph.NodeID
 	lr                    []float32
@@ -282,7 +280,9 @@ func Train(g *graph.Graph, cfg Config) *nrl.Embeddings {
 	}
 	neg := NewNegativeTable(freq, 1<<17)
 
-	// Three blocks circulate: one filling, one training, one queued.
+	// Three blocks circulate: one filling, one training, one queued. The
+	// caller returns only once the sampler has closed full; an update of
+	// pairs drawn from g cannot panic and leave the sampler blocked.
 	full, free := make(chan *pairs, 3), make(chan *pairs, 3)
 	for range 3 {
 		free <- &pairs{}

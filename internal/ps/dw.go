@@ -50,9 +50,6 @@ type DWResult struct {
 // bulk-sequential simulation; the cluster clock is charged as if all
 // workers ran concurrently.
 func TrainDeepWalk(c *Cluster, g *graph.Graph, cfg DWConfig) DWResult {
-	if cfg.DW.WalkLength < 1 {
-		panic(fmt.Sprintf("ps: bad walk length %d", cfg.DW.WalkLength))
-	}
 	if cfg.BatchPairs <= 0 {
 		cfg.BatchPairs = 512
 	}
@@ -63,6 +60,9 @@ func TrainDeepWalk(c *Cluster, g *graph.Graph, cfg DWConfig) DWResult {
 	out := DWResult{Embeddings: nrl.NewEmbeddings(cfg.DW.Dim)}
 	if n == 0 {
 		return out
+	}
+	if cfg.DW.WalkLength < 1 {
+		panic(fmt.Sprintf("ps: bad walk length %d", cfg.DW.WalkLength))
 	}
 	r := rng.New(cfg.DW.Seed)
 	// Server tier state: the embedding matrices, sharded by node id across
