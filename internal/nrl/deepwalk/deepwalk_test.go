@@ -236,6 +236,7 @@ func BenchmarkSGNSUpdate(b *testing.B) {
 				s := NewSGNS(nodes, 32, rng.New(1))
 				buf := make([]graph.NodeID, negs)
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for k := range buf {
 						buf[k] = graph.NodeID((i*7 + k*131 + 3) % nodes)
