@@ -215,10 +215,11 @@ func runAgainstReference(t *testing.T, src source, steps, shards, buckets int, b
 
 // TestStreamMatchesReference holds the slab window to the map-ring
 // reference it replaced, bitwise, over every geometry the store is run
-// at and a few it is not.
+// at and a few it is not: 25 200-second buckets straddle midnight, and
+// 3-day ones span several days, so their records leave the home day.
 func TestStreamMatchesReference(t *testing.T) {
 	for _, buckets := range []int{1, 7, 90, 360} {
-		for _, secs := range []int64{3600, 86400, 3 * 86400} {
+		for _, secs := range []int64{3600, 25200, 86400, 3 * 86400} {
 			for _, shards := range []int{1, 8, 64} {
 				name := fmt.Sprintf("buckets=%d/secs=%d/stripes=%d", buckets, secs, shards)
 				t.Run(name, func(t *testing.T) {
@@ -228,13 +229,15 @@ func TestStreamMatchesReference(t *testing.T) {
 						steps = 30
 					}
 					st := runAgainstReference(t, rng.New(uint64(buckets)*1_000_003+uint64(secs)+uint64(shards)), steps, shards, buckets, secs)
-					// The run reached the paths it is for.
-					indexed := 0
+					// The run reached the paths it is for. Day cells are
+					// carved only for records in the overflow.
+					indexed, dayCells := 0, 0
 					for i := range st.shards {
 						indexed += len(st.shards[i].outs.idx) + len(st.shards[i].ins.idx)
+						dayCells += int(st.shards[i].days.n)
 					}
-					if st.Dropped() == 0 || indexed == 0 {
-						t.Fatalf("generator missed a path: dropped %d, indexed lists %d", st.Dropped(), indexed)
+					if st.Dropped() == 0 || indexed == 0 || dayCells == 0 {
+						t.Fatalf("generator missed a path: dropped %d, indexed lists %d, day cells %d", st.Dropped(), indexed, dayCells)
 					}
 				})
 			}
@@ -248,12 +251,13 @@ func FuzzStreamMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{1, 2, 1, 0, 87, 0, 3, 0, 91, 0, 78, 0, 80, 0, 2, 9, 9})
 	f.Add([]byte("\x02\x03\x02slab window against the map ring, bit for bit"))
+	f.Add([]byte("\x03\x04\x01buckets that straddle midnight keep exact days"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) < 3 {
 			return
 		}
 		buckets := []int{1, 2, 3, 7}[b[0]%4]
-		secs := []int64{60, 3600, 86400, 3 * 86400}[b[1]%4]
+		secs := []int64{60, 3600, 86400, 3 * 86400, 25200}[b[1]%5]
 		shards := []int{1, 2, 8}[b[2]%3]
 		src := &byteSource{b: b[3:]}
 		runAgainstReference(t, src, min(len(b)/2, 200), shards, buckets, secs)

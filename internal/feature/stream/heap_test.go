@@ -25,18 +25,10 @@ func liveHeap() (heap, scan uint64) {
 
 const mib = 1 << 20
 
-// TestWindowHeapBudget warms a default-geometry window with the benchmark
-// world's reference network (6 000 users, seed 1: 163 694 transactions)
-// and holds what it costs to counts: the live heap it adds, and how much
-// of that the collector scans. The map-ring layout took 96.8 MiB, 60.4 MiB
-// of it scannable; the first slab layout, with one 64-byte record per
-// bucket, float64 counts and int-keyed days, took 27.4 MiB; split
-// 32-byte sum and 16-byte list-head records, uint32 counts and int32 days
-// take 21.0.
-func TestWindowHeapBudget(t *testing.T) {
-	if raceEnabled || testing.Short() {
-		t.Skip("heap budget: not under -race or -short")
-	}
+// benchNetwork returns the benchmark world's reference network: 6 000
+// users, seed 1, 163 694 transactions.
+func benchNetwork(t *testing.T) []txn.Transaction {
+	t.Helper()
 	cfg := synth.DefaultConfig()
 	cfg.Users = 6000
 	cfg.Seed = 1
@@ -45,8 +37,22 @@ func TestWindowHeapBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := ds.Network
-	w, ds = nil, nil
+	return ds.Network
+}
+
+// TestWindowHeapBudget warms a default-geometry window with the benchmark
+// world's reference network and holds what it costs to counts: the live
+// heap it adds, and how much of that the collector scans. The map-ring
+// layout took 96.8 MiB, 60.4 MiB of it scannable; the first slab layout,
+// with one 64-byte record per bucket, float64 counts and int-keyed days,
+// took 27.4 MiB; split 32-byte sum and 16-byte list-head records, uint32
+// counts and int32 days took 21.0; implicit day sets, 8-byte list-head
+// records and chunked record slabs take 15.3.
+func TestWindowHeapBudget(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("heap budget: not under -race or -short")
+	}
+	net := benchNetwork(t)
 	heap0, scan0 := liveHeap()
 	st := New(WithCities(128))
 	st.IngestBatch(net)
@@ -55,26 +61,57 @@ func TestWindowHeapBudget(t *testing.T) {
 	runtime.KeepAlive(st)
 	heap, scan := float64(int64(heap1-heap0))/mib, float64(int64(scan1-scan0))/mib
 	t.Logf("%d transactions: live heap +%.1f MiB, scannable +%.2f MiB", len(net), heap, scan)
-	if heap > 24 {
-		t.Errorf("window holds %.1f MiB of live heap, budget 24", heap)
+	if heap > 16.5 {
+		t.Errorf("window holds %.1f MiB of live heap, budget 16.5", heap)
 	}
 	if scan > 1 {
 		t.Errorf("collector scans %.2f MiB of the window, budget 1", scan)
 	}
 }
 
+// TestBenchWindowStaysImplicit: every bucket of the benchmark world's
+// default-geometry window saw only its home day, so no record goes to
+// the overflow and no day cell is carved; and the chunked record slabs
+// leave under 3 % of their slots empty.
+func TestBenchWindowStaysImplicit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("composes the benchmark world: not under -short")
+	}
+	st := New(WithCities(128))
+	st.IngestBatch(benchNetwork(t))
+	var records, slots, spilt, dayCells int
+	for i := range st.shards {
+		sh := &st.shards[i]
+		records += int(sh.bkts.n) - len(sh.freeBkts)
+		slots += len(sh.bkts.chunks) * recordChunk
+		spilt += len(sh.over)
+		dayCells += int(sh.days.n)
+	}
+	empty := 1 - float64(records)/float64(slots)
+	t.Logf("%d records in %d slots (%.1f %% empty), %d in the overflow, %d day cells", records, slots, 100*empty, spilt, dayCells)
+	if spilt != 0 || dayCells != 0 {
+		t.Errorf("%d records in the overflow, %d day cells carved; want none", spilt, dayCells)
+	}
+	if empty > 0.03 {
+		t.Errorf("%.1f %% of the record slots are empty, want under 3 %%", 100*empty)
+	}
+}
+
 // TestRecordLayout pins the sizes the heap budget rests on: two sum
-// records to a cache line, the list heads beside them, and 12-byte
-// receiver and 8-byte day cells.
+// records to a cache line, 8-byte list heads beside them, 12-byte
+// receiver and 8-byte day cells, and chunks small enough to stay stack
+// variables in slab.at (under 64 KiB).
 func TestRecordLayout(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
 		{"bucket", unsafe.Sizeof(bucket{}), 32},
-		{"lists", unsafe.Sizeof(lists{}), 16},
+		{"lists", unsafe.Sizeof(lists{}), 8},
 		{"receiver cell", unsafe.Sizeof(cell[txn.UserID, uint32]{}), 12},
 		{"day cell", unsafe.Sizeof(cell[int32, struct{}]{}), 8},
+		{"record chunk", unsafe.Sizeof([recordChunk]bucket{}), 4096},
+		{"receiver chunk", unsafe.Sizeof([cellChunk]cell[txn.UserID, uint32]{}), 6144},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)

@@ -73,7 +73,7 @@ func (s *Store) WriteState(w io.Writer) error {
 		bw.u32(uint32(len(ids)))
 		for _, u := range ids {
 			bw.u32(uint32(u))
-			sc.writeWindow(bw, sh, sh.ring(sh.users[u], s.buckets), low)
+			sc.writeWindow(bw, s, sh, sh.ring(sh.users[u], s.buckets), low)
 		}
 		sh.mu.RUnlock()
 	}
@@ -99,32 +99,32 @@ func (s *Store) WriteState(w io.Writer) error {
 	return bw.w.Flush()
 }
 
-// sortSpace is WriteState's reusable sort space.
+// sortSpace is WriteState's and RestoreState's reusable space.
 type sortSpace struct {
 	cells []int32
 	users []txn.UserID
-	days  []int32
+	days  [2][]int32 // out, in
 }
 
-func (sc *sortSpace) writeWindow(bw *binWriter, sh *shard, ring []int32, low int64) {
+func (sc *sortSpace) writeWindow(bw *binWriter, s *Store, sh *shard, ring []int32, low int64) {
 	live := 0
 	for _, r := range ring {
-		if r >= 0 && sh.bkts[r].seq >= low {
+		if r >= 0 && sh.bkts.at(r).seq >= low {
 			live++
 		}
 	}
 	bw.u32(uint32(live))
 	for slot, r := range ring {
-		if r < 0 || sh.bkts[r].seq < low {
+		if r < 0 || sh.bkts.at(r).seq < low {
 			continue
 		}
-		b, l := &sh.bkts[r], &sh.lsts[r]
+		b, l := sh.bkts.at(r), sh.lsts.at(r)
 		bw.u32(uint32(slot))
 		bw.i64(b.seq)
-		bw.f64(float64(b.outCount))
-		bw.f64(float64(b.inCount))
-		bw.f64(b.outAmount)
-		bw.f64(b.inAmount)
+		bw.f64(float64(b.count[0]))
+		bw.f64(float64(b.count[1]))
+		bw.f64(b.amount[0])
+		bw.f64(b.amount[1])
 		sc.cells = sc.cells[:0]
 		for c := sh.outs.first(l.outPeers); c >= 0; c = sh.outs.at(c).next {
 			sc.cells = append(sc.cells, c)
@@ -141,11 +141,12 @@ func (sc *sortSpace) writeWindow(bw *binWriter, sh *shard, ring []int32, low int
 		for _, p := range sc.users {
 			bw.u32(uint32(p))
 		}
-		for _, h := range [2]int32{l.outDays, l.inDays} {
-			sc.days = sh.days.appendKeys(sc.days[:0], h)
-			slices.Sort(sc.days)
-			bw.u32(uint32(len(sc.days)))
-			for _, d := range sc.days {
+		sc.days = [2][]int32{sc.days[0][:0], sc.days[1][:0]}
+		sh.appendDays(&sc.days, r, s.home(b.seq))
+		for _, ds := range sc.days {
+			slices.Sort(ds)
+			bw.u32(uint32(len(ds)))
+			for _, d := range ds {
 				bw.u32(uint32(d))
 			}
 		}
@@ -181,10 +182,11 @@ func (s *Store) RestoreState(r io.Reader) error {
 	s.pendingJump = br.i64()
 	s.pendingKey = br.u64()
 
+	var sc sortSpace
 	for i := range s.shards {
 		n := br.u32()
 		for j := uint32(0); j < n && br.err == nil; j++ {
-			if err := s.readWindow(br, uint64(i)); err != nil {
+			if err := sc.readWindow(br, s, uint64(i)); err != nil {
 				return err
 			}
 		}
@@ -227,7 +229,7 @@ func (s *Store) RestoreState(r io.Reader) error {
 // readWindow restores one user's ring into stripe i. Counts are trusted
 // only as far as the bytes behind them: nothing is sized by one, and a
 // loop stops at the first failed read.
-func (s *Store) readWindow(br *binReader, i uint64) error {
+func (sc *sortSpace) readWindow(br *binReader, s *Store, i uint64) error {
 	u := txn.UserID(br.u32())
 	live := br.u32()
 	if br.err != nil {
@@ -252,11 +254,10 @@ func (s *Store) readWindow(br *binReader, i uint64) error {
 		if seq < 0 || uint64(seq)%uint64(s.buckets) != uint64(slot) || ring[slot] >= 0 {
 			return fmt.Errorf("stream: restore: slot %d cannot hold sequence %d", slot, seq)
 		}
-		b, l := sh.slot(u, seq, s.buckets)
-		b.outCount = br.count()
-		b.inCount = br.count()
-		b.outAmount = br.f64()
-		b.inAmount = br.f64()
+		r := sh.slot(u, seq, s.buckets)
+		b, l := sh.bkts.at(r), sh.lsts.at(r)
+		b.count = [2]uint32{br.count(), br.count()}
+		b.amount = [2]float64{br.f64(), br.f64()}
 		for n := br.u32(); n > 0 && br.err == nil; n-- {
 			c, _ := sh.outs.add(&l.outPeers, txn.UserID(br.u32()))
 			sh.outs.at(c).v = br.count()
@@ -264,16 +265,35 @@ func (s *Store) readWindow(br *binReader, i uint64) error {
 		for n := br.u32(); n > 0 && br.err == nil; n-- {
 			sh.ins.add(&l.inPeers, txn.UserID(br.u32()))
 		}
-		for _, h := range [2]*int32{&l.outDays, &l.inDays} {
+		for side := range sc.days {
+			sc.days[side] = sc.days[side][:0]
 			for n := br.u32(); n > 0 && br.err == nil; n-- {
-				sh.days.add(h, int32(br.u32()))
+				sc.days[side] = append(sc.days[side], int32(br.u32()))
 			}
 		}
 		if br.err != nil {
 			return fmt.Errorf("stream: restore window: %w", br.err)
 		}
+		sh.restoreDays(r, s.home(seq), &sc.days)
 	}
 	return nil
+}
+
+// restoreDays gives record r, its counts set, the day sets ds: implicit
+// if its counts and home day imply them, else in the overflow.
+func (sh *shard) restoreDays(r, home int32, ds *[2][]int32) {
+	for side, n := range sh.bkts.at(r).count {
+		if (n > 0) != (len(ds[side]) > 0) || slices.ContainsFunc(ds[side], func(d int32) bool { return d != home }) {
+			d := [2]int32{-1, -1}
+			for s := range d {
+				for _, day := range ds[s] {
+					sh.days.add(&d[s], day)
+				}
+			}
+			sh.over[r] = d
+			return
+		}
+	}
 }
 
 func b2u(b bool) uint8 {

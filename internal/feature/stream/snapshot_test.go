@@ -251,8 +251,9 @@ func TestSnapshotRoundTripBytes(t *testing.T) {
 // craft writes a one-stripe, two-bucket, two-city snapshot holding one
 // user with one bucket, letting a test corrupt the slot, the sequence,
 // the user and receiver counts, and the three transfer counts: the
-// bucket's out and in counts and its one receiver's.
-func craft(users, slot uint32, seq int64, receivers uint32, count float64) []byte {
+// bucket's out and in counts and its one receiver's. days, if given, are
+// the bucket's out and in day lists; by default both are empty.
+func craft(users, slot uint32, seq int64, receivers uint32, count float64, days ...[]uint32) []byte {
 	var buf bytes.Buffer
 	bw := &binWriter{w: bufio.NewWriter(&buf)}
 	bw.u32(snapMagic)
@@ -278,8 +279,13 @@ func craft(users, slot uint32, seq int64, receivers uint32, count float64) []byt
 	bw.u32(receivers)
 	bw.u32(8)
 	bw.f64(count)
-	for range 3 { // senders, out days, in days
-		bw.u32(0)
+	bw.u32(0) // senders
+	days = append(days, nil, nil)
+	for _, ds := range days[:2] {
+		bw.u32(uint32(len(ds)))
+		for _, d := range ds {
+			bw.u32(d)
+		}
 	}
 	bw.u8(1)
 	bw.i64(5)
@@ -398,6 +404,9 @@ func FuzzRestoreState(f *testing.F) {
 	f.Add(craft(1, 1, 5, 1, 0.5))
 	f.Add(craft(1, 1, 5, 1, 1<<32))
 	f.Add(craft(1, 1, 5, 1, math.MaxUint32))
+	for _, c := range exactDays {
+		f.Add(c.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, s := range []*Store{craftStore(), goldenStore()} {
 			if s.RestoreState(bytes.NewReader(data)) != nil {
@@ -413,4 +422,47 @@ func FuzzRestoreState(f *testing.F) {
 			}
 		}
 	})
+}
+
+// exactDays are snapshots whose day sets are not the ones their bucket's
+// counts and home day imply (bucket 5 of 3600 s starts on day 0), with
+// the distinct out and in days each holds: a day list off the home day,
+// a count with no day, a day with no count, and sequences whose home day
+// is past int32 or whose seq·bucketSecs is past int64.
+var exactDays = []struct {
+	name    string
+	data    []byte
+	out, in float64
+}{
+	{"off home", craft(1, 1, 5, 1, 1, []uint32{3}, []uint32{0, 9}), 1, 2},
+	{"count, no day", craft(1, 1, 5, 1, 1, nil, []uint32{0}), 0, 1},
+	{"day, no count", craft(1, 1, 5, 1, 0, []uint32{0}), 1, 0},
+	{"home past int32", craft(1, 0, 1<<40, 1, 1, []uint32{0}, []uint32{1 << 31}), 1, 1},
+	{"home past int64", craft(1, 1, math.MaxInt64, 1, 1, []uint32{1 << 31}, []uint32{7}), 1, 1},
+	{"no day, home past int64", craft(1, 1, math.MaxInt64, 1, 1), 0, 0},
+}
+
+// TestRestoreExactDays: each exactDays snapshot restores to reads that
+// count its days and writes back the same bytes, and a snapshot of home
+// days alone restores without the overflow.
+func TestRestoreExactDays(t *testing.T) {
+	for _, c := range exactDays {
+		s := craftStore()
+		if err := s.RestoreState(bytes.NewReader(c.data)); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if st := s.Stats(7); st.OutDays != c.out || st.InDays != c.in {
+			t.Errorf("%s: %v out days, %v in days; want %v, %v", c.name, st.OutDays, st.InDays, c.out, c.in)
+		}
+		if !bytes.Equal(snapshot(t, s), c.data) {
+			t.Errorf("%s: the restored window writes other bytes", c.name)
+		}
+	}
+	s := craftStore()
+	if err := s.RestoreState(bytes.NewReader(craft(1, 1, 5, 1, 1, []uint32{0}, []uint32{0}))); err != nil {
+		t.Fatal(err)
+	}
+	if sh := &s.shards[0]; len(sh.over) != 0 || sh.days.n != 0 {
+		t.Errorf("home days restored into the overflow: %d records, %d day cells", len(sh.over), sh.days.n)
+	}
 }

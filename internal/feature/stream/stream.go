@@ -11,11 +11,11 @@
 // that gap for the aggregate fragment: Ingest is O(1) (two shard-striped
 // ring-bucket updates plus one city-table update), reads are O(buckets),
 // and a resident user costs one int32 per ring slot, a 32-byte sum record
-// and a 16-byte record of list heads per bucket it has written, and one
-// list cell per distinct counterparty and active day in each — the
-// minimum any exact distinct count requires. All of it lives in
-// per-stripe slabs addressed by int32 index, with no pointers in them, so
-// the garbage collector never scans the window.
+// and an 8-byte record of list heads per bucket it has written, and one
+// list cell per distinct counterparty in each, and per active day only in
+// a bucket that saw a day other than the one it starts on. All of it
+// lives in per-stripe chunked slabs addressed by int32 index, with no
+// pointers in them, so the garbage collector never scans the window.
 //
 // Window semantics: time is bucketed into fixed-width buckets of
 // bucketSeconds; the window covers the most recent Buckets buckets ending
@@ -167,6 +167,7 @@ func New(opts ...Option) *Store {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.users = make(map[txn.UserID]int32)
+		sh.over = make(map[int32][2]int32)
 		sh.outs.free, sh.ins.free, sh.days.free = -1, -1, -1
 	}
 	s.city.init(cfg.cities, cfg.buckets)
@@ -191,14 +192,17 @@ func (s *Store) Ingested() int64 { return s.ingested.Load() }
 func (s *Store) Dropped() int64 { return s.dropped.Load() }
 
 // shard is one lock stripe and the slabs of the users it owns. Every slab
-// is a slice of pointer-free records addressed by int32 index: a resident
-// user is a row (its id, the newest sequence it wrote, and a ring of
-// Buckets slot entries naming its bucket records), a bucket record is a
-// sum record in bkts and, at the same index, the heads of its four lists
-// in lsts, and a list is cells in an arena. Rows, records and cells
-// are recycled through free lists when a ring slot rotates or a user is
-// evicted, so a long-lived store's slabs track its active set. A stripe
-// spans several cache lines, so adjacent stripes' mutexes never share one.
+// holds pointer-free records addressed by int32 index: a resident user is
+// a row (its id, the newest sequence it wrote, and a ring of Buckets slot
+// entries naming its bucket records), a bucket record is a sum record in
+// bkts and, at the same index, the heads of its peer lists in lsts, and a
+// list is cells in an arena. Rows, records and cells are recycled through
+// free lists when a ring slot rotates or a user is evicted, so a
+// long-lived store's slabs track its active set. A stripe spans several
+// cache lines, so adjacent stripes' mutexes never share one. A record's
+// day set on a side is its home day if the side has a count, else empty,
+// unless the record saw another day or was restored with other day sets:
+// then over holds both its sets exactly until it is recycled.
 type shard struct {
 	mu    sync.RWMutex
 	users map[txn.UserID]int32 // resident user -> row
@@ -209,13 +213,14 @@ type shard struct {
 	freeRows []int32
 	hand     int32 // the row the next eviction probe looks at
 
-	bkts     []bucket
-	lsts     []lists // record -> its list heads, beside bkts
+	bkts     slab[bucket, [recordChunk]bucket]
+	lsts     slab[lists, [recordChunk]lists] // record -> its peer list heads, beside bkts
 	freeBkts []int32
 
 	outs cells[txn.UserID, uint32]   // receiver -> transfer count
 	ins  cells[txn.UserID, struct{}] // distinct senders
-	days cells[int32, struct{}]      // distinct active days, either side
+	over map[int32][2]int32          // record -> out and in day lists in days
+	days cells[int32, struct{}]
 }
 
 // freeRow is a free row's newest sequence: later than any window, so the
@@ -226,18 +231,15 @@ const freeRow = math.MaxInt64
 // bucket sequence the record holds. A record whose seq has fallen out of
 // the window is skipped by readers and recycled by the next write to its
 // ring slot. Two records share a cache line, and Velocity reads nothing
-// else. Counts saturate at math.MaxUint32 rather than wrap.
+// else. Sums are out, in; counts saturate at math.MaxUint32, not wrap.
 type bucket struct {
-	seq                 int64
-	outAmount, inAmount float64
-	outCount, inCount   uint32
+	seq    int64
+	amount [2]float64
+	count  [2]uint32
 }
 
-// lists heads the bucket record's four lists (-1: empty).
-type lists struct {
-	outPeers, inPeers int32 // in outs, ins
-	outDays, inDays   int32 // in days
-}
+// lists heads the bucket record's peer lists in outs and ins (-1: empty).
+type lists struct{ outPeers, inPeers int32 }
 
 // inc adds one to a count, saturating: a wrapped count would show a hot
 // sender as quiet.
@@ -260,6 +262,17 @@ func (s *Store) seqOf(day txn.Day, sec int32) int64 {
 	return (int64(day)*86400 + int64(sec)) / s.bucketSecs
 }
 
+// home is the day sequence seq >= 0 starts on, seq·bucketSecs/86400 in
+// 128 bits, or MinInt32 past int32. Any value would keep the day sets
+// exact; it only decides which records go to the overflow.
+func (s *Store) home(seq int64) int32 {
+	hi, lo := bits.Mul64(uint64(seq), uint64(s.bucketSecs))
+	if d := lo / 86400; hi == 0 && d <= math.MaxInt32 {
+		return int32(d)
+	}
+	return math.MinInt32
+}
+
 // ring returns row's n ring slots.
 func (sh *shard) ring(row int32, n int) []int32 {
 	return sh.rings[int(row)*n : int(row+1)*n]
@@ -267,8 +280,8 @@ func (sh *shard) ring(row int32, n int) []int32 {
 
 // slot returns u's bucket record for seq, making u resident and recycling
 // the ring slot if it holds an older sequence. Callers hold the write
-// lock; the record stays valid until the next slot call.
-func (sh *shard) slot(u txn.UserID, seq int64, n int) (*bucket, *lists) {
+// lock.
+func (sh *shard) slot(u txn.UserID, seq int64, n int) int32 {
 	row, ok := sh.users[u]
 	if !ok {
 		row = sh.admit(u, n)
@@ -279,18 +292,17 @@ func (sh *shard) slot(u txn.UserID, seq int64, n int) (*bucket, *lists) {
 		if k := len(sh.freeBkts); k > 0 {
 			*r, sh.freeBkts = sh.freeBkts[k-1], sh.freeBkts[:k-1]
 		} else {
-			*r = int32(len(sh.bkts))
-			sh.bkts = append(sh.bkts, bucket{})
-			sh.lsts = append(sh.lsts, lists{})
+			*r = sh.bkts.grow()
+			sh.lsts.grow()
 		}
-	} else if sh.bkts[*r].seq == seq {
-		return &sh.bkts[*r], &sh.lsts[*r]
+	} else if sh.bkts.at(*r).seq == seq {
+		return *r
 	} else {
 		sh.dropLists(*r)
 	}
-	sh.bkts[*r] = bucket{seq: seq}
-	sh.lsts[*r] = lists{-1, -1, -1, -1}
-	return &sh.bkts[*r], &sh.lsts[*r]
+	*sh.bkts.at(*r) = bucket{seq: seq}
+	*sh.lsts.at(*r) = lists{-1, -1}
+	return *r
 }
 
 // admit gives u a row with an empty ring.
@@ -313,33 +325,54 @@ func (sh *shard) admit(u txn.UserID, n int) int32 {
 }
 
 func (sh *shard) dropLists(r int32) {
-	l := &sh.lsts[r]
+	l := sh.lsts.at(r)
 	sh.outs.drop(l.outPeers)
 	sh.ins.drop(l.inPeers)
-	sh.days.drop(l.outDays)
-	sh.days.drop(l.inDays)
+	if d, ok := sh.over[r]; ok {
+		sh.days.drop(d[0])
+		sh.days.drop(d[1])
+		delete(sh.over, r)
+	}
 }
 
-// applyOut applies t's sender half to the sender's bucket for seq: the
-// out-side sums, the receiver's transfer count and the active day.
-// Callers hold sh's write lock.
-func (sh *shard) applyOut(t *txn.Transaction, seq int64, n int) {
-	b, l := sh.slot(t.From, seq, n)
-	inc(&b.outCount)
-	b.outAmount += float64(t.Amount)
-	c, _ := sh.outs.add(&l.outPeers, t.To)
-	inc(&sh.outs.at(c).v)
-	sh.days.add(&l.outDays, int32(t.Day))
+// apply applies side 0 (the sender's half) or 1 (the receiver's) of t to
+// that user's bucket for seq: the sums, the active day, and the
+// receiver's transfer count or the sender. Callers hold sh's write lock.
+func (sh *shard) apply(t *txn.Transaction, side int, seq int64, n int, home int32) {
+	r := sh.slot([2]txn.UserID{t.From, t.To}[side], seq, n)
+	b, l := sh.bkts.at(r), sh.lsts.at(r)
+	if d, ok := sh.over[r]; ok || int32(t.Day) != home {
+		if !ok { // the first day off home: both sets go to the overflow
+			d = [2]int32{-1, -1}
+			for s, c := range b.count {
+				if c > 0 {
+					sh.days.add(&d[s], home)
+				}
+			}
+		}
+		sh.days.add(&d[side], int32(t.Day))
+		sh.over[r] = d
+	}
+	inc(&b.count[side])
+	b.amount[side] += float64(t.Amount)
+	if side == 0 {
+		c, _ := sh.outs.add(&l.outPeers, t.To)
+		inc(&sh.outs.at(c).v)
+	} else {
+		sh.ins.add(&l.inPeers, t.From)
+	}
 }
 
-// applyIn applies t's receiver half to the receiver's bucket for seq.
-// Callers hold sh's write lock.
-func (sh *shard) applyIn(t *txn.Transaction, seq int64, n int) {
-	b, l := sh.slot(t.To, seq, n)
-	inc(&b.inCount)
-	b.inAmount += float64(t.Amount)
-	sh.ins.add(&l.inPeers, t.From)
-	sh.days.add(&l.inDays, int32(t.Day))
+// appendDays appends record r's out and in day sets to ds.
+func (sh *shard) appendDays(ds *[2][]int32, r, home int32) {
+	d, spilt := sh.over[r]
+	for side, n := range sh.bkts.at(r).count {
+		if spilt {
+			ds[side] = sh.days.appendKeys(ds[side], d[side])
+		} else if n > 0 {
+			ds[side] = append(ds[side], home)
+		}
+	}
 }
 
 // List arenas. A list is a chain of cells, newest first, each a key and a
@@ -349,11 +382,42 @@ func (sh *shard) applyIn(t *txn.Transaction, seq int64, n int) {
 // then names the index (flag indexed) instead of a cell, so upserting
 // into the bucket of a sender paying thousands of receivers stays O(1).
 const (
-	chainMax  = 8
-	indexed   = 1 << 30 // head flag; cell indexes stay below it
-	chunkBits = 9
-	chunkLen  = 1 << chunkBits
+	chainMax    = 8
+	indexed     = 1 << 30 // head flag; cell indexes stay below it
+	recordChunk = 128
+	cellChunk   = 512
 )
+
+// slab is a stripe's array of records or cells, grown a chunk of type C
+// at a time, so growing never copies what it holds. Records come in short
+// chunks, so a stripe's last, part-filled one wastes little; cells in long
+// ones, so the cells a list walk hops between lie on fewer pages.
+type slab[T any, C [recordChunk]T | [cellChunk]T] struct {
+	chunks []*C
+	n      int32 // elements carved from chunks
+}
+
+// at returns element i. C's length is a constant in each instantiation,
+// so the division and remainder compile to a shift and a mask, and c,
+// a stack variable while C stays under 64 KiB, compiles to nothing.
+func (s *slab[T, C]) at(i int32) *T {
+	var c C
+	k := uint32(len(c))
+	return &(*s.chunks[uint32(i)/k])[uint32(i)%k]
+}
+
+// grow carves one more element and returns its index.
+func (s *slab[T, C]) grow() int32 {
+	var c C
+	if s.n%int32(len(c)) == 0 {
+		if s.n >= indexed {
+			panic("stream: slab exhausted")
+		}
+		s.chunks = append(s.chunks, new(C))
+	}
+	s.n++
+	return s.n - 1
+}
 
 type cell[K txn.UserID | int32, V any] struct {
 	v    V // first: a zero-size V then adds no padding
@@ -361,15 +425,13 @@ type cell[K txn.UserID | int32, V any] struct {
 	next int32
 }
 
-// cells is one stripe's arena of list cells. It grows a chunk at a time,
-// so growing never copies the cells it has, and reuses the cells of
-// dropped lists. Those stay whole, so dropping one is O(1): free is the
-// first cell of the last list dropped (-1: none), and the first cell of
-// each dropped list keeps, in its key, the first cell of the one dropped
+// cells is one stripe's arena of list cells, reusing the cells of dropped
+// lists. Those stay whole, so dropping one is O(1): free is the first
+// cell of the last list dropped (-1: none), and the first cell of each
+// dropped list keeps, in its key, the first cell of the one dropped
 // before it.
 type cells[K txn.UserID | int32, V any] struct {
-	chunks  []*[chunkLen]cell[K, V]
-	n       int32 // cells carved from chunks
+	slab[cell[K, V], [cellChunk]cell[K, V]]
 	free    int32
 	idx     []index
 	freeIdx []int32
@@ -384,10 +446,6 @@ type index struct {
 	slots   []int32
 }
 
-func (c *cells[K, V]) at(i int32) *cell[K, V] {
-	return &c.chunks[i>>chunkBits][i&(chunkLen-1)]
-}
-
 func (c *cells[K, V]) alloc(k K, next int32) int32 {
 	i := c.free
 	if i >= 0 {
@@ -398,14 +456,7 @@ func (c *cells[K, V]) alloc(k K, next int32) int32 {
 			c.free = int32(top.k)
 		}
 	} else {
-		if c.n&(chunkLen-1) == 0 {
-			if c.n >= indexed {
-				panic("stream: list arena exhausted")
-			}
-			c.chunks = append(c.chunks, new([chunkLen]cell[K, V]))
-		}
-		i = c.n
-		c.n++
+		i = c.grow()
 	}
 	*c.at(i) = cell[K, V]{k: k, next: next}
 	return i
@@ -622,8 +673,9 @@ func (s *Store) Ingest(t *txn.Transaction) {
 		s.dropped.Add(1)
 		return
 	}
-	shFrom.applyOut(t, seq, s.buckets)
-	shTo.applyIn(t, seq, s.buckets)
+	home := s.home(seq)
+	shFrom.apply(t, 0, seq, s.buckets, home)
+	shTo.apply(t, 1, seq, s.buckets, home)
 	// Piggyback an eviction probe on each write lock already held — as
 	// many as the users this ingest may have admitted — so memory tracks
 	// the active user set, not the all-time one.
@@ -702,25 +754,27 @@ func (s *Store) Stats(u txn.UserID) feature.UserStats {
 	}
 	var st feature.UserStats
 	var rcv, snd []txn.UserID
-	var outD, inD []int32
+	var days [2][]int32 // out, in
 	for _, r := range sh.ring(row, s.buckets) {
-		if r < 0 || sh.bkts[r].seq < low {
+		if r < 0 {
 			continue
 		}
-		b, l := &sh.bkts[r], &sh.lsts[r]
-		st.OutCount += float64(b.outCount)
-		st.InCount += float64(b.inCount)
-		st.OutAmount += b.outAmount
-		st.InAmount += b.inAmount
+		b, l := sh.bkts.at(r), sh.lsts.at(r)
+		if b.seq < low {
+			continue
+		}
+		st.OutCount += float64(b.count[0])
+		st.InCount += float64(b.count[1])
+		st.OutAmount += b.amount[0]
+		st.InAmount += b.amount[1]
 		rcv = sh.outs.appendKeys(rcv, l.outPeers)
 		snd = sh.ins.appendKeys(snd, l.inPeers)
-		outD = sh.days.appendKeys(outD, l.outDays)
-		inD = sh.days.appendKeys(inD, l.inDays)
+		sh.appendDays(&days, r, s.home(b.seq))
 	}
 	st.DistinctRcv = distinct(rcv)
 	st.DistinctSnd = distinct(snd)
-	st.OutDays = distinct(outD)
-	st.InDays = distinct(inD)
+	st.OutDays = distinct(days[0])
+	st.InDays = distinct(days[1])
 	return st
 }
 
@@ -739,18 +793,25 @@ func (s *Store) Velocity(u txn.UserID) (outCount, outAmount, inCount, inAmount f
 	if !ok {
 		return 0, 0, 0, 0
 	}
+	// The slab header and the sums are locals: the shard's fields share
+	// cache lines an ingest writes, and named results live in memory
+	// under the defer.
 	bkts := sh.bkts
+	var oc, oa, ic, ia float64
 	for _, r := range sh.ring(row, s.buckets) {
-		if r < 0 || bkts[r].seq < low {
+		if r < 0 {
 			continue
 		}
-		b := &bkts[r]
-		outCount += float64(b.outCount)
-		outAmount += b.outAmount
-		inCount += float64(b.inCount)
-		inAmount += b.inAmount
+		b := bkts.at(r) // once: the compiler does not merge two
+		if b.seq < low {
+			continue
+		}
+		oc += float64(b.count[0])
+		oa += b.amount[0]
+		ic += float64(b.count[1])
+		ia += b.amount[1]
 	}
-	return outCount, outAmount, inCount, inAmount
+	return oc, oa, ic, ia
 }
 
 // PairPrior returns how many times from transferred to to inside the live
@@ -766,10 +827,10 @@ func (s *Store) PairPrior(from, to txn.UserID) float64 {
 	}
 	var n float64
 	for _, r := range sh.ring(row, s.buckets) {
-		if r < 0 || sh.bkts[r].seq < low {
+		if r < 0 || sh.bkts.at(r).seq < low {
 			continue
 		}
-		h := sh.lsts[r].outPeers
+		h := sh.lsts.at(r).outPeers
 		if h >= indexed {
 			h, _ = sh.outs.find(h, to)
 		}

@@ -1,10 +1,13 @@
 package hbase
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 
 	"titant/internal/logio"
 )
@@ -41,17 +44,9 @@ const segMagic = 0x48464C45 // "HFLE"
 // comparison; the order is the concatenated key's, because validateName
 // keeps the \x00 separator — the smallest byte — out of every name.
 func sortCells(cells []Cell) {
-	sort.SliceStable(cells, func(i, j int) bool {
-		a, b := &cells[i], &cells[j]
-		switch {
-		case a.Row != b.Row:
-			return a.Row < b.Row
-		case a.Family != b.Family:
-			return a.Family < b.Family
-		case a.Qualifier != b.Qualifier:
-			return a.Qualifier < b.Qualifier
-		}
-		return a.Timestamp > b.Timestamp
+	slices.SortStableFunc(cells, func(a, b Cell) int {
+		return cmp.Or(strings.Compare(a.Row, b.Row), strings.Compare(a.Family, b.Family),
+			strings.Compare(a.Qualifier, b.Qualifier), cmp.Compare(b.Timestamp, a.Timestamp))
 	})
 }
 

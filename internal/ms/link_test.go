@@ -474,3 +474,46 @@ func TestWireBufReleaseClears(t *testing.T) {
 		t.Fatalf("released buffer still holds %+v %+v %+v", vs[0], ds[0], ms[0])
 	}
 }
+
+// TestCloseLeavesNoGoroutines: an engine with every background part Close
+// stops — an event log, a shadow challenger's worker and a router link it
+// serves — leaves no goroutine behind once Close returns and its client
+// side is shut, a second Close is a no-op, and logged ingest then fails.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, err := New(table(t), trainToy(t, 0), WithStreamAggregates(stream.New(stream.WithCities(2))),
+		WithShadow(trainToy(t, 0)), WithEventLog(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	lk := link.New(nil, []string{hs.URL})
+	post := linkWire(t, lk)
+	if code, raw := post(link.Route("POST", "/v1/ingest"), link.Header{}, `{"id":1,"from":1,"to":2,"amount":5}`); code != http.StatusOK {
+		t.Fatalf("ingest over the link: %d %s", code, raw)
+	}
+	if code, raw := post(link.Route("POST", "/v1/score/batch"), link.Header{}, `{"transactions":[{"id":2,"from":1,"to":2,"amount":5}]}`); code != http.StatusOK {
+		t.Fatalf("score over the link: %d %s", code, raw)
+	}
+	if n := srv.Stats().LinkConns; n != 1 {
+		t.Fatalf("%d live links, want 1", n)
+	}
+
+	srv.Close()
+	if n := srv.Stats().LinkConns; n != 0 {
+		t.Errorf("%d links live after Close", n)
+	}
+	srv.Close()
+	tx := txn.Transaction{ID: 3, From: 1, To: 2, Amount: 5}
+	if err := srv.Ingest(&tx); err == nil {
+		t.Error("logged ingest after Close succeeded")
+	}
+	lk.Close()
+	hs.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, %d before the engine:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}

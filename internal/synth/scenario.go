@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 
 	"titant/internal/rng"
 	"titant/internal/txn"
@@ -176,12 +175,7 @@ func Compose(cfg Config, mix ScenarioMix) (*World, *Manifest) {
 		id++
 	}
 	// Re-establish the stream order invariant the slicer depends on.
-	sort.SliceStable(w.Log, func(i, j int) bool {
-		if w.Log[i].Day != w.Log[j].Day {
-			return w.Log[i].Day < w.Log[j].Day
-		}
-		return w.Log[i].Sec < w.Log[j].Sec
-	})
+	sortLog(w.Log)
 	return w, man
 }
 

@@ -20,9 +20,10 @@
 package synth
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"titant/internal/rng"
 	"titant/internal/txn"
@@ -628,11 +629,14 @@ func (w *World) genLog(r *rng.RNG) {
 	}
 	// The log is generated day-ordered already; sort within days by second
 	// for a realistic stream and deterministic order.
-	sort.SliceStable(w.Log, func(i, j int) bool {
-		if w.Log[i].Day != w.Log[j].Day {
-			return w.Log[i].Day < w.Log[j].Day
-		}
-		return w.Log[i].Sec < w.Log[j].Sec
+	sortLog(w.Log)
+}
+
+// sortLog orders a log by (day, second), keeping ties in place: the
+// stream order the slicer depends on.
+func sortLog(log []txn.Transaction) {
+	slices.SortStableFunc(log, func(a, b txn.Transaction) int {
+		return cmp.Or(cmp.Compare(a.Day, b.Day), cmp.Compare(a.Sec, b.Sec))
 	})
 }
 
