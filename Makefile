@@ -11,11 +11,13 @@ test: bench-build
 # tier1-stress is the gate that catches what a lucky schedule hides: the
 # tier-1 suite ten times at GOMAXPROCS=2 beside a process spinning one
 # core, then the link and router transport tests — the golden cases with
-# every released answer poisoned among them — the engine's worker pool
-# contract, the wire answers' pooled results and the engine's Close (no
-# goroutine of its log, shadow worker or served links left) twenty times
-# under the race detector, then the wire-tier chaos test twenty times,
-# whose faults sit on the router's call seam.
+# every released answer poisoned among them, and the trace through
+# retries, hedge legs, every batch scatter leg and every replicated swap,
+# whose scatter shares one pooled record across its goroutines — the
+# engine's worker pool contract, the wire answers' pooled results and the
+# engine's Close (no goroutine of its log, shadow worker or served links
+# left) twenty times under the race detector, then the wire-tier chaos
+# test twenty times, whose faults sit on the router's call seam.
 # One failure or hang fails the target.
 tier1-stress:
 	@set -e; \
@@ -25,7 +27,7 @@ tier1-stress:
 	    echo "=== tier-1 run $$i/10 (GOMAXPROCS=2, one core busy) ==="; \
 	    GOMAXPROCS=2 go test -count=1 -timeout 120s ./...; \
 	  done
-	go test -race -count=20 -timeout 600s ./internal/link/ ./internal/router/ -run 'Link|Multiplex|Restart|Pending|Chaos|Released|Poison'
+	go test -race -count=20 -timeout 600s ./internal/link/ ./internal/router/ -run 'Link|Multiplex|Restart|Pending|Chaos|Released|Poison|TestRouterTrace(AdoptedThroughRetries|MintedWhenAbsent|HedgedLegsShareID)$$|TestBatchTraceReachesEveryLeg|TestPolicyTraceReachesEveryShard|TestScratchPinsNothing'
 	go test -race -count=20 -timeout 600s ./internal/ms/ -run '^(TestRunPool|TestPooledResultsIsolated|TestCloseLeavesNoGoroutines)$$'
 	go test -count=20 -timeout 600s -run TestChaosWireTierShardOutage .
 

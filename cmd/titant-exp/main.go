@@ -5,8 +5,9 @@
 //	titant-exp [-exp all|table1|table2|fig9|fig10|fig11|fig12]
 //	           [-users N] [-days N] [-seed N] [-quick]
 //
-// Every experiment prints a paper-style text rendering. See EXPERIMENTS.md
-// for the recorded reference run and the paper-vs-measured discussion.
+// Every experiment prints a paper-style text rendering. A recorded
+// reference run and its paper-vs-measured discussion are ROADMAP item 2,
+// not yet written; no ordering between the methods is claimed.
 package main
 
 import (

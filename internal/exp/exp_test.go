@@ -6,8 +6,9 @@ import (
 )
 
 // The shape assertions here run on the Quick configuration (small world,
-// two days) so the whole package tests in about a minute; the full-scale
-// shapes are recorded by the bench harness into EXPERIMENTS.md.
+// two days) so the whole package tests in about a minute. A record of
+// full-scale runs is ROADMAP item 2, not yet written; no ordering is
+// claimed at either scale beyond what a test here asserts.
 
 func TestTable1QuickShapes(t *testing.T) {
 	cfg := Quick()
@@ -18,11 +19,11 @@ func TestTable1QuickShapes(t *testing.T) {
 	if len(res.F1) != 11 || len(res.Days) != cfg.Days {
 		t.Fatalf("result shape %dx%d", len(res.F1), len(res.Days))
 	}
-	// The Quick world (3k users, 2 days) is statistically noisy; the full
-	// Table 1 orderings are asserted on the default-scale bench run and
-	// recorded in EXPERIMENTS.md. Here we check plumbing plus the one
-	// shape robust at any scale: unsupervised IF loses to supervised
-	// methods.
+	// The Quick world (3k users, 2 days) is statistically noisy, and
+	// default-scale runs contradict several of the paper's Table 1
+	// orderings too (ROADMAP item 2), so none of them is asserted. Here
+	// we check plumbing plus the one shape robust at any scale:
+	// unsupervised IF loses to supervised methods.
 	ifm, gbdt := res.Mean(0), res.Mean(4)
 	best := 0.0
 	for i := 1; i <= 4; i++ {

@@ -601,7 +601,7 @@ func (hub *Hub) Upgrade(w http.ResponseWriter, r *http.Request, h Handler) error
 	}
 	_ = nc.SetDeadline(time.Time{}) // the HTTP server's timeouts do not govern a link
 	if _, err := io.WriteString(nc, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+proto+"\r\n\r\n"); err == nil {
-		serve(ctx, nc, bufio.NewReaderSize(brw.Reader, 64<<10), h)
+		serve(ctx, cancel, nc, bufio.NewReaderSize(brw.Reader, 64<<10), h)
 	}
 	cancel()
 	nc.Close()
@@ -633,26 +633,22 @@ type servedCall struct {
 	route          int
 	hdr            Header
 	body           []byte
+	run            func() // answer, bound once: starting a call allocates no closure
 }
 
 // serve reads calls off a link until it fails or is told to drain (a
 // read deadline), then waits for the calls in flight, which run under
 // ctx: a failed link cancels them before the wait, a drain lets them
-// answer — until the hub cuts the link, which cancels ctx.
-func serve(ctx context.Context, nc net.Conn, br *bufio.Reader, h Handler) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// answer — until the hub cuts the link, which cancels ctx too.
+func serve(ctx context.Context, cancel context.CancelFunc, nc net.Conn, br *bufio.Reader, h Handler) {
 	s := &served{ctx: ctx, nc: nc, h: h}
 	for {
 		sc, _ := s.pool.Get().(*servedCall)
 		if sc == nil {
 			sc = &servedCall{s: s}
+			sc.run = sc.answer
 		}
-		var err error
-		if sc.in, err = logio.ReadFrame(br, sc.in); err == nil {
-			err = sc.parse()
-		}
-		if err != nil {
+		if err := sc.read(br); err != nil {
 			var ne net.Error
 			if !errors.As(err, &ne) || !ne.Timeout() {
 				cancel()
@@ -665,7 +661,11 @@ func serve(ctx context.Context, nc net.Conn, br *bufio.Reader, h Handler) {
 	}
 }
 
-func (sc *servedCall) parse() error {
+// read reads the link's next call into sc.
+func (sc *servedCall) read(br *bufio.Reader) (err error) {
+	if sc.in, err = logio.ReadFrame(br, sc.in); err != nil {
+		return err
+	}
 	id, route, vals, body, err := split(sc.in)
 	if err != nil || route >= DataRoutes {
 		return errMalformed
@@ -679,7 +679,7 @@ func (sc *servedCall) parse() error {
 	return nil
 }
 
-func (sc *servedCall) run() {
+func (sc *servedCall) answer() {
 	s := sc.s
 	defer s.calls.Done()
 	defer func() {

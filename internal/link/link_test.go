@@ -583,7 +583,8 @@ func FuzzLinkFrame(f *testing.F) {
 		served := make(chan struct{})
 		go func() {
 			defer close(served)
-			serve(context.Background(), server, bufio.NewReader(server), func(_ context.Context, _ int, _ *Header, body, out []byte) (int, Header, []byte) {
+			ctx, cancel := context.WithCancel(context.Background())
+			serve(ctx, cancel, server, bufio.NewReader(server), func(_ context.Context, _ int, _ *Header, body, out []byte) (int, Header, []byte) {
 				ran.Add(1)
 				return http.StatusOK, Header{}, append(out, body...)
 			})

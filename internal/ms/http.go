@@ -219,18 +219,13 @@ func (s *Server) Handler() http.Handler {
 // traceMiddleware assigns every request its trace identity: a
 // well-formed X-Trace-Id header is adopted (so a trace spans router →
 // shard → response), anything else gets a freshly minted ID. The ID is
-// stamped on the response header before the handler runs — success,
-// error and degraded responses all carry it — and injected into the
-// request context so the engine's span tracker can attribute stage
-// timings to it.
+// stamped on the response header before the handler runs, so success,
+// error and degraded responses all carry it; the data-plane routes read
+// it back from there into the call's trace slot.
 func (s *Server) traceMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id, ok := telemetry.ParseTraceID(r.Header.Get(telemetry.TraceHeader))
-		if !ok {
-			id = s.minter.Mint()
-		}
-		w.Header().Set(telemetry.TraceHeader, id.String())
-		next.ServeHTTP(w, r.WithContext(telemetry.WithTrace(r.Context(), id)))
+		w.Header()[telemetry.TraceHeader] = []string{s.minter.Adopt(r.Header.Get(telemetry.TraceHeader))}
+		next.ServeHTTP(w, r)
 	})
 }
 

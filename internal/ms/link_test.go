@@ -250,9 +250,10 @@ func rawLink(t *testing.T, addr string) func(route int, h *link.Header, body []b
 
 // TestLinkCallAllocBudget counts the shard end of one warm link call —
 // frame read, slots, core, engine verb, answer frame — at 64 and at 256
-// transactions: at most 2 objects at either size, since the engine puts
-// its decisions in the call's pooled wire buffer (4 beside DecideBatch's
-// own 2 before it did, ≈ 11.7 beside them when the link replayed each
+// transactions: 1 object at either size, the call's trace string (2 while
+// each call's goroutine started through a method-value closure, 4 beside
+// DecideBatch's own 2 before the engine put its decisions in the call's
+// pooled wire buffer, ≈ 11.7 beside them when the link replayed each
 // frame through a pooled http.Request and the trace middleware). Every
 // call carries a fresh trace, as routed calls do.
 func TestLinkCallAllocBudget(t *testing.T) {
@@ -305,8 +306,8 @@ func TestLinkCallAllocBudget(t *testing.T) {
 		return over - clientSide
 	}
 	small, large := shardEnd(64), shardEnd(256)
-	if small > 2 || large > 2 {
-		t.Errorf("the shard end of a warm link call allocates %.1f (64 txns) and %.1f (256 txns) objects, budget 2", small, large)
+	if small > 1 || large > 1 {
+		t.Errorf("the shard end of a warm link call allocates %.1f (64 txns) and %.1f (256 txns) objects, budget 1", small, large)
 	}
 	if small != large {
 		t.Errorf("the shard end grows with the batch: %.1f objects at 64 transactions, %.1f at 256", small, large)

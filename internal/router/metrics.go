@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"titant/internal/link"
 	"titant/internal/telemetry"
 )
 
@@ -29,13 +30,10 @@ func (rt *Router) ownMetrics() *telemetry.Expo {
 
 // metrics serves GET /metrics: the router's own series merged with a
 // live re-labeled self-scrape of every shard's page.
-func (rt *Router) metrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
-	ups := rt.fanGet(r, "/metrics", callSpec{retryable: true})
-	defer releaseAll(ups)
+func (rt *Router) metrics(w http.ResponseWriter, r *http.Request, h *link.Header) {
+	fan := rt.fanGet(r, h, "/metrics", callSpec{retryable: true})
+	defer fan.put()
+	ups := fan.ups
 	unreachable := 0
 	page, err := telemetry.ParseExpo(rt.ownMetrics().Bytes())
 	if err != nil {
@@ -70,15 +68,4 @@ func (rt *Router) metrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write(page.Render())
-}
-
-// debugTrace serves GET /v1/debug/trace: the router's own wire-tier
-// stage aggregation and slowest exemplars. Shard-side spans live on each
-// shard's own /v1/debug/trace; the trace ID is the join key.
-func (rt *Router) debugTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
-	writeJSON(w, http.StatusOK, telemetry.TraceBody(rt.tel))
 }

@@ -3,10 +3,10 @@ package router
 import (
 	"context"
 	"errors"
-	"net/http"
 	"sync"
 	"time"
 
+	"titant/internal/link"
 	"titant/internal/rng"
 	"titant/internal/telemetry"
 )
@@ -277,7 +277,7 @@ func (rt *Router) backoffWait(ctx context.Context, attempt int, deadline time.Ti
 // fresh breaker check so a circuit that opens mid-loop stops the
 // hammering immediately — and one that half-opens mid-loop lets the
 // retry double as the probe. The caller releases the answer returned.
-func (rt *Router) resilientCall(ctx context.Context, src *http.Request, deadline time.Time, spec callSpec) upstream {
+func (rt *Router) resilientCall(ctx context.Context, h *link.Header, deadline time.Time, spec callSpec) upstream {
 	attempts := 1
 	if spec.retryable && rt.retries > 0 {
 		attempts += rt.retries
@@ -304,7 +304,7 @@ func (rt *Router) resilientCall(ctx context.Context, src *http.Request, deadline
 			}
 		}
 		start := rt.now()
-		u := rt.attempt(ctx, src, deadline, &spec)
+		u := rt.attempt(ctx, h, deadline, &spec)
 		if errors.Is(u.err, errBudgetExhausted) {
 			if !spec.noBreaker {
 				// Never launched: not evidence about the shard.
@@ -334,9 +334,9 @@ func (rt *Router) resilientCall(ctx context.Context, src *http.Request, deadline
 // second identical leg launches; the first *success* wins and the loser
 // is cancelled. Failures do not hedge — a leg that exhausted its retries
 // reports, it does not spawn copies.
-func (rt *Router) hedgedCall(ctx context.Context, src *http.Request, deadline time.Time, spec callSpec) upstream {
+func (rt *Router) hedgedCall(ctx context.Context, h *link.Header, deadline time.Time, spec callSpec) upstream {
 	if rt.hedgeFloor <= 0 || !spec.hedged {
-		return rt.resilientCall(ctx, src, deadline, spec)
+		return rt.resilientCall(ctx, h, deadline, spec)
 	}
 	delay := rt.lat[spec.shard].Quantile(0.99)
 	if delay < rt.hedgeFloor {
@@ -354,13 +354,14 @@ func (rt *Router) hedgedCall(ctx context.Context, src *http.Request, deadline ti
 	ch := make(chan legResult, 2)
 	// Each leg records into its own span buffer — the two legs run
 	// concurrently, so they must not share the caller's. The winner's
-	// retry time folds back into the caller's spans on return.
-	parent := spec.spans
+	// retry time folds back into the caller's spans on return. The legs
+	// read a copy of the slots: the losing one may outlive this call.
+	parent, slots := spec.spans, *h
 	var legSpans [2]telemetry.Spans
 	launch := func(leg int) {
 		s := spec
 		s.spans = &legSpans[leg]
-		go func() { ch <- legResult{rt.resilientCall(cctx, src, deadline, s), leg} }()
+		go func() { ch <- legResult{rt.resilientCall(cctx, &slots, deadline, s), leg} }()
 	}
 	merge := func(leg int) {
 		if parent != nil {

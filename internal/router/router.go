@@ -6,6 +6,13 @@
 // replicates control-plane swaps (models, policy) to every shard, and
 // folds the fleet's stats and health into single bodies.
 //
+// A request's headers are read once, into its link.Header call slots:
+// X-Caller, X-Idempotency-Key, X-Deadline-Ms and the trace, adopted from
+// a well-formed X-Trace-Id or minted. The trace is stamped on the response
+// before anything else, and every attempt of every shard call copies the
+// slots, so over the shard link (internal/link) the trace is a frame slot
+// the shard's engine runs under: one ID names a verdict's whole path.
+//
 // Shard servers are plain `titant serve` processes: each carries the
 // full read-only feature table (replicated T+1 artifacts are cheap to
 // copy) while the hot user-keyed state — user cache, event log, the
@@ -65,9 +72,6 @@ const (
 	// milliseconds; the router re-propagates the per-attempt remainder
 	// downstream so a shard never works past the caller's patience.
 	HeaderDeadline = ms.HeaderDeadline
-	// HeaderIdempotencyKey opts an ingest request into retries: the
-	// caller asserts replays are safe to deduplicate on its side.
-	HeaderIdempotencyKey = "X-Idempotency-Key"
 )
 
 // Option configures a Router.
@@ -218,6 +222,9 @@ func New(shards []string, opts ...Option) (*Router, error) {
 		if !strings.Contains(s, "://") {
 			s = "http://" + s
 		}
+		if _, err := url.Parse(s); err != nil {
+			return nil, fmt.Errorf("router: shard %d: %w", i, err)
+		}
 		cleaned[i] = s
 	}
 	rt := &Router{
@@ -238,11 +245,6 @@ func New(shards []string, opts ...Option) (*Router, error) {
 	fb, err := ms.ParseFallbackAction(rt.fallback)
 	if err != nil {
 		return nil, err
-	}
-	for i, s := range cleaned {
-		if _, err := url.Parse(s); err != nil {
-			return nil, fmt.Errorf("router: shard %d: %w", i, err)
-		}
 	}
 	rt.link = link.New(rt.base, cleaned)
 	rt.caller = rt.link
@@ -287,47 +289,53 @@ func (rt *Router) ownerShard(u txn.UserID) int {
 	return ms.ShardOf(u, len(rt.shards))
 }
 
-// Handler returns the router's mux: the shard servers' v1 surface, one
-// hop up.
+// Handler returns the router's HTTP surface: the shard servers' v1
+// routes, one hop up. Every request's call slots are taken first (see
+// slots), so every response carries its trace. The read-outs answer GET,
+// and /healthz HEAD too, which load balancers probe liveness with. A path
+// no route names goes to an empty mux, which answers 404 or redirects to
+// the cleaned path.
 func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/score", rt.single)
-	mux.HandleFunc("/v1/decide", rt.single)
-	mux.HandleFunc("/v1/ingest", rt.single)
-	mux.HandleFunc("/v1/score/batch", func(w http.ResponseWriter, r *http.Request) {
-		rt.batch(w, r, "verdicts")
+	fallback := http.NewServeMux()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h := rt.slots(w, r)
+		path := r.URL.Path
+		switch read := r.Method == http.MethodGet || r.Method == http.MethodHead && path == "/healthz"; {
+		case path == "/v1/models" || path == "/v1/policy":
+			rt.control(w, r, &h)
+		case path == "/v1/stats" && read:
+			rt.stats(w, r, &h)
+		case path == "/metrics" && read:
+			rt.metrics(w, r, &h)
+		case path == "/healthz" && read:
+			rt.healthz(w, r, &h)
+		case path == "/v1/debug/trace" && read:
+			// The router's own stage spans and slowest exemplars: each
+			// shard serves its own, and the trace ID joins them.
+			writeJSON(w, http.StatusOK, telemetry.TraceBody(rt.tel))
+		case path == "/v1/stats" || path == "/metrics" || path == "/healthz" || path == "/v1/debug/trace":
+			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
+		default:
+			if route := link.Route(http.MethodPost, path); route >= 0 {
+				rt.serveData(w, r, route, &h)
+			} else {
+				fallback.ServeHTTP(w, r)
+			}
+		}
 	})
-	mux.HandleFunc("/v1/decide/batch", func(w http.ResponseWriter, r *http.Request) {
-		rt.batch(w, r, "decisions")
-	})
-	mux.HandleFunc("/v1/ingest/batch", func(w http.ResponseWriter, r *http.Request) {
-		rt.batch(w, r, "")
-	})
-	mux.HandleFunc("/v1/models", rt.control)
-	mux.HandleFunc("/v1/policy", rt.control)
-	mux.HandleFunc("/v1/stats", rt.stats)
-	mux.HandleFunc("/v1/debug/trace", rt.debugTrace)
-	mux.HandleFunc("/metrics", rt.metrics)
-	mux.HandleFunc("/healthz", rt.healthz)
-	return rt.traceMiddleware(mux)
 }
 
-// traceMiddleware adopts the caller's X-Trace-Id (minting one when the
-// header is absent or malformed), echoes it on the response, rewrites it
-// onto the inbound request so forwardHeaders propagates one consistent
-// ID to every shard attempt, and carries it in the request context for
-// span observation.
-func (rt *Router) traceMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id, ok := telemetry.ParseTraceID(r.Header.Get(telemetry.TraceHeader))
-		if !ok {
-			id = rt.minter.Mint()
+// slots fills a request's call slots from its headers, adopts or mints
+// its trace and stamps it on the response (see the package comment).
+func (rt *Router) slots(w http.ResponseWriter, r *http.Request) (h link.Header) {
+	for i := range link.SlotRetryAfter {
+		if v := r.Header[link.Headers[i]]; len(v) > 0 {
+			h[i] = v[0]
 		}
-		hex := id.String()
-		w.Header().Set(telemetry.TraceHeader, hex)
-		r.Header.Set(telemetry.TraceHeader, hex)
-		next.ServeHTTP(w, r.WithContext(telemetry.WithTrace(r.Context(), id)))
-	})
+	}
+	h[link.SlotTrace] = rt.minter.Adopt(h[link.SlotTrace])
+	w.Header()[telemetry.TraceHeader] = []string{h[link.SlotTrace]}
+	return h
 }
 
 // ListenAndServe serves the router on addr with the shard servers'
@@ -336,41 +344,17 @@ func (rt *Router) ListenAndServe(ctx context.Context, addr string) error {
 	return ms.ListenAndServe(ctx, addr, rt.Handler(), nil)
 }
 
+// writeError writes the error envelope. It names the trace Handler stamped
+// on the response, so error bodies are greppable even when the caller
+// dropped the headers.
 func writeError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	e := map[string]string{"code": code, "message": msg}
-	// The trace middleware stamps X-Trace-Id on the response header
-	// before any handler runs; fold it into the envelope so error bodies
-	// are greppable even when the caller dropped the headers.
-	if id := w.Header().Get(telemetry.TraceHeader); id != "" {
-		e["trace_id"] = id
-	}
-	_ = json.NewEncoder(w).Encode(map[string]interface{}{"error": e})
+	writeJSON(w, status, map[string]ms.APIError{"error": {Code: code, Message: msg, TraceID: w.Header().Get(telemetry.TraceHeader)}})
 }
 
 func writeJSON(w http.ResponseWriter, status int, body interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(body)
-}
-
-// forwardHeaders fills the call slots shard servers act on from the
-// request's headers.
-// X-Caller rides through so per-caller admission quotas hold across the
-// wire tier; X-Idempotency-Key rides through so shards (and the retry
-// classifier) see the caller's dedup assertion; X-Trace-Id (rewritten by
-// the trace middleware to the adopted-or-minted ID) rides through so one
-// trace names a verdict's whole path across tiers — retries and hedge
-// legs included, since every attempt copies from the same source
-// request. X-Deadline-Ms is NOT copied — the router re-derives it per
-// attempt from the remaining budget.
-func forwardHeaders(h *link.Header, src *http.Request) {
-	for _, i := range [...]int{link.SlotContentType, link.SlotAuthorization, link.SlotCaller, link.SlotIdempotencyKey, link.SlotTrace} {
-		if v := src.Header[link.Headers[i]]; len(v) > 0 {
-			h[i] = v[0]
-		}
-	}
 }
 
 // upstream is one proxied shard call's outcome: the answer — Status,
@@ -391,12 +375,6 @@ func (u upstream) failed() bool { return u.err != nil || u.Status >= 500 }
 func (u upstream) release() {
 	if u.Call != nil {
 		u.Release()
-	}
-}
-
-func releaseAll(ups []upstream) {
-	for _, u := range ups {
-		u.release()
 	}
 }
 
@@ -422,12 +400,13 @@ type callSpec struct {
 	spans *telemetry.Spans
 }
 
-// attempt issues one call for spec through the caller seam, bounded by
-// the smaller of the per-try timeout and the remaining deadline budget,
-// propagating the remainder downstream as X-Deadline-Ms. The call's
-// record comes from a pool and its body is written straight into its
-// frame; a failure is quoted as the *url.Error an HTTP client reports.
-func (rt *Router) attempt(ctx context.Context, src *http.Request, deadline time.Time, spec *callSpec) upstream {
+// attempt issues one call for spec through the caller seam, with the
+// request's slots h, bounded by the smaller of the per-try timeout and
+// the remaining deadline budget, propagating the remainder downstream as
+// X-Deadline-Ms. The call's record comes from a pool and its body is
+// written straight into its frame; a failure is quoted as the *url.Error
+// an HTTP client reports.
+func (rt *Router) attempt(ctx context.Context, h *link.Header, deadline time.Time, spec *callSpec) upstream {
 	rem := deadline.Sub(rt.now())
 	if rem <= 0 {
 		return upstream{err: errBudgetExhausted}
@@ -437,7 +416,7 @@ func (rt *Router) attempt(ctx context.Context, src *http.Request, deadline time.
 		per, perMs, clamped = rem, strconv.FormatInt(rem.Milliseconds(), 10), true
 	}
 	c := link.NewCall(spec.shard, spec.route)
-	forwardHeaders(&c.Header, src)
+	c.Header = *h
 	c.Header[link.SlotDeadline], c.Timeout = perMs, per
 	if spec.sub != nil {
 		spec.sub.writeSub(c, spec.shard)
@@ -466,10 +445,10 @@ func (rt *Router) attempt(ctx context.Context, src *http.Request, deadline time.
 // margin, so merging finishes before the caller hangs up. The margin
 // never eats more than half the budget. Every attempt is clamped to it,
 // so no context has to carry it.
-func (rt *Router) requestBudget(r *http.Request) time.Time {
+func (rt *Router) requestBudget(h *link.Header) time.Time {
 	budget := rt.budget
-	if h := r.Header.Get(HeaderDeadline); h != "" {
-		if msv, err := strconv.ParseInt(h, 10, 64); err == nil && msv > 0 {
+	if v := h[link.SlotDeadline]; v != "" {
+		if msv, err := strconv.ParseInt(v, 10, 64); err == nil && msv > 0 {
 			if d := time.Duration(msv) * time.Millisecond; d < budget {
 				budget = d
 			}
@@ -559,42 +538,61 @@ func maxRetryAfter(ups []upstream) string {
 	return best
 }
 
+// serveData is the six data-plane routes over HTTP, shaped like the
+// shards' own: the body read to EOF under the route's cap and closed, so
+// writing the response does not make net/http try to drain it, then the
+// route. A batch reads into its pooled scratch; a single's body is not
+// pooled, as a cancelled hedge leg's transport may still be reading it
+// after the handler has returned.
+func (rt *Router) serveData(w http.ResponseWriter, r *http.Request, route int, h *link.Header) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
+		return
+	}
+	var sc *batchScratch
+	var body []byte
+	limit := int64(maxSingleBytes)
+	if route%2 == 1 { // link.Routes lists each verb's single route, then its batch route
+		sc = scratchPool.Get().(*batchScratch)
+		defer sc.put()
+		body, limit = sc.body[:0], maxBatchBytes
+	}
+	body, err := ms.ReadBody(body, http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
+	if err != nil {
+		rt.readError(w, err)
+		return
+	}
+	r.Body.Close()
+	if sc == nil {
+		rt.single(r.Context(), w, route, h, body)
+		return
+	}
+	sc.body = body
+	rt.batch(r.Context(), w, route, h, sc)
+}
+
 // single forwards a one-transaction request (score/decide/ingest) whole
 // to the sender's owner shard. Score and decide are idempotent reads:
 // they retry, and hedge when enabled. Ingest is at-most-once — one
 // attempt, no retry — unless the caller opts in with X-Idempotency-Key.
 // A decide that cannot be served still answers 200, carrying the
 // fail-closed fallback action and a degraded marker.
-func (rt *Router) single(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	// The body is not pooled: a cancelled hedge leg's transport may still
-	// be reading it after this handler has returned.
-	body, err := ms.ReadBody(nil, http.MaxBytesReader(w, r.Body, maxSingleBytes), r.ContentLength)
-	if err != nil {
-		rt.readError(w, err)
-		return
-	}
+func (rt *Router) single(ctx context.Context, w http.ResponseWriter, route int, h *link.Header, body []byte) {
 	id, from, err := ms.PeekTxn(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
 		return
 	}
 	rt.singles.Add(1)
+	trace, _ := telemetry.ParseTraceID(h[link.SlotTrace])
 	start := rt.now()
 	var spans telemetry.Spans
-	spec := callSpec{route: link.Route(http.MethodPost, r.URL.Path), body: body, shard: rt.ownerShard(txn.UserID(from)), spans: &spans}
-	defer func() { rt.observe(r, spec.route, rt.now().Sub(start), &spans) }()
-	switch r.URL.Path {
-	case "/v1/ingest":
-		spec.retryable = r.Header.Get(HeaderIdempotencyKey) != ""
-	default: // score, decide
-		spec.retryable, spec.hedged = true, true
-	}
+	defer func() { rt.tracks[route].Observe(trace, rt.now().Sub(start), &spans) }()
+	read := link.Routes[route].Path != "/v1/ingest" // score, decide
+	spec := callSpec{route: route, body: body, shard: rt.ownerShard(txn.UserID(from)), spans: &spans,
+		retryable: read || h[link.SlotIdempotencyKey] != "", hedged: read}
 	rstart := rt.now()
-	u := rt.hedgedCall(r.Context(), r, rt.requestBudget(r), spec)
+	u := rt.hedgedCall(ctx, h, rt.requestBudget(h), spec)
 	defer u.release()
 	spans[telemetry.StageRoute] = rt.now().Sub(rstart)
 	if !u.failed() {
@@ -602,14 +600,14 @@ func (rt *Router) single(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.errors.Add(1)
-	if r.URL.Path == "/v1/decide" {
+	if link.Routes[route].Path == "/v1/decide" {
 		rt.degraded.Add(1)
 		writeJSON(w, http.StatusOK, ms.DegradedDecision{
 			DegradedVerdict: ms.DegradedVerdict{
 				TxnID:    txn.TxnID(id),
 				Degraded: true,
 				Error:    rt.itemError(u, spec.shard),
-				TraceID:  w.Header().Get(telemetry.TraceHeader),
+				TraceID:  h[link.SlotTrace],
 			},
 			Action: rt.fallback,
 			Reason: "fallback: owner shard unavailable",
@@ -617,13 +615,6 @@ func (rt *Router) single(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.writeFailure(w, u, spec.shard)
-}
-
-// observe folds one request's spans into its route's track under the
-// request's trace ID.
-func (rt *Router) observe(r *http.Request, route int, total time.Duration, spans *telemetry.Spans) {
-	id, _ := telemetry.TraceFrom(r.Context())
-	rt.tracks[route].Observe(id, total, spans)
 }
 
 func (rt *Router) readError(w http.ResponseWriter, err error) {
@@ -635,12 +626,12 @@ func (rt *Router) readError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 }
 
-// batchScratch is one batch request's working set, pooled: the inbound
+// batchScratch is one scatter's working set, pooled: a batch's inbound
 // body, where its transactions lie and who owns them, where each shard's
-// answers lie, and the spliced response. It goes back to the pool when
-// the handler returns, after the last scatter call has: every attempt
-// writes its sub-batch out of body into its own call record before it
-// returns, so no transport reads the scratch late.
+// answers lie, and the spliced response; and every scatter's inputs and
+// answers. It goes back to the pool when the handler returns, after the
+// last call has: an attempt writes its sub-batch out of body into its own
+// call record before it returns, so no transport reads the scratch late.
 type batchScratch struct {
 	body   []byte
 	items  []ms.WireItem   // the request's transactions, in input order
@@ -649,11 +640,70 @@ type batchScratch struct {
 	next   []int           // per shard: how many of them are spliced
 	failed []*ms.ItemError // per shard: why its items degrade, nil if they don't
 	out    []byte
-	// Per shard: item count, answer, and the scatter goroutine's span
+	// Per shard: items to send (0: not called), answer, and the leg's span
 	// buffer.
 	counts    []int
 	ups       []upstream
 	callSpans []telemetry.Spans
+
+	// The scatter's inputs, zeroed by put; the next shard a leg claims; and
+	// leg, bound once when the pool makes the scratch, which each helper
+	// goroutine runs — so starting one allocates no closure.
+	rt       *Router
+	ctx      context.Context
+	slots    link.Header
+	deadline time.Time
+	spec     callSpec
+	claim    atomic.Int64
+	legs     sync.WaitGroup
+	leg      func()
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	sc := new(batchScratch)
+	sc.leg = func() { sc.work(); sc.legs.Done() }
+	return sc
+}}
+
+// put releases the scratch's answers and pools it again, pinning nothing
+// of its request: no context, slots or answer record.
+func (sc *batchScratch) put() {
+	for i := range sc.ups {
+		sc.ups[i].release()
+	}
+	clear(sc.ups)
+	sc.rt, sc.ctx, sc.slots, sc.deadline, sc.spec = nil, nil, link.Header{}, time.Time{}, callSpec{}
+	scratchPool.Put(sc)
+}
+
+// scatter issues spec, with the request's slots h, to the legs shards
+// sc.counts gives items, concurrently: the handler runs one leg beside a
+// helper goroutine per further shard. It returns once every call has, with
+// the answers in sc.ups.
+func (rt *Router) scatter(ctx context.Context, h *link.Header, spec callSpec, sc *batchScratch, legs int) {
+	n := len(sc.counts)
+	sc.ups, sc.callSpans = perShard(sc.ups, n), perShard(sc.callSpans, n)
+	sc.rt, sc.ctx, sc.slots, sc.deadline, sc.spec = rt, ctx, *h, rt.requestBudget(h), spec
+	sc.claim.Store(0)
+	helpers := max(legs-1, 0)
+	sc.legs.Add(helpers)
+	for range helpers {
+		go sc.leg()
+	}
+	sc.work()
+	sc.legs.Wait()
+}
+
+// work claims shards in ring order until none is left, and calls each
+// that has items through the resilience plane.
+func (sc *batchScratch) work() {
+	for si := int(sc.claim.Add(1)) - 1; si < len(sc.counts); si = int(sc.claim.Add(1)) - 1 {
+		if sc.counts[si] > 0 {
+			spec := sc.spec
+			spec.shard, spec.spans = si, &sc.callSpans[si]
+			sc.ups[si] = sc.rt.resilientCall(sc.ctx, &sc.slots, sc.deadline, spec)
+		}
+	}
 }
 
 // writeSub writes shard si's sub-batch into c: its items' byte ranges,
@@ -677,13 +727,11 @@ func perShard[T any](s []T, n int) []T {
 	return s
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
 const subBatchOpen = `{"transactions":[`
 
 // batch scatters a batch route across owner shards and gathers the
-// responses in input order. itemsKey names the response array to merge
-// ("verdicts", "decisions"); "" merges ingest {"ingested": n} counts.
+// responses in input order, merging the response array its verb names
+// ("verdicts", "decisions"), or, for ingest, the {"ingested": n} counts.
 //
 // Nothing is unmarshalled on the way: ms.SplitTransactions finds each
 // transaction's byte range and routing key, sub-batch bodies are those
@@ -699,58 +747,38 @@ const subBatchOpen = `{"transactions":[`
 // of the batch returns real verdicts. A shard answering 4xx still fails
 // the whole batch (lowest shard index wins, the in-process engine's
 // deterministic error order) with Retry-After maxed across shards.
-func (rt *Router) batch(w http.ResponseWriter, r *http.Request, itemsKey string) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	sc := scratchPool.Get().(*batchScratch)
-	defer scratchPool.Put(sc)
+func (rt *Router) batch(ctx context.Context, w http.ResponseWriter, route int, h *link.Header, sc *batchScratch) {
 	var err error
-	if sc.body, err = ms.ReadBody(sc.body[:0], http.MaxBytesReader(w, r.Body, maxBatchBytes), r.ContentLength); err != nil {
-		rt.readError(w, err)
-		return
-	}
 	if sc.items, err = ms.SplitTransactions(sc.body, sc.items); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
 		return
 	}
 	rt.batches.Add(1)
+	trace, _ := telemetry.ParseTraceID(h[link.SlotTrace])
 	start := rt.now()
 	var spans telemetry.Spans
-	route := link.Route(http.MethodPost, r.URL.Path)
-	defer func() { rt.observe(r, route, rt.now().Sub(start), &spans) }()
+	defer func() { rt.tracks[route].Observe(trace, rt.now().Sub(start), &spans) }()
 
 	n := len(rt.shards)
-	sc.counts, sc.ups, sc.callSpans = perShard(sc.counts, n), perShard(sc.ups, n), perShard(sc.callSpans, n)
-	counts, ups, callSpans := sc.counts, sc.ups, sc.callSpans
+	sc.counts = perShard(sc.counts, n)
+	counts := sc.counts
 	sc.owner = sc.owner[:0]
+	legs := 0 // shards called
 	for _, it := range sc.items {
 		si := ms.ShardOf(txn.UserID(it.From), n)
 		sc.owner = append(sc.owner, si)
+		if counts[si] == 0 {
+			legs++
+		}
 		counts[si]++
 	}
-
-	ctx, deadline := r.Context(), rt.requestBudget(r)
-	retryable := itemsKey != "" || r.Header.Get(HeaderIdempotencyKey) != ""
-	var wg sync.WaitGroup
+	itemsKey := [...]string{"verdicts", "decisions", ""}[route/2]
+	spec := callSpec{route: route, sub: sc, retryable: itemsKey != "" || h[link.SlotIdempotencyKey] != ""}
+	rt.fanouts.Add(int64(legs))
 	scatterStart := rt.now()
-	for si := range counts {
-		if counts[si] == 0 {
-			continue
-		}
-		wg.Add(1)
-		rt.fanouts.Add(1)
-		go func() {
-			defer wg.Done()
-			ups[si] = rt.resilientCall(ctx, r, deadline, callSpec{
-				route: route, sub: sc, shard: si, retryable: retryable, spans: &callSpans[si],
-			})
-		}()
-	}
-	wg.Wait()
-	// The answers stay in their call records until the response is written.
-	defer releaseAll(ups)
+	rt.scatter(ctx, h, spec, sc, legs)
+	// The answers stay in their call records until put, after the response.
+	ups, callSpans := sc.ups, sc.callSpans
 	spans[telemetry.StageRoute] = rt.now().Sub(scatterStart)
 	for i := range callSpans {
 		spans[telemetry.StageRetry] += callSpans[i][telemetry.StageRetry]
@@ -862,7 +890,7 @@ func (rt *Router) gatherItems(w http.ResponseWriter, itemsKey string, sc *batchS
 		}
 		dv := ms.DegradedVerdict{
 			TxnID: txn.TxnID(it.ID), Degraded: true, Error: sc.failed[si],
-			TraceID: w.Header().Get(telemetry.TraceHeader),
+			TraceID: sc.slots[link.SlotTrace],
 		}
 		var item interface{} = dv
 		if itemsKey == "decisions" {
@@ -891,74 +919,62 @@ func (rt *Router) gatherItems(w http.ResponseWriter, itemsKey string, sc *batchS
 // with a response naming the failed shard and how far the swap got; the
 // operator retries the idempotent swap until it lands everywhere, and
 // /v1/stats surfaces the mix via "version_mixed".
-func (rt *Router) control(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) control(w http.ResponseWriter, r *http.Request, h *link.Header) {
+	var body []byte
 	switch r.Method {
 	case http.MethodGet:
-		deadline := rt.requestBudget(r)
-		var last upstream
-		defer func() { last.release() }()
-		for si := range rt.shards {
-			last.release()
-			last = rt.resilientCall(r.Context(), r, deadline, callSpec{
-				route: link.Route(http.MethodGet, r.URL.Path), shard: si,
-			})
-			if !last.failed() {
-				rt.relay(w, last)
-				return
-			}
-		}
-		rt.errors.Add(1)
-		rt.writeFailure(w, last, len(rt.shards)-1)
 	case http.MethodPost:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxControlBytes))
-		if err != nil {
+		var err error
+		if body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxControlBytes)); err != nil {
 			rt.readError(w, err)
 			return
 		}
 		rt.controls.Add(1)
-		deadline := rt.requestBudget(r)
-		var last upstream
-		defer func() { last.release() }()
-		for si := range rt.shards {
-			last.release()
-			u := rt.resilientCall(r.Context(), r, deadline, callSpec{
-				route: link.Route(http.MethodPost, r.URL.Path), body: body, shard: si,
-			})
-			last = u
-			if u.err != nil || u.Status != http.StatusOK {
-				rt.errors.Add(1)
-				if u.err != nil {
-					writeError(w, http.StatusBadGateway, "shard_unreachable",
-						fmt.Sprintf("shard %d: %v (swap applied to %d of %d shards)", si, u.err, si, len(rt.shards)))
-					return
-				}
-				rt.relay(w, u)
-				return
-			}
-		}
-		rt.relay(w, last)
 	default:
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET or POST only")
+		return
 	}
+	swap, deadline := r.Method == http.MethodPost, rt.requestBudget(h)
+	var last upstream
+	defer func() { last.release() }()
+	for si := range rt.shards {
+		last.release()
+		last = rt.resilientCall(r.Context(), h, deadline, callSpec{route: link.Route(r.Method, r.URL.Path), body: body, shard: si})
+		switch {
+		case !swap && !last.failed():
+			rt.relay(w, last)
+			return
+		case swap && last.err != nil:
+			rt.errors.Add(1)
+			writeError(w, http.StatusBadGateway, "shard_unreachable",
+				fmt.Sprintf("shard %d: %v (swap applied to %d of %d shards)", si, last.err, si, len(rt.shards)))
+			return
+		case swap && last.Status != http.StatusOK:
+			rt.errors.Add(1)
+			rt.relay(w, last)
+			return
+		}
+	}
+	if swap {
+		rt.relay(w, last)
+		return
+	}
+	rt.errors.Add(1)
+	rt.writeFailure(w, last, len(rt.shards)-1)
 }
 
-// fanGet issues one GET per shard concurrently through the resilience
-// plane. The caller releases the answers.
-func (rt *Router) fanGet(r *http.Request, path string, spec callSpec) []upstream {
-	deadline := rt.requestBudget(r)
-	ups := make([]upstream, len(rt.shards))
-	var wg sync.WaitGroup
-	for si := range rt.shards {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			s := spec
-			s.route, s.shard = link.Route(http.MethodGet, path), si
-			ups[si] = rt.resilientCall(r.Context(), r, deadline, s)
-		}(si)
+// fanGet issues one GET of path per shard concurrently through the
+// resilience plane. The caller puts the scratch back, which releases the
+// answers in its ups.
+func (rt *Router) fanGet(r *http.Request, h *link.Header, path string, spec callSpec) *batchScratch {
+	sc := scratchPool.Get().(*batchScratch)
+	sc.counts = perShard(sc.counts, len(rt.shards))
+	for i := range sc.counts {
+		sc.counts[i] = 1
 	}
-	wg.Wait()
-	return ups
+	spec.route = link.Route(http.MethodGet, path)
+	rt.scatter(r.Context(), h, spec, sc, len(rt.shards))
+	return sc
 }
 
 // healthz folds the fleet's readiness with quorum semantics: 200 "ok"
@@ -968,13 +984,10 @@ func (rt *Router) fanGet(r *http.Request, path string, spec callSpec) []upstream
 // "unavailable" only below quorum. Probes bypass the circuit breakers:
 // health must report what the shard says now, not what the breaker
 // remembers.
-func (rt *Router) healthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
-	ups := rt.fanGet(r, "/healthz", callSpec{retryable: true, noBreaker: true})
-	defer releaseAll(ups)
+func (rt *Router) healthz(w http.ResponseWriter, r *http.Request, h *link.Header) {
+	fan := rt.fanGet(r, h, "/healthz", callSpec{retryable: true, noBreaker: true})
+	defer fan.put()
+	ups := fan.ups
 	type shardHealth struct {
 		Shard   int    `json:"shard"`
 		Status  string `json:"status"`

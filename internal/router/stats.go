@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 
+	"titant/internal/link"
 	"titant/internal/ms"
 	"titant/internal/telemetry"
 )
@@ -95,13 +96,10 @@ func (rt *Router) routerStats() RouterStats {
 // bodies. Unreachable shards are listed, not fatal — stats is how
 // operators see a degraded fleet, so it must answer while the fleet is
 // degraded. Only a fully unreachable fleet is a 502.
-func (rt *Router) stats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
-	ups := rt.fanGet(r, "/v1/stats", callSpec{retryable: true})
-	defer releaseAll(ups)
+func (rt *Router) stats(w http.ResponseWriter, r *http.Request, h *link.Header) {
+	fan := rt.fanGet(r, h, "/v1/stats", callSpec{retryable: true})
+	defer fan.put()
+	ups := fan.ups
 	var bodies []ms.Stats
 	var unreachable []int
 	for si, u := range ups {

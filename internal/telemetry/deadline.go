@@ -9,9 +9,10 @@ import (
 
 // Deadline is one call's context at either end of the router→shard link,
 // pooled: a deadline and a trace over a parent, with no allocation per
-// call where context.WithTimeout and WithTrace make six. Done closes at
-// the deadline (the parent's Done when there is none); the parent's own
-// cancellation shows through Err, which the engine polls between stages.
+// call where context.WithTimeout and a context value for the trace make
+// six. Done closes at the deadline (the parent's Done when there is
+// none); the parent's own cancellation shows through Err, which the
+// engine polls between stages.
 type Deadline struct {
 	context.Context
 	at    time.Time

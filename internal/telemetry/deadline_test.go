@@ -39,7 +39,9 @@ func TestDeadlineContextPooled(t *testing.T) {
 	// The parent's cancellation shows through Err; its trace shows through
 	// a deadline that carries none; without a deadline, Done is the
 	// parent's.
-	parent, cancel := context.WithCancel(WithTrace(ctx, trace))
+	traced := WithDeadline(ctx, 0, trace)
+	defer traced.Release()
+	parent, cancel := context.WithCancel(traced)
 	child := WithDeadline(parent, time.Second, TraceID{})
 	defer child.Release()
 	open := WithDeadline(parent, 0, TraceID{})

@@ -125,13 +125,29 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	if a, b := NewMinter(3).Mint(), NewMinter(3).Mint(); a != b {
 		t.Fatalf("minter not deterministic: %s vs %s", a, b)
 	}
-	ctx := WithTrace(context.Background(), id)
+	ctx := WithDeadline(context.Background(), 0, id)
+	defer ctx.Release()
 	got, ok := TraceFrom(ctx)
 	if !ok || got != id {
 		t.Fatalf("TraceFrom = %v, %v", got, ok)
 	}
 	if _, ok := TraceFrom(context.Background()); ok {
 		t.Fatal("TraceFrom on empty ctx")
+	}
+	// Adopt keeps a well-formed ID, lower-cased, and mints for anything
+	// else.
+	if a := m.Adopt(s); a != s {
+		t.Fatalf("Adopt(%q) = %q", s, a)
+	}
+	if a := m.Adopt(strings.ToUpper(s)); a != s {
+		t.Fatalf("Adopt(%q) = %q, want %q", strings.ToUpper(s), a, s)
+	}
+	for _, bad := range []string{"", "xyz", strings.Repeat("0", 32)} {
+		if a := m.Adopt(bad); a == bad {
+			t.Fatalf("Adopt(%q) kept it", bad)
+		} else if _, ok := ParseTraceID(a); !ok {
+			t.Fatalf("Adopt(%q) minted %q, not an ID", bad, a)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"encoding/hex"
+	"strings"
 	"sync"
 
 	"titant/internal/rng"
@@ -82,20 +83,23 @@ func (m *Minter) Mint() TraceID {
 	return id
 }
 
-// traceKey is the context key carrying the request's TraceID.
-type traceKey struct{}
-
-// WithTrace returns ctx carrying the trace ID.
-func WithTrace(ctx context.Context, id TraceID) context.Context {
-	return context.WithValue(ctx, traceKey{}, id)
+// Adopt returns the trace a request with X-Trace-Id s runs under: s in
+// its lowercase form when it is a well-formed ID — s itself, with no
+// allocation, unless the caller wrote it in upper case — else a fresh ID.
+func (m *Minter) Adopt(s string) string {
+	if _, ok := ParseTraceID(s); ok {
+		return strings.ToLower(s)
+	}
+	return m.Mint().String()
 }
+
+// traceKey is the context key carrying the request's TraceID: a
+// Deadline's (see WithDeadline), the one context that carries a trace.
+type traceKey struct{}
 
 // TraceFrom extracts the trace ID from ctx (zero ID, false if absent).
 func TraceFrom(ctx context.Context) (TraceID, bool) {
-	switch id := ctx.Value(traceKey{}).(type) {
-	case TraceID:
-		return id, !id.IsZero()
-	case *TraceID:
+	if id, ok := ctx.Value(traceKey{}).(*TraceID); ok {
 		return *id, !id.IsZero()
 	}
 	return TraceID{}, false

@@ -40,9 +40,10 @@
 //	    titant.WithDriftMonitor(titant.DriftConfig{}))
 //	d, _ := eng.Decide(ctx, &tx, titant.ScenarioTransfer) // d.Action, d.Reason
 //
-// See the examples/ directory for runnable end-to-end programs, DESIGN.md
-// for the system inventory, and EXPERIMENTS.md for the paper-vs-measured
-// record of every table and figure.
+// See the examples/ directory for runnable end-to-end programs and
+// docs/ARCHITECTURE.md for the system inventory. A paper-vs-measured record
+// of the tables and figures is ROADMAP item 2 and not yet written, so no
+// ordering between the paper's methods is claimed here.
 package titant
 
 import (
