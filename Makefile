@@ -1,7 +1,7 @@
 # Developer entry points. The repo is plain `go build ./... && go test
 # ./...`; these targets wrap the multi-step flows.
 
-.PHONY: test tier1-stress bench-build race fuzz-smoke loadgen-smoke chaos-smoke metrics-smoke
+.PHONY: test tier1-stress bench-build orphans race fuzz-smoke loadgen-smoke chaos-smoke metrics-smoke
 
 # test is the tier-1 gate. The timeout turns a hang into a two-minute
 # failure that prints every goroutine's stack, instead of a ten-minute one.
@@ -36,6 +36,17 @@ tier1-stress:
 # one it uses fails here instead of in the benchmark pipeline.
 bench-build:
 	cd bench && go vet ./...
+
+# orphans fails when a non-test package under internal/ is linked by no
+# binary under cmd/: code that serves no path. Test-helper packages,
+# whose name ends in "test", are exempt.
+orphans:
+	@deps=$$(go list -deps ./cmd/...); \
+	  bad=$$(for p in $$(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/...); do \
+	    case $$p in *test) continue ;; esac; \
+	    echo "$$deps" | grep -Fqx "$$p" || echo "$$p"; \
+	  done); \
+	  if [ -n "$$bad" ]; then echo "packages no ./cmd/... binary links:"; echo "$$bad"; exit 1; fi
 
 race:
 	go test -race ./internal/feature/stream/ ./internal/ms/... ./internal/router/ ./internal/link/ ./internal/faultinject/ ./internal/hbase/ ./internal/decision/ ./internal/eventlog/ ./internal/logio/ ./internal/loadgen/ ./internal/synth/ ./internal/telemetry/ ./internal/nrl/deepwalk/ ./internal/model/gbdt/ ./internal/feature/ ./internal/par/

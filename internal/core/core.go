@@ -16,7 +16,6 @@ import (
 
 	"titant/internal/feature"
 	"titant/internal/graph"
-	"titant/internal/hbase"
 	"titant/internal/metrics"
 	"titant/internal/model"
 	"titant/internal/model/gbdt"
@@ -372,16 +371,11 @@ func embDim(emb *Embeddings) int {
 	return 0
 }
 
-// Deploy materialises a trained day into the online stores: uploads every
-// user's profile, aggregate fragment and DW embedding to HBase and returns
-// the model bundle for the Model Server. version follows the paper's
-// date-time convention.
-func Deploy(users []txn.User, ds *txn.Dataset, emb *Embeddings, clf model.Classifier, threshold float64, opts Options, tab *hbase.Table, version string) (*ms.Bundle, error) {
-	return DeployTo(users, ds, emb, clf, threshold, opts, &ms.Uploader{Table: tab}, version)
-}
-
-// DeployTo is Deploy against any UserSink: pass a sharded uploader to
-// partition the upload wave across a ring of shard tables in one pass.
+// DeployTo materialises a trained day into the online stores: uploads
+// every user's profile, aggregate fragment and DW embedding to sink (one
+// table's ms.Uploader, or a sharded uploader over a ring of tables) and
+// returns the model bundle for the Model Server. version follows the
+// paper's date-time convention.
 func DeployTo(users []txn.User, ds *txn.Dataset, emb *Embeddings, clf model.Classifier, threshold float64, opts Options, sink UserSink, version string) (*ms.Bundle, error) {
 	agg := feature.BuildAggregates(ds.Network, opts.Cities)
 	if err := uploadUsersTo(users, agg, emb, sink); err != nil {
@@ -392,19 +386,14 @@ func DeployTo(users []txn.User, ds *txn.Dataset, emb *Embeddings, clf model.Clas
 
 // BuildEnsembleBundle assembles a v2 ensemble bundle from trained members
 // without touching the online stores — the bundle-file half of an
-// ensemble deployment (see DeployEnsemble for the uploading variant).
+// ensemble deployment (see DeployEnsembleTo for the uploading variant).
 func BuildEnsembleBundle(ds *txn.Dataset, emb *Embeddings, members []ms.EnsembleMember, combine ms.Combiner, threshold float64, opts Options, version string) (*ms.Bundle, error) {
 	agg := feature.BuildAggregates(ds.Network, opts.Cities)
 	return ms.NewEnsembleBundle(version, members, combine, threshold, agg.CityTable(), embDim(emb))
 }
 
-// DeployEnsemble is Deploy for ensemble bundles: uploads every user's
-// fragments and returns a v2 bundle combining the trained members.
-func DeployEnsemble(users []txn.User, ds *txn.Dataset, emb *Embeddings, members []ms.EnsembleMember, combine ms.Combiner, threshold float64, opts Options, tab *hbase.Table, version string) (*ms.Bundle, error) {
-	return DeployEnsembleTo(users, ds, emb, members, combine, threshold, opts, &ms.Uploader{Table: tab}, version)
-}
-
-// DeployEnsembleTo is DeployEnsemble against any UserSink (see DeployTo).
+// DeployEnsembleTo is DeployTo for ensemble bundles: uploads every
+// user's fragments and returns a v2 bundle combining the trained members.
 func DeployEnsembleTo(users []txn.User, ds *txn.Dataset, emb *Embeddings, members []ms.EnsembleMember, combine ms.Combiner, threshold float64, opts Options, sink UserSink, version string) (*ms.Bundle, error) {
 	agg := feature.BuildAggregates(ds.Network, opts.Cities)
 	if err := uploadUsersTo(users, agg, emb, sink); err != nil {

@@ -116,7 +116,7 @@ func TestEndToEndServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tab.Close()
-	bundle, err := Deploy(w.Users, ds, emb, clf, threshold, opts, tab, "test-version")
+	bundle, err := DeployTo(w.Users, ds, emb, clf, threshold, opts, &ms.Uploader{Table: tab}, "test-version")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"math"
 	"testing"
 
 	"titant/internal/feature"
@@ -163,23 +164,30 @@ func mkData(n int) (*feature.Matrix, []bool) {
 	return m, labels
 }
 
+// TestDistributedGBDTMatchesQuality holds the data-parallel trainer to the
+// single-machine one bit for bit: however the rows are sharded, the merged
+// histograms pick the same splits and leaves, so every score must equal
+// gbdt.Train's exactly. The AUC floor guards the pair against a shared
+// regression.
 func TestDistributedGBDTMatchesQuality(t *testing.T) {
 	m, labels := mkData(3000)
 	cfg := DefaultGBDTConfig()
 	cfg.GBDT.Trees = 60
-	c := NewCluster(8, DefaultCostModel())
-	dist := TrainGBDT(c, m, labels, cfg)
-	single := gbdt.Train(m, labels, cfg.GBDT)
-	aucD := metrics.AUC(mustScores(dist, m), labels)
-	aucS := metrics.AUC(mustScores(single, m), labels)
-	if aucD < 0.9 {
-		t.Errorf("distributed GBDT AUC %.3f < 0.9", aucD)
+	want := mustScores(gbdt.Train(m, labels, cfg.GBDT), m)
+	if auc := metrics.AUC(want, labels); auc < 0.9 {
+		t.Errorf("GBDT AUC %.3f < 0.9", auc)
 	}
-	if aucD < aucS-0.05 {
-		t.Errorf("distributed AUC %.3f far below single-machine %.3f", aucD, aucS)
-	}
-	if c.SimElapsed() <= 0 {
-		t.Fatal("no simulated time")
+	for _, machines := range []int{2, 4, 8, 40} {
+		c := NewCluster(machines, DefaultCostModel())
+		got := mustScores(TrainGBDT(c, m, labels, cfg), m)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d machines: row %d scores %v, single machine %v", machines, i, got[i], want[i])
+			}
+		}
+		if c.SimElapsed() <= 0 {
+			t.Fatalf("%d machines: no simulated time", machines)
+		}
 	}
 }
 

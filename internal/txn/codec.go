@@ -10,8 +10,8 @@ import (
 
 // Binary codec for transaction logs. The format is a fixed 40-byte
 // little-endian record per transaction preceded by a magic header; it is the
-// storage format used by the pangu-backed MaxCompute tables and by the
-// examples that persist generated workloads.
+// file `titant gen` writes and `titant loadgen -replay` reads, and its record
+// is the payload of the ingest event log.
 
 const (
 	codecMagic   = 0x54495441 // "TITA"
@@ -99,29 +99,21 @@ func decodeRecord(rec *[recordSize]byte) Transaction {
 	}
 }
 
-// readLogHeader validates the log header and returns the record count.
-func readLogHeader(br *bufio.Reader) (int, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, fmt.Errorf("txn: read header: %w", err)
-	}
-	le := binary.LittleEndian
-	if le.Uint32(hdr[0:]) != codecMagic {
-		return 0, fmt.Errorf("txn: bad magic %#x", le.Uint32(hdr[0:]))
-	}
-	if v := le.Uint32(hdr[4:]); v != codecVersion {
-		return 0, fmt.Errorf("txn: unsupported version %d", v)
-	}
-	return int(le.Uint32(hdr[8:])), nil
-}
-
 // ReadLog reads a binary transaction log written by WriteLog.
 func ReadLog(r io.Reader) ([]Transaction, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	n, err := readLogHeader(br)
-	if err != nil {
-		return nil, err
+	var hdr [12]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("txn: read header: %w", err)
 	}
+	le := binary.LittleEndian
+	if le.Uint32(hdr[0:]) != codecMagic {
+		return nil, fmt.Errorf("txn: bad magic %#x", le.Uint32(hdr[0:]))
+	}
+	if v := le.Uint32(hdr[4:]); v != codecVersion {
+		return nil, fmt.Errorf("txn: unsupported version %d", v)
+	}
+	n := int(le.Uint32(hdr[8:]))
 	// The header's record count is untrusted input: cap the preallocation
 	// so a crafted 12-byte header cannot demand gigabytes up front. A
 	// count beyond the cap grows normally — or fails at the first missing
@@ -144,32 +136,4 @@ func ReadLog(r io.Reader) ([]Transaction, error) {
 		ts = append(ts, decodeRecord(&rec))
 	}
 	return ts, nil
-}
-
-// ReadLogFunc streams a binary transaction log to fn, one record at a
-// time, without materialising the whole slice: replaying a multi-gigabyte
-// log costs one record of working memory. The record passed to fn is
-// reused between calls — copy it to keep it. Validation is identical to
-// ReadLog (magic, version, strict flags byte, exact record count); fn
-// returning an error aborts the read and is returned as-is.
-func ReadLogFunc(r io.Reader, fn func(*Transaction) error) error {
-	br := bufio.NewReaderSize(r, 1<<16)
-	n, err := readLogHeader(br)
-	if err != nil {
-		return err
-	}
-	var rec [recordSize]byte
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return fmt.Errorf("txn: read record %d/%d: %w", i, n, err)
-		}
-		if rec[31]&^1 != 0 {
-			return fmt.Errorf("txn: record %d/%d has unknown flag bits %#x", i, n, rec[31])
-		}
-		t := decodeRecord(&rec)
-		if err := fn(&t); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package txn
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"testing"
 )
@@ -27,11 +26,10 @@ func randomTxns(rng *rand.Rand, n int) []Transaction {
 	return ts
 }
 
-// TestReadLogFuncMatchesReadLog is the property test: on random logs —
-// intact and truncated at every interesting point — the streaming decoder
-// must deliver exactly the records ReadLog returns, and fail exactly when
-// ReadLog fails.
-func TestReadLogFuncMatchesReadLog(t *testing.T) {
+// TestReadLogCuts is the truncation property test: on random logs, the
+// intact log must read back exactly the records written, and every shorter
+// cut — empty, mid-header, at each record boundary, mid-record — must fail.
+func TestReadLogCuts(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		ts := randomTxns(rng, rng.Intn(200))
@@ -41,78 +39,31 @@ func TestReadLogFuncMatchesReadLog(t *testing.T) {
 		}
 		full := buf.Bytes()
 
-		// Cut points: intact, empty, mid-header, every record boundary,
-		// and random mid-record positions.
-		cuts := []int{len(full), 0, 5, 11, 12}
-		for i := 0; i <= len(ts); i++ {
+		got, err := ReadLog(bytes.NewReader(full))
+		if err != nil {
+			t.Fatalf("trial %d: intact log: %v", trial, err)
+		}
+		if len(got) != len(ts) {
+			t.Fatalf("trial %d: %d records read, want %d", trial, len(got), len(ts))
+		}
+		for i := range ts {
+			if got[i] != ts[i] {
+				t.Fatalf("trial %d: record %d mismatch:\n got %+v\nwant %+v", trial, i, got[i], ts[i])
+			}
+		}
+
+		cuts := []int{0, 5, 11}
+		for i := 0; i < len(ts); i++ {
 			cuts = append(cuts, 12+i*RecordSize)
 		}
 		for i := 0; i < 10; i++ {
-			cuts = append(cuts, rng.Intn(len(full)+1))
+			cuts = append(cuts, rng.Intn(len(full)))
 		}
-
 		for _, cut := range cuts {
-			if cut > len(full) {
-				continue
-			}
-			data := full[:cut]
-
-			want, wantErr := ReadLog(bytes.NewReader(data))
-			var got []Transaction
-			gotErr := ReadLogFunc(bytes.NewReader(data), func(tx *Transaction) error {
-				got = append(got, *tx)
-				return nil
-			})
-
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("trial %d cut %d: error mismatch: ReadLog=%v ReadLogFunc=%v",
-					trial, cut, wantErr, gotErr)
-			}
-			if wantErr != nil {
-				// Both fail; the streaming decoder must have delivered only
-				// a prefix of the good records before failing.
-				if len(got) > len(ts) {
-					t.Fatalf("trial %d cut %d: streamed %d records from log of %d", trial, cut, len(got), len(ts))
-				}
-				for i := range got {
-					if got[i] != ts[i] {
-						t.Fatalf("trial %d cut %d: streamed record %d mismatch", trial, cut, i)
-					}
-				}
-				continue
-			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d cut %d: %d records streamed, want %d", trial, cut, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d cut %d: record %d mismatch:\n got %+v\nwant %+v", trial, cut, i, got[i], want[i])
-				}
+			if _, err := ReadLog(bytes.NewReader(full[:cut])); err == nil {
+				t.Fatalf("trial %d: log cut at %d of %d bytes read without error", trial, cut, len(full))
 			}
 		}
-	}
-}
-
-func TestReadLogFuncCallbackError(t *testing.T) {
-	ts := randomTxns(rand.New(rand.NewSource(7)), 10)
-	var buf bytes.Buffer
-	if err := WriteLog(&buf, ts); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("boom")
-	n := 0
-	err := ReadLogFunc(bytes.NewReader(buf.Bytes()), func(*Transaction) error {
-		n++
-		if n == 3 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("callback error not propagated: %v", err)
-	}
-	if n != 3 {
-		t.Fatalf("callback ran %d times after error, want 3", n)
 	}
 }
 

@@ -320,13 +320,13 @@ func OpenFeatureTable(dir string) (*FeatureTable, error) {
 // Deploy uploads user fragments and embeddings to the feature table and
 // builds the model bundle for serving.
 func Deploy(users []User, ds *Dataset, emb *Embeddings, clf Classifier, threshold float64, opts Options, tab *FeatureTable, version string) (*Bundle, error) {
-	return core.Deploy(users, ds, emb, clf, threshold, opts, tab, version)
+	return core.DeployTo(users, ds, emb, clf, threshold, opts, &ms.Uploader{Table: tab}, version)
 }
 
 // DeployEnsemble is Deploy for ensemble bundles: uploads every user's
 // fragments and builds a v2 bundle combining the trained members.
 func DeployEnsemble(users []User, ds *Dataset, emb *Embeddings, members []EnsembleMember, combine Combiner, threshold float64, opts Options, tab *FeatureTable, version string) (*Bundle, error) {
-	return core.DeployEnsemble(users, ds, emb, members, combine, threshold, opts, tab, version)
+	return core.DeployEnsembleTo(users, ds, emb, members, combine, threshold, opts, &ms.Uploader{Table: tab}, version)
 }
 
 // BuildEnsembleBundle assembles a v2 ensemble bundle from trained members
