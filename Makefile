@@ -14,10 +14,12 @@ test: bench-build
 # every released answer poisoned among them, and the trace through
 # retries, hedge legs, every batch scatter leg and every replicated swap,
 # whose scatter shares one pooled record across its goroutines — the
-# engine's worker pool contract, the wire answers' pooled results and the
-# engine's Close (no goroutine of its log, shadow worker or served links
-# left) twenty times under the race detector, then the wire-tier chaos
-# test twenty times, whose faults sit on the router's call seam.
+# engine's worker pool contract, the wire answers' pooled results, the
+# single verbs' member scores carved from the shared slab (no two verdicts
+# overlapping, no swapped-out bundle pinned) and the engine's Close (no
+# goroutine of its log, shadow worker or served links left) twenty times
+# under the race detector, then the wire-tier chaos test twenty times,
+# whose faults sit on the router's call seam.
 # One failure or hang fails the target.
 tier1-stress:
 	@set -e; \
@@ -28,7 +30,7 @@ tier1-stress:
 	    GOMAXPROCS=2 go test -count=1 -timeout 120s ./...; \
 	  done
 	go test -race -count=20 -timeout 600s ./internal/link/ ./internal/router/ -run 'Link|Multiplex|Restart|Pending|Chaos|Released|Poison|TestRouterTrace(AdoptedThroughRetries|MintedWhenAbsent|HedgedLegsShareID)$$|TestBatchTraceReachesEveryLeg|TestPolicyTraceReachesEveryShard|TestScratchPinsNothing'
-	go test -race -count=20 -timeout 600s ./internal/ms/ -run '^(TestRunPool|TestPooledResultsIsolated|TestCloseLeavesNoGoroutines)$$'
+	go test -race -count=20 -timeout 600s ./internal/ms/ -run '^(TestRunPool|TestPooledResultsIsolated|TestSlabMembersIsolated|TestSlabPinsNoBundle|TestCloseLeavesNoGoroutines)$$'
 	go test -count=20 -timeout 600s -run TestChaosWireTierShardOutage .
 
 # bench-build type-checks the benchmark module (bench/, a module of its

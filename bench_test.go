@@ -145,7 +145,7 @@ func benchUserTable(b *testing.B, r *rng.RNG, users, embDim int) *hbase.Table {
 		for j := range emb {
 			emb[j] = float32(r.Float64() - 0.5)
 		}
-		if err := up.PutUser(&u, feature.UserStats{OutCount: float64(i % 10)}, emb); err != nil {
+		if err := up.PutUser(&u, emb); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -405,7 +405,7 @@ func shardedFixture(b *testing.B, n int, opts ...ms.Option) (*ms.Server, []*hbas
 		for j := range emb {
 			emb[j] = float32(r.Float64() - 0.5)
 		}
-		if err := up.PutUser(&u, feature.UserStats{OutCount: float64(i % 10)}, emb); err != nil {
+		if err := up.PutUser(&u, emb); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -345,19 +345,19 @@ func TrainMatrix(users []txn.User, ds *txn.Dataset, fs FeatureSet, emb *Embeddin
 // row to its owner table by consistent hash — so one deployment path
 // feeds a single store and a ring of shard stores alike.
 type UserSink interface {
-	PutUser(u *txn.User, stats feature.UserStats, vec []float32) error
+	PutUser(u *txn.User, vec []float32) error
 }
 
-// uploadUsersTo materialises every user's profile, aggregate fragment
-// and DW embedding into the sink.
-func uploadUsersTo(users []txn.User, agg *feature.Aggregates, emb *Embeddings, sink UserSink) error {
+// uploadUsersTo materialises every user's profile and DW embedding into
+// the sink.
+func uploadUsersTo(users []txn.User, emb *Embeddings, sink UserSink) error {
 	for i := range users {
 		u := &users[i]
 		var vec []float32
 		if emb != nil && emb.DW != nil {
 			vec = emb.DW.Lookup(u.ID)
 		}
-		if err := sink.PutUser(u, agg.Stats(u.ID), vec); err != nil {
+		if err := sink.PutUser(u, vec); err != nil {
 			return fmt.Errorf("core: upload user %d: %w", u.ID, err)
 		}
 	}
@@ -372,13 +372,13 @@ func embDim(emb *Embeddings) int {
 }
 
 // DeployTo materialises a trained day into the online stores: uploads
-// every user's profile, aggregate fragment and DW embedding to sink (one
-// table's ms.Uploader, or a sharded uploader over a ring of tables) and
-// returns the model bundle for the Model Server. version follows the
-// paper's date-time convention.
+// every user's profile and DW embedding to sink (one table's ms.Uploader,
+// or a sharded uploader over a ring of tables) and returns the model
+// bundle for the Model Server. version follows the paper's date-time
+// convention.
 func DeployTo(users []txn.User, ds *txn.Dataset, emb *Embeddings, clf model.Classifier, threshold float64, opts Options, sink UserSink, version string) (*ms.Bundle, error) {
 	agg := feature.BuildAggregates(ds.Network, opts.Cities)
-	if err := uploadUsersTo(users, agg, emb, sink); err != nil {
+	if err := uploadUsersTo(users, emb, sink); err != nil {
 		return nil, err
 	}
 	return ms.NewBundle(version, clf, threshold, agg.CityTable(), embDim(emb))
@@ -396,7 +396,7 @@ func BuildEnsembleBundle(ds *txn.Dataset, emb *Embeddings, members []ms.Ensemble
 // user's fragments and returns a v2 bundle combining the trained members.
 func DeployEnsembleTo(users []txn.User, ds *txn.Dataset, emb *Embeddings, members []ms.EnsembleMember, combine ms.Combiner, threshold float64, opts Options, sink UserSink, version string) (*ms.Bundle, error) {
 	agg := feature.BuildAggregates(ds.Network, opts.Cities)
-	if err := uploadUsersTo(users, agg, emb, sink); err != nil {
+	if err := uploadUsersTo(users, emb, sink); err != nil {
 		return nil, err
 	}
 	return ms.NewEnsembleBundle(version, members, combine, threshold, agg.CityTable(), embDim(emb))

@@ -202,8 +202,8 @@ func NewExtractor(users []txn.User, src Source) *Extractor {
 	return &Extractor{users: users, src: src}
 }
 
-// UserStats is the per-user aggregate fragment materialised into Ali-HBase
-// by the nightly jobs and fetched by the Model Server at serve time.
+// UserStats is the per-user aggregate fragment a Source serves: the
+// nightly snapshot's (Aggregates) or the live window's.
 type UserStats struct {
 	OutCount, InCount   float64
 	OutAmount, InAmount float64

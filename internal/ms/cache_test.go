@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"titant/internal/feature"
 	"titant/internal/feature/stream"
 	"titant/internal/rng"
 	"titant/internal/txn"
@@ -68,7 +67,7 @@ func TestCachedScoreOracle(t *testing.T) {
 	}
 	for i := txn.UserID(0); i < 40; i++ {
 		u := txn.User{ID: i, Age: uint8(20 + i%40), HomeCity: uint16(i % 2), AvgAmount: float32(10 * i)}
-		if err := up.PutUser(&u, feature.UserStats{OutCount: float64(i)}, emb(int(i))); err != nil {
+		if err := up.PutUser(&u, emb(int(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +115,7 @@ func TestCachedScoreOracle(t *testing.T) {
 	// Uploader's Invalidate hook must make the very next score see it.
 	for i := txn.UserID(0); i < 40; i += 3 {
 		u := txn.User{ID: i, Age: uint8(60 + i%20), HomeCity: uint16((i + 1) % 2), AvgAmount: 999}
-		if err := up.PutUser(&u, feature.UserStats{OutCount: 1000, InCount: 5}, emb(int(i)+1)); err != nil {
+		if err := up.PutUser(&u, emb(int(i)+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +138,7 @@ func TestCachedScoreOracle(t *testing.T) {
 
 	// An uploaded user that was previously a negative entry must appear.
 	u := txn.User{ID: 55, Age: 33, HomeCity: 1, AvgAmount: 70}
-	if err := up.PutUser(&u, feature.UserStats{OutCount: 3}, emb(55)); err != nil {
+	if err := up.PutUser(&u, emb(55)); err != nil {
 		t.Fatal(err)
 	}
 	compare("after-coldstart-upload", round(500))
@@ -157,7 +156,7 @@ func TestCacheStrictNegative(t *testing.T) {
 	tab := table(t)
 	up := &Uploader{Table: tab}
 	u := txn.User{ID: 1}
-	_ = up.PutUser(&u, feature.UserStats{}, nil)
+	_ = up.PutUser(&u, nil)
 	srv, err := New(tab, trainToy(t, 0), WithStrictUsers(), WithUserCache(64))
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +182,7 @@ func TestCacheHotSwapPurges(t *testing.T) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 2; i++ {
 		u := txn.User{ID: i}
-		_ = up.PutUser(&u, feature.UserStats{}, nil)
+		_ = up.PutUser(&u, nil)
 	}
 	srv, err := New(tab, trainToy(t, 0), WithUserCache(64))
 	if err != nil {
@@ -211,7 +210,7 @@ func TestStatsEndpointUserCache(t *testing.T) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 2; i++ {
 		u := txn.User{ID: i}
-		_ = up.PutUser(&u, feature.UserStats{}, nil)
+		_ = up.PutUser(&u, nil)
 	}
 	srv, err := New(tab, trainToy(t, 0), WithUserCache(64))
 	if err != nil {

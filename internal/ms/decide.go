@@ -98,7 +98,7 @@ func (s *Server) PolicyInfo() PolicyInfo {
 // scores. Returns ErrPolicyDisabled on an engine built without
 // WithPolicy.
 func (s *Server) Decide(ctx context.Context, t *txn.Transaction, sc decision.Scenario) (Decision, error) {
-	return s.one(ctx, t, true, sc, new(results))
+	return s.one(ctx, t, true, sc)
 }
 
 // DecideBatch decides a batch in input order over the same pooled

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -58,7 +60,7 @@ func decideServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 4; i++ {
 		u := txn.User{ID: i, Age: uint8(20 + i)}
-		if err := up.PutUser(&u, feature.UserStats{}, nil); err != nil {
+		if err := up.PutUser(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -441,7 +443,7 @@ func TestShadowAgreesWithIdenticalChallenger(t *testing.T) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 4; i++ {
 		u := txn.User{ID: i, Age: uint8(20 + i)}
-		if err := up.PutUser(&u, feature.UserStats{}, nil); err != nil {
+		if err := up.PutUser(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -625,7 +627,7 @@ func TestShadowSwapDiscardsQueuedJobs(t *testing.T) {
 	tab := table(t)
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 2; i++ {
-		if err := up.PutUser(&txn.User{ID: i}, feature.UserStats{}, nil); err != nil {
+		if err := up.PutUser(&txn.User{ID: i}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -659,9 +661,16 @@ func TestShadowSwapDiscardsQueuedJobs(t *testing.T) {
 }
 
 // TestDecideAllocBudget: a warm single Decide allocates nothing on a v1
-// GBDT bundle and only the verdict's Members slice on an ensemble bundle —
-// the score scratch, its scoredBatch view and the one-row matrix are
-// pooled, and the compiled predictor walks the assembled row as it is.
+// GBDT bundle or on an ensemble bundle — the score scratch, its
+// scoredBatch view and the one-row matrix are pooled, the compiled
+// predictor walks the assembled row as it is, and the verdict's Members
+// is carved from a shared slab. The slab is one object per
+// memberSlabLen/k calls, which AllocsPerRun's integer division hides, so
+// the ensemble case also counts over several slabs' worth of Decide and
+// Score calls: at most one object per slab (plus one for the slab the
+// count starts in), and no more bytes per call than k member scores plus
+// their share of a slab that fills its size class. A 64-member slab, in
+// the 1 792 B class, reads 28 B per member score and fails.
 func TestDecideAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pooled scratch is not reused reliably under the race detector")
@@ -670,7 +679,7 @@ func TestDecideAllocBudget(t *testing.T) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 8; i++ {
 		u := txn.User{ID: i, Age: uint8(20 + i)}
-		if err := up.PutUser(&u, feature.UserStats{}, nil); err != nil {
+		if err := up.PutUser(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -687,11 +696,8 @@ func TestDecideAllocBudget(t *testing.T) {
 	}
 	ctx := context.Background()
 	tx := txn.Transaction{ID: 1, From: 1, To: 2, Amount: 1500}
-	for _, tc := range []struct {
-		bundle *Bundle
-		budget float64
-	}{{single, 0}, {ensemble, 1}} {
-		srv, err := New(tab, tc.bundle, WithPolicy(decidePolicy(t)), WithWorkers(1), WithUserCache(64))
+	for _, tc := range []*Bundle{single, ensemble} {
+		srv, err := New(tab, tc, WithPolicy(decidePolicy(t)), WithWorkers(1), WithUserCache(64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -702,8 +708,45 @@ func TestDecideAllocBudget(t *testing.T) {
 			}
 		}
 		decide() // fill the cache, compile the model
-		if got := testing.AllocsPerRun(100, decide); got > tc.budget {
-			t.Errorf("%s: warm Decide: %.0f allocs, budget %.0f", tc.bundle.Version, got, tc.budget)
+		if got := testing.AllocsPerRun(100, decide); got > 0 {
+			t.Errorf("%s: warm Decide: %.0f allocs, budget 0", tc.Version, got)
+		}
+		k := tc.ens.breakdown()
+		if k == 0 {
+			continue
+		}
+		score := func() {
+			if _, err := srv.Score(ctx, &tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The counters are process-wide, and a call that lands on a P
+		// whose pools are still empty refills them, so the count keeps
+		// the best of five passes: that noise only adds.
+		calls, perSlab := 6*memberSlabLen, memberSlabLen/k
+		maxObjects, maxBytes := uint64((calls+perSlab-1)/perSlab+1), 24.5*float64(k)
+		defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
+		var objects uint64
+		var perCall float64
+		for pass := 0; pass < 5; pass++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < calls; i += 2 {
+				decide()
+				score()
+			}
+			runtime.ReadMemStats(&after)
+			objects, perCall = after.Mallocs-before.Mallocs, float64(after.TotalAlloc-before.TotalAlloc)/float64(calls)
+			t.Logf("%s: %d calls, %d objects, %.2f B per call", tc.Version, calls, objects, perCall)
+			if objects <= maxObjects && perCall <= maxBytes {
+				break
+			}
+		}
+		if objects > maxObjects {
+			t.Errorf("%s: %d Decide/Score calls made %d objects, budget %d", tc.Version, calls, objects, maxObjects)
+		}
+		if perCall > maxBytes {
+			t.Errorf("%s: %.2f B per call, budget %.2f (%d members)", tc.Version, perCall, maxBytes, k)
 		}
 	}
 }

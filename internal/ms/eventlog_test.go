@@ -9,7 +9,6 @@ import (
 
 	"titant/internal/decision"
 	"titant/internal/eventlog"
-	"titant/internal/feature"
 	"titant/internal/feature/stream"
 	"titant/internal/hbase"
 	"titant/internal/rng"
@@ -33,7 +32,7 @@ func recoveryTables(t *testing.T, width int) []*hbase.Table {
 	up := NewShardedUploader(tabs, 0)
 	for i := txn.UserID(1); i <= recoveryUsers; i++ {
 		u := txn.User{ID: i, Age: uint8(20 + i), HomeCity: uint16(i % 4)}
-		if err := up.PutUser(&u, feature.UserStats{OutCount: float64(i)}, nil); err != nil {
+		if err := up.PutUser(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

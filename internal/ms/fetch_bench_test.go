@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"titant/internal/feature"
 	"titant/internal/hbase"
 	"titant/internal/rng"
 	"titant/internal/txn"
@@ -27,7 +26,7 @@ func benchStore(b *testing.B, users int) *hbase.Table {
 		for j := range emb {
 			emb[j] = float32(r.Float64() - 0.5)
 		}
-		if err := up.PutUser(&u, feature.UserStats{OutCount: float64(i % 10)}, emb); err != nil {
+		if err := up.PutUser(&u, emb); err != nil {
 			b.Fatal(err)
 		}
 	}

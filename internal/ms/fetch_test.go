@@ -59,7 +59,7 @@ func seedEmbUsers(t testing.TB, sink userSink, n int) {
 	t.Helper()
 	for i := txn.UserID(0); i < txn.UserID(n); i++ {
 		u := txn.User{ID: i, Age: uint8(20 + i%50), AvgAmount: float32(50 + i%200)}
-		if err := sink.PutUser(&u, feature.UserStats{}, testEmb(i, 0)); err != nil {
+		if err := sink.PutUser(&u, testEmb(i, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +160,7 @@ func TestFetchScratchNoCarryOver(t *testing.T) {
 		seedEmbUsers(t, up, 32)
 		for i := txn.UserID(100); i < 110; i++ { // profile only
 			u := txn.User{ID: i, Age: 61}
-			if err := up.PutUser(&u, feature.UserStats{}, nil); err != nil {
+			if err := up.PutUser(&u, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -361,7 +361,7 @@ func TestCachedBytesSurviveStoreChurn(t *testing.T) {
 		for wave := 1; wave <= waves; wave++ {
 			for i := txn.UserID(users / 2); i < users; i++ {
 				u := txn.User{ID: i, Age: uint8(wave)}
-				if err := up.PutUser(&u, feature.UserStats{}, testEmb(i, wave)); err != nil {
+				if err := up.PutUser(&u, testEmb(i, wave)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -411,7 +411,7 @@ func TestCachedBytesSurviveStoreChurn(t *testing.T) {
 	}
 	u := txn.User{ID: 3, Age: 23, AvgAmount: 53}
 	up := &Uploader{Table: tab, Invalidate: cached.InvalidateUser}
-	if err := up.PutUser(&u, feature.UserStats{}, testEmb(3, 7)); err != nil {
+	if err := up.PutUser(&u, testEmb(3, 7)); err != nil {
 		t.Fatal(err)
 	}
 	after, err := cached.DecideBatch(ctx, tx, nil)

@@ -426,7 +426,7 @@ func (s *Server) answer(parent context.Context, route int, h *link.Header, body 
 		}
 	default:
 		var dc Decision
-		if dc, err = s.one(d, &wb.txns[0], decide, wb.scenarios[0], &wb.results); err == nil && decide {
+		if dc, err = s.one(d, &wb.txns[0], decide, wb.scenarios[0]); err == nil && decide {
 			err = wb.putDecision(&dc)
 		} else if err == nil {
 			err = wb.putVerdict(&dc.Verdict)

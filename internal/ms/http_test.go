@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"titant/internal/feature"
 	"titant/internal/txn"
 )
 
@@ -20,7 +19,7 @@ func v1Server(t *testing.T) (*Server, *httptest.Server) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 4; i++ {
 		u := txn.User{ID: i, Age: uint8(20 + i)}
-		if err := up.PutUser(&u, feature.UserStats{}, nil); err != nil {
+		if err := up.PutUser(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

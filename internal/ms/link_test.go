@@ -264,7 +264,7 @@ func TestLinkCallAllocBudget(t *testing.T) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 32; i++ {
 		u := txn.User{ID: i, Age: uint8(20 + i)}
-		if err := up.PutUser(&u, feature.UserStats{}, nil); err != nil {
+		if err := up.PutUser(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -102,21 +102,6 @@ func TestProfileCodec(t *testing.T) {
 	}
 }
 
-func TestStatsCodec(t *testing.T) {
-	s := feature.UserStats{OutCount: 1, InCount: 2, OutAmount: 3.5, InAmount: 4.5,
-		DistinctRcv: 5, DistinctSnd: 6, OutDays: 7, InDays: 8}
-	got, err := decodeStats(encodeStats(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != s {
-		t.Fatalf("round trip: %+v != %+v", got, s)
-	}
-	if _, err := decodeStats(nil); err == nil {
-		t.Fatal("short stats accepted")
-	}
-}
-
 func TestVecCodec(t *testing.T) {
 	v := []float32{0.5, -1.25, 3}
 	got := decodeVec(encodeVec(v))
@@ -130,10 +115,9 @@ func TestVecCodec(t *testing.T) {
 func TestUploadFetch(t *testing.T) {
 	tab := table(t)
 	u := txn.User{ID: 9, Age: 40, HomeCity: 1, AvgAmount: 50}
-	stats := feature.UserStats{OutCount: 12, InCount: 3}
 	emb := []float32{1, 2, 3, 4}
 	up := &Uploader{Table: tab}
-	if err := up.PutUser(&u, stats, emb); err != nil {
+	if err := up.PutUser(&u, emb); err != nil {
 		t.Fatal(err)
 	}
 	parts, found, err := fetchUser(tab, 9)
@@ -158,9 +142,9 @@ func TestVersionedUploadNewestWins(t *testing.T) {
 	u := txn.User{ID: 5, Age: 30}
 	up1 := &Uploader{Table: tab, Version: 100}
 	up2 := &Uploader{Table: tab, Version: 200}
-	_ = up1.PutUser(&u, feature.UserStats{OutCount: 1}, nil)
+	_ = up1.PutUser(&u, nil)
 	u.Age = 31
-	_ = up2.PutUser(&u, feature.UserStats{OutCount: 2}, nil)
+	_ = up2.PutUser(&u, nil)
 	parts, _, err := fetchUser(tab, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +159,7 @@ func TestScoreAndAlert(t *testing.T) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 2; i++ {
 		u := txn.User{ID: i, Age: 30, AvgAmount: 100}
-		if err := up.PutUser(&u, feature.UserStats{}, nil); err != nil {
+		if err := up.PutUser(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,8 +210,8 @@ func TestScoreWithEmbeddings(t *testing.T) {
 	emb[0] = 1
 	u1 := txn.User{ID: 1}
 	u2 := txn.User{ID: 2}
-	_ = up.PutUser(&u1, feature.UserStats{}, emb)
-	_ = up.PutUser(&u2, feature.UserStats{}, nil) // cold: no embedding
+	_ = up.PutUser(&u1, emb)
+	_ = up.PutUser(&u2, nil) // cold: no embedding
 	srv, err := New(tab, trainToy(t, 8))
 	if err != nil {
 		t.Fatal(err)
@@ -245,8 +229,8 @@ func TestScoreDimensionMismatch(t *testing.T) {
 	up := &Uploader{Table: tab}
 	u1 := txn.User{ID: 1}
 	u2 := txn.User{ID: 2}
-	_ = up.PutUser(&u1, feature.UserStats{}, []float32{1, 2, 3}) // model wants 8
-	_ = up.PutUser(&u2, feature.UserStats{}, nil)
+	_ = up.PutUser(&u1, []float32{1, 2, 3}) // model wants 8
+	_ = up.PutUser(&u2, nil)
 	srv, err := New(tab, trainToy(t, 8))
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +251,7 @@ func TestScoreCancelledContext(t *testing.T) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 2; i++ {
 		u := txn.User{ID: i}
-		_ = up.PutUser(&u, feature.UserStats{}, nil)
+		_ = up.PutUser(&u, nil)
 	}
 	alerted := false
 	srv, err := New(tab, trainToy(t, 0), WithAlert(func(*txn.Transaction, float64) { alerted = true }))
@@ -299,7 +283,7 @@ func TestStrictUsers(t *testing.T) {
 	tab := table(t)
 	up := &Uploader{Table: tab}
 	u := txn.User{ID: 1}
-	_ = up.PutUser(&u, feature.UserStats{}, nil)
+	_ = up.PutUser(&u, nil)
 	srv, err := New(tab, trainToy(t, 0), WithStrictUsers())
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +304,7 @@ func TestScoreBatchMatchesSequential(t *testing.T) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(0); i < 50; i++ {
 		u := txn.User{ID: i, Age: uint8(20 + i%40)}
-		_ = up.PutUser(&u, feature.UserStats{OutCount: float64(i)}, nil)
+		_ = up.PutUser(&u, nil)
 	}
 	srv, err := New(tab, trainToy(t, 0), WithWorkers(4))
 	if err != nil {
@@ -446,7 +430,7 @@ func TestMillisecondLatency(t *testing.T) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(0); i < 200; i++ {
 		u := txn.User{ID: i, Age: uint8(20 + i%50)}
-		_ = up.PutUser(&u, feature.UserStats{OutCount: float64(i)}, nil)
+		_ = up.PutUser(&u, nil)
 	}
 	srv, err := New(tab, trainToy(t, 0))
 	if err != nil {
@@ -493,7 +477,7 @@ func ensembleEngine(t *testing.T, combine Combiner) *Server {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 2; i++ {
 		u := txn.User{ID: i, Age: 30}
-		if err := up.PutUser(&u, feature.UserStats{}, nil); err != nil {
+		if err := up.PutUser(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -566,7 +550,7 @@ func TestV1BundleOmitsMembersAndSwapsToEnsemble(t *testing.T) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 2; i++ {
 		u := txn.User{ID: i}
-		_ = up.PutUser(&u, feature.UserStats{}, nil)
+		_ = up.PutUser(&u, nil)
 	}
 	srv, err := New(tab, trainToy(t, 0))
 	if err != nil {
@@ -621,7 +605,7 @@ func TestV1WireBundleStillServes(t *testing.T) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 2; i++ {
 		u := txn.User{ID: i}
-		_ = up.PutUser(&u, feature.UserStats{}, nil)
+		_ = up.PutUser(&u, nil)
 	}
 	srv, err := New(tab, got)
 	if err != nil {

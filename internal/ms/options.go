@@ -46,15 +46,6 @@ func WithHistogram(bounds []time.Duration) Option {
 	return func(s *Server) { s.hist = telemetry.NewHistogram(bounds) }
 }
 
-// WithTraceSeed seeds the engine's trace-ID minter. Requests that
-// arrive without an X-Trace-Id header are assigned IDs from this
-// deterministic stream, so a replayed workload produces the same trace
-// IDs — exemplars in a trace dump can be cross-referenced across runs.
-// The default seed is 0.
-func WithTraceSeed(seed uint64) Option {
-	return func(s *Server) { s.traceSeed = seed }
-}
-
 // WithoutTracing turns off per-stage span aggregation on this engine:
 // Score/Decide and the batch paths skip the stage histograms and the
 // slow-exemplar ring, so /v1/debug/trace and the stage series on

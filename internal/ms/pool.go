@@ -127,3 +127,34 @@ func putScoreScratch(sc *scoreScratch) {
 	sc.sb = scoredBatch{} // a pooled scratch must not pin a swapped-out bundle
 	scorePool.Put(sc)
 }
+
+// memberSlabLen is the length of a shared member-score array: 85 × 24 B
+// plus the 8-byte header a pointerful object over 512 B carries fills the
+// 2 048 B size class exactly (64 would pay 1 792 B for 1 536).
+const memberSlabLen = 85
+
+// memberSlab is the uncarved tail of a shared member-score array. A
+// one-transaction verb carves its breakdown from it instead of allocating
+// one. A carved piece is never handed out again, and a slab too short for
+// the next carve is dropped, to be freed with the last verdict holding a
+// piece of it.
+type memberSlab struct{ free []MemberScore }
+
+var memberSlabs = sync.Pool{New: func() any { return new(memberSlab) }}
+
+// carveMembers returns n member scores no other verdict holds, with
+// len == cap, so an append by the caller reallocates instead of reaching a
+// neighbour's scores.
+func carveMembers(n int) []MemberScore {
+	if n > memberSlabLen {
+		return make([]MemberScore, n)
+	}
+	sl := memberSlabs.Get().(*memberSlab)
+	if len(sl.free) < n {
+		sl.free = make([]MemberScore, memberSlabLen)
+	}
+	s := sl.free[:n:n]
+	sl.free = sl.free[n:]
+	memberSlabs.Put(sl)
+	return s
+}

@@ -121,8 +121,7 @@ type Server struct {
 	// aggregation with slow-exemplar rings, one track per scoring
 	// endpoint (held as direct pointers so the hot path pays no map
 	// lookup), and the trace-ID minter the HTTP layer adopts-or-mints
-	// with. traceSeed keeps minted IDs deterministic per engine.
-	traceSeed      uint64
+	// with, seeded 0 so minted IDs are deterministic per engine.
 	noTrace        bool
 	minter         *telemetry.Minter
 	tel            *telemetry.Tracker
@@ -177,7 +176,7 @@ func NewSharded(tables []*hbase.Table, bundle *Bundle, opts ...Option) (*Server,
 	}
 	s.ingestHist = telemetry.NewHistogram(nil)
 	s.decideHist = telemetry.NewHistogram(nil)
-	s.minter = telemetry.NewMinter(s.traceSeed)
+	s.minter = telemetry.NewMinter(0)
 	endpoints := []string{"score", "score_batch", "decide", "decide_batch"}
 	if s.noTrace {
 		// An empty tracker keeps /metrics and /v1/debug/trace functional
@@ -421,7 +420,9 @@ type MemberScore struct {
 
 // Verdict is a scoring outcome. Members carries the per-member scores of
 // a v2 ensemble bundle; it is omitted for v1 single-model bundles, whose
-// wire format is unchanged.
+// wire format is unchanged. Members is capacity-limited (len == cap), and
+// may share an array of at most 2 KiB with other verdicts' members, which
+// keeping it keeps alive.
 type Verdict struct {
 	TxnID   txn.TxnID     `json:"txn_id"`
 	Score   float64       `json:"score"`
@@ -453,7 +454,7 @@ type scoredBatch struct {
 // batch path at batch size one — a pooled one-row matrix through the
 // same ensemble core — so single and batch scoring cannot drift.
 func (s *Server) Score(ctx context.Context, t *txn.Transaction) (Verdict, error) {
-	d, err := s.one(ctx, t, false, decision.ScenarioDefault, new(results))
+	d, err := s.one(ctx, t, false, decision.ScenarioDefault)
 	return d.Verdict, err
 }
 
@@ -475,10 +476,10 @@ func (s *Server) ScoreBatch(ctx context.Context, txns []txn.Transaction) ([]Verd
 	return dst.verdicts, nil
 }
 
-// results is where a verb's core puts what it returns. The public verbs
-// pass a zero one, so they allocate exactly what they hand back; a shard's
-// wire answer passes its pooled wireBuf's, whose contents live only until
-// the answer is encoded.
+// results is where the batch core puts what it returns. ScoreBatch and
+// DecideBatch pass a zero one, so they allocate exactly what they hand
+// back; a shard's wire answer passes its pooled wireBuf's, whose contents
+// live only until the answer is encoded.
 type results struct {
 	verdicts  []Verdict
 	decisions []Decision
@@ -487,8 +488,9 @@ type results struct {
 
 // one is the core of Score and, with decide, of Decide under the active
 // policy and scenario sc: admission, run, the verdict (and decision),
-// its observation and the call's trace. The member breakdown goes in dst.
-func (s *Server) one(ctx context.Context, t *txn.Transaction, decide bool, sc decision.Scenario, dst *results) (Decision, error) {
+// its observation and the call's trace. The member breakdown is carved
+// from a shared slab (see carveMembers).
+func (s *Server) one(ctx context.Context, t *txn.Transaction, decide bool, sc decision.Scenario) (Decision, error) {
 	et, pol := s.telScore, (*decision.Policy)(nil)
 	if decide {
 		if et, pol = s.telDecide, s.currentPolicy(); pol == nil {
@@ -509,7 +511,7 @@ func (s *Server) one(ctx context.Context, t *txn.Transaction, decide bool, sc de
 	// copy to the heap.
 	if err := s.run(ctx, unsafe.Slice(t, 1), true, &spans, func(sb *scoredBatch) error {
 		decideStart := time.Now()
-		d.Verdict = sb.verdict(t, 0, sb.memberBacking(1, dst))
+		d.Verdict = sb.verdict(t, 0, sb.memberBacking(1, nil))
 		if decide {
 			in := s.inputTemplate(sb)
 			in.Txn, in.Scenario, in.Score, in.Row = t, sc, sb.combined[0], 0
@@ -759,10 +761,14 @@ func assembleRow(t *txn.Transaction, from, to *userParts, bundle *Bundle, city f
 
 // memberBacking puts the per-member breakdowns of rows verdicts in one
 // array of dst (nil for v1 single-model bundles, which have none), so a
-// batch pays at most one allocation for them instead of one per verdict.
+// batch pays at most one allocation for them instead of one per verdict;
+// a nil dst carves them from a shared slab.
 func (sb *scoredBatch) memberBacking(rows int, dst *results) []MemberScore {
 	if sb.memberScores == nil {
 		return nil
+	}
+	if dst == nil {
+		return carveMembers(rows * len(sb.ens.names))
 	}
 	dst.members = grow(dst.members, rows*len(sb.ens.names))
 	return dst.members

@@ -1,7 +1,6 @@
 package ms
 
 import (
-	"titant/internal/feature"
 	"titant/internal/hbase"
 	"titant/internal/rng"
 	"titant/internal/txn"
@@ -63,6 +62,6 @@ func (s *Server) Uploader(version int64) *ShardedUploader {
 }
 
 // PutUser writes one user's fragments to their owner table.
-func (su *ShardedUploader) PutUser(u *txn.User, stats feature.UserStats, emb []float32) error {
-	return su.ups[ShardOf(u.ID, len(su.ups))].PutUser(u, stats, emb)
+func (su *ShardedUploader) PutUser(u *txn.User, emb []float32) error {
+	return su.ups[ShardOf(u.ID, len(su.ups))].PutUser(u, emb)
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"titant/internal/feature"
 	"titant/internal/feature/stream"
 	"titant/internal/hbase"
 	"titant/internal/rng"
@@ -19,7 +18,7 @@ const shardTestUsers = 60
 
 // userSink is the upload surface shared by Uploader and ShardedUploader.
 type userSink interface {
-	PutUser(u *txn.User, stats feature.UserStats, emb []float32) error
+	PutUser(u *txn.User, emb []float32) error
 }
 
 // seedShardUsers uploads a deterministic population through any sink, so
@@ -31,8 +30,7 @@ func seedShardUsers(t testing.TB, sink userSink) {
 			ID: i, Age: uint8(20 + int(i)%40), HomeCity: uint16(i % 4),
 			AccountAge: txn.AccountAgeDays(30 * int(i)), AvgAmount: float32(10 + i),
 		}
-		st := feature.UserStats{OutCount: float64(i % 10), InCount: float64(i % 7)}
-		if err := sink.PutUser(&u, st, nil); err != nil {
+		if err := sink.PutUser(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -425,7 +423,7 @@ func TestShardedUploaderInvalidation(t *testing.T) {
 	// Re-publish user 7 with a different profile (version 0 = auto: a
 	// fresh wall-clock version that supersedes the seed wave's).
 	u := txn.User{ID: 7, Age: 75, HomeCity: 1, AvgAmount: 9000}
-	if err := se.Uploader(0).PutUser(&u, feature.UserStats{OutCount: 40, InCount: 1}, nil); err != nil {
+	if err := se.Uploader(0).PutUser(&u, nil); err != nil {
 		t.Fatal(err)
 	}
 	parts, err := se.fetchOne(7)

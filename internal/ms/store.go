@@ -6,22 +6,20 @@ import (
 	"math"
 	"strconv"
 
-	"titant/internal/feature"
 	"titant/internal/hbase"
 	"titant/internal/txn"
 )
 
 // HBase layout (the paper's Figure 7): one row per user keyed "u:<id>",
-// column family "bf" for the profile and aggregate fragments, column
-// family "emb" for the user node embedding. Values are versioned by the
-// upload timestamp, so the Model Server always reads "the latest version
-// of user node embeddings and basic features".
+// column family "bf" for the profile, column family "emb" for the user
+// node embedding. Values are versioned by the upload timestamp, so the
+// Model Server always reads "the latest version of user node embeddings
+// and basic features".
 const (
 	FamilyBasic = "bf"
 	FamilyEmb   = "emb"
 
 	QualProfile = "profile"
-	QualStats   = "stats"
 	QualVector  = "vec"
 )
 
@@ -74,30 +72,6 @@ func decodeProfile(b []byte) (txn.User, error) {
 	}, nil
 }
 
-// encodeStats packs the aggregate fragment (8 float64s).
-func encodeStats(s feature.UserStats) []byte {
-	b := make([]byte, 64)
-	le := binary.LittleEndian
-	vals := [8]float64{s.OutCount, s.InCount, s.OutAmount, s.InAmount,
-		s.DistinctRcv, s.DistinctSnd, s.OutDays, s.InDays}
-	for i, v := range vals {
-		le.PutUint64(b[i*8:], math.Float64bits(v))
-	}
-	return b
-}
-
-func decodeStats(b []byte) (feature.UserStats, error) {
-	if len(b) < 64 {
-		return feature.UserStats{}, fmt.Errorf("ms: stats value has %d bytes, want 64", len(b))
-	}
-	le := binary.LittleEndian
-	f := func(i int) float64 { return math.Float64frombits(le.Uint64(b[i*8:])) }
-	return feature.UserStats{
-		OutCount: f(0), InCount: f(1), OutAmount: f(2), InAmount: f(3),
-		DistinctRcv: f(4), DistinctSnd: f(5), OutDays: f(6), InDays: f(7),
-	}, nil
-}
-
 // encodeVec packs an embedding as float32s.
 func encodeVec(v []float32) []byte {
 	b := make([]byte, 4*len(v))
@@ -130,14 +104,10 @@ type Uploader struct {
 	Invalidate func(txn.UserID)
 }
 
-// PutUser uploads one user's profile, aggregate fragment and (optional)
-// embedding.
-func (up *Uploader) PutUser(u *txn.User, stats feature.UserStats, emb []float32) error {
+// PutUser uploads one user's profile and (optional) embedding.
+func (up *Uploader) PutUser(u *txn.User, emb []float32) error {
 	row := RowKey(u.ID)
 	if _, err := up.Table.Put(row, FamilyBasic, QualProfile, encodeProfile(u), up.Version); err != nil {
-		return err
-	}
-	if _, err := up.Table.Put(row, FamilyBasic, QualStats, encodeStats(stats), up.Version); err != nil {
 		return err
 	}
 	if emb != nil {
@@ -162,8 +132,7 @@ type userParts struct {
 }
 
 // take records one of a user's store cells: the profile decodes, the
-// embedding is kept as the cell's bytes. Other cells (the aggregate
-// fragment the offline pipeline uploads beside them) are not read online.
+// embedding is kept as the cell's bytes. Other cells are not read online.
 func (p *userParts) take(c *hbase.Cell) error {
 	switch {
 	case c.Family == FamilyBasic && c.Qualifier == QualProfile:

@@ -205,7 +205,7 @@ func TestColdStreamMatchesFrozen(t *testing.T) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 2; i++ {
 		u := txn.User{ID: i, Age: 30, HomeCity: 1}
-		if err := up.PutUser(&u, feature.UserStats{}, nil); err != nil {
+		if err := up.PutUser(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +244,7 @@ func TestStreamWarmupGate(t *testing.T) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 2; i++ {
 		u := txn.User{ID: i, Age: 30, HomeCity: 1}
-		if err := up.PutUser(&u, feature.UserStats{}, nil); err != nil {
+		if err := up.PutUser(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,7 +311,7 @@ func TestLiveCityStatsReachScoring(t *testing.T) {
 	up := &Uploader{Table: tab}
 	for i := txn.UserID(1); i <= 2; i++ {
 		u := txn.User{ID: i}
-		if err := up.PutUser(&u, feature.UserStats{}, nil); err != nil {
+		if err := up.PutUser(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

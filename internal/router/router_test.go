@@ -53,7 +53,7 @@ func seedTable(t testing.TB) *hbase.Table {
 	up := &ms.Uploader{Table: tab}
 	for i := txn.UserID(0); i < fleetUsers; i++ {
 		u := txn.User{ID: i, Age: uint8(20 + int(i)%40), HomeCity: uint16(i % 2), AvgAmount: float32(10 + i)}
-		if err := up.PutUser(&u, feature.UserStats{OutCount: float64(i % 10)}, nil); err != nil {
+		if err := up.PutUser(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

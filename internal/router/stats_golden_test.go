@@ -64,14 +64,14 @@ func goldenBundle(t testing.TB, version string, threshold float64, seed uint64) 
 }
 
 type goldenSink interface {
-	PutUser(u *txn.User, stats feature.UserStats, emb []float32) error
+	PutUser(u *txn.User, emb []float32) error
 }
 
 func goldenSeed(t testing.TB, sink goldenSink) {
 	t.Helper()
 	for i := txn.UserID(0); i < goldenUsers; i++ {
 		u := txn.User{ID: i, Age: uint8(20 + int(i)%40), HomeCity: uint16(i % 4), AvgAmount: float32(10 + i)}
-		if err := sink.PutUser(&u, feature.UserStats{OutCount: float64(i % 10), InCount: float64(i % 7)}, nil); err != nil {
+		if err := sink.PutUser(&u, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
