@@ -1,7 +1,7 @@
 # Developer entry points. The repo is plain `go build ./... && go test
 # ./...`; these targets wrap the multi-step flows.
 
-.PHONY: test tier1-stress bench-build orphans race fuzz-smoke loadgen-smoke chaos-smoke metrics-smoke
+.PHONY: test tier1-stress bench-build orphans examples-smoke race fuzz-smoke loadgen-smoke chaos-smoke metrics-smoke
 
 # test is the tier-1 gate. The timeout turns a hang into a two-minute
 # failure that prints every goroutine's stack, instead of a ten-minute one.
@@ -49,6 +49,15 @@ orphans:
 	    echo "$$deps" | grep -Fqx "$$p" || echo "$$p"; \
 	  done); \
 	  if [ -n "$$bad" ]; then echo "packages no ./cmd/... binary links:"; echo "$$bad"; exit 1; fi
+
+# examples-smoke runs the serving examples and the fraud-ring example
+# end to end, so a facade change that compiles but breaks their flow
+# (train, evaluate, deploy, serve over HTTP, decide) fails here.
+examples-smoke:
+	go run ./examples/quickstart
+	go run ./examples/onlineserving
+	go run ./examples/decisioning
+	go run ./examples/fraudring
 
 race:
 	go test -race ./internal/feature/stream/ ./internal/ms/... ./internal/router/ ./internal/link/ ./internal/faultinject/ ./internal/hbase/ ./internal/decision/ ./internal/eventlog/ ./internal/logio/ ./internal/loadgen/ ./internal/synth/ ./internal/telemetry/ ./internal/nrl/deepwalk/ ./internal/model/gbdt/ ./internal/feature/ ./internal/par/

@@ -73,8 +73,7 @@ func TestChaosWireTierShardOutage(t *testing.T) {
 	opts.LR.Iterations = 5
 	opts.DW.WalksPerNode = 3
 	opts.S2V.Epochs = 2
-	members, emb, threshold, err := titant.TrainEnsembleForServing(
-		world.Users, ds, []titant.Detector{titant.DetGBDT}, titant.CombineMean, opts)
+	art, err := titant.Train(world.Users, ds, servedSpec, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +82,7 @@ func TestChaosWireTierShardOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tab.Close()
-	bundle, err := titant.DeployEnsemble(world.Users, ds, emb, members, titant.CombineMean, threshold, opts, tab, "chaos")
+	bundle, err := art.Deploy(titant.NewShardedUploader([]*titant.FeatureTable{tab}, 0), "chaos")
 	if err != nil {
 		t.Fatal(err)
 	}

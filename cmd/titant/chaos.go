@@ -17,22 +17,16 @@ import (
 	"titant/internal/link"
 	"titant/internal/loadgen"
 	"titant/internal/router"
-	"titant/internal/txn"
 )
 
 // servingFleet is the trained, deployed state every in-process loadgen
 // mode serves from: the composed world and its ground-truth manifest,
 // the model bundle, and one feature table per shard.
 type servingFleet struct {
-	world     *titant.World
-	man       *titant.WorldManifest
-	network   []txn.Transaction
-	bundle    *titant.Bundle
-	tabs      []*titant.FeatureTable
-	opts      titant.Options
-	threshold float64
-	version   string
-	cleanup   func()
+	*trainedWorld
+	bundle  *titant.Bundle
+	tabs    []*titant.FeatureTable
+	cleanup func()
 }
 
 // composeAndDeploy builds the scenario world, trains the requested
@@ -40,23 +34,7 @@ type servingFleet struct {
 // partitions of one engine's store (ms.NewSharded). A wire fleet asks for
 // one table and gives every shard server all of it.
 func composeAndDeploy(users int, seed uint64, shards int, detectors, combineName string, fast bool) (*servingFleet, error) {
-	wcfg := titant.DefaultWorldConfig()
-	if users > 0 {
-		wcfg.Users = users
-	}
-	if seed > 0 {
-		wcfg.Seed = seed
-	}
-	w, man := titant.ComposeWorld(wcfg, titant.DefaultScenarioMix())
-	ds, err := w.Dataset(1)
-	if err != nil {
-		return nil, err
-	}
-	dets, err := parseDetectors(detectors)
-	if err != nil {
-		return nil, err
-	}
-	combine, err := titant.ParseCombiner(combineName)
+	spec, err := servedSpec(detectors, combineName)
 	if err != nil {
 		return nil, err
 	}
@@ -67,54 +45,39 @@ func composeAndDeploy(users int, seed uint64, shards int, detectors, combineName
 		opts.DW.WalksPerNode = 3
 		opts.S2V.Epochs = 2
 	}
-	log.Printf("composing scenario world (%d users, seed %d): %d labeled scenarios", wcfg.Users, wcfg.Seed, len(man.Scenarios))
-	log.Printf("training %d-member ensemble (%s, combiner %s)...", len(dets), detectors, combine)
-	members, emb, threshold, err := titant.TrainEnsembleForServing(w.Users, ds, dets, combine, opts)
+	tw, err := trainWorld(users, seed, true, 1, spec, opts)
 	if err != nil {
 		return nil, err
-	}
-	if shards < 1 {
-		shards = 1
 	}
 	dir, err := os.MkdirTemp("", "titant-loadgen-*")
 	if err != nil {
 		return nil, err
 	}
-	rmdir := func() { os.RemoveAll(dir) }
-	tabs := make([]*titant.FeatureTable, shards)
-	closeTabs := func() {
+	tabs := make([]*titant.FeatureTable, max(shards, 1))
+	cleanup := func() {
 		for _, tb := range tabs {
 			if tb != nil {
 				tb.Close()
 			}
 		}
+		os.RemoveAll(dir)
 	}
 	for i := range tabs {
 		sd := dir
-		if shards > 1 {
+		if len(tabs) > 1 {
 			sd = filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
 		}
 		if tabs[i], err = titant.OpenFeatureTable(sd); err != nil {
-			closeTabs()
-			rmdir()
+			cleanup()
 			return nil, err
 		}
 	}
-	version := "loadgen-" + time.Now().Format("2006-01-02T15:04:05")
-	log.Printf("uploading %d users to the feature store (%d shard(s))...", len(w.Users), shards)
-	bundle, err := titant.DeployEnsembleTo(w.Users, ds, emb, members, combine, threshold, opts,
-		titant.NewShardedUploader(tabs, 0), version)
+	bundle, err := tw.deploy(tabs, "loadgen-"+time.Now().Format("2006-01-02T15:04:05"))
 	if err != nil {
-		closeTabs()
-		rmdir()
+		cleanup()
 		return nil, err
 	}
-	return &servingFleet{
-		world: w, man: man, network: ds.Network,
-		bundle: bundle, tabs: tabs, opts: opts,
-		threshold: threshold, version: version,
-		cleanup: func() { closeTabs(); rmdir() },
-	}, nil
+	return &servingFleet{trainedWorld: tw, bundle: bundle, tabs: tabs, cleanup: cleanup}, nil
 }
 
 // engineOpts assembles one engine's options: policy enabled, a fresh
@@ -124,9 +87,9 @@ func composeAndDeploy(users int, seed uint64, shards int, detectors, combineName
 // shard's verdicts identical to a single engine's.
 func (f *servingFleet) engineOpts(quota float64, burst, maxInflight int) []titant.EngineOption {
 	st := titant.NewStreamStore(titant.WithStreamCities(f.opts.Cities))
-	st.IngestBatch(f.network)
+	st.IngestBatch(f.ds.Network)
 	engOpts := []titant.EngineOption{
-		titant.WithPolicy(titant.DefaultPolicy(f.version, f.threshold)),
+		titant.WithPolicy(titant.DefaultPolicy(f.bundle.Version, f.bundle.Threshold)),
 		titant.WithStreamAggregates(st),
 	}
 	if quota > 0 {
@@ -268,7 +231,7 @@ func buildChaosFleet(cfg *loadgen.Config, scenarioPath string, shards, users int
 	c.closers = append(c.closers, clientSide.CloseIdleConnections)
 	c.client = &http.Client{Transport: clientSide}
 
-	cfg.Replay = testWindow(f.world.Log)
+	cfg.Replay = testWindow(f.w.Log)
 	cfg.Manifest = f.man
 	cfg.Shards = shards
 	c.tr.Start(time.Now())

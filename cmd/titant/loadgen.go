@@ -274,7 +274,7 @@ func buildLoadgenEngine(cfg *loadgen.Config, users int, seed uint64, shards int,
 		f.cleanup()
 		return nil, nil, err
 	}
-	cfg.Replay = testWindow(f.world.Log)
+	cfg.Replay = testWindow(f.w.Log)
 	cfg.Manifest = f.man
 	cfg.Shards = shards
 	return eng, func() { eng.Close(); f.cleanup() }, nil

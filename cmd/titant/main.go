@@ -61,9 +61,10 @@
 // bundle.bin -data dir` can serve the pair immediately.
 //
 // serve starts the Model Server of the paper's Figure 5: it trains the
-// production configuration (Basic+DW+GBDT — or an ensemble when
-// -detectors names several), uploads features and embeddings to the
-// column-family store, and exposes the v1 API — POST /v1/score,
+// production configuration (Basic+DW+GBDT by default, a one-member
+// bundle — or an ensemble when -detectors names several), uploads
+// features and embeddings to the column-family store, and exposes the v1
+// API — POST /v1/score,
 // POST /v1/score/batch, POST /v1/ingest[/batch], GET/POST /v1/models,
 // GET /v1/stats and GET /healthz — shutting down gracefully on SIGINT or
 // SIGTERM. By default it attaches a streaming aggregate store warmed from
@@ -150,32 +151,16 @@ func usage() {
 	os.Exit(2)
 }
 
-// parseDetectors splits a comma-separated detector list.
-func parseDetectors(spec string) ([]titant.Detector, error) {
-	var dets []titant.Detector
-	for _, name := range strings.Split(spec, ",") {
-		if strings.TrimSpace(name) == "" {
-			continue
-		}
-		d, err := titant.ParseDetector(name)
-		if err != nil {
-			return nil, err
-		}
-		dets = append(dets, d)
-	}
-	if len(dets) == 0 {
-		return nil, fmt.Errorf("no detectors in %q", spec)
-	}
-	return dets, nil
-}
-
 func worldFlags(fs *flag.FlagSet) (*int, *uint64) {
 	users := fs.Int("users", 0, "population size (0 = default)")
 	seed := fs.Uint64("seed", 0, "world seed (0 = default)")
 	return users, seed
 }
 
-func buildWorld(users int, seed uint64) *titant.World {
+// buildWorld generates the default world resized by -users and -seed,
+// composed with the attack scenario library when scenarios is set (the
+// manifest is nil otherwise).
+func buildWorld(users int, seed uint64, scenarios bool) (*titant.World, *titant.WorldManifest) {
 	cfg := titant.DefaultWorldConfig()
 	if users > 0 {
 		cfg.Users = users
@@ -183,7 +168,72 @@ func buildWorld(users int, seed uint64) *titant.World {
 	if seed > 0 {
 		cfg.Seed = seed
 	}
-	return titant.Generate(cfg)
+	if !scenarios {
+		return titant.Generate(cfg), nil
+	}
+	w, man := titant.ComposeWorld(cfg, titant.DefaultScenarioMix())
+	log.Printf("composed scenario world (%d users, seed %d): %d labeled scenarios", cfg.Users, cfg.Seed, len(man.Scenarios))
+	return w, man
+}
+
+// trainedWorld is a world with the artifact trained on one of its
+// datasets: what train, serve and the in-process fleets deploy.
+type trainedWorld struct {
+	w    *titant.World
+	man  *titant.WorldManifest
+	ds   *titant.Dataset
+	opts titant.Options
+	art  *titant.Artifact
+}
+
+// servedSpec parses a comma-separated detector list and a combiner name
+// into the served configuration: those detectors on Basic+DW.
+func servedSpec(detectors, combineName string) (titant.Spec, error) {
+	spec := titant.Spec{Features: titant.FeatBasicDW}
+	for _, name := range strings.Split(detectors, ",") {
+		if strings.TrimSpace(name) == "" {
+			continue
+		}
+		d, err := titant.ParseDetector(name)
+		if err != nil {
+			return spec, err
+		}
+		spec.Detectors = append(spec.Detectors, d)
+	}
+	if len(spec.Detectors) == 0 {
+		return spec, fmt.Errorf("no detectors in %q", detectors)
+	}
+	var err error
+	spec.Combine, err = titant.ParseCombiner(combineName)
+	return spec, err
+}
+
+// trainWorld builds the world, slices the dataset and trains spec on it.
+func trainWorld(users int, seed uint64, scenarios bool, dataset int, spec titant.Spec, opts titant.Options) (*trainedWorld, error) {
+	w, man := buildWorld(users, seed, scenarios)
+	ds, err := w.Dataset(dataset)
+	if err != nil {
+		return nil, err
+	}
+	tw := &trainedWorld{w: w, man: man, ds: ds, opts: opts}
+	tw.art, err = tw.train(spec)
+	return tw, err
+}
+
+func (tw *trainedWorld) train(spec titant.Spec) (*titant.Artifact, error) {
+	log.Printf("training %d-member ensemble (%v, combiner %s)...", len(spec.Detectors), spec.Detectors, spec.Combine)
+	return titant.Train(tw.w.Users, tw.ds, spec, nil, tw.opts)
+}
+
+// deploy uploads every user across tabs, each to its owner by the hash
+// the engine reads with, and returns the bundle under version. With no
+// tables it uploads nothing.
+func (tw *trainedWorld) deploy(tabs []*titant.FeatureTable, version string) (*titant.Bundle, error) {
+	if len(tabs) == 0 {
+		return tw.art.Bundle(version)
+	}
+	log.Printf("uploading %d users to the feature store (%d table(s))...", len(tw.w.Users), len(tabs))
+	return tw.art.Deploy(titant.NewShardedUploader(tabs, 0), version)
 }
 
 func cmdGen(args []string) {
@@ -193,29 +243,16 @@ func cmdGen(args []string) {
 	scenarios := fs.Bool("scenarios", false, "compose the attack scenario library onto the base world")
 	manifest := fs.String("manifest", "", "write the scenario ground-truth manifest JSON here (implies -scenarios)")
 	_ = fs.Parse(args)
-	var w *titant.World
-	if *scenarios || *manifest != "" {
-		cfg := titant.DefaultWorldConfig()
-		if *users > 0 {
-			cfg.Users = *users
+	w, man := buildWorld(*users, *seed, *scenarios || *manifest != "")
+	if *manifest != "" {
+		raw, err := man.Encode()
+		if err != nil {
+			log.Fatal(err)
 		}
-		if *seed > 0 {
-			cfg.Seed = *seed
+		if err := os.WriteFile(*manifest, raw, 0o644); err != nil {
+			log.Fatal(err)
 		}
-		var man *titant.WorldManifest
-		w, man = titant.ComposeWorld(cfg, titant.DefaultScenarioMix())
-		if *manifest != "" {
-			raw, err := man.Encode()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*manifest, raw, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %d scenario manifests to %s\n", len(man.Scenarios), *manifest)
-		}
-	} else {
-		w = buildWorld(*users, *seed)
+		fmt.Printf("wrote %d scenario manifests to %s\n", len(man.Scenarios), *manifest)
 	}
 	f, err := os.Create(*out)
 	if err != nil {
@@ -233,7 +270,7 @@ func cmdEval(args []string) {
 	users, seed := worldFlags(fs)
 	dataset := fs.Int("dataset", 1, "dataset number 1-7")
 	_ = fs.Parse(args)
-	w := buildWorld(*users, *seed)
+	w, _ := buildWorld(*users, *seed, false)
 	ds, err := w.Dataset(*dataset)
 	if err != nil {
 		log.Fatal(err)
@@ -252,7 +289,11 @@ func cmdEval(args []string) {
 		{titant.FeatBasic, titant.DetGBDT},
 		{titant.FeatBasicDW, titant.DetGBDT},
 	} {
-		r := titant.TrainEval(w.Users, ds, cfg.fs, cfg.det, emb, opts)
+		art, err := titant.Train(w.Users, ds, titant.Spec{Features: cfg.fs, Detectors: []titant.Detector{cfg.det}}, emb, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		r := art.Eval()
 		fmt.Printf("%-14s + %-5s  F1=%6.2f%%  rec@1%%=%6.2f%%  AUC=%.4f\n",
 			cfg.fs, cfg.det, 100*r.F1, 100*r.RecTop1, r.AUC)
 	}
@@ -267,46 +308,30 @@ func cmdTrain(args []string) {
 	combineName := fs.String("combine", "mean", "ensemble combiner: mean, max or vote")
 	dataset := fs.Int("dataset", 1, "dataset number 1-7")
 	_ = fs.Parse(args)
-	dets, err := parseDetectors(*detectors)
+	spec, err := servedSpec(*detectors, *combineName)
 	if err != nil {
 		log.Fatalf("train: %v", err)
 	}
-	combine, err := titant.ParseCombiner(*combineName)
+	tw, err := trainWorld(*users, *seed, false, *dataset, spec, titant.DefaultOptions())
 	if err != nil {
 		log.Fatalf("train: %v", err)
 	}
-	w := buildWorld(*users, *seed)
-	ds, err := w.Dataset(*dataset)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opts := titant.DefaultOptions()
-	log.Printf("training %d-member ensemble (%s, combiner %s)...", len(dets), *detectors, combine)
-	members, emb, threshold, err := titant.TrainEnsembleForServing(w.Users, ds, dets, combine, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, m := range members {
-		log.Printf("  member %-5s threshold %.4f", m.Name, m.Threshold)
-	}
-	version := time.Now().Format("2006-01-02T15:04:05")
-	var bundle *titant.Bundle
+	var tabs []*titant.FeatureTable
 	if *dataDir != "" {
 		tab, err := titant.OpenFeatureTable(*dataDir)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer tab.Close()
-		log.Printf("uploading %d users to %s...", len(w.Users), *dataDir)
-		bundle, err = titant.DeployEnsemble(w.Users, ds, emb, members, combine, threshold, opts, tab, version)
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		bundle, err = titant.BuildEnsembleBundle(ds, emb, members, combine, threshold, opts, version)
-		if err != nil {
-			log.Fatal(err)
-		}
+		tabs = append(tabs, tab)
+	}
+	version := time.Now().Format("2006-01-02T15:04:05")
+	bundle, err := tw.deploy(tabs, version)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, m := range bundle.Members {
+		log.Printf("  member %-5s threshold %.4f", m.Name, m.Threshold)
 	}
 	raw, err := bundle.Encode()
 	if err != nil {
@@ -316,7 +341,7 @@ func cmdTrain(args []string) {
 		log.Fatal(err)
 	}
 	log.Printf("wrote %s: version %s, %d members, combiner %s, threshold %.4f (%d bytes)",
-		*out, version, bundle.NumMembers(), combine, threshold, len(raw))
+		*out, version, bundle.NumMembers(), bundle.Combine, bundle.Threshold, len(raw))
 }
 
 func cmdServe(args []string) {
@@ -359,10 +384,19 @@ func cmdServe(args []string) {
 	if *shadowSpec != "" && *shadowPath != "" {
 		log.Fatal("serve: -shadow and -shadow-bundle both name the challenger; give one")
 	}
+	spec, err := servedSpec(*detectors, *combineName)
+	if err != nil {
+		log.Fatalf("serve: %v", err)
+	}
+	var shadow titant.Spec
+	if *shadowSpec != "" {
+		if shadow, err = servedSpec(*shadowSpec, *combineName); err != nil {
+			log.Fatalf("serve: shadow: %v", err)
+		}
+	}
 	nShards := max(*shards, 1)
 	d := *dir
 	if d == "" {
-		var err error
 		if d, err = os.MkdirTemp("", "titant-hbase-*"); err != nil {
 			log.Fatal(err)
 		}
@@ -373,7 +407,6 @@ func cmdServe(args []string) {
 		if nShards > 1 {
 			sd = filepath.Join(d, fmt.Sprintf("shard-%03d", i))
 		}
-		var err error
 		if tabs[i], err = titant.OpenFeatureTable(sd); err != nil {
 			log.Fatal(err)
 		}
@@ -384,12 +417,16 @@ func cmdServe(args []string) {
 	// its users. train is what only the second path has: the dataset the
 	// window warms from and a -shadow challenger trains on.
 	var bundle *titant.Bundle
-	var train *trained
+	var train *trainedWorld
 	if *bundlePath != "" {
 		bundle = readBundle(*bundlePath)
 	} else {
-		train = trainAndDeploy(*users, *seed, *scenarios, *detectors, *combineName, tabs)
-		bundle = train.bundle
+		if train, err = trainWorld(*users, *seed, *scenarios, 1, spec, titant.DefaultOptions()); err != nil {
+			log.Fatalf("serve: %v", err)
+		}
+		if bundle, err = train.deploy(tabs, time.Now().Format("2006-01-02T15:04:05")); err != nil {
+			log.Fatalf("serve: %v", err)
+		}
 	}
 
 	engOpts := []titant.EngineOption{
@@ -430,7 +467,13 @@ func cmdServe(args []string) {
 	case *shadowPath != "":
 		challenger = readBundle(*shadowPath)
 	case *shadowSpec != "":
-		challenger = train.challenger(*shadowSpec)
+		art, err := train.train(shadow)
+		if err != nil {
+			log.Fatalf("serve: shadow: %v", err)
+		}
+		if challenger, err = art.Bundle(bundle.Version + "-shadow"); err != nil {
+			log.Fatalf("serve: shadow: %v", err)
+		}
 	}
 	if challenger != nil {
 		log.Printf("shadow challenger %s: %d member(s), threshold %.4f", challenger.Version, challenger.NumMembers(), challenger.Threshold)
@@ -509,93 +552,6 @@ func readBundle(path string) *titant.Bundle {
 		log.Fatalf("serve: decode bundle %s: %v", path, err)
 	}
 	log.Printf("bundle %s: %d member(s), threshold %.4f, embedding dim %d", b.Version, b.NumMembers(), b.Threshold, b.EmbeddingDim)
-	return b
-}
-
-// trained is what `serve` keeps of the world it trained on.
-type trained struct {
-	w       *titant.World
-	ds      *titant.Dataset
-	opts    titant.Options
-	combine titant.Combiner
-	bundle  *titant.Bundle
-}
-
-// trainAndDeploy generates the world, trains the production configuration
-// (or an ensemble when several detectors are named) and uploads every
-// user to the tables, each to its owner by the hash the engine reads with.
-func trainAndDeploy(users int, seed uint64, scenarios bool, detectors, combineName string, tabs []*titant.FeatureTable) *trained {
-	var w *titant.World
-	if scenarios {
-		cfg := titant.DefaultWorldConfig()
-		if users > 0 {
-			cfg.Users = users
-		}
-		if seed > 0 {
-			cfg.Seed = seed
-		}
-		var man *titant.WorldManifest
-		w, man = titant.ComposeWorld(cfg, titant.DefaultScenarioMix())
-		log.Printf("composed scenario world: %d labeled scenarios", len(man.Scenarios))
-	} else {
-		w = buildWorld(users, seed)
-	}
-	ds, err := w.Dataset(1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dets, err := parseDetectors(detectors)
-	if err != nil {
-		log.Fatalf("serve: %v", err)
-	}
-	combine, err := titant.ParseCombiner(combineName)
-	if err != nil {
-		log.Fatalf("serve: %v", err)
-	}
-	tr := &trained{w: w, ds: ds, opts: titant.DefaultOptions(), combine: combine}
-	sink := titant.NewShardedUploader(tabs, 0)
-	version := time.Now().Format("2006-01-02T15:04:05")
-	if len(dets) == 1 && dets[0] == titant.DetGBDT {
-		log.Printf("training production configuration (Basic+DW+GBDT)...")
-		clf, emb, threshold, err := titant.TrainForServing(w.Users, ds, tr.opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("uploading %d users to the feature store (%d table(s))...", len(w.Users), len(tabs))
-		tr.bundle, err = titant.DeployTo(w.Users, ds, emb, clf, threshold, tr.opts, sink, version)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return tr
-	}
-	log.Printf("training %d-member ensemble (%s, combiner %s)...", len(dets), detectors, combine)
-	members, emb, threshold, err := titant.TrainEnsembleForServing(w.Users, ds, dets, combine, tr.opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("uploading %d users to the feature store (%d table(s))...", len(w.Users), len(tabs))
-	tr.bundle, err = titant.DeployEnsembleTo(w.Users, ds, emb, members, combine, threshold, tr.opts, sink, version)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return tr
-}
-
-// challenger trains the -shadow detectors on the served world.
-func (tr *trained) challenger(spec string) *titant.Bundle {
-	dets, err := parseDetectors(spec)
-	if err != nil {
-		log.Fatalf("serve: shadow: %v", err)
-	}
-	log.Printf("training shadow challenger (%s)...", spec)
-	members, emb, thr, err := titant.TrainEnsembleForServing(tr.w.Users, tr.ds, dets, tr.combine, tr.opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	b, err := titant.BuildEnsembleBundle(tr.ds, emb, members, tr.combine, thr, tr.opts, tr.bundle.Version+"-shadow")
-	if err != nil {
-		log.Fatal(err)
-	}
 	return b
 }
 

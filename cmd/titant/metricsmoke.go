@@ -94,7 +94,7 @@ func cmdMetricsSmoke(args []string) {
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	log.Printf("driving %d requests through the router at %s (%d shards)...", *requests, routerURL, *shards)
-	if err := driveSmokeTraffic(client, routerURL, f.world.Log, *requests); err != nil {
+	if err := driveSmokeTraffic(client, routerURL, f.w.Log, *requests); err != nil {
 		log.Fatalf("metrics-smoke: drive traffic: %v", err)
 	}
 

@@ -35,8 +35,7 @@ func TestDetectionQualityGate(t *testing.T) {
 	opts.DW.WalksPerNode = 3
 	opts.S2V.Epochs = 2
 
-	members, emb, threshold, err := titant.TrainEnsembleForServing(
-		world.Users, ds, []titant.Detector{titant.DetGBDT}, titant.CombineMean, opts)
+	art, err := titant.Train(world.Users, ds, servedSpec, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +44,7 @@ func TestDetectionQualityGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tab.Close()
-	bundle, err := titant.DeployEnsemble(world.Users, ds, emb, members, titant.CombineMean, threshold, opts, tab, "gate")
+	bundle, err := art.Deploy(titant.NewShardedUploader([]*titant.FeatureTable{tab}, 0), "gate")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,16 +39,16 @@ func main() {
 	opts.GBDT.Trees = 150
 
 	fmt.Println("offline phase: training the champion (Basic+DW+GBDT)...")
-	clf, emb, threshold, err := titant.TrainForServing(world.Users, ds, opts)
+	champion, err := titant.Train(world.Users, ds, served(titant.DetGBDT), nil, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("offline phase: training the challenger (Basic+DW+LR) for shadow...")
-	chMembers, chEmb, chThr, err := titant.TrainEnsembleForServing(world.Users, ds, []titant.Detector{titant.DetLR}, titant.CombineMean, opts)
+	chArt, err := titant.Train(world.Users, ds, served(titant.DetLR), nil, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	challenger, err := titant.BuildEnsembleBundle(ds, chEmb, chMembers, titant.CombineMean, chThr, opts, "challenger-lr")
+	challenger, err := chArt.Bundle("challenger-lr")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,10 +64,11 @@ func main() {
 	}
 	defer tab.Close()
 	fmt.Printf("uploading %d users' features + embeddings to the store...\n", len(world.Users))
-	bundle, err := titant.Deploy(world.Users, ds, emb, clf, threshold, opts, tab, "2017-04-10")
+	bundle, err := champion.Deploy(titant.NewShardedUploader([]*titant.FeatureTable{tab}, 0), "2017-04-10")
 	if err != nil {
 		log.Fatal(err)
 	}
+	threshold := bundle.Threshold
 
 	// The policy document: bands derived from the trained threshold plus
 	// two rules — an amount ceiling and a velocity cap over the live
@@ -240,4 +241,9 @@ func wireTxn(t *titant.Transaction) ms.TxnRequest {
 		TransCity: t.TransCity, DeviceRisk: t.DeviceRisk,
 		IPRisk: t.IPRisk, Channel: uint8(t.Channel),
 	}
+}
+
+// served is one detector on the production feature set (Basic+DW).
+func served(det titant.Detector) titant.Spec {
+	return titant.Spec{Features: titant.FeatBasicDW, Detectors: []titant.Detector{det}}
 }

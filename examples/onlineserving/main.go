@@ -38,7 +38,8 @@ func main() {
 	opts.GBDT.Trees = 150
 
 	fmt.Println("offline phase: training Basic+DW+GBDT...")
-	clf, emb, threshold, err := titant.TrainForServing(world.Users, ds, opts)
+	spec := titant.Spec{Features: titant.FeatBasicDW, Detectors: []titant.Detector{titant.DetGBDT}}
+	art, err := titant.Train(world.Users, ds, spec, nil, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func main() {
 	defer tab.Close()
 
 	fmt.Printf("uploading %d users' features + embeddings to the store...\n", len(world.Users))
-	bundle, err := titant.Deploy(world.Users, ds, emb, clf, threshold, opts, tab, "2017-04-10")
+	bundle, err := art.Deploy(titant.NewShardedUploader([]*titant.FeatureTable{tab}, 0), "2017-04-10")
 	if err != nil {
 		log.Fatal(err)
 	}

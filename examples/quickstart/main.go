@@ -37,8 +37,14 @@ func main() {
 	// Learn user node embeddings from the transaction network.
 	emb := titant.LearnEmbeddings(ds, opts)
 
-	// Train and evaluate the Table 1 winner.
-	res := titant.TrainEval(world.Users, ds, titant.FeatBasicDW, titant.DetGBDT, emb, opts)
+	// Train the Table 1 winner and evaluate it on the test day. The
+	// artifact scores the test day through the very bundle it deploys
+	// below, so the evaluated model is the served one.
+	art, err := titant.Train(world.Users, ds, spec(titant.FeatBasicDW, titant.DetGBDT), emb, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := art.Eval()
 	fmt.Printf("\nBasic+DW+GBDT on %s:\n", ds.TestDay)
 	fmt.Printf("  F1        = %.2f%%\n", 100*res.F1)
 	fmt.Printf("  rec@top1%% = %.2f%%\n", 100*res.RecTop1)
@@ -48,16 +54,16 @@ func main() {
 
 	// Compare against basic features alone: the embedding lift is the
 	// paper's headline Table 1 observation.
-	base := titant.TrainEval(world.Users, ds, titant.FeatBasic, titant.DetGBDT, emb, opts)
-	fmt.Printf("\nBasic+GBDT (no embeddings): F1 = %.2f%% -> embeddings add %+.2f points\n",
-		100*base.F1, 100*(res.F1-base.F1))
-
-	// Deploy the production model and score the test day's first
-	// transactions through the v1 engine — the online half of Figure 5.
-	clf, emb2, threshold, err := titant.TrainForServing(world.Users, ds, opts)
+	baseArt, err := titant.Train(world.Users, ds, spec(titant.FeatBasic, titant.DetGBDT), emb, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	base := baseArt.Eval()
+	fmt.Printf("\nBasic+GBDT (no embeddings): F1 = %.2f%% -> embeddings add %+.2f points\n",
+		100*base.F1, 100*(res.F1-base.F1))
+
+	// Deploy the evaluated model and score the test day's first
+	// transactions through the v1 engine — the online half of Figure 5.
 	dir, err := os.MkdirTemp("", "titant-quickstart-*")
 	if err != nil {
 		log.Fatal(err)
@@ -68,7 +74,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer tab.Close()
-	bundle, err := titant.Deploy(world.Users, ds, emb2, clf, threshold, opts, tab, "quickstart")
+	sink := titant.NewShardedUploader([]*titant.FeatureTable{tab}, 0)
+	bundle, err := art.Deploy(sink, "quickstart")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,14 +104,12 @@ func main() {
 	// ensemble bundle (mean-combined) and serve it through the same
 	// engine. Every verdict now carries the per-member breakdown.
 	fmt.Println("\ntraining a GBDT+LR+C5.0 ensemble for serving...")
-	members, emb3, ensThreshold, err := titant.TrainEnsembleForServing(
-		world.Users, ds, []titant.Detector{titant.DetGBDT, titant.DetLR, titant.DetC50},
-		titant.CombineMean, opts)
+	ensArt, err := titant.Train(world.Users, ds,
+		spec(titant.FeatBasicDW, titant.DetGBDT, titant.DetLR, titant.DetC50), emb, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ensBundle, err := titant.DeployEnsemble(world.Users, ds, emb3, members,
-		titant.CombineMean, ensThreshold, opts, tab, "quickstart-ensemble")
+	ensBundle, err := ensArt.Deploy(sink, "quickstart-ensemble")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -125,7 +130,7 @@ func main() {
 			sample = &verdicts[i]
 		}
 	}
-	fmt.Printf("ensemble (threshold %.3f) flagged %d of %d transactions\n", ensThreshold, flagged, len(verdicts))
+	fmt.Printf("ensemble (threshold %.3f) flagged %d of %d transactions\n", ensBundle.Threshold, flagged, len(verdicts))
 	fmt.Printf("explainability: txn %d scored %.3f =", sample.TxnID, sample.Score)
 	for _, m := range sample.Members {
 		fmt.Printf(" %s:%.3f", m.Name, m.Score)
@@ -134,4 +139,10 @@ func main() {
 
 	fmt.Println("\n(note: at this toy scale single-day F1 swings by many points;")
 	fmt.Println(" run cmd/titant-exp for the default-scale seven-day reproduction)")
+}
+
+// spec is one configuration: the detectors over the feature set, their
+// scores averaged.
+func spec(fs titant.FeatureSet, dets ...titant.Detector) titant.Spec {
+	return titant.Spec{Features: fs, Detectors: dets, Combine: titant.CombineMean}
 }

@@ -4,10 +4,11 @@
 // detector, freeze a decision threshold) and the artefacts the online side
 // consumes (model bundles and HBase feature uploads).
 //
-// The paper's "T+1" protocol is encoded in TrainEval: models train on the
-// 14-day labeled window and are evaluated on the following test day, with
-// the decision threshold selected on the last two training days (labels
-// are delayed, so no online tuning is possible).
+// The paper's "T+1" protocol is encoded in Train: models train on the
+// 14-day labeled window, the decision threshold is selected on the last
+// two training days (labels are delayed, so no online tuning is possible),
+// and the one Artifact both evaluates on the following test day and
+// deploys, so the evaluated model is the served one.
 package core
 
 import (
@@ -190,10 +191,9 @@ func LearnDW(ds *txn.Dataset, opts Options) *Embeddings {
 	return &Embeddings{DW: deepwalk.Train(g, dwCfg)}
 }
 
-// buildMatrix assembles the feature matrix for a transaction slice under a
-// feature set.
-func buildMatrix(ex *feature.Extractor, ts []txn.Transaction, fs FeatureSet, emb *Embeddings, dim int) *feature.Matrix {
-	m := ex.BasicMatrix(ts)
+// joinEmbeddings joins the feature set's embeddings onto the basic matrix
+// of ts. emb may be nil for FeatBasic.
+func joinEmbeddings(m *feature.Matrix, ts []txn.Transaction, fs FeatureSet, emb *Embeddings, dim int) *feature.Matrix {
 	switch fs {
 	case FeatBasic:
 		return m
@@ -208,11 +208,19 @@ func buildMatrix(ex *feature.Extractor, ts []txn.Transaction, fs FeatureSet, emb
 	panic(fmt.Sprintf("core: unknown feature set %d", int(fs)))
 }
 
+// Spec is one trained configuration: a Table 1 cell is a one-detector
+// Spec, and the served configuration is Basic+DW over one or more
+// detectors folded by Combine.
+type Spec struct {
+	Features  FeatureSet
+	Detectors []Detector
+	Combine   ms.Combiner
+}
+
 // Result is one configuration's evaluation on one test day.
 type Result struct {
 	Dataset    int
-	Features   FeatureSet
-	Detector   Detector
+	Spec       Spec
 	F1         float64
 	RecTop1    float64
 	AUC        float64
@@ -222,43 +230,145 @@ type Result struct {
 	TestFrauds int
 }
 
-// TrainEval runs the full T+1 pipeline for one (dataset, feature set,
-// detector) cell: extract features, train on the early training days,
-// select the F1-maximising threshold on the validation days, evaluate on
-// the test day. emb may be nil for FeatBasic.
-func TrainEval(users []txn.User, ds *txn.Dataset, fs FeatureSet, det Detector, emb *Embeddings, opts Options) Result {
-	agg := feature.BuildAggregates(ds.Network, opts.Cities)
-	ex := feature.NewExtractor(users, agg)
+// Artifact is one trained configuration on one dataset: the model bundle
+// the Model Server serves, and what Eval needs to score the test day
+// through that same bundle.
+type Artifact struct {
+	spec      Spec
+	users     []txn.User
+	ds        *txn.Dataset
+	emb       *Embeddings
+	opts      Options
+	ex        *feature.Extractor
+	members   []ms.EnsembleMember // as trained, for TrainEnsembleForServing
+	bundle    *ms.Bundle          // validated, unversioned
+	trainRows int
+}
 
-	trainM := buildMatrix(ex, ds.Train, fs, emb, opts.Dim)
-	testM := buildMatrix(ex, ds.Test, fs, emb, opts.Dim)
+// Train runs the T+1 pipeline of Figure 3 for one Spec: extract features
+// on the 14 training days, train every detector on the days before the
+// last opts.ValDays, freeze each member's threshold and the combined one
+// on those validation days, and build the bundle. emb may be nil, and
+// then Train learns what spec.Features needs beside the basic features.
+// Labels arrive too late to tune online, so validation days without a
+// fraud label are an error: no threshold could be frozen.
+func Train(users []txn.User, ds *txn.Dataset, spec Spec, emb *Embeddings, opts Options) (*Artifact, error) {
+	if len(spec.Detectors) == 0 {
+		return nil, fmt.Errorf("core: a spec needs at least one detector")
+	}
+	a := &Artifact{spec: spec, users: users, ds: ds, emb: emb, opts: opts}
+	var agg *feature.Aggregates
+	var basic *feature.Matrix
+	features := func() {
+		agg = feature.BuildAggregates(ds.Network, opts.Cities)
+		a.ex = feature.NewExtractor(users, agg)
+		basic = a.ex.BasicMatrix(ds.Train)
+	}
+	if emb == nil && spec.Features != FeatBasic {
+		// The walks are the work; the basic features, which the walks do
+		// not read, run beside them.
+		par.Do(len(users)*opts.DW.WalksPerNode*opts.DW.WalkLength, func() {
+			if spec.Features == FeatBasicDW {
+				a.emb = LearnDW(ds, opts)
+			} else {
+				a.emb = LearnEmbeddings(ds, opts)
+			}
+		}, features)
+	} else {
+		features()
+	}
+	trainM := joinEmbeddings(basic, ds.Train, spec.Features, a.emb, opts.Dim)
 	labels := feature.LabelsOf(ds.Train)
-
-	// Split the 14 training days into fit + validation by day.
-	valStart := ds.TrainEnd - txn.Day(opts.ValDays)
-	fitRows, valRows := splitByDay(ds.Train, valStart)
+	fitRows, valRows := splitByDay(ds.Train, ds.TrainEnd-txn.Day(opts.ValDays))
 	fitM, fitL := subset(trainM, labels, fitRows)
 	valM, valL := subset(trainM, labels, valRows)
-
-	clf := trainDetector(det, fitM, fitL, opts)
-
-	valScores := mustScores(clf, valM)
-	_, threshold := metrics.BestF1(valScores, valL)
-
-	testScores := mustScores(clf, testM)
-	testLabels := feature.LabelsOf(ds.Test)
-	return Result{
-		Dataset:    ds.Index,
-		Features:   fs,
-		Detector:   det,
-		F1:         metrics.F1At(testScores, testLabels, threshold),
-		RecTop1:    metrics.RecallAtTop(testScores, testLabels, 0.01),
-		AUC:        metrics.AUC(testScores, testLabels),
-		Threshold:  threshold,
-		TrainRows:  fitM.Rows,
-		TestRows:   testM.Rows,
-		TestFrauds: countTrue(testLabels),
+	if countTrue(valL) == 0 {
+		return nil, fmt.Errorf("core: dataset %d: no fraud label on the %d validation day(s), so no threshold can be frozen",
+			ds.Index, opts.ValDays)
 	}
+	a.trainRows = fitM.Rows
+
+	for _, det := range spec.Detectors {
+		clf := trainDetector(det, fitM, fitL, opts)
+		_, thr := metrics.BestF1(mustScores(clf, valM), valL)
+		a.members = append(a.members, ms.EnsembleMember{Name: det.Key(), Clf: clf, Weight: 1, Threshold: thr})
+	}
+	// Freeze the combined threshold on the validation scores of the
+	// bundle itself: its decoded members, through its combiner.
+	embDim := (valM.Cols - feature.NumBasic) / 2
+	b, err := ms.NewEnsembleBundle("", a.members, spec.Combine, 0, agg.CityTable(), embDim)
+	if err != nil {
+		return nil, err
+	}
+	combined := make([]float64, valM.Rows)
+	if err := b.ScoreMatrix(combined, nil, valM); err != nil {
+		return nil, err
+	}
+	_, b.Threshold = metrics.BestF1(combined, valL)
+	a.bundle = b
+	return a, nil
+}
+
+// Eval scores the test day through the artifact's bundle, the one Deploy
+// publishes, and measures it at the frozen threshold.
+func (a *Artifact) Eval() Result {
+	scores := a.scores(a.ds.Test)
+	labels := feature.LabelsOf(a.ds.Test)
+	return Result{
+		Dataset:    a.ds.Index,
+		Spec:       a.spec,
+		F1:         metrics.F1At(scores, labels, a.bundle.Threshold),
+		RecTop1:    metrics.RecallAtTop(scores, labels, 0.01),
+		AUC:        metrics.AUC(scores, labels),
+		Threshold:  a.bundle.Threshold,
+		TrainRows:  a.trainRows,
+		TestRows:   len(scores),
+		TestFrauds: countTrue(labels),
+	}
+}
+
+// scores scores ts offline through the bundle, with the features Train
+// extracted. The bundle was built from matrices of the same extractor, so
+// a width mismatch is a pipeline bug, not recoverable input.
+func (a *Artifact) scores(ts []txn.Transaction) []float64 {
+	m := joinEmbeddings(a.ex.BasicMatrix(ts), ts, a.spec.Features, a.emb, a.opts.Dim)
+	out := make([]float64, m.Rows)
+	if err := a.bundle.ScoreMatrix(out, nil, m); err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// Bundle returns the trained bundle under version, which follows the
+// paper's date-time convention, without touching the online stores. The
+// engine assembles Basic and Basic+DW features only, so a feature set
+// with struc2vec embeddings cannot be served.
+func (a *Artifact) Bundle(version string) (*ms.Bundle, error) {
+	if a.spec.Features != FeatBasic && a.spec.Features != FeatBasicDW {
+		return nil, fmt.Errorf("core: the engine assembles Basic or Basic+DW features, not %v", a.spec.Features)
+	}
+	b := *a.bundle
+	b.Version = version
+	return &b, nil
+}
+
+// Deploy materialises the artifact into the online stores: it uploads
+// every user's profile, and DW embedding when the features join it, to
+// sink (one table's ms.Uploader, or a sharded uploader over a ring of
+// tables) and returns Bundle(version) for the Model Server.
+func (a *Artifact) Deploy(sink UserSink, version string) (*ms.Bundle, error) {
+	b, err := a.Bundle(version)
+	if err != nil {
+		return nil, err
+	}
+	var emb *Embeddings
+	if a.spec.Features == FeatBasicDW {
+		emb = a.emb
+	}
+	if err := uploadUsersTo(a.users, emb, sink); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 func countTrue(bs []bool) int {
@@ -336,8 +446,8 @@ func subset(m *feature.Matrix, labels []bool, rows []int) (*feature.Matrix, []bo
 // uses).
 func TrainMatrix(users []txn.User, ds *txn.Dataset, fs FeatureSet, emb *Embeddings, opts Options) (*feature.Matrix, []bool) {
 	agg := feature.BuildAggregates(ds.Network, opts.Cities)
-	ex := feature.NewExtractor(users, agg)
-	return buildMatrix(ex, ds.Train, fs, emb, opts.Dim), feature.LabelsOf(ds.Train)
+	basic := feature.NewExtractor(users, agg).BasicMatrix(ds.Train)
+	return joinEmbeddings(basic, ds.Train, fs, emb, opts.Dim), feature.LabelsOf(ds.Train)
 }
 
 // UserSink receives deployed user rows. The plain feature-table
@@ -364,105 +474,29 @@ func uploadUsersTo(users []txn.User, emb *Embeddings, sink UserSink) error {
 	return nil
 }
 
-func embDim(emb *Embeddings) int {
-	if emb != nil && emb.DW != nil {
-		return emb.DW.Dim()
-	}
-	return 0
-}
-
-// DeployTo materialises a trained day into the online stores: uploads
-// every user's profile and DW embedding to sink (one table's ms.Uploader,
-// or a sharded uploader over a ring of tables) and returns the model
-// bundle for the Model Server. version follows the paper's date-time
-// convention.
-func DeployTo(users []txn.User, ds *txn.Dataset, emb *Embeddings, clf model.Classifier, threshold float64, opts Options, sink UserSink, version string) (*ms.Bundle, error) {
-	agg := feature.BuildAggregates(ds.Network, opts.Cities)
-	if err := uploadUsersTo(users, emb, sink); err != nil {
-		return nil, err
-	}
-	return ms.NewBundle(version, clf, threshold, agg.CityTable(), embDim(emb))
-}
-
-// BuildEnsembleBundle assembles a v2 ensemble bundle from trained members
-// without touching the online stores — the bundle-file half of an
-// ensemble deployment (see DeployEnsembleTo for the uploading variant).
-func BuildEnsembleBundle(ds *txn.Dataset, emb *Embeddings, members []ms.EnsembleMember, combine ms.Combiner, threshold float64, opts Options, version string) (*ms.Bundle, error) {
-	agg := feature.BuildAggregates(ds.Network, opts.Cities)
-	return ms.NewEnsembleBundle(version, members, combine, threshold, agg.CityTable(), embDim(emb))
-}
-
-// DeployEnsembleTo is DeployTo for ensemble bundles: uploads every
-// user's fragments and returns a v2 bundle combining the trained members.
+// DeployEnsembleTo uploads every user's fragments to sink and returns a
+// v2 bundle combining the trained members. It exists only for
+// bench/fixture.go, until ROADMAP item 10-bench (k) moves the fixture to
+// Train and Artifact.Deploy.
 func DeployEnsembleTo(users []txn.User, ds *txn.Dataset, emb *Embeddings, members []ms.EnsembleMember, combine ms.Combiner, threshold float64, opts Options, sink UserSink, version string) (*ms.Bundle, error) {
 	agg := feature.BuildAggregates(ds.Network, opts.Cities)
 	if err := uploadUsersTo(users, emb, sink); err != nil {
 		return nil, err
 	}
-	return ms.NewEnsembleBundle(version, members, combine, threshold, agg.CityTable(), embDim(emb))
+	dim := 0
+	if emb != nil && emb.DW != nil {
+		dim = emb.DW.Dim()
+	}
+	return ms.NewEnsembleBundle(version, members, combine, threshold, agg.CityTable(), dim)
 }
 
-// TrainEnsembleForServing trains one detector per entry of dets on the
-// production feature set (Basic+DW), freezing each member's own threshold
-// and the combined decision threshold on the validation days — the same
-// T+1 protocol TrainForServing applies to the single GBDT. The returned
-// members are ordered as requested, weighted equally, and named by
-// Detector.Key.
+// TrainEnsembleForServing is Train on Basic+DW in the shape
+// bench/fixture.go reads. It exists only for bench/, until ROADMAP item
+// 10-bench (k) moves the fixture to Train.
 func TrainEnsembleForServing(users []txn.User, ds *txn.Dataset, dets []Detector, combine ms.Combiner, opts Options) ([]ms.EnsembleMember, *Embeddings, float64, error) {
-	if len(dets) == 0 {
-		return nil, nil, 0, fmt.Errorf("core: ensemble needs at least one detector")
-	}
-	emb, agg, fitM, fitL, valM, valL := servingMatrices(users, ds, opts)
-	members := make([]ms.EnsembleMember, 0, len(dets))
-	for _, det := range dets {
-		clf := trainDetector(det, fitM, fitL, opts)
-		_, thr := metrics.BestF1(mustScores(clf, valM), valL)
-		members = append(members, ms.EnsembleMember{Name: det.Key(), Clf: clf, Weight: 1, Threshold: thr})
-	}
-
-	// Freeze the ensemble threshold on the combined validation scores,
-	// through the same combiner the bundle will serve with.
-	probe, err := ms.NewEnsembleBundle("val", members, combine, 0, agg.CityTable(), opts.Dim)
+	a, err := Train(users, ds, Spec{Features: FeatBasicDW, Detectors: dets, Combine: combine}, nil, opts)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	combined := make([]float64, valM.Rows)
-	if err := probe.ScoreMatrix(combined, nil, valM); err != nil {
-		return nil, nil, 0, err
-	}
-	_, threshold := metrics.BestF1(combined, valL)
-	return members, emb, threshold, nil
-}
-
-// TrainForServing runs the paper's production configuration (Basic+DW+
-// GBDT, the Table 1 winner) on a dataset and returns everything the
-// online side needs.
-func TrainForServing(users []txn.User, ds *txn.Dataset, opts Options) (model.Classifier, *Embeddings, float64, error) {
-	emb, _, fitM, fitL, valM, valL := servingMatrices(users, ds, opts)
-	cfg := opts.GBDT
-	cfg.Seed = opts.Seed
-	clf := gbdt.Train(fitM, fitL, cfg)
-	_, threshold := metrics.BestF1(mustScores(clf, valM), valL)
-	return clf, emb, threshold, nil
-}
-
-// servingMatrices is both serving trainers' preamble. It learns DeepWalk
-// beside the aggregates and the basic training features, which it does
-// not read, counting its walk steps as the work; then it joins the
-// embeddings on (Basic+DW) and splits the rows into the fit and the
-// validation days.
-func servingMatrices(users []txn.User, ds *txn.Dataset, opts Options) (emb *Embeddings, agg *feature.Aggregates, fitM *feature.Matrix, fitL []bool, valM *feature.Matrix, valL []bool) {
-	var basic *feature.Matrix
-	par.Do(len(users)*opts.DW.WalksPerNode*opts.DW.WalkLength,
-		func() { emb = LearnDW(ds, opts) },
-		func() {
-			agg = feature.BuildAggregates(ds.Network, opts.Cities)
-			basic = feature.NewExtractor(users, agg).BasicMatrix(ds.Train)
-		})
-	trainM := feature.WithEmbeddings(basic, ds.Train, opts.Dim, emb.DW.Lookup)
-	labels := feature.LabelsOf(ds.Train)
-	fitRows, valRows := splitByDay(ds.Train, ds.TrainEnd-txn.Day(opts.ValDays))
-	fitM, fitL = subset(trainM, labels, fitRows)
-	valM, valL = subset(trainM, labels, valRows)
-	return emb, agg, fitM, fitL, valM, valL
+	return a.members, a.emb, a.bundle.Threshold, nil
 }

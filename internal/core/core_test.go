@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
+	"titant/internal/feature"
 	"titant/internal/hbase"
+	"titant/internal/metrics"
 	"titant/internal/ms"
 	"titant/internal/synth"
 	"titant/internal/txn"
@@ -29,12 +32,25 @@ func world(t testing.TB) (*synth.World, *txn.Dataset) {
 	return w, ds
 }
 
+// served is the configuration titant serve trains by default.
+var served = Spec{Features: FeatBasicDW, Detectors: []Detector{DetGBDT}}
+
+// evalCell trains one Table 1 cell and evaluates it on the test day.
+func evalCell(t *testing.T, users []txn.User, ds *txn.Dataset, fs FeatureSet, det Detector, emb *Embeddings, opts Options) Result {
+	t.Helper()
+	a, err := Train(users, ds, Spec{Features: fs, Detectors: []Detector{det}}, emb, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.Eval()
+}
+
 func TestTrainEvalAllDetectors(t *testing.T) {
 	w, ds := world(t)
 	opts := quickOpts()
 	emb := LearnEmbeddings(ds, opts)
 	for _, det := range []Detector{DetIF, DetID3, DetC50, DetLR, DetGBDT} {
-		r := TrainEval(w.Users, ds, FeatBasic, det, emb, opts)
+		r := evalCell(t, w.Users, ds, FeatBasic, det, emb, opts)
 		if r.F1 < 0 || r.F1 > 1 || r.RecTop1 < 0 || r.RecTop1 > 1 {
 			t.Errorf("%v: out-of-range metrics %+v", det, r)
 		}
@@ -52,10 +68,39 @@ func TestTrainEvalFeatureSets(t *testing.T) {
 	opts := quickOpts()
 	emb := LearnEmbeddings(ds, opts)
 	for _, fs := range []FeatureSet{FeatBasic, FeatBasicS2V, FeatBasicDW, FeatBasicDWS2V} {
-		r := TrainEval(w.Users, ds, fs, DetGBDT, emb, opts)
-		if r.Features != fs {
-			t.Errorf("feature set mismatch: %v", r.Features)
+		a, err := Train(w.Users, ds, Spec{Features: fs, Detectors: []Detector{DetGBDT}}, emb, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if r := a.Eval(); r.Spec.Features != fs {
+			t.Errorf("feature set mismatch: %v", r.Spec.Features)
+		}
+		// The engine assembles no struc2vec embedding.
+		_, err = a.Bundle("v")
+		if servable := fs == FeatBasic || fs == FeatBasicDW; servable != (err == nil) {
+			t.Errorf("%v: Bundle error %v", fs, err)
+		}
+	}
+}
+
+// TestTrainRefusesValidationWithoutFraud: with no fraud label on the
+// validation days BestF1 can only freeze +Inf, and a bundle built on it
+// would flag nothing, so Train fails instead.
+func TestTrainRefusesValidationWithoutFraud(t *testing.T) {
+	w, ds := world(t)
+	opts := quickOpts()
+	cleared := *ds
+	cleared.Train = append([]txn.Transaction(nil), ds.Train...)
+	for i := range cleared.Train {
+		if cleared.Train[i].Day >= ds.TrainEnd-txn.Day(opts.ValDays) {
+			cleared.Train[i].Fraud = false
+		}
+	}
+	if _, err := Train(w.Users, &cleared, served, nil, opts); err == nil {
+		t.Fatal("Train froze a threshold on validation days without fraud")
+	}
+	if _, err := Train(w.Users, ds, served, nil, opts); err != nil {
+		t.Fatalf("the uncleared dataset: %v", err)
 	}
 }
 
@@ -101,13 +146,11 @@ func TestEmbeddingsCoverNetworkUsers(t *testing.T) {
 	}
 }
 
-func TestEndToEndServing(t *testing.T) {
-	// Full pipeline: train for serving, deploy to HBase, score the test
-	// day through the Model Server, and verify the orderings broadly agree
-	// with offline evaluation.
-	w, ds := world(t)
-	opts := quickOpts()
-	clf, emb, threshold, err := TrainForServing(w.Users, ds, opts)
+// deployed trains the served configuration and deploys it to a fresh
+// table behind an engine with no live window.
+func deployed(t *testing.T, users []txn.User, ds *txn.Dataset, opts Options) (*Artifact, *ms.Server) {
+	t.Helper()
+	a, err := Train(users, ds, served, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +158,8 @@ func TestEndToEndServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tab.Close()
-	bundle, err := DeployTo(w.Users, ds, emb, clf, threshold, opts, &ms.Uploader{Table: tab}, "test-version")
+	t.Cleanup(func() { tab.Close() })
+	bundle, err := a.Deploy(&ms.Uploader{Table: tab}, "test-version")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +167,16 @@ func TestEndToEndServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(srv.Close)
+	return a, srv
+}
+
+func TestEndToEndServing(t *testing.T) {
+	// Full pipeline: train for serving, deploy to HBase, score the test
+	// day through the Model Server, and verify the orderings broadly agree
+	// with offline evaluation.
+	w, ds := world(t)
+	_, srv := deployed(t, w.Users, ds, quickOpts())
 	verdicts, err := srv.ScoreBatch(context.Background(), ds.Test)
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +204,34 @@ func TestEndToEndServing(t *testing.T) {
 	}
 }
 
+// TestServedEqualsOffline: the engine over the deployed table, reading
+// the bundle's frozen city table, scores every test-day transaction
+// bitwise as the artifact scores it offline, so the recall Eval reports
+// is the served recall. Bitwise holds only where the trainer and the
+// server share an architecture family: Go may fuse x*y+z on arm64 and
+// others, until ROADMAP item 19 makes the rounding explicit.
+func TestServedEqualsOffline(t *testing.T) {
+	w, ds := world(t)
+	a, srv := deployed(t, w.Users, ds, quickOpts())
+	verdicts, err := srv.ScoreBatch(context.Background(), ds.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline := a.scores(ds.Test)
+	online := make([]float64, len(verdicts))
+	for i, v := range verdicts {
+		online[i] = v.Score
+		if math.Float64bits(v.Score) != math.Float64bits(offline[i]) {
+			t.Errorf("txn %d: served %v, offline %v", ds.Test[i].ID, v.Score, offline[i])
+		}
+	}
+	labels := feature.LabelsOf(ds.Test)
+	thr := a.Eval().Threshold
+	if got, want := metrics.Confuse(online, labels, thr).Recall(), metrics.Confuse(offline, labels, thr).Recall(); got != want {
+		t.Errorf("served recall %v, offline %v", got, want)
+	}
+}
+
 // BenchmarkTrainForServing trains the serving bundle the serving
 // benchmark trains: a 6000-user composed world with the default scenario
 // mix, GBDT only with 40 trees, 3 walks per node.
@@ -167,7 +248,7 @@ func BenchmarkTrainForServing(b *testing.B) {
 	opts.DW.WalksPerNode = 3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := TrainEnsembleForServing(w.Users, ds, []Detector{DetGBDT}, ms.CombineMean, opts); err != nil {
+		if _, err := Train(w.Users, ds, served, nil, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

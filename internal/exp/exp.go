@@ -1,5 +1,5 @@
 // Package exp regenerates every table and figure of the paper's Section 5
-// (see DESIGN.md §3 for the experiment index). Each entry point returns
+// (docs/ARCHITECTURE.md maps them to packages). Each entry point returns
 // structured rows plus a paper-style text rendering; the bench harness and
 // the titant-exp binary are thin wrappers around it.
 package exp
@@ -13,6 +13,7 @@ import (
 	"titant/internal/graph"
 	"titant/internal/ps"
 	"titant/internal/synth"
+	"titant/internal/txn"
 )
 
 // Config scales an experiment run.
@@ -98,13 +99,25 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 		res.Days = append(res.Days, ds.TestDay.String())
 		emb := core.LearnEmbeddings(ds, cfg.Opts)
 		for i, c := range configs {
-			r := core.TrainEval(w.Users, ds, c.Features, c.Detector, emb, cfg.Opts)
+			r, err := eval(w.Users, ds, c.Features, c.Detector, emb, cfg.Opts)
+			if err != nil {
+				return nil, err
+			}
 			res.F1[i][d] = r.F1
 			res.RecTop1[i][d] = r.RecTop1
 		}
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// eval trains one Table 1 cell and evaluates it on the test day.
+func eval(users []txn.User, ds *txn.Dataset, fs core.FeatureSet, det core.Detector, emb *core.Embeddings, opts core.Options) (core.Result, error) {
+	a, err := core.Train(users, ds, core.Spec{Features: fs, Detectors: []core.Detector{det}}, emb, opts)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return a.Eval(), nil
 }
 
 // Mean returns a config's across-day mean F1.
@@ -154,7 +167,10 @@ func RunFigure9(cfg Config) (*Figure9Result, error) {
 	dets := []core.Detector{core.DetIF, core.DetID3, core.DetC50, core.DetLR, core.DetGBDT}
 	res := &Figure9Result{Detectors: dets}
 	for _, det := range dets {
-		r := core.TrainEval(w.Users, ds, core.FeatBasic, det, nil, cfg.Opts)
+		r, err := eval(w.Users, ds, core.FeatBasic, det, nil, cfg.Opts)
+		if err != nil {
+			return nil, err
+		}
 		res.RecTop1 = append(res.RecTop1, r.RecTop1)
 	}
 	res.Elapsed = time.Since(start)
@@ -304,7 +320,10 @@ func RunTable2(cfg Config, samplings []int) (*SweepResult, error) {
 		opts := cfg.Opts
 		opts.DW.WalksPerNode = s
 		emb := core.LearnDW(ds, opts)
-		r := core.TrainEval(w.Users, ds, core.FeatBasicDW, core.DetGBDT, emb, opts)
+		r, err := eval(w.Users, ds, core.FeatBasicDW, core.DetGBDT, emb, opts)
+		if err != nil {
+			return nil, err
+		}
 		res.Series["F1"] = append(res.Series["F1"], r.F1)
 	}
 	res.Elapsed = time.Since(start)
@@ -341,7 +360,10 @@ func RunFigure11(cfg Config, dims []int) (*SweepResult, error) {
 		opts.Dim = dim
 		emb := core.LearnEmbeddings(ds, opts)
 		for _, name := range order {
-			r := core.TrainEval(w.Users, ds, fsOf[name], core.DetGBDT, emb, opts)
+			r, err := eval(w.Users, ds, fsOf[name], core.DetGBDT, emb, opts)
+			if err != nil {
+				return nil, err
+			}
 			res.Series[name] = append(res.Series[name], r.F1)
 		}
 	}
@@ -380,7 +402,10 @@ func RunFigure12(cfg Config, trees []int) (*SweepResult, error) {
 		opts := cfg.Opts
 		opts.GBDT.Trees = n
 		for _, name := range order {
-			r := core.TrainEval(w.Users, ds, fsOf[name], core.DetGBDT, emb, opts)
+			r, err := eval(w.Users, ds, fsOf[name], core.DetGBDT, emb, opts)
+			if err != nil {
+				return nil, err
+			}
 			res.Series[name] = append(res.Series[name], r.F1)
 		}
 	}

@@ -92,7 +92,8 @@ func F1At(scores []float64, labels []bool, threshold float64) float64 {
 // BestF1 scans all meaningful thresholds (the distinct scores) and returns
 // the maximum achievable F1 and the threshold achieving it. Labels arrive
 // too late to tune online, so the pipeline calls this on a validation slice
-// and freezes the threshold for the test day (see DESIGN.md §4).
+// and freezes the threshold for the test day (see "Offline plane" in
+// docs/ARCHITECTURE.md).
 func BestF1(scores []float64, labels []bool) (bestF1, bestThreshold float64) {
 	if len(scores) != len(labels) {
 		panic(fmt.Sprintf("metrics: %d scores vs %d labels", len(scores), len(labels)))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"titant/internal/feature"
 	"titant/internal/model"
@@ -182,8 +183,14 @@ func (b *Bundle) validate() error {
 	default:
 		return fmt.Errorf("%w: unknown combiner %d", ErrBundleInvalid, int(b.Combine))
 	}
+	if !finite(b.Threshold) {
+		return fmt.Errorf("%w: threshold %v", ErrBundleInvalid, b.Threshold)
+	}
 	ens := &ensemble{combine: b.Combine}
 	check := func(name string, raw []byte, weight, thr float64) error {
+		if !finite(thr) {
+			return fmt.Errorf("%w: member %q: threshold %v", ErrBundleInvalid, name, thr)
+		}
 		clf, err := model.Decode(raw)
 		if err != nil {
 			return fmt.Errorf("%w: member %q: %v", ErrBundleInvalid, name, err)
@@ -224,6 +231,10 @@ func (b *Bundle) validate() error {
 	b.ens = ens
 	return nil
 }
+
+// finite reports whether a threshold can split scores: a NaN compares
+// false with every score, and an infinite one flags all or nothing.
+func finite(thr float64) bool { return !math.IsNaN(thr) && !math.IsInf(thr, 0) }
 
 // breakdown is how many per-member score series a pass exposes: one per
 // member, none for a v1 single-model bundle, whose only score is the

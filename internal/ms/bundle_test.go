@@ -3,6 +3,7 @@ package ms
 import (
 	"encoding/gob"
 	"errors"
+	"math"
 	"testing"
 
 	"titant/internal/feature"
@@ -225,6 +226,23 @@ func TestEnsembleBundleValidation(t *testing.T) {
 		{Name: "a", Clf: ok},
 	}, Combiner(9), 0.5, city, 0); !errors.Is(err, ErrBundleInvalid) {
 		t.Fatalf("unknown combiner: %v", err)
+	}
+	// A threshold that cannot split scores: a validation slice without
+	// fraud freezes +Inf, and such a bundle would flag nothing.
+	for _, thr := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewEnsembleBundle("e", []EnsembleMember{
+			{Name: "a", Clf: ok},
+		}, CombineMean, thr, city, 0); !errors.Is(err, ErrBundleInvalid) {
+			t.Fatalf("bundle threshold %v: %v", thr, err)
+		}
+		if _, err := NewEnsembleBundle("e", []EnsembleMember{
+			{Name: "a", Clf: ok, Threshold: thr},
+		}, CombineMean, 0.5, city, 0); !errors.Is(err, ErrBundleInvalid) {
+			t.Fatalf("member threshold %v: %v", thr, err)
+		}
+		if _, err := NewBundle("v1", ok, thr, city, 0); !errors.Is(err, ErrBundleInvalid) {
+			t.Fatalf("v1 threshold %v: %v", thr, err)
+		}
 	}
 	// A bundle carrying both formats at once is corrupt.
 	b := fixedEnsemble(t, CombineMean, EnsembleMember{Name: "a", Clf: ok})

@@ -1,5 +1,6 @@
 // Package synth generates the synthetic transaction workload that stands in
-// for Ant Financial's proprietary data (see DESIGN.md §1).
+// for Ant Financial's proprietary data (the §5.1 datasets row of
+// docs/ARCHITECTURE.md's package map).
 //
 // The generator reproduces the three statistical properties the paper's
 // analysis rests on:

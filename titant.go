@@ -12,15 +12,17 @@
 //	world := titant.Generate(titant.DefaultWorldConfig()) // synthetic workload
 //	ds, _ := world.Dataset(1)                             // 90d network / 14d train / 1d test
 //	opts := titant.DefaultOptions()
-//	emb := titant.LearnEmbeddings(ds, opts)               // DeepWalk + Structure2Vec
-//	res := titant.TrainEval(world.Users, ds, titant.FeatBasicDW, titant.DetGBDT, emb, opts)
-//	fmt.Println(res.F1)
+//	spec := titant.Spec{Features: titant.FeatBasicDW, Detectors: []titant.Detector{titant.DetGBDT}}
+//	art, _ := titant.Train(world.Users, ds, spec, nil, opts) // learns DeepWalk itself
+//	fmt.Println(art.Eval().F1)                               // the test day, through the served bundle
 //
-// For online serving, deploy a trained bundle into a feature table and
+// For online serving, deploy the same artifact into a feature table and
 // build the v1 scoring engine; attach a streaming aggregate store so
 // scoring reads statistics updated by live traffic instead of the
 // T+1 snapshot:
 //
+//	sink := titant.NewShardedUploader([]*titant.FeatureTable{tab}, 0)
+//	bundle, _ := art.Deploy(sink, "2017-04-10") // upload users, version the bundle
 //	st := titant.NewStreamStore()               // live sliding-window aggregates
 //	eng, _ := titant.NewEngine(tab, bundle,
 //	    titant.WithAlert(onFraud), titant.WithStreamAggregates(st))
@@ -53,8 +55,6 @@ import (
 	"titant/internal/core"
 	"titant/internal/decision"
 	"titant/internal/eventlog"
-	"titant/internal/exp"
-	"titant/internal/feature"
 	"titant/internal/feature/stream"
 	"titant/internal/hbase"
 	"titant/internal/model"
@@ -94,10 +94,12 @@ type (
 	Detector = core.Detector
 	// Embeddings caches the two NRL methods' outputs for a dataset.
 	Embeddings = core.Embeddings
-	// Result is one configuration's evaluation on one test day.
-	Result = core.Result
-	// Classifier is a trained scoring model.
-	Classifier = model.Classifier
+	// Spec is one trained configuration: a feature set, the detectors
+	// and the combiner that folds their scores (see Train).
+	Spec = core.Spec
+	// Artifact is one trained Spec: Eval scores the test day through the
+	// bundle that Deploy publishes.
+	Artifact = core.Artifact
 	// BatchScorer is the vectorised scoring contract: detectors that
 	// implement it (all four built-ins do) score whole feature matrices
 	// per call instead of row by row, which is what the serving engine's
@@ -106,8 +108,6 @@ type (
 	// Bundle is the model artefact served by the Model Server: a v1
 	// single classifier or a v2 ensemble of named members.
 	Bundle = ms.Bundle
-	// EnsembleMember names one trained detector of an ensemble bundle.
-	EnsembleMember = ms.EnsembleMember
 	// Combiner selects how an ensemble folds member scores (mean, max or
 	// weighted vote).
 	Combiner = ms.Combiner
@@ -118,9 +118,9 @@ type (
 	// Score, batch-first ScoreBatch, functional options, typed errors and
 	// the versioned HTTP API.
 	Engine = ms.Server
-	// UserSink receives deployed user rows (see DeployTo); the sharded
-	// uploader from NewShardedUploader partitions them across a set of
-	// tables by the same hash the engine reads with.
+	// UserSink receives deployed user rows (see Artifact.Deploy); the
+	// sharded uploader from NewShardedUploader partitions them across a
+	// set of tables by the same hash the engine reads with.
 	UserSink = core.UserSink
 	// EngineOption configures the scoring engine (see WithAlert,
 	// WithWorkers, WithHistogram, WithStrictUsers, WithMaxBatch).
@@ -132,9 +132,6 @@ type (
 	Verdict = ms.Verdict
 	// FeatureTable is the column-family online feature store (Figure 7).
 	FeatureTable = hbase.Table
-	// CityTable is the frozen per-city statistics table that travels
-	// inside a model bundle.
-	CityTable = feature.CityTable
 	// StreamStore is the sharded streaming aggregate store: incremental
 	// sliding-window velocity/diversity/city statistics on the hot path
 	// (see internal/feature/stream).
@@ -181,8 +178,6 @@ type (
 	// ShadowStats snapshots champion/challenger agreement, divergence
 	// and would-have-flipped counters (see WithShadow).
 	ShadowStats = decision.ShadowStats
-	// ExperimentConfig scales a paper-experiment run.
-	ExperimentConfig = exp.Config
 )
 
 // Feature sets of Table 1.
@@ -228,10 +223,6 @@ const (
 // the read-through user cache without an explicit size.
 const DefaultUserCacheSize = ms.DefaultUserCacheSize
 
-// DefaultShadowQueue is the bounded shadow-queue capacity of an engine
-// built with WithShadow but no WithShadowQueue.
-const DefaultShadowQueue = ms.DefaultShadowQueue
-
 // ParseCombiner maps "mean", "max" or "vote" to a Combiner.
 func ParseCombiner(s string) (Combiner, error) { return ms.ParseCombiner(s) }
 
@@ -246,13 +237,6 @@ func ParsePolicy(data []byte) (*DecisionPolicy, error) { return decision.Parse(d
 func DefaultPolicy(version string, threshold float64) *DecisionPolicy {
 	return decision.Default(version, threshold)
 }
-
-// ParseScenario maps "", "default", "payment", "transfer" or
-// "withdrawal" to a Scenario.
-func ParseScenario(s string) (Scenario, error) { return decision.ParseScenario(s) }
-
-// DefaultDriftConfig returns the drift monitor defaults.
-func DefaultDriftConfig() DriftConfig { return decision.DefaultDriftConfig() }
 
 // ParseDetector maps a CLI name (if, id3, c50, lr, gbdt) to a Detector.
 func ParseDetector(s string) (Detector, error) { return core.ParseDetector(s) }
@@ -288,51 +272,17 @@ func LearnEmbeddings(ds *Dataset, opts Options) *Embeddings {
 	return core.LearnEmbeddings(ds, opts)
 }
 
-// TrainEval runs the full T+1 pipeline for one configuration cell.
-func TrainEval(users []User, ds *Dataset, fs FeatureSet, det Detector, emb *Embeddings, opts Options) Result {
-	return core.TrainEval(users, ds, fs, det, emb, opts)
-}
-
-// TrainForServing trains the production configuration (Basic+DW+GBDT) and
-// returns the classifier, embeddings and frozen threshold.
-func TrainForServing(users []User, ds *Dataset, opts Options) (Classifier, *Embeddings, float64, error) {
-	return core.TrainForServing(users, ds, opts)
-}
-
-// TrainEnsembleForServing trains one detector per entry of dets on the
-// production feature set (Basic+DW), freezing per-member thresholds and
-// the combined decision threshold on the validation days.
-func TrainEnsembleForServing(users []User, ds *Dataset, dets []Detector, combine Combiner, opts Options) ([]EnsembleMember, *Embeddings, float64, error) {
-	return core.TrainEnsembleForServing(users, ds, dets, combine, opts)
-}
-
-// NewEnsembleBundle builds a v2 bundle from an ordered set of trained
-// detectors; threshold acts on the combined score.
-func NewEnsembleBundle(version string, members []EnsembleMember, combine Combiner, threshold float64, city CityTable, embDim int) (*Bundle, error) {
-	return ms.NewEnsembleBundle(version, members, combine, threshold, city, embDim)
+// Train runs the T+1 pipeline of Figure 3 for one Spec on the dataset and
+// returns the trained artifact: Eval measures it on the test day, Deploy
+// publishes it. emb may be nil, and then Train learns the embeddings the
+// feature set joins.
+func Train(users []User, ds *Dataset, spec Spec, emb *Embeddings, opts Options) (*Artifact, error) {
+	return core.Train(users, ds, spec, emb, opts)
 }
 
 // OpenFeatureTable opens (or creates) an online feature store.
 func OpenFeatureTable(dir string) (*FeatureTable, error) {
 	return hbase.Open(hbase.Config{Dir: dir})
-}
-
-// Deploy uploads user fragments and embeddings to the feature table and
-// builds the model bundle for serving.
-func Deploy(users []User, ds *Dataset, emb *Embeddings, clf Classifier, threshold float64, opts Options, tab *FeatureTable, version string) (*Bundle, error) {
-	return core.DeployTo(users, ds, emb, clf, threshold, opts, &ms.Uploader{Table: tab}, version)
-}
-
-// DeployEnsemble is Deploy for ensemble bundles: uploads every user's
-// fragments and builds a v2 bundle combining the trained members.
-func DeployEnsemble(users []User, ds *Dataset, emb *Embeddings, members []EnsembleMember, combine Combiner, threshold float64, opts Options, tab *FeatureTable, version string) (*Bundle, error) {
-	return core.DeployEnsembleTo(users, ds, emb, members, combine, threshold, opts, &ms.Uploader{Table: tab}, version)
-}
-
-// BuildEnsembleBundle assembles a v2 ensemble bundle from trained members
-// without touching the online stores.
-func BuildEnsembleBundle(ds *Dataset, emb *Embeddings, members []EnsembleMember, combine Combiner, threshold float64, opts Options, version string) (*Bundle, error) {
-	return core.BuildEnsembleBundle(ds, emb, members, combine, threshold, opts, version)
 }
 
 // NewEngine builds the v1 online scoring engine over the feature table.
@@ -362,17 +312,6 @@ func NewShardedUploader(tables []*FeatureTable, version int64) UserSink {
 // the engine's partitioned store, the sharded uploader and the wire
 // router all agree on.
 func ShardOf(u txn.UserID, n int) int { return ms.ShardOf(u, n) }
-
-// DeployTo is Deploy against any UserSink — pass NewShardedUploader's
-// sink to partition the upload wave across a ring of shard tables.
-func DeployTo(users []User, ds *Dataset, emb *Embeddings, clf Classifier, threshold float64, opts Options, sink UserSink, version string) (*Bundle, error) {
-	return core.DeployTo(users, ds, emb, clf, threshold, opts, sink, version)
-}
-
-// DeployEnsembleTo is DeployEnsemble against any UserSink (see DeployTo).
-func DeployEnsembleTo(users []User, ds *Dataset, emb *Embeddings, members []EnsembleMember, combine Combiner, threshold float64, opts Options, sink UserSink, version string) (*Bundle, error) {
-	return core.DeployEnsembleTo(users, ds, emb, members, combine, threshold, opts, sink, version)
-}
 
 // WithAlert sets the fraud-interruption callback.
 func WithAlert(a Alert) EngineOption { return ms.WithAlert(a) }
@@ -407,12 +346,12 @@ func WithPolicy(p *DecisionPolicy) EngineOption { return ms.WithPolicy(p) }
 // and champion/challenger agreement surfaces on /v1/stats.
 func WithShadow(challenger *Bundle) EngineOption { return ms.WithShadow(challenger) }
 
-// WithShadowQueue bounds the shadow queue (default DefaultShadowQueue).
+// WithShadowQueue bounds the shadow queue (default 1024).
 func WithShadowQueue(n int) EngineOption { return ms.WithShadowQueue(n) }
 
 // WithDriftMonitor enables per-member score drift monitoring (PSI/KS
 // against a baseline frozen at bundle deploy); zero-valued fields take
-// DefaultDriftConfig.
+// the monitor's defaults.
 func WithDriftMonitor(cfg DriftConfig) EngineOption { return ms.WithDriftMonitor(cfg) }
 
 // WithModelToken guards POST /v1/models and /v1/policy behind a bearer
@@ -499,6 +438,3 @@ func InspectEventLog(dir string) (EventLogInspection, error) { return eventlog.I
 func CompactEventLog(dir string, retain int) ([]string, error) {
 	return eventlog.CompactDir(dir, retain)
 }
-
-// DefaultExperiments returns the default-scale experiment configuration.
-func DefaultExperiments() ExperimentConfig { return exp.Default() }
